@@ -25,8 +25,7 @@ from .models import CMat, LatticeSpec, aii_path, flux_path, hermitian_double, ki
 from .flow import classical_sf
 from .pairs import ComplexStructure, pair_index
 from .props import run_all
-from .rs_verify import (RSProblem, assemble_rs_operator, hermite_values,
-                        numeric_kernel, verify_rs)
+from .rs_verify import RSProblem, hermite_values, verify_rs
 
 
 def _emit(obj) -> None:
@@ -177,22 +176,13 @@ def cmd_rs_check(args) -> int:
     report = verify_rs(problem)
     _emit(report.to_json())
     if args.out:
-        op = assemble_rs_operator(problem)
-        basis, _ = numeric_kernel(op)
         points = np.linspace(-4.0, 6.0, 401)
         phi = hermite_values(problem.m, points / problem.scale) / np.sqrt(problem.scale)
-        full = op._retained_basis @ basis
-        cell = 2 * module.n
-        rows = []
-        for i, x in enumerate(points):
-            row = [x]
-            for col in range(full.shape[1]):
-                coeffs = full[:, col].reshape(problem.m, cell)
-                row.extend(phi[i] @ coeffs)
-            rows.append(row)
-        header = ["x"] + [f"v{c + 1}_{k + 1}" for c in range(basis.shape[1])
-                          for k in range(cell)]
-        _write_csv(args.out, header, rows)
+        cells = report.operator.to_cells(report.kernel_basis)
+        values = np.einsum("pj,jck->pkc", phi, cells).reshape(points.size, -1)
+        header = ["x"] + [f"v{c + 1}_{k + 1}" for c in range(cells.shape[2])
+                          for k in range(cells.shape[1])]
+        _write_csv(args.out, header, np.column_stack([points, values]))
     return 0
 
 

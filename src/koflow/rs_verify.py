@@ -9,21 +9,22 @@ by f becomes f evaluated on the spectral decomposition of the
 lifted Clifford generators anticommute with it exactly, and the basis
 lives on the whole line (no wall, no Brillouin zone).
 
-The compression is rectangular in the grading S = F_{s+1} (x) L1, which
-commutes with every lifted generator while D anticommutes with it, so
-that D = [[0, -C^T], [C, 0]].  A symmetric truncation would force the
-off-diagonal blocks to be mutual transposes with identical singular
-values: every bound state then acquires a ghost partner of the opposite
-class at the same singular value and the computed kernel class cancels
-to zero (local grid stencils suffer the same cancellation through their
-sign-alternating doubler branch, whose effective coefficient must switch
-sign somewhere).  Keeping one extra basis level in the bound sector
-gives C Fredholm index dim(V): the ghost branch leaks into the extra
-retained level and is pushed to order-one singular values, leaving
-exactly the physical kernel.
+The grading S = F_{s+1} (x) L1 commutes with every lifted generator while
+D anticommutes with it, so in the bases of its two eigenspaces (sectors)
+D = [[0, -X^T], [X, 0]].  Only the block X is built, as a sum of two
+Kronecker products of Hermite-basis matrices with cell-size sector
+blocks, and each lifted generator is kept as its two cell-size sector
+blocks.  The truncation is rectangular: a symmetric one would make X
+square, so every bound state would acquire a ghost partner of the
+opposite class at the same singular value and the computed kernel class
+would cancel to zero (local grid stencils suffer the same cancellation
+through their sign-alternating doubler branch).  Keeping one extra basis
+level in the bound sector gives X Fredholm index dim(V): the ghost branch
+leaks into the extra level and is pushed to order-one singular values.
 
-The kernel is compared, as a Clifford module, against the flow of the
-coefficient path and against the analytic bound-state profile.
+The kernel ker X (+) ker X^T is compared, as a Clifford module, against
+the flow of the coefficient path and against the analytic bound-state
+profile.
 
 Convention note: pairing the same coefficient family against the line's
 Dirac class in bivariant K-theory produces the NEGATIVE of the flow; only
@@ -43,7 +44,11 @@ from .errors import AmbiguousKernelError, ValidationError
 from .flow import SkewPath, spectral_flow
 from .numerics import split_zero_cluster
 
-DIM_GUARD = 1_000_000
+# Bytes that coeff and deriv, X, both Gram matrices and the window's
+# eigenvectors may take together.
+MEMORY_BUDGET = 4 * 2 ** 30
+# Singular values probed beyond dim(module) by numeric_kernel.
+KERNEL_EXTRA = 6
 
 
 def default_switching(t: float) -> float:
@@ -94,18 +99,41 @@ class RSProblem:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Dense skew matrix of dimension dim(module) * (2m - 1) with its
-    lifted Clifford generators (compressed to the same retained basis)."""
+    """Sector-block storage of the skew matrix D = [[0, -X^T], [X, 0]].
+
+    Sector coordinates list the m levels of the full sector, then the
+    retained levels of the cut sector, each level carrying the columns of
+    `keep_full` (resp. `keep_cut`) as cell vectors.  `matrix` is X (cut
+    rows, full columns).  Each lifted Clifford generator is a (2, n, n)
+    array: its cell blocks on the full and on the cut sector.
+    """
 
     matrix: np.ndarray
     problem: RSProblem
-    boundary: str = "Hermite basis on the line, sector-rectangular truncation"
+    keep_full: np.ndarray
+    keep_cut: np.ndarray
     lifted_E: tuple = field(default=())
     lifted_F: tuple = field(default=())
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return sum(self.matrix.shape)
+
+    def lift(self, gen: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """A lifted generator applied to columns in sector coordinates."""
+        rows, cols = self.matrix.shape
+        n, k = gen.shape[1], vecs.shape[1]
+        return np.concatenate(
+            [(gen[0] @ vecs[:cols].reshape(cols // n, n, k)).reshape(cols, k),
+             (gen[1] @ vecs[cols:].reshape(rows // n, n, k)).reshape(rows, k)])
+
+    def to_cells(self, vecs: np.ndarray) -> np.ndarray:
+        """Columns in sector coordinates as (level, cell, column) arrays."""
+        rows, cols = self.matrix.shape
+        n, k = self.keep_full.shape[1], vecs.shape[1]
+        out = self.keep_full @ vecs[:cols].reshape(cols // n, n, k)
+        out[:rows // n] += self.keep_cut @ vecs[cols:].reshape(rows // n, n, k)
+        return out
 
 
 def _basis_blocks(problem: RSProblem):
@@ -138,34 +166,11 @@ def _sector_bases(f_last: np.ndarray):
     Plus sector: columns interleave(eta - F eta, eta + F eta) / 2;
     minus sector: columns interleave(eta + F eta, eta - F eta) / 2.
     """
-    nv = f_last.shape[0]
-    plus = np.zeros((2 * nv, nv))
-    minus = np.zeros((2 * nv, nv))
-    for a in range(nv):
-        eta = np.zeros(nv)
-        eta[a] = 1.0
-        plus[0::2, a] = (eta - f_last @ eta) / 2.0
-        plus[1::2, a] = (eta + f_last @ eta) / 2.0
-        minus[0::2, a] = (eta + f_last @ eta) / 2.0
-        minus[1::2, a] = (eta - f_last @ eta) / 2.0
-    return plus, minus
-
-
-def _rectangular_compression(problem: RSProblem, mat_full: np.ndarray,
-                             gens_full, bound_sector: int):
-    """Compress the full square assembly onto all m levels of the bound
-    sector plus m-1 levels of the other sector."""
-    module, m = problem.module, problem.m
-    f_last = np.array(module.F[-1])
-    plus, minus = _sector_bases(f_last)
-    keep_full, keep_cut = (plus, minus) if bound_sector > 0 else (minus, plus)
-    eye_full = np.eye(m)
-    eye_cut = np.eye(m, m - 1)
-    basis = np.concatenate(
-        [np.kron(eye_full, keep_full), np.kron(eye_cut, keep_cut)], axis=1)
-    mat = basis.T @ mat_full @ basis
-    gens = tuple(basis.T @ g @ basis for g in gens_full)
-    return mat, gens, basis
+    eye = np.eye(f_last.shape[0])
+    plus = np.zeros((2 * eye.shape[0], eye.shape[0]))
+    plus[0::2] = (eye - f_last) / 2.0
+    plus[1::2] = (eye + f_last) / 2.0
+    return plus, np.kron(eye, K2) @ plus
 
 
 def switching_direction(problem: RSProblem) -> int:
@@ -181,34 +186,34 @@ def switching_direction(problem: RSProblem) -> int:
     return 0
 
 
-def _assemble(problem: RSProblem, cell_mass: np.ndarray, deriv_sign: float,
-              cell_deriv: np.ndarray, cell_even: np.ndarray,
-              f_new_cell: np.ndarray, bound_sector: int,
-              square: bool) -> DiscreteOperator:
+def _assemble(problem: RSProblem, cell_even: np.ndarray, deriv_sign: float,
+              cell_deriv: np.ndarray, f_new_cell: np.ndarray,
+              bound_sector: int, square: bool) -> DiscreteOperator:
+    """Sector blocks of D = A (x) cell_even + deriv_sign d/dt (x) cell_deriv."""
     module, m = problem.module, problem.m
-    n_total = 2 * module.n * m
-    if n_total > DIM_GUARD:
-        raise ValidationError(
-            f"discrete dimension {n_total} exceeds the memory guard {DIM_GUARD}")
-    deriv, coeff = _basis_blocks(problem)
-    mat_full = np.kron(coeff, cell_mass) \
-        + deriv_sign * np.kron(deriv, np.kron(np.eye(module.n), cell_deriv))
-    eye_grid = np.eye(m)
-    gens_full = tuple(np.kron(eye_grid, np.kron(g, cell_even)) for g in module.E) \
-        + tuple(np.kron(eye_grid, np.kron(g, cell_even)) for g in module.F[:-1]) \
-        + (np.kron(eye_grid, np.kron(np.eye(module.n), f_new_cell)),)
     bound_sector *= switching_direction(problem)
-    if square or bound_sector == 0:
-        mat, gens = mat_full, gens_full
-        basis = np.eye(mat_full.shape[0])
-    else:
-        mat, gens, basis = _rectangular_compression(problem, mat_full,
-                                                    gens_full, bound_sector)
-    op = DiscreteOperator(matrix=mat, problem=problem,
-                          lifted_E=gens[:module.r],
-                          lifted_F=gens[module.r:])
-    object.__setattr__(op, "_retained_basis", basis)
-    return op
+    rows = m if square or bound_sector == 0 else m - 1
+    cols, n_rows = module.n * m, module.n * rows
+    planned = 8 * (2 * m * m + n_rows * cols + cols * cols + n_rows * n_rows
+                   + (cols + n_rows) * (module.n + KERNEL_EXTRA))
+    if planned > MEMORY_BUDGET:
+        raise ValidationError(f"the discrete operator needs {planned} bytes, "
+                              f"over the memory budget of {MEMORY_BUDGET} bytes")
+    f_last = np.array(module.F[-1])
+    plus, minus = _sector_bases(f_last)
+    keep_full, keep_cut = (minus, plus) if bound_sector < 0 else (plus, minus)
+    deriv, coeff = _basis_blocks(problem)
+    cell_deriv = np.kron(np.eye(module.n), cell_deriv)
+    mat = np.kron(coeff[:rows], keep_cut.T @ np.kron(f_last, cell_even) @ keep_full)
+    mat += np.kron(deriv_sign * deriv[:rows], keep_cut.T @ cell_deriv @ keep_full)
+    cells = [np.kron(g, cell_even) for g in module.E + module.F[:-1]] \
+        + [np.kron(np.eye(module.n), f_new_cell)]
+    gens = tuple(np.stack([keep_full.T @ g @ keep_full, keep_cut.T @ g @ keep_cut])
+                 for g in cells)
+    return DiscreteOperator(matrix=mat, problem=problem,
+                            keep_full=keep_full, keep_cut=keep_cut,
+                            lifted_E=gens[:module.r],
+                            lifted_F=gens[module.r:])
 
 
 def assemble_rs_operator(problem: RSProblem, square: bool = False) -> DiscreteOperator:
@@ -225,13 +230,9 @@ def assemble_rs_operator(problem: RSProblem, square: bool = False) -> DiscreteOp
     basis, which the rectangular kernel (exact zeros by rank count)
     cannot show.
     """
-    module = problem.module
-    f_last = np.array(module.F[-1])
-    return _assemble(problem,
-                     cell_mass=np.kron(f_last, OMEGA_11),
-                     deriv_sign=-1.0, cell_deriv=K1,
-                     cell_even=OMEGA_11, f_new_cell=-L1,
-                     bound_sector=+1, square=square)
+    return _assemble(problem, cell_even=OMEGA_11, deriv_sign=-1.0,
+                     cell_deriv=K1, f_new_cell=-L1, bound_sector=+1,
+                     square=square)
 
 
 def assemble_rs_operator_alt(problem: RSProblem, square: bool = False) -> DiscreteOperator:
@@ -242,39 +243,39 @@ def assemble_rs_operator_alt(problem: RSProblem, square: bool = False) -> Discre
     conjugate Clifford normalizations and must produce the same class.
     Its kernel cells sit in the opposite sector of the grading.
     """
-    module = problem.module
-    f_last = np.array(module.F[-1])
-    return _assemble(problem,
-                     cell_mass=np.kron(f_last, K1),
-                     deriv_sign=+1.0, cell_deriv=K2,
-                     cell_even=K1, f_new_cell=L1,
-                     bound_sector=-1, square=square)
+    return _assemble(problem, cell_even=K1, deriv_sign=+1.0,
+                     cell_deriv=K2, f_new_cell=L1, bound_sector=-1,
+                     square=square)
 
 
 def numeric_kernel(op: DiscreteOperator, tol: float = 1e-4,
-                   gap_ratio: float = 100.0, extra: int = 6):
-    """Orthonormal kernel basis and the singular-value gap report.
+                   gap_ratio: float = 100.0, extra: int = KERNEL_EXTRA):
+    """Orthonormal basis of ker D = ker X (+) ker X^T in sector
+    coordinates, and the singular-value gap report.
 
-    The smallest singular values come from a partial symmetric eigensolve
-    of D^T D; the zero cluster is sigma < tol * sigma_max with a
+    Each half comes from a partial eigensolve of its Gram matrix; the
+    window's magnitudes are then recomputed as the singular values of
+    X V (resp. X^T U), at the eps * sigma_max noise floor of X rather than
+    the sqrt(eps) * sigma_max floor of the Gram matrix.  sigma_max comes
+    from Lanczos.  The zero cluster is sigma < tol * sigma_max with a
     mandatory gap ratio to the first survivor.
     """
+    from scipy.sparse.linalg import svds  # here, to keep `import koflow` light
+
     mat = op.matrix
-    gram = mat.T @ mat
-    n = gram.shape[0]
-    expect = op.problem.module.n
-    k = min(n - 2, expect + extra)
-    vals_small, vecs_small = sla.eigh(gram, subset_by_index=[0, k - 1])
-    rng = np.random.default_rng(0)
-    vec = rng.standard_normal(n)
-    vec /= np.linalg.norm(vec)
-    top = 0.0
-    for _ in range(30):
-        vec = gram @ vec
-        top = float(np.linalg.norm(vec))
-        vec /= top
-    smax = float(np.sqrt(top))
-    svals = np.sqrt(np.clip(vals_small, 0.0, None))
+    k = min(op.dimension - 2, op.problem.module.n + extra)
+    values, vectors = [], []
+    for block in (mat, mat.T):
+        _, vecs = sla.eigh(block.T @ block, overwrite_a=True,
+                           subset_by_index=[0, min(k, block.shape[1]) - 1])
+        _, svals, wt = np.linalg.svd(block @ vecs, full_matrices=False)
+        values.append(svals[::-1])
+        vectors.append(vecs @ wt[::-1].T)
+    values = np.concatenate(values)
+    order = np.argsort(values, kind="stable")[:k]
+    svals = values[order]
+    smax = float(svds(mat, k=1, return_singular_vectors=False,
+                      v0=np.random.default_rng(0).standard_normal(min(mat.shape)))[0])
     kdim = split_zero_cluster(svals / smax, rel_tol=tol, gap_ratio=gap_ratio,
                               label="discrete kernel", abs_floor=0.0)
     if kdim >= k:
@@ -288,7 +289,7 @@ def numeric_kernel(op: DiscreteOperator, tol: float = 1e-4,
         "first_nonzero": float(svals[kdim]),
         "gap_ratio": float(svals[kdim] / max(svals[kdim - 1], 1e-300)) if kdim else np.inf,
     }
-    return vecs_small[:, :kdim], report
+    return sla.block_diag(*vectors)[:, order[:kdim]], report
 
 
 def hermite_values(m: int, points: np.ndarray) -> np.ndarray:
@@ -305,7 +306,7 @@ def hermite_values(m: int, points: np.ndarray) -> np.ndarray:
 
 
 def analytic_profiles(problem: RSProblem, op: DiscreteOperator) -> np.ndarray:
-    """Columns: retained-basis coefficients of the analytic kernel vectors
+    """Columns: sector coordinates of the analytic kernel vectors
     eta -> u(t) (eta - F eta, eta + F eta)/sqrt(2), u = exp(int_0^t f)."""
     if switching_direction(problem) != 1:
         raise ValidationError(
@@ -327,18 +328,11 @@ def analytic_profiles(problem: RSProblem, op: DiscreteOperator) -> np.ndarray:
         u_bar = np.exp(integral - anchor)
     phi = hermite_values(problem.m, y)
     u_coef = phi.T @ (w * u_bar)
-    f_last = np.array(module.F[-1])
-    retained = op._retained_basis
-    cols = []
-    for a in range(module.n):
-        eta = np.zeros(module.n)
-        eta[a] = 1.0
-        cell = np.zeros(2 * module.n)
-        cell[0::2] = (eta - f_last @ eta) / np.sqrt(2.0)
-        cell[1::2] = (eta + f_last @ eta) / np.sqrt(2.0)
-        col = retained.T @ np.kron(u_coef, cell)
-        cols.append(col / np.linalg.norm(col))
-    return np.column_stack(cols)
+    cells = np.sqrt(2.0) * _sector_bases(np.array(module.F[-1]))[0]
+    rows = op.matrix.shape[0] // module.n
+    profiles = np.concatenate([np.kron(u_coef[:, None], op.keep_full.T @ cells),
+                               np.kron(u_coef[:rows, None], op.keep_cut.T @ cells)])
+    return profiles / np.linalg.norm(profiles, axis=0)
 
 
 @dataclass(frozen=True)
@@ -351,6 +345,9 @@ class RSReport:
     sigma_max: float
     zero_cluster_max: float
     agrees: bool
+    # Not in the JSON: the verified operator and its kernel basis.
+    operator: DiscreteOperator | None = field(default=None, repr=False, compare=False)
+    kernel_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -398,17 +395,17 @@ def coefficient_path(problem: RSProblem) -> SkewPath:
                     label="switching coefficient path")
 
 
-def verify_rs(problem: RSProblem, assemble=assemble_rs_operator) -> RSReport:
+def verify_rs(problem: RSProblem, assemble=None) -> RSReport:
     """Check kernel class = flow class = [module], and the bound-state
-    profile, for the basis-compressed operator."""
-    op = assemble(problem)
+    profile, for the operator from `assemble` (assemble_rs_operator)."""
+    op = (assemble or assemble_rs_operator)(problem)
     basis, report = numeric_kernel(op)
     kdim = report["kernel_dim"]
-    gens_e = [basis.T @ (g @ basis) for g in op.lifted_E]
-    gens_f = [basis.T @ (g @ basis) for g in op.lifted_F]
     module = problem.module
-    kernel_rep = CliffordRep(module.r, module.s, kdim,
-                             E=tuple(gens_e), F=tuple(gens_f))
+    kernel_rep = CliffordRep(
+        module.r, module.s, kdim,
+        E=tuple(basis.T @ op.lift(g, basis) for g in op.lifted_E),
+        F=tuple(basis.T @ op.lift(g, basis) for g in op.lifted_F))
     rel = check_relations(kernel_rep, 1e-7)
     if not rel.ok:
         raise ValidationError(
@@ -428,4 +425,6 @@ def verify_rs(problem: RSProblem, assemble=assemble_rs_operator) -> RSReport:
                     gap_ratio=float(report["gap_ratio"]),
                     sigma_max=float(report["sigma_max"]),
                     zero_cluster_max=float(report["zero_cluster_max"]),
-                    agrees=kernel_class == flow_class)
+                    agrees=kernel_class == flow_class,
+                    operator=op,
+                    kernel_basis=basis)

@@ -120,15 +120,37 @@ def test_aii_subcommand(capsys):
     assert 4 * parsed["class"]["value"] == parsed["classical_sf"]
 
 
-def test_rs_check_subcommand(tmp_path, capsys):
+def test_rs_check_subcommand(tmp_path, capsys, monkeypatch):
+    from koflow import rs_verify
+
+    calls = []
+    assemble = rs_verify.assemble_rs_operator
+
+    def counted(problem):
+        calls.append(problem.m)
+        return assemble(problem)
+
+    monkeypatch.setattr(rs_verify, "assemble_rs_operator", counted)
     out_file = tmp_path / "profiles.csv"
     code, out, _ = run_cli(capsys, "rs-check", "--L", "12", "--m", "300",
                            "--out", str(out_file))
     assert code == 0
+    assert calls == [300]
     parsed = json.loads(out)
     assert parsed["kernel_dim"] == 2 and parsed["agrees"] is True
-    header = out_file.read_text().splitlines()[0]
-    assert header.startswith("x,")
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == "x," + ",".join(f"v{c}_{k}" for c in (1, 2)
+                                       for k in (1, 2, 3, 4))
+    assert len(lines) == 402
+    code, plain, _ = run_cli(capsys, "rs-check", "--L", "12", "--m", "300")
+    assert code == 0
+    assert plain == out
+
+
+def test_rs_check_memory_budget(capsys):
+    code, out, err = run_cli(capsys, "rs-check", "--m", "70000")
+    assert code == 2 and out == ""
+    assert "validation error" in err and "bytes" in err
 
 
 def test_exit_code_validation_error(tmp_path, capsys):

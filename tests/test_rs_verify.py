@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from koflow import clifford as cl
 from koflow.errors import ValidationError
@@ -9,6 +10,48 @@ from koflow.rs_verify import (RSProblem, analytic_profiles,
                               numeric_kernel, switching_direction, verify_rs)
 
 STANDARD = cl.CliffordRep(0, 1, 2, F=(cl.L1,))
+
+
+def reference_operator(module, L, m, alt=False, square=False):
+    """Dense D in sector coordinates, for the descending default switch,
+    built from plain np.kron of the full Hermite-basis operator and the
+    sector bases; returns (D, number of full-sector coordinates)."""
+    ell = 1.3 / np.sqrt(L)
+    off = np.sqrt(np.arange(1, m) / 2.0)
+    theta, u = sla.eigh_tridiagonal(np.zeros(m), off)
+    coeff = (u * np.array([default_switching(ell * t) for t in theta])) @ u.T
+    coeff = (coeff + coeff.T) / 2.0
+    deriv = np.diag(off / ell, 1) - np.diag(off / ell, -1)
+    n = module.n
+    f_last = np.array(module.F[-1])
+    eye = np.eye(n)
+    up, down = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    plus = (np.kron(eye - f_last, up) + np.kron(eye + f_last, down)) / 2.0
+    minus = (np.kron(eye + f_last, up) + np.kron(eye - f_last, down)) / 2.0
+    if alt:
+        full = np.kron(coeff, np.kron(f_last, cl.K1)) \
+            + np.kron(deriv, np.kron(eye, cl.K2))
+        keep_full, keep_cut = minus, plus
+    else:
+        full = np.kron(coeff, np.kron(f_last, cl.OMEGA_11)) \
+            - np.kron(deriv, np.kron(eye, cl.K1))
+        keep_full, keep_cut = plus, minus
+    rows = m if square else m - 1
+    basis = np.hstack([np.kron(np.eye(m), keep_full),
+                       np.kron(np.eye(m, rows), keep_cut)])
+    return basis.T @ full @ basis, m * n
+
+
+def materialize(op):
+    """[[0, -X^T], [X, 0]] and the lifted generators as dense matrices."""
+    x = op.matrix
+    rows, cols = x.shape
+    dense = np.block([[np.zeros((cols, cols)), -x.T], [x, np.zeros((rows, rows))]])
+    n = op.keep_full.shape[1]
+    gens = [sla.block_diag(np.kron(np.eye(cols // n), g[0]),
+                           np.kron(np.eye(rows // n), g[1]))
+            for g in op.lifted_E + op.lifted_F]
+    return dense, gens
 
 
 def test_default_switching():
@@ -34,13 +77,40 @@ def test_assembly_structure():
     problem = RSProblem(STANDARD, L=12.0, m=200)
     op = assemble_rs_operator(problem)
     assert op.dimension == STANDARD.n * (2 * problem.m - 1)
-    assert np.abs(op.matrix + op.matrix.T).max() == 0.0
-    for g in op.lifted_E + op.lifted_F:
-        assert np.abs(op.matrix @ g + g @ op.matrix).max() == 0.0
-        assert np.abs(g @ g.T - np.eye(op.dimension)).max() < 1e-12
+    dense, gens = materialize(op)
+    assert np.abs(dense + dense.T).max() == 0.0
+    identity = np.eye(op.dimension)
+    for g, block in zip(gens, op.lifted_E + op.lifted_F):
+        assert np.abs(dense @ g + g @ dense).max() == 0.0
+        assert np.abs(g @ g.T - identity).max() < 1e-12
+        assert np.array_equal(op.lift(block, identity), g)
+    cells = op.to_cells(identity).reshape(-1, op.dimension)
+    retained = np.hstack([np.kron(np.eye(problem.m), op.keep_full),
+                          np.kron(np.eye(problem.m, problem.m - 1), op.keep_cut)])
+    assert np.array_equal(cells, retained)
     # the module carries signature (r, s+1); the lifted family has s+1
     # skew generators, i.e. as many as the module itself
     assert len(op.lifted_F) == STANDARD.s
+
+
+@pytest.mark.parametrize("alt", [False, True])
+@pytest.mark.parametrize("square", [False, True])
+@pytest.mark.parametrize("module", [STANDARD, cl.irreducible_rep(2, 1, "+")])
+def test_block_matches_dense_reference(module, alt, square):
+    problem = RSProblem(module, L=12.0, m=200)
+    assemble = assemble_rs_operator_alt if alt else assemble_rs_operator
+    op = assemble(problem, square=square)
+    ref, cols = reference_operator(module, 12.0, 200, alt=alt, square=square)
+    assert np.array_equal(ref[cols:, :cols], op.matrix)
+    assert np.array_equal(ref[:cols, cols:], -op.matrix.T)
+    assert not ref[:cols, :cols].any() and not ref[cols:, cols:].any()
+
+
+def test_sigma_max_is_largest_singular_value():
+    problem = RSProblem(STANDARD, L=12.0, m=200)
+    _, report = numeric_kernel(assemble_rs_operator(problem))
+    ref, _ = reference_operator(STANDARD, 12.0, 200)
+    assert report["sigma_max"] == pytest.approx(sla.svdvals(ref)[0], rel=1e-10)
 
 
 def test_constant_coefficient_has_no_kernel():
@@ -96,6 +166,13 @@ def test_convergence_study():
     # the square truncation pairs bound states with transpose ghosts
     assert all(row["kernel_dim"] == 2 * STANDARD.n for row in rows)
     assert rows[1]["zero_cluster_max"] < rows[0]["zero_cluster_max"] / 3.0
+    # two copies of the bound state and of its ghost: the cluster top is
+    # the second smallest singular value of the block
+    for row in rows:
+        ref, cols = reference_operator(STANDARD, 12.0, row["m"], square=True)
+        svals = np.sort(sla.svdvals(ref[cols:, :cols]))
+        assert row["zero_cluster_max"] == pytest.approx(svals[1], rel=1e-6)
+        assert row["first_nonzero"] == pytest.approx(svals[2], rel=1e-6)
 
 
 def test_analytic_profile_orthonormal():
