@@ -20,9 +20,8 @@ from . import clifford as cliff
 from .abs_index import abs_class
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      InvalidModuleError, ObstructionError, ValidationError)
-from .flow import FlowOptions, SkewPath, spectral_flow
+from .flow import FlowOptions, SkewPath, classical_sf, spectral_flow
 from .models import CMat, LatticeSpec, aii_path, flux_path, hermitian_double, kitaev_path
-from .flow import classical_sf
 from .pairs import ComplexStructure, pair_index
 from .props import run_all
 from .rs_verify import RSProblem, hermite_values, verify_rs
@@ -33,21 +32,18 @@ def _emit(obj) -> None:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:  # unreadable file, not UTF-8, not JSON
+        raise ValidationError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str, n: int) -> np.ndarray:
+    """An n x n matrix stored as a flat or nested array, or as {"data": ...}."""
     obj = _load_json(path)
-    if isinstance(obj, dict):
-        data = np.asarray(obj["data"], dtype=float)
-        n = int(obj.get("n", round(np.sqrt(data.size))))
-        return data.reshape(n, n)
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 1:
-        n = int(round(np.sqrt(arr.size)))
-        return arr.reshape(n, n)
-    return arr
+    data = obj.get("data") if isinstance(obj, dict) else obj
+    return cliff._matrix_from_json(data, n)
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -72,15 +68,7 @@ def cmd_irrep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    obj = _load_json(args.module)
-    try:
-        r, s, n = int(obj["r"]), int(obj["s"]), int(obj["n"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed representation JSON: {exc}") from exc
-    rep = cliff.CliffordRep(
-        r, s, n,
-        E=tuple(np.asarray(m, dtype=float).reshape(n, n) for m in obj.get("E", [])),
-        F=tuple(np.asarray(m, dtype=float).reshape(n, n) for m in obj.get("F", [])))
+    rep = cliff._parse_rep(_load_json(args.module))
     report = cliff.check_relations(rep, args.tol)
     _emit({"ok": report.ok,
            "max_residual": report.max_residual,
@@ -91,8 +79,8 @@ def cmd_check(args) -> int:
 
 def cmd_pair_index(args) -> int:
     ctx = cliff.rep_from_json(_load_json(args.module))
-    j0 = ComplexStructure(_load_matrix(args.j0), ctx)
-    j1 = ComplexStructure(_load_matrix(args.j1), ctx)
+    j0 = ComplexStructure(_load_matrix(args.j0, ctx.n), ctx)
+    j1 = ComplexStructure(_load_matrix(args.j1, ctx.n), ctx)
     value, kernel = pair_index(j0, j1)
     _emit({"class": value.to_json(), "kernel_dim": kernel.n})
     return 0
@@ -102,6 +90,8 @@ def _model_path(args) -> SkewPath:
     if args.model == "kitaev":
         return kitaev_path(LatticeSpec(args.N))
     if args.model == "flux":
+        if args.module is None:
+            raise ValidationError("sf --model flux needs --module")
         module = cliff.rep_from_json(_load_json(args.module))
         return flux_path(module, args.N)
     raise ValidationError(f"unknown model {args.model!r}")
@@ -112,12 +102,17 @@ def cmd_sf(args) -> int:
         path = _model_path(args)
     elif args.path:
         obj = _load_json(args.path)
-        ctx = cliff.rep_from_json(obj["context"]) if "context" in obj \
-            else cliff.CliffordRep(0, 0, int(obj["n"]))
-        times = np.asarray(obj["t"], dtype=float)
-        mats = [np.asarray(m, dtype=float).reshape(ctx.n, ctx.n) for m in obj["T"]]
-        if times.size != len(mats) or times.size < 2:
+        try:
+            ctx = cliff.rep_from_json(obj["context"]) if "context" in obj \
+                else cliff.CliffordRep(0, 0, int(obj["n"]))
+            times = np.asarray(obj["t"], dtype=float)
+            mats = [cliff._matrix_from_json(m, ctx.n) for m in obj["T"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed sampled path JSON: {exc}") from exc
+        if times.ndim != 1 or times.size != len(mats) or times.size < 2:
             raise ValidationError("sampled path needs matching t and T lists")
+        if not np.all(np.diff(times) > 0.0):
+            raise ValidationError("sample times t must be strictly increasing")
 
         def fn(t, times=times, mats=mats):
             idx = np.searchsorted(times, t, side="right") - 1

@@ -551,7 +551,11 @@ def rep_to_json(rep: CliffordRep) -> dict:
 
 
 def _matrix_from_json(data, n: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    """An n x n matrix from a flat row-major or a nested JSON array."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric entries
+        raise ValidationError(f"matrix entries are not a numeric array: {exc}") from exc
     if arr.ndim == 1:
         if arr.size != n * n:
             raise ValidationError(f"flat matrix of length {arr.size} is not {n}x{n}")
@@ -561,15 +565,19 @@ def _matrix_from_json(data, n: int) -> np.ndarray:
     return arr
 
 
-def rep_from_json(obj, tol: float = CONSTRUCTION_TOL) -> CliffordRep:
-    """Parse and validate a representation from the JSON schema."""
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
+def _parse_rep(obj) -> CliffordRep:
+    """A representation from the JSON schema, relations not yet checked."""
     try:
+        if isinstance(obj, (str, bytes)):
+            obj = json.loads(obj)
         r, s, n = int(obj["r"]), int(obj["s"]), int(obj["n"])
         e_list = [_matrix_from_json(m, n) for m in obj.get("E", [])]
         f_list = [_matrix_from_json(m, n) for m in obj.get("F", [])]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed representation JSON: {exc}") from exc
-    rep = CliffordRep(r, s, n, E=tuple(e_list), F=tuple(f_list))
-    return rep.validate(tol)
+    return CliffordRep(r, s, n, E=tuple(e_list), F=tuple(f_list))
+
+
+def rep_from_json(obj, tol: float = CONSTRUCTION_TOL) -> CliffordRep:
+    """Parse and validate a representation from the JSON schema."""
+    return _parse_rep(obj).validate(tol)

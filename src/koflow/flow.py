@@ -29,8 +29,8 @@ from .clifford import (CliffordRep, check_relations, direct_sum,
                        intertwiner, irreducible_rep)
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
-from .numerics import (min_singular_value, op_norm, skew_phase,
-                       split_zero_cluster, sym_eigh)
+from .numerics import (min_singular_value, op_norm, phase_from_eigh,
+                       skew_phase, split_zero_cluster, sym_eigh)
 from .pairs import ComplexStructure, pair_index
 
 SAMPLE_TOL = 1e-10
@@ -171,7 +171,7 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
     vals, vecs = sym_eigh(-(tmat @ tmat))
     svals = np.sqrt(np.clip(vals, 0.0, None))
     k = _split_phase_kernel(svals) if n else 0
-    j = skew_phase(tmat, kernel_dim=k)
+    j = phase_from_eigh(tmat, vals, vecs, kernel_dim=k)
     if k > 0:
         basis = vecs[:, :k]
         kernel_rep = CliffordRep(
@@ -207,17 +207,26 @@ def _flow_degree(context: CliffordRep) -> int:
     return (context.s + 2 - context.r) % 8
 
 
+def _endpoint_samples(path: SkewPath, opts: FlowOptions) -> dict:
+    """{0.0: T(0), 1.0: T(1)}, each sampled and validated once; raises
+    ValidationError when an endpoint is not invertible."""
+    samples = {}
+    for t_end in (0.0, 1.0):
+        samples[t_end] = path.at(t_end)
+        smin = min_singular_value(samples[t_end])
+        if smin < opts.inv_tol:
+            raise ValidationError(
+                f"endpoint t={t_end} is not invertible "
+                f"(smallest singular value {smin:.3e} < {opts.inv_tol})")
+    return samples
+
+
 def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
     """KO-valued spectral flow of a path with invertible endpoints."""
     opts = opts or FlowOptions()
     ctx = path.context
     degree = _flow_degree(ctx)
-    for t_end in (0.0, 1.0):
-        smin = min_singular_value(path.at(t_end))
-        if smin < opts.inv_tol:
-            raise ValidationError(
-                f"endpoint t={t_end} is not invertible "
-                f"(smallest singular value {smin:.3e} < {opts.inv_tol})")
+    samples = _endpoint_samples(path, opts)
     if ctx.n == 0:
         return KOClass.of(degree, 0)
 
@@ -229,7 +238,8 @@ def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
             if phases:
                 nearest = min(phases, key=lambda u: abs(u - t))
                 hint = phases[nearest].J
-            phases[t] = complete_phase(path.at(t), ctx, align_hint=hint,
+            mat = samples.pop(t) if t in samples else path.at(t)
+            phases[t] = complete_phase(mat, ctx, align_hint=hint,
                                        seed=opts.seed)
         return phases[t]
 
@@ -262,16 +272,11 @@ def endpoint_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
     theorem makes this an independent oracle for spectral_flow."""
     opts = opts or FlowOptions()
     ctx = path.context
-    for t_end in (0.0, 1.0):
-        smin = min_singular_value(path.at(t_end))
-        if smin < opts.inv_tol:
-            raise ValidationError(
-                f"endpoint t={t_end} is not invertible "
-                f"(smallest singular value {smin:.3e} < {opts.inv_tol})")
+    samples = _endpoint_samples(path, opts)
     if ctx.n == 0:
         return KOClass.of(_flow_degree(ctx), 0)
-    j0 = complete_phase(path.at(0.0), ctx, seed=opts.seed)
-    j1 = complete_phase(path.at(1.0), ctx, seed=opts.seed)
+    j0 = complete_phase(samples[0.0], ctx, seed=opts.seed)
+    j1 = complete_phase(samples[1.0], ctx, seed=opts.seed)
     value, _ = pair_index(j0, j1)
     return value
 

@@ -9,7 +9,7 @@ operators commuting with C restrict to real matrices there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .clifford import K1, K2, L1, CliffordRep
 from .errors import ValidationError
 from .flow import SkewPath
-from .numerics import op_norm
+from .numerics import op_norm, sym_eigh
 
 REALIFY_TOL = 1e-10
 
@@ -95,13 +95,14 @@ class RealStructure:
     real subspace.
 
     M must be real orthogonal symmetric (so that C^2 = I).  The fixed
-    subspace has real dimension n; its orthonormal basis is built
-    deterministically from the candidates e_j + C e_j and i(e_j - C e_j)
-    in order.
+    subspace has real dimension n; its orthonormal basis is read off the
+    eigenvectors of M, in ascending eigenvalue order: a +1 eigenvector v
+    is fixed by C as it stands, a -1 eigenvector v enters as i v.
     """
 
     n: int
     M: np.ndarray
+    basis: CMat = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.M, dtype=float)
@@ -113,36 +114,9 @@ class RealStructure:
         if worst > REALIFY_TOL:
             raise ValidationError(
                 f"M must be symmetric orthogonal (residual {worst:.3e})")
-        object.__setattr__(self, "_basis", self._fixed_basis())
-
-    def _fixed_basis(self) -> CMat:
-        n, m = self.n, self.M
-        cols_re, cols_im = [], []
-
-        def admit(vr, vi):
-            for br, bi in zip(cols_re, cols_im):
-                overlap = float(vr @ br + vi @ bi)
-                vr = vr - overlap * br
-                vi = vi - overlap * bi
-            nrm = np.hypot(np.linalg.norm(vr), np.linalg.norm(vi))
-            if nrm > 1e-8:
-                cols_re.append(vr / nrm)
-                cols_im.append(vi / nrm)
-
-        for j in range(n):
-            if len(cols_re) == n:
-                break
-            e = np.zeros(n)
-            e[j] = 1.0
-            admit(e + m[:, j], np.zeros(n))          # e_j + C e_j
-            admit(np.zeros(n), e - m[:, j])          # i (e_j - C e_j)
-        if len(cols_re) != n:
-            raise ValidationError("fixed subspace basis is incomplete")
-        return CMat(np.column_stack(cols_re), np.column_stack(cols_im))
-
-    @property
-    def basis(self) -> CMat:
-        return self._basis
+        vals, vecs = sym_eigh(m)
+        plus = vals > 0.0
+        object.__setattr__(self, "basis", CMat(vecs * plus, vecs * ~plus))
 
     def commutes(self, a: CMat) -> float:
         """Residual of C A C = A, i.e. M conj(A) M = A."""

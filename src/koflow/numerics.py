@@ -82,11 +82,7 @@ def kernel_basis(mat: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL,
     orthonormal eigenvectors; guarded by split_zero_cluster on the
     singular values.
     """
-    n = mat.shape[1]
-    if n == 0:
-        return np.zeros((0, 0))
-    gram = mat.T @ mat
-    vals, vecs = sym_eigh(gram)
+    vals, vecs = sym_eigh(mat.T @ mat)
     svals = np.sqrt(np.clip(vals, 0.0, None))
     k = split_zero_cluster(svals, rel_tol, gap_ratio, label=label)
     return vecs[:, :k]
@@ -98,21 +94,27 @@ def polar_orthogonal(mat: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def skew_phase(tmat: np.ndarray, kernel_dim: int = 0) -> np.ndarray:
-    """Phase T|T|^-1 of a skew matrix, zero on the kernel cluster.
+def phase_from_eigh(tmat: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                    kernel_dim: int = 0) -> np.ndarray:
+    """Phase T|T|^-1 of a skew matrix from the eigendecomposition
+    (vals, vecs) of -T^2, zero on the kernel cluster.
 
     kernel_dim many smallest singular values are treated as kernel and the
     phase vanishes there; the caller decides the split.
     """
-    n = tmat.shape[0]
-    if n == 0:
-        return tmat.copy()
-    vals, vecs = sym_eigh(-(tmat @ tmat))
-    inv = np.zeros(n)
-    if kernel_dim < n:
-        inv[kernel_dim:] = 1.0 / np.sqrt(vals[kernel_dim:])
+    inv = np.zeros(tmat.shape[0])
+    inv[kernel_dim:] = 1.0 / np.sqrt(vals[kernel_dim:])
     j = tmat @ (vecs * inv) @ vecs.T
     return (j - j.T) / 2.0
+
+
+def skew_phase(tmat: np.ndarray, kernel_dim: int = 0) -> np.ndarray:
+    """Phase T|T|^-1 of a skew matrix, zero on the kernel_dim smallest
+    singular values (see phase_from_eigh)."""
+    if tmat.shape[0] == 0:
+        return tmat.copy()
+    vals, vecs = sym_eigh(-(tmat @ tmat))
+    return phase_from_eigh(tmat, vals, vecs, kernel_dim)
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

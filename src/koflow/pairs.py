@@ -16,8 +16,8 @@ import numpy as np
 from .abs_index import KOClass, abs_class
 from .clifford import K1, K2, L1, CliffordRep, check_relations
 from .errors import AmbiguousKernelError, ValidationError
-from .numerics import (GAP_RATIO_GUARD, ZERO_CLUSTER_REL_TOL, op_norm,
-                       skew_phase, split_zero_cluster, sym_eigh)
+from .numerics import (GAP_RATIO_GUARD, ZERO_CLUSTER_REL_TOL, kernel_basis,
+                       op_norm, skew_phase, sym_eigh)
 
 STRUCTURE_TOL = 1e-10
 
@@ -61,16 +61,12 @@ def kernel_module(j0: ComplexStructure, j1: ComplexStructure,
                   gap_ratio: float = GAP_RATIO_GUARD) -> CliffordRep:
     """ker(J0 + J1) as a module with one extra skew generator F_{s+1} = J0.
 
-    The kernel is extracted from the symmetric eigendecomposition of
-    (J0+J1)^T (J0+J1); the zero cluster must be separated from the rest by
-    the gap-ratio guard.
+    The kernel is extracted by numerics.kernel_basis; the zero cluster
+    must be separated from the rest by the gap-ratio guard.
     """
     ctx = _same_context(j0, j1)
-    tsum = j0.J + j1.J
-    vals, vecs = sym_eigh(tsum.T @ tsum)
-    svals = np.sqrt(np.clip(vals, 0.0, None))
-    k = split_zero_cluster(svals, rel_tol, gap_ratio, label="pair kernel")
-    basis = vecs[:, :k]
+    basis = kernel_basis(j0.J + j1.J, rel_tol, gap_ratio, label="pair kernel")
+    k = basis.shape[1]
     e_sub = tuple(basis.T @ m @ basis for m in ctx.E)
     f_sub = tuple(basis.T @ m @ basis for m in ctx.F) + (basis.T @ j0.J @ basis,)
     module = CliffordRep(ctx.r, ctx.s + 1, k, E=e_sub, F=f_sub)
@@ -192,13 +188,10 @@ def projection_pair_index(pp: ProjectionPair) -> int:
     """
     p, q = pp.P, pp.Q
     n = p.shape[0]
-    mid = p + q - np.eye(n)
-    vals, vecs = sym_eigh(mid.T @ mid)
-    svals = np.sqrt(np.clip(vals, 0.0, None))
-    k = split_zero_cluster(svals, label="kernel of P+Q-I")
+    basis = kernel_basis(p + q - np.eye(n), label="kernel of P+Q-I")
+    k = basis.shape[1]
     if k == 0:
         return 0
-    basis = vecs[:, :k]
     comp = basis.T @ p @ basis
     cvals = np.linalg.eigvalsh((comp + comp.T) / 2.0)
     if np.any(np.abs(cvals - np.round(cvals)) > 1e-8):
@@ -235,8 +228,6 @@ def orthogonal_pair_parity(u0: np.ndarray, u1: np.ndarray) -> int:
     for name, u in (("U0", u0), ("U1", u1)):
         if op_norm(u.T @ u - np.eye(n)) > 1e-10:
             raise ValidationError(f"{name} is not orthogonal")
-    w = np.eye(n) + u0.T @ u1
-    vals, _ = sym_eigh(w.T @ w)
-    svals = np.sqrt(np.clip(vals, 0.0, None))
-    k = split_zero_cluster(svals, label="eigenvalue -1 cluster of U0^T U1")
-    return k % 2
+    cluster = kernel_basis(np.eye(n) + u0.T @ u1,
+                           label="eigenvalue -1 cluster of U0^T U1")
+    return cluster.shape[1] % 2

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from koflow import clifford as cl
 from koflow.cli import main
@@ -190,3 +191,44 @@ def test_exit_code_numerical_guard(tmp_path, capsys):
         assert code == 3
     finally:
         cli_mod.cmd_kitaev = parser_fn
+
+
+CTX2 = {"r": 0, "s": 0, "n": 2, "E": [], "F": []}
+L1_FLAT = [0.0, -1.0, 1.0, 0.0]
+MINUS_L1_FLAT = [0.0, 1.0, -1.0, 0.0]
+MALFORMED = {
+    "check-generator-of-length-3": (
+        ["check", "--module", "rep.json"],
+        {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [[0.0, -1.0, 1.0]]}}),
+    "pair-index-j-of-length-3": (
+        ["pair-index", "--j0", "j.json", "--j1", "j.json", "--module", "ctx.json"],
+        {"j.json": [0.0, -1.0, 1.0], "ctx.json": CTX2}),
+    "missing-file": (["check", "--module", "absent.json"], {}),
+    "invalid-json": (["check", "--module", "rep.json"], {"rep.json": "{not json"}),
+    "ragged-F": (
+        ["flux", "--module", "rep.json"],
+        {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [[[0.0, -1.0], [1.0]]]}}),
+    "flux-model-without-module": (["sf", "--model", "flux"], {}),
+    "path-without-t": (["sf", "--path", "p.json"],
+                       {"p.json": {"context": CTX2, "T": [L1_FLAT, MINUS_L1_FLAT]}}),
+    "path-without-T": (["sf", "--path", "p.json"],
+                       {"p.json": {"context": CTX2, "t": [0.0, 1.0]}}),
+    "path-t-decreasing": (
+        ["sf", "--path", "p.json"],
+        {"p.json": {"context": CTX2, "t": [1.0, 0.0], "T": [L1_FLAT, MINUS_L1_FLAT]}}),
+    "path-t-repeated": (
+        ["sf", "--path", "p.json"],
+        {"p.json": {"context": CTX2, "t": [0.0, 0.0, 1.0],
+                    "T": [L1_FLAT, L1_FLAT, MINUS_L1_FLAT]}}),
+}
+
+
+@pytest.mark.parametrize("argv,files", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, argv, files):
+    for name, content in files.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "validation error" in err

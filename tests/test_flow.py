@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from koflow import clifford as cl
+from koflow import flow, numerics
 from koflow.abs_index import abs_class
-from koflow.errors import ObstructionError, ValidationError
-from koflow.flow import (FlowOptions, SkewPath, cayley, clamp_phase,
-                         classical_sf, complete_phase, endpoint_flow,
-                         spectral_flow)
-from koflow.numerics import min_singular_value, random_skew
+from koflow.errors import AmbiguousKernelError, ObstructionError, ValidationError
+from koflow.flow import (FlowOptions, SkewPath, _split_phase_kernel, cayley,
+                         clamp_phase, classical_sf, complete_phase,
+                         endpoint_flow, spectral_flow)
+from koflow.models import LatticeSpec, kitaev_path
+from koflow.numerics import (min_singular_value, random_orthogonal,
+                             random_skew, split_zero_cluster, sym_eigh)
+from koflow.pairs import ComplexStructure
 from koflow.props import (padded_context, project_anticommuting,
                           random_admissible_path)
 
@@ -306,3 +310,130 @@ def test_classical_sf():
     assert classical_sf(lambda t: np.diag([2 * t - 1.0, 1.0 - 2 * t])) == 0
     with pytest.raises(ValidationError):
         classical_sf(lambda t: np.array([[t]]))
+
+
+def test_complete_phase_two_eigendecompositions(monkeypatch):
+    # one eigh of -T^2 for the split and the phase, one for the polar step
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return sym_eigh(mat)
+
+    monkeypatch.setattr(flow, "sym_eigh", counted)
+    monkeypatch.setattr(numerics, "sym_eigh", counted)
+    rng = np.random.default_rng(4)
+    t_mat = random_skew(rng, 6)
+    j = complete_phase(t_mat, cl.CliffordRep(0, 0, 6))
+    assert len(calls) == 2
+    assert np.allclose(j.J, numerics.skew_phase(t_mat), atol=1e-12)
+
+
+def test_each_node_sampled_once():
+    base = kitaev_path(LatticeSpec(5))
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return base.fn(t)
+
+    path = SkewPath(base.context, counted)
+    assert spectral_flow(path).value == 1
+    assert len(calls) == len(set(calls)) >= 17
+    assert {0.0, 1.0} <= set(calls)
+    calls.clear()
+    assert endpoint_flow(path).value == 1
+    assert sorted(calls) == [0.0, 1.0]
+
+
+def test_phase_kernel_regularized_fallback():
+    # singular values 5e-8 and 1e-6 (each twice) below 1: the strict split
+    # finds the 5e-8 pair but not a clean gap to 1e-6 (ratio 20 < 1e3);
+    # the regularized split takes all four as kernel.  (A bottom pair at
+    # 1e-9 would sit below the Gram noise of -T^2, which on some inputs
+    # clips to exact zeros and lets the strict split pass.)
+    rng = np.random.default_rng(0)
+    q = random_orthogonal(rng, 8)
+    t_mat = q @ np.kron(np.diag([5e-8, 1e-6, 1.0, 1.0]), cl.L1) @ q.T
+    vals, _ = sym_eigh(-(t_mat @ t_mat))
+    svals = np.sqrt(np.clip(vals, 0.0, None))
+    with pytest.raises(AmbiguousKernelError):
+        split_zero_cluster(svals, label="phase kernel")
+    assert _split_phase_kernel(svals) == 4
+    j = complete_phase(t_mat, cl.CliffordRep(0, 0, 8))
+    assert isinstance(j, ComplexStructure)  # validated on construction
+    gapped = q[:, 4:]  # unit singular values: the phase is T itself there
+    assert np.allclose(j.J @ gapped, t_mat @ gapped, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Pfaffian-sign oracle for the empty-context Z2 flow
+# ---------------------------------------------------------------------------
+
+def pf_sign(mat):
+    """Sign of the Pfaffian of a real skew matrix, 0 when singular.
+
+    Parlett-Reid elimination (Wimmer 2012, arXiv:1102.3440): a symmetric
+    swap of two rows and columns flips Pf, a congruence by a unit
+    lower-triangular Gauss transform keeps it, and once column k vanishes
+    below row k+1, Pf = a[k, k+1] * Pf(trailing block).
+    """
+    a = np.array(mat, dtype=float)
+    n = a.shape[0]
+    if n % 2:
+        return 0
+    sign = 1
+    for k in range(0, n, 2):
+        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if p != k + 1:
+            a[[k + 1, p]] = a[[p, k + 1]]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            sign = -sign
+        if a[k, k + 1] == 0.0:
+            return 0
+        sign *= int(np.sign(a[k, k + 1]))
+        tau = a[k + 2:, k] / a[k + 1, k]
+        row = a[k + 1, k + 2:].copy()
+        a[k + 2:, k + 2:] += np.outer(row, tau) - np.outer(tau, row)
+    return sign
+
+
+def pf_brute(a):
+    """Pfaffian by expansion along the first row."""
+    n = a.shape[0]
+    if n == 0:
+        return 1.0
+    total = 0.0
+    for j in range(1, n):
+        rest = [i for i in range(1, n) if i != j]
+        total += (-1) ** (j - 1) * a[0, j] * pf_brute(a[np.ix_(rest, rest)])
+    return total
+
+
+def test_pf_sign_matches_brute_force():
+    rng = np.random.default_rng(8)
+    assert pf_sign(cl.L1) == -1 and pf_sign(np.zeros((3, 3))) == 0
+    for _ in range(20):
+        a = random_skew(rng, 6)
+        pf = pf_brute(a)
+        assert np.isclose(pf ** 2, np.linalg.det(a))
+        assert pf_sign(a) == np.sign(pf)
+
+
+@pytest.mark.parametrize("n_ring", list(range(3, 17)))
+def test_pfaffian_oracle_kitaev(n_ring):
+    path = kitaev_path(LatticeSpec(n_ring))
+    flips = pf_sign(path.at(0.0)) != pf_sign(path.at(1.0))
+    assert spectral_flow(path).value == int(flips)
+
+
+def test_pfaffian_oracle_random_paths():
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for _ in range(12):
+        ctx, f_ref = padded_context(0, 0, copies=int(rng.integers(1, 5)))
+        path = random_admissible_path(ctx, f_ref, rng)
+        flips = pf_sign(path.at(0.0)) != pf_sign(path.at(1.0))
+        assert spectral_flow(path).value == int(flips)
+        outcomes.add(flips)
+    assert outcomes == {False, True}

@@ -8,6 +8,7 @@ from koflow.flow import classical_sf, endpoint_flow, spectral_flow
 from koflow.models import (CMat, LatticeSpec, RealStructure, aii_path,
                            flux_path, hermitian_double, kitaev_path, realify,
                            standard_quaternionic)
+from koflow.numerics import random_orthogonal
 
 
 def test_cmat_arithmetic():
@@ -34,17 +35,28 @@ def test_realify_examples():
 
 def test_realify_is_algebra_map():
     rng = np.random.default_rng(2)
-    m = np.kron(np.eye(3), cl.K2)
-    rs = RealStructure(6, m)
+    q = random_orthogonal(np.random.default_rng(6), 6)
+    structures = [np.kron(np.eye(3), cl.K2)] + [
+        q @ np.diag(signs) @ q.T
+        for signs in ([1.0] * 6, [-1.0] * 6, [1.0, -1.0, 1.0, 1.0, 1.0, -1.0])]
+    for m in structures:
+        rs = RealStructure(6, m)
+        basis = rs.basis
+        gram = basis.h() @ basis
+        assert np.allclose(gram.re, np.eye(6), atol=1e-12)
+        assert np.allclose(gram.im, 0.0, atol=1e-12)
+        fixed = CMat.real(m) @ basis.conj()  # C applied to each column
+        assert np.allclose(fixed.re, basis.re, atol=1e-12)
+        assert np.allclose(fixed.im, basis.im, atol=1e-12)
 
-    def random_commuting():
-        raw = CMat(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
-        mr = CMat.real(m)
-        return raw + mr @ raw.conj() @ mr  # averaged onto the commutant of C
+        def random_commuting():
+            raw = CMat(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
+            mr = CMat.real(m)
+            return raw + mr @ raw.conj() @ mr  # averaged onto the commutant of C
 
-    a, b = random_commuting(), random_commuting()
-    assert np.allclose(realify(rs, a @ b), realify(rs, a) @ realify(rs, b),
-                       atol=1e-10)
+        a, b = random_commuting(), random_commuting()
+        assert np.allclose(realify(rs, a @ b), realify(rs, a) @ realify(rs, b),
+                           atol=1e-10)
 
 
 def test_kitaev_endpoint_spectra():
