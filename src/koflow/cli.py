@@ -113,6 +113,8 @@ def cmd_sf(args) -> int:
             raise ValidationError("sampled path needs matching t and T lists")
         if not np.all(np.diff(times) > 0.0):
             raise ValidationError("sample times t must be strictly increasing")
+        if times[0] != 0.0 or times[-1] != 1.0:
+            raise ValidationError("sample times t must start at 0 and end at 1")
 
         def fn(t, times=times, mats=mats):
             idx = np.searchsorted(times, t, side="right") - 1

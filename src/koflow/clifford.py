@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidModuleError, ValidationError
-from .numerics import op_norm, sym_eigh
+from .numerics import residual_norm, sym_eigh
 
 K1 = np.array([[1.0, 0.0], [0.0, -1.0]])
 K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -91,6 +91,13 @@ class CliffordRep:
 
     def generators(self):
         return list(self.E) + list(self.F)
+
+    def skew_residuals(self, mat: np.ndarray):
+        """Residuals mat + mat^T and mat g + g mat of a skew matrix
+        anticommuting with the module, built one at a time."""
+        yield mat + mat.T
+        for g in self.generators():
+            yield mat @ g + g @ mat
 
     def validate(self, tol: float = CONSTRUCTION_TOL) -> "CliffordRep":
         report = check_relations(self, tol)
@@ -460,12 +467,10 @@ def restrict_to_subspace(rep: CliffordRep, basis: np.ndarray,
     if basis.ndim != 2 or basis.shape[0] != rep.n:
         raise ValidationError(f"basis shape {basis.shape} does not match dimension {rep.n}")
     k = basis.shape[1]
-    if k and op_norm(basis.T @ basis - np.eye(k)) > 1e-10:
+    if residual_norm(1e-10, [basis.T @ basis - np.eye(k)]) > 1e-10:
         raise ValidationError("basis columns are not orthonormal")
-    worst = 0.0
-    for m in rep.generators():
-        image = m @ basis
-        worst = max(worst, op_norm(image - basis @ (basis.T @ image)))
+    images = (m @ basis for m in rep.generators())
+    worst = residual_norm(tol, (img - basis @ (basis.T @ img) for img in images))
     if worst > tol:
         raise ValidationError(
             f"subspace is not invariant under the generators (residual {worst:.3e})")
@@ -517,9 +522,8 @@ def intertwiner(rep_a: CliffordRep, rep_b: CliffordRep, seed: int = 0,
         for ga, gb in zip(group_a, group_b):
             avg += ga @ cand @ gb.T
         avg /= len(group_a)
-        svals = np.linalg.svd(avg, compute_uv=False)
+        u, svals, vt = np.linalg.svd(avg)
         if svals[-1] > tol and svals[-1] > 1e-6 * svals[0]:
-            u, _, vt = np.linalg.svd(avg)
             return u @ vt
     return None
 
@@ -529,10 +533,8 @@ def are_equivalent(rep_a: CliffordRep, rep_b: CliffordRep, seed: int = 0) -> boo
     u = intertwiner(rep_a, rep_b, seed=seed)
     if u is None:
         return False
-    worst = 0.0
-    for ga, gb in zip(rep_a.generators(), rep_b.generators()):
-        worst = max(worst, op_norm(ga @ u - u @ gb))
-    return worst <= 1e-9
+    pairs = zip(rep_a.generators(), rep_b.generators())
+    return residual_norm(1e-9, (ga @ u - u @ gb for ga, gb in pairs)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

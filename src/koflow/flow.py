@@ -29,7 +29,7 @@ from .clifford import (CliffordRep, check_relations, direct_sum,
                        intertwiner, irreducible_rep)
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
-from .numerics import (min_singular_value, op_norm, phase_from_eigh,
+from .numerics import (min_singular_value, phase_from_eigh, residual_norm,
                        skew_phase, split_zero_cluster, sym_eigh)
 from .pairs import ComplexStructure, pair_index
 
@@ -54,9 +54,7 @@ class SkewPath:
         if mat.shape != (n, n):
             raise ValidationError(
                 f"path sample at t={t} has shape {mat.shape}, expected ({n}, {n})")
-        worst = op_norm(mat + mat.T)
-        for g in self.context.generators():
-            worst = max(worst, op_norm(mat @ g + g @ mat))
+        worst = residual_norm(SAMPLE_TOL, self.context.skew_residuals(mat))
         if worst > SAMPLE_TOL:
             raise ValidationError(
                 f"path sample at t={t} violates skewness/anticommutation "
@@ -76,6 +74,14 @@ class FlowOptions:
 # ---------------------------------------------------------------------------
 # Phase completion
 # ---------------------------------------------------------------------------
+
+def project_anticommuting(mat: np.ndarray, rep: CliffordRep) -> np.ndarray:
+    """Skew part of `mat` anticommuting with every generator of `rep`."""
+    out = np.asarray(mat, dtype=float)
+    for g in rep.generators():
+        out = (out - g @ out @ g.T) / 2.0
+    return (out - out.T) / 2.0
+
 
 def _kernel_completion(kernel_rep: CliffordRep, seed: int,
                        hint: np.ndarray | None) -> np.ndarray:
@@ -100,10 +106,8 @@ def _kernel_completion(kernel_rep: CliffordRep, seed: int,
             ko_class=obstruction)
 
     def _valid(j: np.ndarray) -> bool:
-        worst = max(op_norm(j + j.T), op_norm(j @ j + np.eye(k)))
-        for g in kernel_rep.generators():
-            worst = max(worst, op_norm(j @ g + g @ j))
-        return worst <= 1e-9
+        return (residual_norm(1e-9, [j @ j + np.eye(k)]) <= 1e-9
+                and residual_norm(1e-9, kernel_rep.skew_residuals(j)) <= 1e-9)
 
     if hint is not None and hint.shape == (k, k):
         skew = (hint - hint.T) / 2.0
@@ -189,11 +193,8 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
         j_ker = _kernel_completion(kernel_rep, seed=seed, hint=hint)
         j = j + basis @ j_ker @ basis.T
     # Near-singular directions amplify rounding in T|T|^-1; re-impose the
-    # structure exactly: project onto the anticommutant, take the skew
-    # part, and polar-orthogonalize within the skew matrices.
-    for g in context.generators():
-        j = (j - g @ j @ g.T) / 2.0
-    j = (j - j.T) / 2.0
+    # structure: project onto the skew anticommutant, polar-orthogonalize.
+    j = project_anticommuting(j, context)
     if n:
         j = skew_phase(j)
     return ComplexStructure(j, context)
@@ -250,7 +251,7 @@ def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
     while stack:
         a, b, depth = stack.pop()
         ja, jb = phase_at(a), phase_at(b)
-        if op_norm(ja.J - jb.J) <= opts.phase_bound:
+        if residual_norm(opts.phase_bound, [ja.J - jb.J]) <= opts.phase_bound:
             continue  # phases 0.9-close: the pair kernel is empty
         try:
             contribution, _ = pair_index(ja, jb)
@@ -329,7 +330,7 @@ def classical_sf(path_fn: Callable[[float], np.ndarray],
 
     def n_minus(t):
         mat = np.asarray(path_fn(t), dtype=float)
-        if op_norm(mat - mat.T) > SAMPLE_TOL:
+        if residual_norm(SAMPLE_TOL, [mat - mat.T]) > SAMPLE_TOL:
             raise ValidationError(f"sample at t={t} is not symmetric")
         vals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
         if vals.size and np.min(np.abs(vals)) < inv_tol:

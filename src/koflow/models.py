@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .clifford import K1, K2, L1, CliffordRep
 from .errors import ValidationError
 from .flow import SkewPath
-from .numerics import op_norm, sym_eigh
+from .numerics import residual_norm, sym_eigh
 
 REALIFY_TOL = 1e-10
 
@@ -65,18 +66,11 @@ class CMat:
         return CMat(self.re @ other.re - self.im @ other.im,
                     self.re @ other.im + self.im @ other.re)
 
-    def scale(self, a: float, b: float = 0.0) -> "CMat":
-        """Multiply by the complex scalar a + ib."""
-        return CMat(a * self.re - b * self.im, a * self.im + b * self.re)
-
     def times_i(self) -> "CMat":
         return CMat(-self.im, self.re)
 
     def conj(self) -> "CMat":
         return CMat(self.re, -self.im)
-
-    def t(self) -> "CMat":
-        return CMat(self.re.T, self.im.T)
 
     def h(self) -> "CMat":
         return CMat(self.re.T, -self.im.T)
@@ -84,9 +78,6 @@ class CMat:
     def kron(self, other: "CMat") -> "CMat":
         return CMat(np.kron(self.re, other.re) - np.kron(self.im, other.im),
                     np.kron(self.re, other.im) + np.kron(self.im, other.re))
-
-    def norm(self) -> float:
-        return float(np.hypot(op_norm(self.re), op_norm(self.im)))
 
 
 @dataclass(frozen=True)
@@ -110,7 +101,7 @@ class RealStructure:
         object.__setattr__(self, "M", m)
         if m.shape != (self.n, self.n):
             raise ValidationError(f"M has shape {m.shape}, expected ({self.n}, {self.n})")
-        worst = max(op_norm(m - m.T), op_norm(m @ m - np.eye(self.n)))
+        worst = residual_norm(REALIFY_TOL, [m - m.T, m @ m - np.eye(self.n)])
         if worst > REALIFY_TOL:
             raise ValidationError(
                 f"M must be symmetric orthogonal (residual {worst:.3e})")
@@ -118,23 +109,20 @@ class RealStructure:
         plus = vals > 0.0
         object.__setattr__(self, "basis", CMat(vecs * plus, vecs * ~plus))
 
-    def commutes(self, a: CMat) -> float:
-        """Residual of C A C = A, i.e. M conj(A) M = A."""
-        return (CMat.real(self.M) @ a.conj() @ CMat.real(self.M) - a).norm()
-
 
 def realify(rs: RealStructure, a: CMat, tol: float = REALIFY_TOL) -> np.ndarray:
     """Real matrix of an operator commuting with C on the fixed subspace."""
-    res = rs.commutes(a)
+    m = CMat.real(rs.M)
+    res = residual_norm(tol, [m @ a.conj() @ m - a])  # C A C = A
     if res > tol:
         raise ValidationError(
             f"operator does not commute with the real structure (residual {res:.3e})")
     b = rs.basis
     compressed = b.h() @ a @ b
-    if op_norm(compressed.im) > 1e-8:
+    im_res = residual_norm(1e-8, [compressed.im])
+    if im_res > 1e-8:
         raise ValidationError(
-            "compression onto the fixed subspace is not real "
-            f"(residual {op_norm(compressed.im):.3e})")
+            f"compression onto the fixed subspace is not real (residual {im_res:.3e})")
     return compressed.re
 
 
@@ -290,8 +278,7 @@ def aii_path(h_fn: Callable[[float], CMat], n: int,
     jq = standard_quaternionic(n) if jq is None else jq
     if jq.shape != (n, n):
         raise ValidationError("quaternionic structure has the wrong shape")
-    t_sq = jq @ jq.conj()
-    if (t_sq + CMat.eye(n)).norm() > tol:
+    if residual_norm(tol, [jq @ jq.conj() + CMat.eye(n)]) > tol:
         raise ValidationError("T^2 = -I fails for the supplied structure")
     rs = RealStructure(2 * n, np.kron(K2, np.eye(n)))
     # F1 = C T-hat and F2 = i C T-hat Q, both linear and C-commuting.
@@ -302,20 +289,13 @@ def aii_path(h_fn: Callable[[float], CMat], n: int,
 
     def sample(t: float) -> np.ndarray:
         h = h_fn(t)
-        if (h - h.h()).norm() > tol:
+        if residual_norm(tol, [h - h.h()]) > tol:
             raise ValidationError(f"sample at t={t} is not self-adjoint")
-        tres = (h @ jq - jq @ h.conj()).norm()
+        tres = residual_norm(tol, [h @ jq - jq @ h.conj()])
         if tres > tol:
             raise ValidationError(
                 f"sample at t={t} breaks time reversal (residual {tres:.3e})")
-        top = -h
-        bot = h.conj()
-        re = np.zeros((2 * n, 2 * n))
-        im = np.zeros((2 * n, 2 * n))
-        re[:n, :n] = top.re
-        im[:n, :n] = top.im
-        re[n:, n:] = bot.re
-        im[n:, n:] = bot.im
-        return realify(rs, CMat(re, im).times_i())
+        nambu = CMat(block_diag(-h.re, h.re), block_diag(-h.im, -h.im))  # -H (+) conj H
+        return realify(rs, nambu.times_i())
 
     return SkewPath(ctx, sample, label="class AII Nambu path")

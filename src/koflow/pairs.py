@@ -17,7 +17,7 @@ from .abs_index import KOClass, abs_class
 from .clifford import K1, K2, L1, CliffordRep, check_relations
 from .errors import AmbiguousKernelError, ValidationError
 from .numerics import (GAP_RATIO_GUARD, ZERO_CLUSTER_REL_TOL, kernel_basis,
-                       op_norm, skew_phase, sym_eigh)
+                       op_norm, residual_norm, skew_phase, sym_eigh)
 
 STRUCTURE_TOL = 1e-10
 
@@ -37,9 +37,8 @@ class ComplexStructure:
         n = self.context.n
         if j.shape != (n, n):
             raise ValidationError(f"J has shape {j.shape}, context dimension is {n}")
-        worst = max(op_norm(j + j.T), op_norm(j.T @ j - np.eye(n)))
-        for g in self.context.generators():
-            worst = max(worst, op_norm(j @ g + g @ j))
+        worst = max(residual_norm(STRUCTURE_TOL, [j.T @ j - np.eye(n)]),
+                    residual_norm(STRUCTURE_TOL, self.context.skew_residuals(j)))
         if worst > STRUCTURE_TOL:
             raise ValidationError(
                 f"not a context-anticommuting complex structure (residual {worst:.3e})")
@@ -47,11 +46,9 @@ class ComplexStructure:
 
 def _same_context(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
     c0, c1 = j0.context, j1.context
-    if (c0.r, c0.s, c0.n) != (c1.r, c1.s, c1.n):
-        raise ValidationError("complex structures live over different contexts")
-    worst = max((op_norm(a - b) for a, b in zip(c0.generators(), c1.generators())),
-                default=0.0)
-    if worst > STRUCTURE_TOL:
+    diffs = (a - b for a, b in zip(c0.generators(), c1.generators()))
+    if (c0.r, c0.s, c0.n) != (c1.r, c1.s, c1.n) \
+            or residual_norm(STRUCTURE_TOL, diffs) > STRUCTURE_TOL:
         raise ValidationError("complex structures live over different contexts")
     return c0
 
@@ -173,7 +170,7 @@ class ProjectionPair:
         if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValidationError("P and Q must be square matrices of equal size")
         for name, m in (("P", p), ("Q", q)):
-            worst = max(op_norm(m - m.T), op_norm(m @ m - m))
+            worst = residual_norm(1e-10, [m - m.T, m @ m - m])
             if worst > 1e-10:
                 raise ValidationError(
                     f"{name} is not an orthogonal projection (residual {worst:.3e})")
@@ -226,7 +223,7 @@ def orthogonal_pair_parity(u0: np.ndarray, u1: np.ndarray) -> int:
         raise ValidationError("U0 and U1 must be square matrices of equal size")
     n = u0.shape[0]
     for name, u in (("U0", u0), ("U1", u1)):
-        if op_norm(u.T @ u - np.eye(n)) > 1e-10:
+        if residual_norm(1e-10, [u.T @ u - np.eye(n)]) > 1e-10:
             raise ValidationError(f"{name} is not orthogonal")
     cluster = kernel_basis(np.eye(n) + u0.T @ u1,
                            label="eigenvalue -1 cluster of U0^T U1")

@@ -14,7 +14,8 @@ from scipy.linalg import expm
 
 from . import clifford as cliff
 from .abs_index import abs_class
-from .flow import SkewPath, classical_sf, endpoint_flow, spectral_flow
+from .flow import (SkewPath, classical_sf, endpoint_flow, project_anticommuting,
+                   spectral_flow)
 from .models import (CMat, LatticeSpec, aii_path, flux_path, hermitian_double,
                      kitaev_path)
 from .numerics import min_singular_value, random_orthogonal, random_skew
@@ -22,14 +23,6 @@ from .pairs import (ComplexStructure, ProjectionPair, orthogonal_pair_parity,
                     pair_index, projection_pair_index,
                     projections_to_structures)
 from .rs_verify import RSProblem, verify_rs
-
-
-def project_anticommuting(mat: np.ndarray, rep: cliff.CliffordRep) -> np.ndarray:
-    """Skew part of `mat` anticommuting with every generator of `rep`."""
-    out = np.asarray(mat, dtype=float)
-    for g in rep.generators():
-        out = (out - g @ out @ g.T) / 2.0
-    return (out - out.T) / 2.0
 
 
 def project_commuting(mat: np.ndarray, rep: cliff.CliffordRep) -> np.ndarray:

@@ -220,6 +220,9 @@ MALFORMED = {
         ["sf", "--path", "p.json"],
         {"p.json": {"context": CTX2, "t": [0.0, 0.0, 1.0],
                     "T": [L1_FLAT, L1_FLAT, MINUS_L1_FLAT]}}),
+    "path-t-inside-unit-interval": (
+        ["sf", "--path", "p.json"],
+        {"p.json": {"context": CTX2, "t": [0.2, 0.8], "T": [L1_FLAT, MINUS_L1_FLAT]}}),
 }
 
 

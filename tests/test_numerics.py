@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from koflow import clifford, flow, models, numerics, pairs
 from koflow.errors import AmbiguousKernelError
+from koflow.flow import complete_phase
+from koflow.models import CMat, LatticeSpec, kitaev_path
 from koflow.numerics import (kernel_basis, min_singular_value, op_norm,
-                             polar_orthogonal, random_orthogonal, skew_phase,
-                             split_zero_cluster)
+                             polar_orthogonal, random_orthogonal, residual_norm,
+                             skew_phase, split_zero_cluster)
 
 
 def test_split_zero_cluster_basics():
@@ -63,3 +66,47 @@ def test_kernel_basis_and_norms():
     assert op_norm(mat) == 3.0
     assert min_singular_value(np.diag([2.0, 5.0])) == 2.0
     assert min_singular_value(np.zeros((0, 0))) == np.inf
+
+
+def test_residual_norm_accepts_within_exact_norm():
+    # ||R||_2 = tol / 2 <= tol < ||R||_F = 2 tol: the Frobenius bound
+    # fails, the exact norm decides and accepts
+    tol = 1e-10
+    res = 0.5 * tol * np.eye(16)
+    assert np.linalg.norm(res) > tol
+    assert residual_norm(tol, [res]) == op_norm(res) <= tol
+    assert residual_norm(tol, []) == 0.0
+
+
+def test_residual_norm_rejects_with_exact_norm():
+    tol = 1e-10
+    rng = np.random.default_rng(1)
+    q = random_orthogonal(rng, 6)
+    bad = q @ np.diag([1.01 * tol, 0.5 * tol, 0, 0, 0, 0]) @ q.T
+    small = 1e-3 * tol * np.eye(6)
+    worst = residual_norm(tol, iter([small, bad, small]))
+    assert worst > tol
+    assert worst == op_norm(bad)
+    # a complex residual is measured as hypot of its parts' 2-norms
+    cres = CMat(bad, 2.0 * bad)
+    assert residual_norm(tol, [cres]) == float(np.hypot(op_norm(bad), op_norm(2.0 * bad)))
+    assert residual_norm(tol, [CMat(small, small)]) <= tol
+
+
+def test_valid_kitaev_nodes_run_no_svd(monkeypatch):
+    # sampling (skewness), realification (commutation with C, real
+    # compression) and the ComplexStructure check all pass on their
+    # Frobenius bounds: no exact 2-norm is taken
+    calls = []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return op_norm(mat)
+
+    for module in (numerics, clifford, flow, models, pairs):
+        if hasattr(module, "op_norm"):
+            monkeypatch.setattr(module, "op_norm", counted)
+    path = kitaev_path(LatticeSpec(8))
+    for t in (0.0, 0.25, 0.75, 1.0):
+        complete_phase(path.at(t), path.context)
+    assert calls == []
