@@ -128,38 +128,39 @@ def check_relations(rep: CliffordRep, tol: float = CONSTRUCTION_TOL) -> Validati
             raise ValidationError("generator dimensions do not match the module")
     eye = np.eye(rep.n)
     entries = []
+    sizes = []
 
     def probe(name, residual_mat):
         res = float(np.max(np.abs(residual_mat))) if residual_mat.size else 0.0
-        if res > tol:
+        if not res <= tol:  # a NaN residual violates the relation too
             entries.append((name, res))
-        return res
+        sizes.append(res)
 
-    worst = 0.0
     for i, m in enumerate(rep.E):
-        worst = max(worst, probe(f"E{i + 1}^T = E{i + 1}", m.T - m))
-        worst = max(worst, probe(f"E{i + 1} orthogonal", m.T @ m - eye))
+        probe(f"E{i + 1}^T = E{i + 1}", m.T - m)
+        probe(f"E{i + 1} orthogonal", m.T @ m - eye)
     for k, m in enumerate(rep.F):
-        worst = max(worst, probe(f"F{k + 1}^T = -F{k + 1}", m.T + m))
-        worst = max(worst, probe(f"F{k + 1} orthogonal", m.T @ m - eye))
+        probe(f"F{k + 1}^T = -F{k + 1}", m.T + m)
+        probe(f"F{k + 1} orthogonal", m.T @ m - eye)
     for i in range(rep.r):
-        worst = max(worst, probe(f"E{i + 1}^2 = I", rep.E[i] @ rep.E[i] - eye))
+        probe(f"E{i + 1}^2 = I", rep.E[i] @ rep.E[i] - eye)
         for j in range(i + 1, rep.r):
-            worst = max(worst, probe(
+            probe(
                 f"E{i + 1}E{j + 1} + E{j + 1}E{i + 1} = 0",
-                rep.E[i] @ rep.E[j] + rep.E[j] @ rep.E[i]))
+                rep.E[i] @ rep.E[j] + rep.E[j] @ rep.E[i])
     for k in range(rep.s):
-        worst = max(worst, probe(f"F{k + 1}^2 = -I", rep.F[k] @ rep.F[k] + eye))
+        probe(f"F{k + 1}^2 = -I", rep.F[k] @ rep.F[k] + eye)
         for l in range(k + 1, rep.s):
-            worst = max(worst, probe(
+            probe(
                 f"F{k + 1}F{l + 1} + F{l + 1}F{k + 1} = 0",
-                rep.F[k] @ rep.F[l] + rep.F[l] @ rep.F[k]))
+                rep.F[k] @ rep.F[l] + rep.F[l] @ rep.F[k])
     for i in range(rep.r):
         for k in range(rep.s):
-            worst = max(worst, probe(
+            probe(
                 f"E{i + 1}F{k + 1} + F{k + 1}E{i + 1} = 0",
-                rep.E[i] @ rep.F[k] + rep.F[k] @ rep.E[i]))
-    return ValidationReport(tol=tol, violations=tuple(entries), max_residual=worst)
+                rep.E[i] @ rep.F[k] + rep.F[k] @ rep.E[i])
+    return ValidationReport(tol=tol, violations=tuple(entries),
+                            max_residual=float(np.max(sizes, initial=0.0)))
 
 
 def volume_element(rep: CliffordRep) -> np.ndarray:
@@ -564,6 +565,8 @@ def _matrix_from_json(data, n: int) -> np.ndarray:
         arr = arr.reshape(n, n)
     elif arr.shape != (n, n):
         raise ValidationError(f"matrix shape {arr.shape} is not ({n}, {n})")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("matrix entries must be finite numbers")
     return arr
 
 

@@ -196,6 +196,7 @@ def test_exit_code_numerical_guard(tmp_path, capsys):
 CTX2 = {"r": 0, "s": 0, "n": 2, "E": [], "F": []}
 L1_FLAT = [0.0, -1.0, 1.0, 0.0]
 MINUS_L1_FLAT = [0.0, 1.0, -1.0, 0.0]
+NAN = float("nan")  # json.dumps writes it as the NaN literal json.load accepts
 MALFORMED = {
     "check-generator-of-length-3": (
         ["check", "--module", "rep.json"],
@@ -223,6 +224,16 @@ MALFORMED = {
     "path-t-inside-unit-interval": (
         ["sf", "--path", "p.json"],
         {"p.json": {"context": CTX2, "t": [0.2, 0.8], "T": [L1_FLAT, MINUS_L1_FLAT]}}),
+    "check-nan-entry": (
+        ["check", "--module", "rep.json"],
+        {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [[0.0, NAN, 1.0, 0.0]]}}),
+    "flux-nan-entry": (
+        ["flux", "--module", "rep.json"],
+        {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [[0.0, NAN, 1.0, 0.0]]}}),
+    "path-nan-sample": (
+        ["sf", "--path", "p.json"],
+        {"p.json": {"context": CTX2, "t": [0.0, 0.5, 1.0],
+                    "T": [L1_FLAT, [0.0, NAN, 1.0, 0.0], MINUS_L1_FLAT]}}),
 }
 
 

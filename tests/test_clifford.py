@@ -93,6 +93,9 @@ def test_check_relations_reports_violations():
                                E=(np.kron(cl.K1, np.eye(2)), np.kron(np.eye(2), cl.K1)))
     report = cl.check_relations(commuting, tol=1e-12)
     assert any("E1E2" in name for name, _ in report.violations)
+    with_nan = cl.CliffordRep(0, 1, 2, F=(np.array([[0.0, np.nan], [1.0, 0.0]]),))
+    report = cl.check_relations(with_nan, tol=1e-12)
+    assert not report.ok and np.isnan(report.max_residual)
 
 
 def test_check_relations_dimension_mismatch():

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koflow import clifford as cl
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
-from koflow.flow import classical_sf, endpoint_flow, spectral_flow
+from koflow.flow import FlowOptions, classical_sf, endpoint_flow, spectral_flow
 from koflow.models import (CMat, LatticeSpec, RealStructure, aii_path,
                            flux_path, hermitian_double, kitaev_path, realify,
                            standard_quaternionic)
-from koflow.numerics import random_orthogonal
+from koflow.numerics import op_norm, random_orthogonal
 
 
 def test_cmat_arithmetic():
@@ -33,13 +35,22 @@ def test_realify_examples():
         realify(rs, i_sigma_x)
 
 
-def test_realify_is_algebra_map():
-    rng = np.random.default_rng(2)
+def _c_commuting(rng, m):
+    raw = CMat(rng.standard_normal(m.shape), rng.standard_normal(m.shape))
+    mr = CMat.real(m)
+    return raw + mr @ raw.conj() @ mr  # averaged onto the commutant of C
+
+
+def _structures():
     q = random_orthogonal(np.random.default_rng(6), 6)
-    structures = [np.kron(np.eye(3), cl.K2)] + [
+    return [np.kron(np.eye(3), cl.K2)] + [
         q @ np.diag(signs) @ q.T
         for signs in ([1.0] * 6, [-1.0] * 6, [1.0, -1.0, 1.0, 1.0, 1.0, -1.0])]
-    for m in structures:
+
+
+def test_realify_is_algebra_map():
+    rng = np.random.default_rng(2)
+    for m in _structures():
         rs = RealStructure(6, m)
         basis = rs.basis
         gram = basis.h() @ basis
@@ -48,15 +59,83 @@ def test_realify_is_algebra_map():
         fixed = CMat.real(m) @ basis.conj()  # C applied to each column
         assert np.allclose(fixed.re, basis.re, atol=1e-12)
         assert np.allclose(fixed.im, basis.im, atol=1e-12)
-
-        def random_commuting():
-            raw = CMat(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
-            mr = CMat.real(m)
-            return raw + mr @ raw.conj() @ mr  # averaged onto the commutant of C
-
-        a, b = random_commuting(), random_commuting()
+        a, b = _c_commuting(rng, m), _c_commuting(rng, m)
         assert np.allclose(realify(rs, a @ b), realify(rs, a) @ realify(rs, b),
                            atol=1e-10)
+
+
+def _realify_direct(m, a):
+    """Reference realification: (V Phi)^H A (V Phi) in complex arithmetic,
+    Phi = 1 on the +1 eigenvectors of M and i on the -1 eigenvectors."""
+    vals, vecs = np.linalg.eigh(m)
+    w = vecs * np.where(vals > 0.0, 1.0, 1j)
+    return w.conj().T @ a @ w
+
+
+@pytest.mark.parametrize("n_ring", [3, 8, 64])
+def test_kitaev_samples_match_dense_reference(n_ring):
+    from koflow.models import _B_BLOCK, _bond_correction
+    shift = np.roll(np.eye(n_ring), 1, axis=0)
+    bond = np.zeros((n_ring, n_ring))
+    bond[1, 0] = 1.0
+    cell = np.eye(1)
+    b_block = _B_BLOCK.re + 1j * _B_BLOCK.im
+    m = np.kron(np.eye(n_ring), cl.K2)
+    path = kitaev_path(LatticeSpec(n_ring))
+    for alpha in (0.0, 0.3, 0.5, 0.77, 1.0):
+        corr = _bond_correction(alpha)
+        s_alpha = np.kron(np.kron(shift, cell), b_block) \
+            + np.kron(np.kron(bond, cell), corr.re + 1j * corr.im)
+        h_alpha = s_alpha + s_alpha.conj().T
+        reference = _realify_direct(m, 1j * h_alpha)
+        assert np.all(path.at(alpha) == reference.real)
+
+
+def test_realify_reports_the_commutation_residual():
+    rng = np.random.default_rng(11)
+    for m in _structures():
+        rs = RealStructure(6, m)
+        mr = CMat.real(m)
+        for _ in range(50):
+            a = CMat(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
+            r = mr @ a.conj() @ mr - a
+            expected = f"{np.hypot(op_norm(r.re), op_norm(r.im)):.3e}"
+            with pytest.raises(ValidationError) as err:
+                realify(rs, a)
+            assert str(err.value) == (
+                "operator does not commute with the real structure "
+                f"(residual {expected})")
+
+
+def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
+    calls = []
+    matmul = CMat.__matmul__
+
+    def counted(self, other):
+        calls.append(self.shape)
+        return matmul(self, other)
+
+    monkeypatch.setattr(CMat, "__matmul__", counted)
+    path = kitaev_path(LatticeSpec(8))
+    for t in np.linspace(0.0, 1.0, FlowOptions().initial_segments + 1):
+        path.at(t)  # the 17 nodes of the default flow, all accepted for Kitaev
+    assert calls == []
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=7),
+       seed=st.integers(0, 2**32 - 1))
+def test_realify_is_star_algebra_map(signs, seed):
+    rng = np.random.default_rng(seed)
+    n = len(signs)
+    q = random_orthogonal(rng, n)
+    m = q @ np.diag(signs) @ q.T
+    rs = RealStructure(n, m)
+    a, b = _c_commuting(rng, m), _c_commuting(rng, m)
+    ra, rb = realify(rs, a), realify(rs, b)
+    assert np.allclose(realify(rs, a @ b), ra @ rb, atol=1e-10)
+    assert np.allclose(realify(rs, a.h()), ra.T, atol=1e-12)
+    assert np.allclose(realify(rs, CMat.eye(n)), np.eye(n), atol=1e-12)
 
 
 def test_kitaev_endpoint_spectra():
