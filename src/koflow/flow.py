@@ -29,8 +29,8 @@ from .clifford import (CliffordRep, check_relations, direct_sum,
                        intertwiner, irreducible_rep)
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
-from .numerics import (min_singular_value, phase_from_eigh, residual_norm,
-                       skew_phase, split_zero_cluster, sym_eigh)
+from .numerics import (min_singular_value, residual_norm, skew_phase,
+                       split_zero_cluster, svd_split)
 from .pairs import ComplexStructure, pair_index
 
 SAMPLE_TOL = 1e-10
@@ -172,12 +172,11 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
     n = context.n
     if tmat.shape != (n, n):
         raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
-    vals, vecs = sym_eigh(-(tmat @ tmat))
-    svals = np.sqrt(np.clip(vals, 0.0, None))
-    k = _split_phase_kernel(svals) if n else 0
-    j = phase_from_eigh(tmat, vals, vecs, kernel_dim=k)
+    u, _, vt, k = svd_split(tmat, _split_phase_kernel)
+    rank = n - k
+    j = u[:, :rank] @ vt[:rank]
     if k > 0:
-        basis = vecs[:, :k]
+        basis = vt[rank:].T
         kernel_rep = CliffordRep(
             context.r, context.s, k,
             E=tuple(basis.T @ g @ basis for g in context.E),
@@ -192,11 +191,12 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
             hint = basis.T @ align_hint @ basis
         j_ker = _kernel_completion(kernel_rep, seed=seed, hint=hint)
         j = j + basis @ j_ker @ basis.T
-    # Near-singular directions amplify rounding in T|T|^-1; re-impose the
-    # structure: project onto the skew anticommutant, polar-orthogonalize.
+    # Singular vectors of near-zero singular values carry rounding into the
+    # phase; re-impose the structure: project onto the skew anticommutant,
+    # then one Newton-Schulz step J (3I + J^2) / 2 towards J^2 = -I (an odd
+    # polynomial in J, so skewness and anticommutation survive).
     j = project_anticommuting(j, context)
-    if n:
-        j = skew_phase(j)
+    j = j @ (3.0 * np.eye(n) + j @ j) / 2.0
     return ComplexStructure(j, context)
 
 
@@ -310,17 +310,12 @@ def clamp_phase(tmat: np.ndarray) -> np.ndarray:
     """Flatten the spectrum of a skew matrix onto the closed unit ball.
 
     Acts as the identity below norm one and as the phase above; computed
-    through the symmetric functional calculus on -T^2, so it commutes with
+    from one SVD T = U S V^T as U min(S, 1) V^T, which is T g(-T^2) with
+    g(x) = min(1, 1/sqrt(x)), a function of T, so it commutes with
     everything T commutes with.
     """
-    tmat = np.asarray(tmat, dtype=float)
-    if tmat.shape[0] == 0:
-        return tmat.copy()
-    vals, vecs = sym_eigh(-(tmat @ tmat))
-    moduli = np.sqrt(np.clip(vals, 0.0, None))
-    scale = np.where(moduli > 1.0, 1.0 / np.maximum(moduli, 1e-300), 1.0)
-    out = tmat @ (vecs * scale) @ vecs.T
-    return (out - out.T) / 2.0
+    u, svals, vt = np.linalg.svd(np.asarray(tmat, dtype=float))
+    return (u * np.minimum(svals, 1.0)) @ vt
 
 
 def classical_sf(path_fn: Callable[[float], np.ndarray],

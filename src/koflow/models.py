@@ -138,7 +138,9 @@ def realify(rs: RealStructure, a: CMat, tol: float = REALIFY_TOL) -> np.ndarray:
     im_blocks = (x[:k, :k], x[k:, k:])
     res = 2.0 * float(np.hypot.reduce(
         [np.linalg.norm(b) for b in re_blocks + im_blocks]))
-    if not res <= tol:  # the Frobenius bound fails: take the exact norm
+    if not np.isfinite(res):
+        res = np.inf  # a non-finite entry fails the check, with no SVD
+    elif res > tol:  # the Frobenius bound fails: take the exact norm
         res = 2.0 * float(np.hypot(max(map(op_norm, re_blocks)),
                                    max(map(op_norm, im_blocks))))
     if res > tol:

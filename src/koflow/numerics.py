@@ -1,13 +1,19 @@
 """Shared dense linear-algebra helpers.
 
 Everything here is plain numpy on real matrices; the conventions
-(zero-cluster split with a gap-ratio guard, polar orthogonalization,
-phase of a skew matrix) are used consistently by the index and flow
-modules.
+(zero-cluster split with a gap-ratio guard, phase of a skew matrix) are
+used consistently by the index and flow modules.
+
+Spectral convention: kernels, phases and small singular values are read
+from one SVD of the matrix itself (`svd_split`), not from a squared
+matrix such as M^T M or -T^2, whose eigenvalues put every singular value
+below sqrt(eps) ||M|| into noise.  (pairs.spectral_submodule keeps its
+eigh of -T0^2: its lambda^2 window is stated in squared units.)
 
 Residual convention: every structural check goes through
 `residual_norm`, which tries the Frobenius bound ||R||_2 <= ||R||_F first
 and takes the exact 2-norm (`op_norm`, an SVD) only when that bound fails.
+A non-finite residual fails every check: it counts as inf, with no SVD.
 """
 from __future__ import annotations
 
@@ -33,13 +39,16 @@ def residual_norm(tol: float, residuals) -> float:
 
     A residual whose Frobenius bound is within tol counts as that bound,
     so the accepted inputs and the residuals reported on failure are those
-    of the exact norm.  Consumed lazily: a generator keeps one alive."""
+    of the exact norm.  A residual with a non-finite entry counts as inf.
+    Consumed lazily: a generator keeps one alive."""
     def size(res) -> float:
         parts = (res,) if isinstance(res, np.ndarray) else (res.re, res.im)
         bound = float(np.hypot.reduce([np.linalg.norm(p) for p in parts]))
         if bound <= tol:
             return bound
-        return float(np.hypot.reduce([op_norm(p) for p in parts]))  # NaN lands here
+        if not np.isfinite(bound):
+            return np.inf  # the SVD of a NaN residual would not converge
+        return float(np.hypot.reduce([op_norm(p) for p in parts]))
 
     # map drops each residual before the next one is built
     return max(map(size, residuals), default=0.0)
@@ -96,47 +105,31 @@ def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL
     return k
 
 
+def svd_split(mat: np.ndarray, split):
+    """One SVD mat = u diag(s) vt (s descending) and the size k of its zero
+    cluster, found by `split` on the ascending singular values s[::-1].
+
+    The last k rows of vt span the numerical kernel; u[:, :n-k] @ vt[:n-k]
+    is the phase of mat on the complement.
+    """
+    u, s, vt = np.linalg.svd(mat)
+    return u, s, vt, split(s[::-1])
+
+
 def kernel_basis(mat: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL,
                  gap_ratio: float = GAP_RATIO_GUARD, label: str = "kernel"):
-    """Orthonormal basis of the numerical kernel of a real matrix.
-
-    Works on the symmetric PSD matrix mat.T @ mat so the basis vectors are
-    orthonormal eigenvectors; guarded by split_zero_cluster on the
-    singular values.
-    """
-    vals, vecs = sym_eigh(mat.T @ mat)
-    svals = np.sqrt(np.clip(vals, 0.0, None))
-    k = split_zero_cluster(svals, rel_tol, gap_ratio, label=label)
-    return vecs[:, :k]
+    """Orthonormal basis (columns) of the numerical kernel of a square real
+    matrix, guarded by split_zero_cluster on its singular values."""
+    _, _, vt, k = svd_split(
+        mat, lambda s: split_zero_cluster(s, rel_tol, gap_ratio, label=label))
+    return vt[vt.shape[0] - k:].T
 
 
-def polar_orthogonal(mat: np.ndarray) -> np.ndarray:
-    """Orthogonal factor of the polar decomposition mat = U * sqrt(mat^T mat)."""
-    u, _, vt = np.linalg.svd(mat)
+def skew_phase(tmat: np.ndarray) -> np.ndarray:
+    """Phase T|T|^-1 of an invertible skew matrix: the orthogonal polar
+    factor u @ vt of its SVD."""
+    u, _, vt = np.linalg.svd(tmat)
     return u @ vt
-
-
-def phase_from_eigh(tmat: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-                    kernel_dim: int = 0) -> np.ndarray:
-    """Phase T|T|^-1 of a skew matrix from the eigendecomposition
-    (vals, vecs) of -T^2, zero on the kernel cluster.
-
-    kernel_dim many smallest singular values are treated as kernel and the
-    phase vanishes there; the caller decides the split.
-    """
-    inv = np.zeros(tmat.shape[0])
-    inv[kernel_dim:] = 1.0 / np.sqrt(vals[kernel_dim:])
-    j = tmat @ (vecs * inv) @ vecs.T
-    return (j - j.T) / 2.0
-
-
-def skew_phase(tmat: np.ndarray, kernel_dim: int = 0) -> np.ndarray:
-    """Phase T|T|^-1 of a skew matrix, zero on the kernel_dim smallest
-    singular values (see phase_from_eigh)."""
-    if tmat.shape[0] == 0:
-        return tmat.copy()
-    vals, vecs = sym_eigh(-(tmat @ tmat))
-    return phase_from_eigh(tmat, vals, vecs, kernel_dim)
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -246,3 +246,50 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, files):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "validation error" in err
+
+
+def _golden_path_file(tmp_path):
+    """Nine samples of T(t) = diag(1, 1 - 2t) (x) L1 + t(1 - t)/10 L1 (x) K1:
+    one 2-plane crosses zero once."""
+    times = np.linspace(0.0, 1.0, 9)
+    mats = [np.kron(np.diag([1.0, 1.0 - 2.0 * t]), cl.L1)
+            + 0.1 * t * (1.0 - t) * np.kron(cl.L1, cl.K1) for t in times]
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps({"n": 4, "t": times.tolist(),
+                                     "T": [m.reshape(-1).tolist() for m in mats]}))
+    return str(path_file)
+
+
+def _golden_module_file(tmp_path):
+    module_file = tmp_path / "cl03.json"
+    module_file.write_text(json.dumps(cl.rep_to_json(cl.irreducible_rep(0, 3, "+"))))
+    return str(module_file)
+
+
+GOLDEN = {
+    "kitaev-N8-seed0": (["kitaev", "--N", "8", "--seed", "0"], {},
+                        '{"degree": 2, "group": "Z2", "value": 1}\n'),
+    "kitaev-N8-seed3": (["kitaev", "--N", "8", "--seed", "3"], {},
+                        '{"degree": 2, "group": "Z2", "value": 1}\n'),
+    "flux-cl03-N3": (["flux", "--N", "3"], {"--module": _golden_module_file},
+                     '{"class": {"degree": 4, "group": "Z", "value": 1}, '
+                     '"module_class": {"degree": 4, "group": "Z", "value": 1}}\n'),
+    "sf-path": (["sf"], {"--path": _golden_path_file},
+                '{"class": {"degree": 2, "group": "Z2", "value": 1}, '
+                '"label": "sampled path"}\n'),
+    "aii": (["aii", "--demo"], {},
+            '{"class": {"degree": 4, "group": "Z", "value": 2}, '
+            '"classical_sf": 8, "quarter_relation": true}\n'),
+    "props-seed0": (["props", "--seed", "0"], {},
+                    '{"failures": [], "ok": true, "seed": 0, "total": 27}\n'),
+}
+
+
+@pytest.mark.parametrize("argv,files,expected", list(GOLDEN.values()), ids=list(GOLDEN))
+def test_golden_stdout(tmp_path, capsys, argv, files, expected):
+    # stdout bytes pinned: a change of kernel extractor or phase
+    # completion must not move any printed class
+    for flag, make in files.items():
+        argv = argv + [flag, make(tmp_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")

@@ -10,9 +10,10 @@ from koflow.flow import (FlowOptions, SkewPath, _split_phase_kernel, cayley,
                          endpoint_flow, spectral_flow)
 from koflow.models import LatticeSpec, kitaev_path
 from koflow.numerics import (min_singular_value, random_orthogonal,
-                             random_skew, split_zero_cluster, sym_eigh)
+                             random_skew, split_zero_cluster, svd_split,
+                             sym_eigh)
 from koflow.pairs import ComplexStructure
-from koflow.props import (padded_context, project_anticommuting,
+from koflow.props import (SIG_POOL, padded_context, project_anticommuting,
                           random_admissible_path)
 
 
@@ -312,21 +313,46 @@ def test_classical_sf():
         classical_sf(lambda t: np.array([[t]]))
 
 
-def test_complete_phase_two_eigendecompositions(monkeypatch):
-    # one eigh of -T^2 for the split and the phase, one for the polar step
-    calls = []
-
-    def counted(mat):
-        calls.append(mat.shape)
-        return sym_eigh(mat)
-
-    monkeypatch.setattr(flow, "sym_eigh", counted)
-    monkeypatch.setattr(numerics, "sym_eigh", counted)
+def test_complete_phase_one_svd(monkeypatch):
+    # one SVD of T gives the split, the range phase and the kernel basis;
+    # no eigendecomposition of a squared matrix is taken
     rng = np.random.default_rng(4)
     t_mat = random_skew(rng, 6)
+    expected = numerics.skew_phase(t_mat)
+    eighs, svds = [], []
+    svd = np.linalg.svd
+
+    def counted_eigh(mat):
+        eighs.append(mat.shape)
+        return sym_eigh(mat)
+
+    def counted_svd(mat, *args, **kwargs):
+        svds.append(mat.shape)
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "sym_eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     j = complete_phase(t_mat, cl.CliffordRep(0, 0, 6))
-    assert len(calls) == 2
-    assert np.allclose(j.J, numerics.skew_phase(t_mat), atol=1e-12)
+    assert svds == [(6, 6)] and eighs == []
+    assert np.allclose(j.J, expected, atol=1e-12)
+
+
+def test_complete_phase_reimposes_structure():
+    # a range phase read off nearly singular directions (sigma_min in
+    # [1e-7, 1e-4]) of a T that anticommutes only up to 1e-10: projection
+    # onto the anticommutant alone leaves J^2 + I above the 1e-10 check on
+    # some inputs; the Newton-Schulz step brings it back
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        ctx, _ = padded_context(*SIG_POOL[seed % len(SIG_POOL)], copies=4)
+        a = project_anticommuting(random_skew(rng, ctx.n), ctx)
+        vals, vecs = sym_eigh(-(a @ a))
+        low = vecs[:, vals - vals[0] <= 1e-8 * vals[-1]]  # lowest eigenspace
+        c = 10.0 ** rng.uniform(-7.0, -4.0) / np.sqrt(vals[0])
+        t_mat = a - (1.0 - c) * a @ low @ low.T
+        noise = random_skew(rng, ctx.n)
+        t_mat = t_mat + 1e-10 * noise / np.linalg.norm(noise, 2)
+        assert isinstance(complete_phase(t_mat, ctx), ComplexStructure)
 
 
 def test_each_node_sampled_once():
@@ -347,23 +373,20 @@ def test_each_node_sampled_once():
 
 
 def test_phase_kernel_regularized_fallback():
-    # singular values 5e-8 and 1e-6 (each twice) below 1: the strict split
-    # finds the 5e-8 pair but not a clean gap to 1e-6 (ratio 20 < 1e3);
-    # the regularized split takes all four as kernel.  (A bottom pair at
-    # 1e-9 would sit below the Gram noise of -T^2, which on some inputs
-    # clips to exact zeros and lets the strict split pass.)
-    rng = np.random.default_rng(0)
-    q = random_orthogonal(rng, 8)
-    t_mat = q @ np.kron(np.diag([5e-8, 1e-6, 1.0, 1.0]), cl.L1) @ q.T
-    vals, _ = sym_eigh(-(t_mat @ t_mat))
-    svals = np.sqrt(np.clip(vals, 0.0, None))
-    with pytest.raises(AmbiguousKernelError):
-        split_zero_cluster(svals, label="phase kernel")
-    assert _split_phase_kernel(svals) == 4
-    j = complete_phase(t_mat, cl.CliffordRep(0, 0, 8))
-    assert isinstance(j, ComplexStructure)  # validated on construction
-    gapped = q[:, 4:]  # unit singular values: the phase is T itself there
-    assert np.allclose(j.J @ gapped, t_mat @ gapped, atol=1e-12)
+    # singular values 1e-9 and 5e-7 (each twice) below 1: the strict split
+    # finds the 1e-9 pair but not a clean gap to 5e-7 (ratio 500 < 1e3);
+    # the regularized split takes all four as kernel, in every frame
+    for seed in range(40):
+        q = random_orthogonal(np.random.default_rng(seed), 8)
+        t_mat = q @ np.kron(np.diag([1e-9, 5e-7, 1.0, 1.0]), cl.L1) @ q.T
+        _, svals, _, k = svd_split(t_mat, _split_phase_kernel)
+        with pytest.raises(AmbiguousKernelError):
+            split_zero_cluster(svals[::-1], label="phase kernel")
+        assert k == 4
+        j = complete_phase(t_mat, cl.CliffordRep(0, 0, 8))
+        assert isinstance(j, ComplexStructure)  # validated on construction
+        gapped = q[:, 4:]  # unit singular values: the phase is T itself there
+        assert np.allclose(j.J @ gapped, t_mat @ gapped, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

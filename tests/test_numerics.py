@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from koflow import clifford, flow, models, numerics, pairs
-from koflow.errors import AmbiguousKernelError
+from koflow.errors import AmbiguousKernelError, ValidationError
 from koflow.flow import complete_phase
 from koflow.models import CMat, LatticeSpec, kitaev_path
 from koflow.numerics import (kernel_basis, min_singular_value, op_norm,
-                             polar_orthogonal, random_orthogonal, residual_norm,
+                             random_orthogonal, random_skew, residual_norm,
                              skew_phase, split_zero_cluster)
 
 
@@ -42,18 +42,26 @@ def test_skew_phase():
     phase = skew_phase(t_mat)
     assert np.allclose(phase @ phase, -np.eye(4))
     assert np.allclose(phase + phase.T, 0.0)
+    # with a kernel, complete_phase takes the phase on the range and
+    # completes it on the kernel, leaving the two blocks uncoupled
     padded = np.zeros((6, 6))
     padded[:4, :4] = t_mat
-    partial = skew_phase(padded, kernel_dim=2)
-    assert np.allclose(partial[4:, 4:], 0.0)
-    assert np.allclose(partial[:4, :4] @ partial[:4, :4], -np.eye(4))
+    j = complete_phase(padded, clifford.CliffordRep(0, 0, 6)).J
+    assert np.allclose(j[:4, :4], t_mat / 3.0, atol=1e-12)
+    assert np.allclose(j[:4, 4:], 0.0) and np.allclose(j[4:, :4], 0.0)
+    assert np.allclose(j[4:, 4:] @ j[4:, 4:], -np.eye(2))
 
 
 def test_polar_and_random_orthogonal():
     rng = np.random.default_rng(0)
-    mat = rng.standard_normal((5, 5))
-    u = polar_orthogonal(mat)
-    assert np.allclose(u.T @ u, np.eye(5), atol=1e-12)
+    t_mat = random_skew(rng, 6)
+    u = skew_phase(t_mat)
+    assert np.allclose(u.T @ u, np.eye(6), atol=1e-12)
+    assert np.allclose(u + u.T, 0.0, atol=1e-12)
+    # T = U |T|: U^T T is symmetric positive definite
+    modulus = u.T @ t_mat
+    assert np.allclose(modulus, modulus.T, atol=1e-12)
+    assert np.min(np.linalg.eigvalsh(modulus)) > 0.0
     q = random_orthogonal(rng, 7)
     assert np.allclose(q.T @ q, np.eye(7), atol=1e-12)
 
@@ -110,3 +118,46 @@ def test_valid_kitaev_nodes_run_no_svd(monkeypatch):
     for t in (0.0, 0.25, 0.75, 1.0):
         complete_phase(path.at(t), path.context)
     assert calls == []
+
+
+def test_residual_norm_non_finite_is_inf(monkeypatch):
+    # a non-finite residual fails the check as inf; its SVD would not
+    # converge, so none is taken
+    def no_svd(mat):
+        raise AssertionError("op_norm called on a non-finite residual")
+
+    monkeypatch.setattr(numerics, "op_norm", no_svd)
+    nan = np.full((3, 3), np.nan)
+    assert residual_norm(1e-10, [np.zeros((3, 3)), nan]) == np.inf
+    assert residual_norm(1e-10, [CMat(np.zeros((3, 3)), nan)]) == np.inf
+    assert residual_norm(1e-10, [np.diag([np.inf, 0.0, 0.0])]) == np.inf
+
+
+def _nan_sample_at():
+    ctx = clifford.CliffordRep(0, 0, 2)
+    flow.SkewPath(ctx, lambda t: np.full((2, 2), np.nan)).at(0.5)
+
+
+def _nan_realify():
+    rs = models.RealStructure(2, clifford.K2)
+    models.realify(rs, CMat(np.full((2, 2), np.nan), np.zeros((2, 2))))
+
+
+def _nan_aii_sample():
+    nan = np.full((2, 2), np.nan)
+    models.aii_path(lambda t: CMat(nan, nan), 2).at(0.5)
+
+
+def _nan_complex_structure():
+    pairs.ComplexStructure(np.full((2, 2), np.nan), clifford.CliffordRep(0, 0, 2))
+
+
+@pytest.mark.parametrize("build,message", [
+    (_nan_sample_at, "residual inf"),
+    (_nan_realify, "residual inf"),
+    (_nan_aii_sample, "not self-adjoint"),
+    (_nan_complex_structure, "residual inf"),
+], ids=["skew-path-at", "realify", "aii-path-sample", "complex-structure"])
+def test_nan_residual_raises_validation_error(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
