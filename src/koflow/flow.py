@@ -75,14 +75,6 @@ class FlowOptions:
 # Phase completion
 # ---------------------------------------------------------------------------
 
-def project_anticommuting(mat: np.ndarray, rep: CliffordRep) -> np.ndarray:
-    """Skew part of `mat` anticommuting with every generator of `rep`."""
-    out = np.asarray(mat, dtype=float)
-    for g in rep.generators():
-        out = (out - g @ out @ g.T) / 2.0
-    return (out - out.T) / 2.0
-
-
 def _kernel_completion(kernel_rep: CliffordRep, seed: int,
                        hint: np.ndarray | None) -> np.ndarray:
     """A complex structure on a Clifford module, anticommuting with its
@@ -195,7 +187,7 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
     # phase; re-impose the structure: project onto the skew anticommutant,
     # then one Newton-Schulz step J (3I + J^2) / 2 towards J^2 = -I (an odd
     # polynomial in J, so skewness and anticommutation survive).
-    j = project_anticommuting(j, context)
+    j = context.project_skew(j, -1)
     j = j @ (3.0 * np.eye(n) + j @ j) / 2.0
     return ComplexStructure(j, context)
 

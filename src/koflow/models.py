@@ -22,9 +22,12 @@ from scipy.linalg import block_diag
 from .clifford import K1, K2, L1, CliffordRep
 from .errors import ValidationError
 from .flow import SkewPath
-from .numerics import op_norm, residual_norm, sym_eigh
+from .numerics import check_memory, op_norm, residual_norm, sym_eigh
 
 REALIFY_TOL = 1e-10
+# n x n arrays that one flow node holds at once: the sample, the copy of
+# it that the SVD works on, and the singular vectors u and vt.
+NODE_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -207,6 +210,10 @@ def kitaev_path(spec: LatticeSpec) -> SkewPath:
         raise ValidationError(
             "only the sweet spot mu = 0, w = -1 is implemented")
     n = spec.N
+    # the ring shift, the S and H parts (4), M and its eigenvectors (2)
+    # and one flow node, counted before any of them is allocated
+    check_memory(f"the Kitaev chain at N={n}",
+                 8 * (n * n + (6 + NODE_ARRAYS) * (2 * n) ** 2))
     shift = _ring_shift(n)
     s_re = np.kron(shift, _B_BLOCK.re)
     s_im = np.kron(shift, _B_BLOCK.im)
@@ -244,17 +251,25 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     single-cell sweep implemented here is the gauge-inequivalent local
     termination of the same flux idea and pins the crossing kernel to one
     copy of the module.
+
+    The context generators are I_N (x) g for the cell generators g and
+    carry copies = N, so products with them run cell by cell.
     """
     if module.s < 1:
         raise ValidationError("the unit-cell module needs at least one skew generator")
     if N < 3:
         raise ValidationError(f"ring length must be at least 3, got {N}")
+    dim = N * module.n
+    # three ring arrays, the context generators and one flow node
+    check_memory(f"the flux path at N={N}",
+                 8 * (3 * N * N + (module.r + module.s - 1 + NODE_ARRAYS) * dim * dim))
     module.validate(1e-10)
     ring = (_ring_shift(N) + _ring_shift(N).T) / 2.0
     f_last = np.array(module.F[-1])
-    ctx = CliffordRep(module.r, module.s - 1, N * module.n,
+    ctx = CliffordRep(module.r, module.s - 1, dim,
                       E=tuple(np.kron(np.eye(N), g) for g in module.E),
-                      F=tuple(np.kron(np.eye(N), g) for g in module.F[:-1]))
+                      F=tuple(np.kron(np.eye(N), g) for g in module.F[:-1]),
+                      copies=N)
 
     def sample(alpha: float) -> np.ndarray:
         pot = 2.0 * np.ones(N)

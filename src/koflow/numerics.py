@@ -19,11 +19,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AmbiguousKernelError
+from .errors import AmbiguousKernelError, ValidationError
 
 # Default guards, shared by kernel extraction everywhere.
 ZERO_CLUSTER_REL_TOL = 1e-8
 GAP_RATIO_GUARD = 1e3
+# Bytes that the large arrays of one problem may take together.
+MEMORY_BUDGET = 4 * 2 ** 30
+
+
+def check_memory(what: str, planned: int) -> None:
+    """Raise ValidationError when `planned` bytes exceed MEMORY_BUDGET;
+    called with the byte count of a problem before any of it is allocated."""
+    if planned > MEMORY_BUDGET:
+        raise ValidationError(f"{what} needs {planned} bytes, "
+                              f"over the memory budget of {MEMORY_BUDGET} bytes")
 
 
 def op_norm(mat: np.ndarray) -> float:

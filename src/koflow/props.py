@@ -14,8 +14,7 @@ from scipy.linalg import expm
 
 from . import clifford as cliff
 from .abs_index import abs_class
-from .flow import (SkewPath, classical_sf, endpoint_flow, project_anticommuting,
-                   spectral_flow)
+from .flow import SkewPath, classical_sf, endpoint_flow, spectral_flow
 from .models import (CMat, LatticeSpec, aii_path, flux_path, hermitian_double,
                      kitaev_path)
 from .numerics import min_singular_value, random_orthogonal, random_skew
@@ -25,17 +24,9 @@ from .pairs import (ComplexStructure, ProjectionPair, orthogonal_pair_parity,
 from .rs_verify import RSProblem, verify_rs
 
 
-def project_commuting(mat: np.ndarray, rep: cliff.CliffordRep) -> np.ndarray:
-    """Skew part of `mat` commuting with every generator of `rep`."""
-    out = np.asarray(mat, dtype=float)
-    for g in rep.generators():
-        out = (out + g @ out @ g.T) / 2.0
-    return (out - out.T) / 2.0
-
-
 def commuting_rotation(ctx: cliff.CliffordRep, rng: np.random.Generator,
                        scale: float) -> np.ndarray:
-    gen = project_commuting(random_skew(rng, ctx.n), ctx)
+    gen = ctx.project_skew(random_skew(rng, ctx.n), +1)
     nrm = max(np.linalg.norm(gen, 2), 1e-12)
     return expm(scale * gen / nrm)
 
@@ -54,9 +45,9 @@ def padded_context(r: int, s: int, copies: int = 2):
 def random_admissible_path(ctx, f_ref, rng):
     """Random generator-compatible path with invertible endpoints."""
     while True:
-        a = project_anticommuting(random_skew(rng, ctx.n), ctx)
-        b = project_anticommuting(random_skew(rng, ctx.n), ctx)
-        c = project_anticommuting(random_skew(rng, ctx.n), ctx)
+        a = ctx.project_skew(random_skew(rng, ctx.n), -1)
+        b = ctx.project_skew(random_skew(rng, ctx.n), -1)
+        c = ctx.project_skew(random_skew(rng, ctx.n), -1)
 
         def fn(t, a=a, b=b, c=c):
             return (1 - t) * a + t * b + np.sin(np.pi * t) * c
@@ -233,7 +224,7 @@ def flow_suite(seed: int = 0):
         sf = spectral_flow(path)
         if sf != endpoint_flow(path):
             agree = False
-        bump = project_anticommuting(random_skew(rng, ctx.n), ctx)
+        bump = ctx.project_skew(random_skew(rng, ctx.n), -1)
         bumped = SkewPath(ctx, lambda t, p=path, b=bump: p.fn(t) + np.sin(np.pi * t) * b)
         if spectral_flow(bumped) != sf:
             props["homotopy"] = False

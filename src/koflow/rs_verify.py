@@ -42,11 +42,8 @@ from .abs_index import KOClass, abs_class
 from .clifford import K1, K2, L1, OMEGA_11, CliffordRep, check_relations
 from .errors import AmbiguousKernelError, ValidationError
 from .flow import SkewPath, spectral_flow
-from .numerics import split_zero_cluster
+from .numerics import check_memory, split_zero_cluster
 
-# Bytes that coeff and deriv, X, both Gram matrices and the window's
-# eigenvectors may take together.
-MEMORY_BUDGET = 4 * 2 ** 30
 # Singular values probed beyond dim(module) by numeric_kernel.
 KERNEL_EXTRA = 6
 
@@ -194,11 +191,10 @@ def _assemble(problem: RSProblem, cell_even: np.ndarray, deriv_sign: float,
     bound_sector *= switching_direction(problem)
     rows = m if square or bound_sector == 0 else m - 1
     cols, n_rows = module.n * m, module.n * rows
-    planned = 8 * (2 * m * m + n_rows * cols + cols * cols + n_rows * n_rows
-                   + (cols + n_rows) * (module.n + KERNEL_EXTRA))
-    if planned > MEMORY_BUDGET:
-        raise ValidationError(f"the discrete operator needs {planned} bytes, "
-                              f"over the memory budget of {MEMORY_BUDGET} bytes")
+    # coeff and deriv, X, both Gram matrices and the window's eigenvectors
+    check_memory("the discrete operator",
+                 8 * (2 * m * m + n_rows * cols + cols * cols + n_rows * n_rows
+                      + (cols + n_rows) * (module.n + KERNEL_EXTRA)))
     f_last = np.array(module.F[-1])
     plus, minus = _sector_bases(f_last)
     keep_full, keep_cut = (minus, plus) if bound_sector < 0 else (plus, minus)

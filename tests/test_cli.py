@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from koflow import clifford as cl
+from koflow import models
 from koflow.cli import main
+
+from conftest import rotated_irrep
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +233,10 @@ MALFORMED = {
     "flux-nan-entry": (
         ["flux", "--module", "rep.json"],
         {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [[0.0, NAN, 1.0, 0.0]]}}),
+    "kitaev-over-memory-budget": (["kitaev", "--N", "3000000"], {}),
+    "flux-over-memory-budget": (
+        ["flux", "--module", "rep.json", "--N", "3000000"],
+        {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [L1_FLAT]}}),
     "path-nan-sample": (
         ["sf", "--path", "p.json"],
         {"p.json": {"context": CTX2, "t": [0.0, 0.5, 1.0],
@@ -246,6 +253,24 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, files):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "validation error" in err
+
+
+@pytest.mark.parametrize("argv", [["kitaev", "--N", "3000000"],
+                                  ["sf", "--model", "kitaev", "--N", "3000000"],
+                                  ["flux", "--N", "3000000"]])
+def test_lattice_memory_guard_trips_before_allocation(tmp_path, capsys, monkeypatch,
+                                                      argv):
+    def unreachable(n):
+        raise AssertionError("the ring shift was allocated")
+
+    monkeypatch.setattr(models, "_ring_shift", unreachable)
+    module_file = tmp_path / "rep.json"
+    module_file.write_text(json.dumps(cl.rep_to_json(cl.irreducible_rep(0, 1))))
+    if argv[0] == "flux":
+        argv = argv + ["--module", str(module_file)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "bytes, over the memory budget" in err
 
 
 def _golden_path_file(tmp_path):
@@ -266,6 +291,12 @@ def _golden_module_file(tmp_path):
     return str(module_file)
 
 
+def _golden_rotated_cl07_file(tmp_path):
+    module_file = tmp_path / "cl07.json"
+    module_file.write_text(json.dumps(cl.rep_to_json(rotated_irrep(0, 7, seed=7))))
+    return str(module_file)
+
+
 GOLDEN = {
     "kitaev-N8-seed0": (["kitaev", "--N", "8", "--seed", "0"], {},
                         '{"degree": 2, "group": "Z2", "value": 1}\n'),
@@ -274,6 +305,10 @@ GOLDEN = {
     "flux-cl03-N3": (["flux", "--N", "3"], {"--module": _golden_module_file},
                      '{"class": {"degree": 4, "group": "Z", "value": 1}, '
                      '"module_class": {"degree": 4, "group": "Z", "value": 1}}\n'),
+    "flux-rotated-cl07-N12": (["flux", "--N", "12", "--seed", "7"],
+                              {"--module": _golden_rotated_cl07_file},
+                              '{"class": {"degree": 0, "group": "Z", "value": 1}, '
+                              '"module_class": {"degree": 0, "group": "Z", "value": 1}}\n'),
     "sf-path": (["sf"], {"--path": _golden_path_file},
                 '{"class": {"degree": 2, "group": "Z2", "value": 1}, '
                 '"label": "sampled path"}\n'),

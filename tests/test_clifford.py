@@ -2,9 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from koflow import clifford as cl
 from koflow.errors import InvalidModuleError, ValidationError
+
+from conftest import rotated_irrep
 
 ALL_SIGS_10 = [(r, t - r) for t in range(11) for r in range(t + 1)]
 
@@ -188,3 +193,51 @@ def test_json_round_trip():
         assert np.array_equal(a, b)
     with pytest.raises(ValidationError):
         cl.rep_from_json({"r": 0, "s": 1, "n": 2, "E": [], "F": [[1, 0, 0, 1]]})
+
+
+# cells of size 1 to 8, symmetric and skew generators both
+TILED_SIGS = [(1, 0), (0, 1), (1, 1), (0, 2), (2, 1), (0, 3), (1, 2), (0, 7)]
+
+
+def _dense_project(mat, gens, sign):
+    """The dense conjugation average, one generator at a time."""
+    out = mat
+    for g in gens:
+        conj = g @ out @ g.T
+        out = (out - conj if sign < 0 else out + conj) / 2.0
+    return (out - out.T) / 2.0
+
+
+@settings(max_examples=30)
+@given(sig=st.sampled_from(TILED_SIGS), copies=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_tiled_products_match_dense(sig, copies, seed):
+    cell = rotated_irrep(*sig, seed)
+    eye = np.eye(copies)
+    rep = cl.CliffordRep(cell.r, cell.s, copies * cell.n,
+                         E=tuple(np.kron(eye, g) for g in cell.E),
+                         F=tuple(np.kron(eye, g) for g in cell.F), copies=copies)
+    gens = rep.generators()
+    mat = np.random.default_rng(seed).standard_normal((rep.n, rep.n))
+    pairs = list(zip(rep.skew_residuals(mat),
+                     [mat + mat.T] + [mat @ g + g @ mat for g in gens]))
+    pairs += [(rep.project_skew(mat, sign), _dense_project(mat, gens, sign))
+              for sign in (-1, 1)]
+    if copies == 1:
+        assert all(np.array_equal(tiled, dense) for tiled, dense in pairs)
+    else:
+        assert max(np.max(np.abs(tiled - dense)) for tiled, dense in pairs) <= 1e-13
+
+
+def test_tiled_rep_rejects_untiled_generators():
+    tiled = np.kron(np.eye(3), cl.L1)
+    rep = cl.CliffordRep(0, 1, 6, F=(tiled,), copies=3)
+    assert np.array_equal(rep.cells[0], cl.L1)
+    coupled = tiled.copy()
+    coupled[0, 3] = 1e-300
+    for bad in (coupled, block_diag(cl.L1, -cl.L1, cl.L1)):
+        with pytest.raises(ValidationError):
+            cl.CliffordRep(0, 1, 6, F=(bad,), copies=3)
+    for copies in (0, 4):
+        with pytest.raises(ValidationError):
+            cl.CliffordRep(0, 1, 6, F=(tiled,), copies=copies)

@@ -13,8 +13,7 @@ from koflow.numerics import (min_singular_value, random_orthogonal,
                              random_skew, split_zero_cluster, svd_split,
                              sym_eigh)
 from koflow.pairs import ComplexStructure
-from koflow.props import (SIG_POOL, padded_context, project_anticommuting,
-                          random_admissible_path)
+from koflow.props import SIG_POOL, padded_context, random_admissible_path
 
 
 def normalization_path(module):
@@ -106,7 +105,7 @@ def test_homotopy_invariance():
     path = random_admissible_path(ctx, f_ref, rng)
     base = spectral_flow(path)
     for trial in range(4):
-        bump = project_anticommuting(random_skew(rng, ctx.n), ctx)
+        bump = ctx.project_skew(random_skew(rng, ctx.n), -1)
         bumped = SkewPath(ctx, lambda t, b=bump: path.fn(t) + np.sin(np.pi * t) * b)
         assert spectral_flow(bumped) == base
 
@@ -199,7 +198,7 @@ def test_cayley():
     assert np.allclose(image, -j_mat, atol=1e-12)
     assert abs(np.linalg.norm(-j_mat - f_s, 2) - np.sqrt(2.0)) < 1e-12
     rng = np.random.default_rng(0)
-    t_mat = project_anticommuting(random_skew(rng, n), ctx)
+    t_mat = ctx.project_skew(random_skew(rng, n), -1)
     image = cayley(t_mat, ctx)
     eye = np.eye(n)
     assert np.linalg.norm(image + image.T, 2) < 1e-12
@@ -345,7 +344,7 @@ def test_complete_phase_reimposes_structure():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         ctx, _ = padded_context(*SIG_POOL[seed % len(SIG_POOL)], copies=4)
-        a = project_anticommuting(random_skew(rng, ctx.n), ctx)
+        a = ctx.project_skew(random_skew(rng, ctx.n), -1)
         vals, vecs = sym_eigh(-(a @ a))
         low = vecs[:, vals - vals[0] <= 1e-8 * vals[-1]]  # lowest eigenspace
         c = 10.0 ** rng.uniform(-7.0, -4.0) / np.sqrt(vals[0])

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from koflow import clifford as cl
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
-from koflow.flow import FlowOptions, classical_sf, endpoint_flow, spectral_flow
+from koflow.flow import (FlowOptions, SkewPath, classical_sf, complete_phase,
+                         endpoint_flow, spectral_flow)
 from koflow.models import (CMat, LatticeSpec, RealStructure, aii_path,
                            flux_path, hermitian_double, kitaev_path, realify,
                            standard_quaternionic)
 from koflow.numerics import op_norm, random_orthogonal
+
+from conftest import rotated_irrep
 
 
 def test_cmat_arithmetic():
@@ -122,7 +125,7 @@ def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
     assert calls == []
 
 
-@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@settings(max_examples=25)
 @given(signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=7),
        seed=st.integers(0, 2**32 - 1))
 def test_realify_is_star_algebra_map(signs, seed):
@@ -192,6 +195,49 @@ def test_flux_independent_of_ring_length():
     values = {n_ring: spectral_flow(flux_path(module, n_ring)).value
               for n_ring in (3, 5, 8)}
     assert set(values.values()) == {1}
+
+
+def _dense_copy(path):
+    """The same samples over a copy of the context with copies = 1."""
+    ctx = path.context
+    return SkewPath(cl.CliffordRep(ctx.r, ctx.s, ctx.n, E=ctx.E, F=ctx.F), path.fn)
+
+
+def _count_generator_products(ctx):
+    """Swap the generators and cells of `ctx` for views that record every
+    matmul taking an n x n one as an operand; returns the record."""
+    calls = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and any(
+                    isinstance(x, Counted) and x.shape == (ctx.n, ctx.n) for x in inputs):
+                calls.append(ufunc)
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    for name in ("E", "F", "cells"):
+        object.__setattr__(ctx, name, tuple(g.view(Counted) for g in getattr(ctx, name)))
+    return calls
+
+
+def test_flux_node_makes_no_dense_generator_product():
+    path = flux_path(rotated_irrep(0, 7, seed=7), 12)
+    dense = _dense_copy(path)
+    counts = []
+    for p in (path, dense):
+        calls = _count_generator_products(p.context)
+        # one flow node: SkewPath.at, complete_phase and its ComplexStructure
+        complete_phase(p.at(0.25), p.context)
+        counts.append(len(calls))
+    assert counts[0] == 0 and counts[1] > 0
+
+
+@pytest.mark.parametrize("s,chirality", [(1, None), (3, "+"), (3, "-"), (7, None)])
+def test_tiled_flux_class_matches_dense_context(s, chirality):
+    module = rotated_irrep(0, s, seed=s, chirality=chirality)
+    path = flux_path(module, 5)
+    assert path.context.copies == 5
+    assert spectral_flow(path) == spectral_flow(_dense_copy(path)) == abs_class(module)
 
 
 def test_aii_quarter_relation():
