@@ -53,12 +53,26 @@ def _write_csv(path: str, header, rows) -> None:
             handle.write(",".join(f"{x:.12g}" for x in row) + "\n")
 
 
-def _tracks(path: SkewPath, count: int, out: str, samples: int = 101) -> None:
+def _flow(path: SkewPath, args):
+    """The spectral flow of `path`, after checking the --tracks request
+    against it: 0 <= tracks <= n, and --out when tracks > 0."""
+    n = path.context.n
+    if not 0 <= args.tracks <= n:
+        raise ValidationError(f"--tracks must lie in [0, {n}], got {args.tracks}")
+    if args.tracks and not args.out:
+        raise ValidationError("--tracks needs --out")
+    return spectral_flow(path, FlowOptions(seed=args.seed))
+
+
+def _tracks(path: SkewPath, args, samples: int = 101) -> None:
+    """The `--tracks` smallest singular values along the path, as CSV."""
+    if not args.tracks:
+        return
     rows = []
     for t in np.linspace(0.0, 1.0, samples):
         svals = np.linalg.svd(path.at(t), compute_uv=False)
-        rows.append([t] + sorted(svals)[:count])
-    _write_csv(out, ["t"] + [f"sigma{i + 1}" for i in range(count)], rows)
+        rows.append([t] + sorted(svals)[:args.tracks])
+    _write_csv(args.out, ["t"] + [f"sigma{i + 1}" for i in range(args.tracks)], rows)
 
 
 def cmd_irrep(args) -> int:
@@ -125,29 +139,26 @@ def cmd_sf(args) -> int:
         path = SkewPath(ctx, fn, label="sampled path")
     else:
         raise ValidationError("sf needs either --model or --path")
-    value = spectral_flow(path, FlowOptions(seed=args.seed))
+    value = _flow(path, args)
     _emit({"class": value.to_json(), "label": path.label})
-    if args.tracks and args.out:
-        _tracks(path, args.tracks, args.out)
+    _tracks(path, args)
     return 0
 
 
 def cmd_kitaev(args) -> int:
     path = kitaev_path(LatticeSpec(args.N))
-    value = spectral_flow(path, FlowOptions(seed=args.seed))
+    value = _flow(path, args)
     _emit(value.to_json())
-    if args.tracks and args.out:
-        _tracks(path, args.tracks, args.out)
+    _tracks(path, args)
     return 0
 
 
 def cmd_flux(args) -> int:
     module = cliff.rep_from_json(_load_json(args.module))
     path = flux_path(module, args.N)
-    value = spectral_flow(path, FlowOptions(seed=args.seed))
+    value = _flow(path, args)
     _emit({"class": value.to_json(), "module_class": abs_class(module).to_json()})
-    if args.tracks and args.out:
-        _tracks(path, args.tracks, args.out)
+    _tracks(path, args)
     return 0
 
 
@@ -156,13 +167,12 @@ def cmd_aii(args) -> int:
         return CMat.real((2.0 * t - 1.0) * np.eye(4))
 
     path = aii_path(h_fn, 4)
-    value = spectral_flow(path, FlowOptions(seed=args.seed))
+    value = _flow(path, args)
     classical = classical_sf(lambda t: hermitian_double(h_fn(t)))
     _emit({"class": value.to_json(),
            "classical_sf": classical,
            "quarter_relation": 4 * value.value == classical})
-    if args.tracks and args.out:
-        _tracks(path, args.tracks, args.out)
+    _tracks(path, args)
     return 0
 
 

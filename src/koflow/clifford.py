@@ -501,12 +501,16 @@ def decompose(rep: CliffordRep):
 
 
 def restrict_to_subspace(rep: CliffordRep, basis: np.ndarray,
-                         tol: float = RESTRICTION_TOL) -> CliffordRep:
-    """Restrict all generators to an invariant subspace.
+                         tol: float = RESTRICTION_TOL,
+                         extra_F=()) -> CliffordRep:
+    """Restrict all generators, followed by the n x n skew matrices of
+    `extra_F` as further skew generators, to an invariant subspace.
 
-    `basis` holds orthonormal columns spanning the subspace; invariance of
-    each generator is checked to `tol` and the residual reported on
-    failure.
+    `basis` holds orthonormal columns spanning the subspace; each image
+    g @ basis is computed once, checked for invariance to `tol` and
+    compressed to basis^T g basis.  The restricted module is checked
+    against the Clifford relations to `tol`; either failure raises
+    ValidationError with its residual.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != rep.n:
@@ -514,14 +518,13 @@ def restrict_to_subspace(rep: CliffordRep, basis: np.ndarray,
     k = basis.shape[1]
     if residual_norm(1e-10, [basis.T @ basis - np.eye(k)]) > 1e-10:
         raise ValidationError("basis columns are not orthonormal")
-    images = (m @ basis for m in rep.generators())
+    images = [g @ basis for g in rep.generators() + list(extra_F)]
     worst = residual_norm(tol, (img - basis @ (basis.T @ img) for img in images))
     if worst > tol:
         raise ValidationError(
             f"subspace is not invariant under the generators (residual {worst:.3e})")
-    sub = CliffordRep(rep.r, rep.s, k,
-                      E=tuple(basis.T @ m @ basis for m in rep.E),
-                      F=tuple(basis.T @ m @ basis for m in rep.F))
+    gens = [basis.T @ img for img in images]
+    sub = CliffordRep(rep.r, len(gens) - rep.r, k, E=gens[:rep.r], F=gens[rep.r:])
     report = check_relations(sub, tol)
     if not report.ok:
         raise ValidationError(

@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .abs_index import KOClass, abs_class
-from .clifford import (CliffordRep, check_relations, direct_sum,
-                       intertwiner, irreducible_rep)
+from .clifford import (CliffordRep, intertwiner, irreducible_rep,
+                       restrict_to_subspace)
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
 from .numerics import (min_singular_value, residual_norm, skew_phase,
@@ -109,19 +109,16 @@ def _kernel_completion(kernel_rep: CliffordRep, seed: int,
                 return j
 
     ext = irreducible_rep(kernel_rep.r, kernel_rep.s + 1)
-    restr = CliffordRep(ext.r, ext.s - 1, ext.n, E=ext.E, F=ext.F[:-1])
     copies = k // ext.n
     if copies * ext.n != k:
         raise ObstructionError(
             f"kernel dimension {k} is not a multiple of the canonical "
             f"extension dimension {ext.n}")
-    w_restr, j_w = restr, np.array(ext.F[-1])
-    for _ in range(copies - 1):
-        w_restr = direct_sum(w_restr, restr)
-        pad = np.zeros((w_restr.n, w_restr.n))
-        pad[:j_w.shape[0], :j_w.shape[0]] = j_w
-        pad[j_w.shape[0]:, j_w.shape[0]:] = ext.F[-1]
-        j_w = pad
+    eye = np.eye(copies)
+    w_restr = CliffordRep(ext.r, ext.s - 1, k,
+                          E=tuple(np.kron(eye, g) for g in ext.E),
+                          F=tuple(np.kron(eye, g) for g in ext.F[:-1]))
+    j_w = np.kron(eye, ext.F[-1])
     theta = intertwiner(kernel_rep, w_restr, seed=seed)
     if theta is None:
         raise ObstructionError(
@@ -169,15 +166,10 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
     j = u[:, :rank] @ vt[:rank]
     if k > 0:
         basis = vt[rank:].T
-        kernel_rep = CliffordRep(
-            context.r, context.s, k,
-            E=tuple(basis.T @ g @ basis for g in context.E),
-            F=tuple(basis.T @ g @ basis for g in context.F))
-        report = check_relations(kernel_rep, 1e-8)
-        if not report.ok:
-            raise AmbiguousKernelError(
-                f"kernel cluster is not generator-invariant "
-                f"(residual {report.max_residual:.3e})")
+        try:
+            kernel_rep = restrict_to_subspace(context, basis, 1e-8)
+        except ValidationError as exc:
+            raise AmbiguousKernelError(f"kernel cluster: {exc}") from exc
         hint = None
         if align_hint is not None:
             hint = basis.T @ align_hint @ basis
@@ -200,63 +192,60 @@ def _flow_degree(context: CliffordRep) -> int:
     return (context.s + 2 - context.r) % 8
 
 
-def _endpoint_samples(path: SkewPath, opts: FlowOptions) -> dict:
-    """{0.0: T(0), 1.0: T(1)}, each sampled and validated once; raises
+def _endpoint_samples(path: SkewPath, opts: FlowOptions):
+    """(T(0), T(1)), each sampled and validated once; raises
     ValidationError when an endpoint is not invertible."""
-    samples = {}
+    samples = []
     for t_end in (0.0, 1.0):
-        samples[t_end] = path.at(t_end)
-        smin = min_singular_value(samples[t_end])
+        samples.append(path.at(t_end))
+        smin = min_singular_value(samples[-1])
         if smin < opts.inv_tol:
             raise ValidationError(
                 f"endpoint t={t_end} is not invertible "
                 f"(smallest singular value {smin:.3e} < {opts.inv_tol})")
-    return samples
+    return tuple(samples)
 
 
 def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
-    """KO-valued spectral flow of a path with invertible endpoints."""
+    """KO-valued spectral flow of a path with invertible endpoints.
+
+    Walks the partition from left to right.  It holds the phase at the
+    left end of the current segment and a stack of pending right ends
+    (t, depth, phase or None), nearest last; a phase stays on the stack
+    only for the right end of a bisected segment.  Each node is completed
+    once, with the left phase as its alignment hint.
+    """
     opts = opts or FlowOptions()
     ctx = path.context
     degree = _flow_degree(ctx)
-    samples = _endpoint_samples(path, opts)
+    t0_mat, t1_mat = _endpoint_samples(path, opts)
     if ctx.n == 0:
         return KOClass.of(degree, 0)
 
-    phases: dict[float, ComplexStructure] = {}
-
-    def phase_at(t: float) -> ComplexStructure:
-        if t not in phases:
-            hint = None
-            if phases:
-                nearest = min(phases, key=lambda u: abs(u - t))
-                hint = phases[nearest].J
-            mat = samples.pop(t) if t in samples else path.at(t)
-            phases[t] = complete_phase(mat, ctx, align_hint=hint,
-                                       seed=opts.seed)
-        return phases[t]
-
     total = KOClass.of(degree, 0)
+    a, ja = 0.0, complete_phase(t0_mat, ctx, seed=opts.seed)
+    del t0_mat  # T(1) is kept for the last node; T(0) is done with
     m = max(1, opts.initial_segments)
-    stack = [(i / m, (i + 1) / m, 0) for i in range(m)]
-    stack.reverse()
-    while stack:
-        a, b, depth = stack.pop()
-        ja, jb = phase_at(a), phase_at(b)
-        if residual_norm(opts.phase_bound, [ja.J - jb.J]) <= opts.phase_bound:
-            continue  # phases 0.9-close: the pair kernel is empty
-        try:
-            contribution, _ = pair_index(ja, jb)
-        except AmbiguousKernelError:
-            if depth >= opts.max_depth:
-                raise AmbiguousKernelError(
-                    f"partition depth {opts.max_depth} exceeded on segment "
-                    f"[{a}, {b}] without a clean pair kernel")
-            mid = (a + b) / 2.0
-            stack.append((mid, b, depth + 1))
-            stack.append((a, mid, depth + 1))
-            continue
-        total = total + contribution
+    pending = [(i / m, 0, None) for i in range(m, 0, -1)]
+    while pending:
+        b, depth, jb = pending.pop()
+        if jb is None:
+            jb = complete_phase(t1_mat if b == 1.0 else path.at(b), ctx,
+                                align_hint=ja.J, seed=opts.seed)
+        if residual_norm(opts.phase_bound, [ja.J - jb.J]) > opts.phase_bound:
+            # phases not 0.9-close: the pair kernel may be nonempty
+            try:
+                contribution, _ = pair_index(ja, jb)
+            except AmbiguousKernelError:
+                if depth >= opts.max_depth:
+                    raise AmbiguousKernelError(
+                        f"partition depth {opts.max_depth} exceeded on segment "
+                        f"[{a}, {b}] without a clean pair kernel")
+                pending.append((b, depth + 1, jb))
+                pending.append(((a + b) / 2.0, depth + 1, None))
+                continue
+            total = total + contribution
+        a, ja = b, jb
     return total
 
 
@@ -265,11 +254,11 @@ def endpoint_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
     theorem makes this an independent oracle for spectral_flow."""
     opts = opts or FlowOptions()
     ctx = path.context
-    samples = _endpoint_samples(path, opts)
+    t0_mat, t1_mat = _endpoint_samples(path, opts)
     if ctx.n == 0:
         return KOClass.of(_flow_degree(ctx), 0)
-    j0 = complete_phase(samples[0.0], ctx, seed=opts.seed)
-    j1 = complete_phase(samples[1.0], ctx, seed=opts.seed)
+    j0 = complete_phase(t0_mat, ctx, seed=opts.seed)
+    j1 = complete_phase(t1_mat, ctx, seed=opts.seed)
     value, _ = pair_index(j0, j1)
     return value
 

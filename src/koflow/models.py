@@ -25,9 +25,14 @@ from .flow import SkewPath
 from .numerics import check_memory, op_norm, residual_norm, sym_eigh
 
 REALIFY_TOL = 1e-10
-# n x n arrays that one flow node holds at once: the sample, the copy of
-# it that the SVD works on, and the singular vectors u and vt.
-NODE_ARRAYS = 4
+# n x n arrays that one step of the flow walk holds at its peak, measured
+# with tracemalloc: 10.1 on the Kitaev flow at N = 64, 9.0 at N = 128 and
+# on the Cl_{0,7} flux flow at N = 48.  They are T(1), the left phase and,
+# inside complete_phase, the sample, the singular vectors and the phase
+# being built and checked.  Each bisection level in progress holds one
+# more phase on top of this count; LAPACK's own SVD workspace, allocated
+# outside Python, is not in it.
+NODE_ARRAYS = 11
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,7 @@ def kitaev_path(spec: LatticeSpec) -> SkewPath:
             "only the sweet spot mu = 0, w = -1 is implemented")
     n = spec.N
     # the ring shift, the S and H parts (4), M and its eigenvectors (2)
-    # and one flow node, counted before any of them is allocated
+    # and one step of the flow walk, counted before any of them is allocated
     check_memory(f"the Kitaev chain at N={n}",
                  8 * (n * n + (6 + NODE_ARRAYS) * (2 * n) ** 2))
     shift = _ring_shift(n)
@@ -260,7 +265,7 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     if N < 3:
         raise ValidationError(f"ring length must be at least 3, got {N}")
     dim = N * module.n
-    # three ring arrays, the context generators and one flow node
+    # three ring arrays, the context generators and one step of the flow walk
     check_memory(f"the flux path at N={N}",
                  8 * (3 * N * N + (module.r + module.s - 1 + NODE_ARRAYS) * dim * dim))
     module.validate(1e-10)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abs_index import KOClass, abs_class
-from .clifford import K1, K2, L1, CliffordRep, check_relations
+from .clifford import K1, K2, L1, CliffordRep, restrict_to_subspace
 from .errors import AmbiguousKernelError, ValidationError
 from .numerics import (GAP_RATIO_GUARD, ZERO_CLUSTER_REL_TOL, kernel_basis,
                        op_norm, residual_norm, skew_phase, sym_eigh)
@@ -63,16 +63,10 @@ def kernel_module(j0: ComplexStructure, j1: ComplexStructure,
     """
     ctx = _same_context(j0, j1)
     basis = kernel_basis(j0.J + j1.J, rel_tol, gap_ratio, label="pair kernel")
-    k = basis.shape[1]
-    e_sub = tuple(basis.T @ m @ basis for m in ctx.E)
-    f_sub = tuple(basis.T @ m @ basis for m in ctx.F) + (basis.T @ j0.J @ basis,)
-    module = CliffordRep(ctx.r, ctx.s + 1, k, E=e_sub, F=f_sub)
-    report = check_relations(module, 1e-9)
-    if not report.ok:
-        raise AmbiguousKernelError(
-            f"kernel module violates Clifford relations "
-            f"(max residual {report.max_residual:.3e})")
-    return module
+    try:
+        return restrict_to_subspace(ctx, basis, 1e-9, extra_F=(j0.J,))
+    except ValidationError as exc:
+        raise AmbiguousKernelError(f"pair kernel module: {exc}") from exc
 
 
 def pair_index(j0: ComplexStructure, j1: ComplexStructure):
@@ -134,19 +128,9 @@ def spectral_submodule(j0: ComplexStructure, j1: ComplexStructure,
     zero_floor = max(eig_guard, 1e-12)
     mask = (vals > zero_floor) & (vals < lam ** 2)
     basis = vecs[:, mask]
-    k = basis.shape[1]
-    m = j0.J @ mid.T1 @ mid.T0
-    m_sub = basis.T @ m @ basis
-    phase = skew_phase(m_sub)
-    e_sub = tuple(basis.T @ g @ basis for g in ctx.E)
-    f_sub = tuple(basis.T @ g @ basis for g in ctx.F) \
-        + (basis.T @ j0.J @ basis, phase)
-    module = CliffordRep(ctx.r, ctx.s + 2, k, E=e_sub, F=f_sub)
-    report = check_relations(module, 1e-9)
-    if not report.ok:
-        raise ValidationError(
-            f"spectral submodule violates relations (max residual {report.max_residual:.3e})")
-    return module
+    phase = skew_phase(basis.T @ (j0.J @ mid.T1 @ mid.T0) @ basis)
+    return restrict_to_subspace(ctx, basis, 1e-9,
+                                extra_F=(j0.J, basis @ phase @ basis.T))
 
 
 # ---------------------------------------------------------------------------

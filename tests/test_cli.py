@@ -237,6 +237,9 @@ MALFORMED = {
     "flux-over-memory-budget": (
         ["flux", "--module", "rep.json", "--N", "3000000"],
         {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [L1_FLAT]}}),
+    "tracks-above-dimension": (["kitaev", "--N", "3", "--tracks", "10", "--out", "f.csv"], {}),
+    "tracks-negative": (["kitaev", "--N", "3", "--tracks", "-2", "--out", "f.csv"], {}),
+    "tracks-without-out": (["kitaev", "--N", "3", "--tracks", "4"], {}),
     "path-nan-sample": (
         ["sf", "--path", "p.json"],
         {"p.json": {"context": CTX2, "t": [0.0, 0.5, 1.0],
@@ -249,10 +252,12 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, files):
     for name, content in files.items():
         text = content if isinstance(content, str) else json.dumps(content)
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    argv = [str(tmp_path / arg) if arg.endswith((".json", ".csv")) else arg
+            for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "validation error" in err
+    assert not (tmp_path / "f.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [["kitaev", "--N", "3000000"],

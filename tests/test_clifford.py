@@ -168,6 +168,24 @@ def test_restrict_to_subspace():
         cl.restrict_to_subspace(big, q, tol=1e-9)
 
 
+def test_restrict_to_subspace_appends_extra_generators():
+    # the diagonal copy of v in v + v is invariant under the doubled
+    # generators and under F_last (+) F_last, which restricts to F_last
+    v = cl.irreducible_rep(1, 2)
+    ctx = cl.CliffordRep(1, 1, v.n, E=v.E, F=v.F[:-1])
+    double = cl.direct_sum(ctx, ctx)
+    basis = np.vstack([np.eye(v.n), np.eye(v.n)]) / np.sqrt(2.0)
+    f_last = block_diag(v.F[-1], v.F[-1])
+    sub = cl.restrict_to_subspace(double, basis, extra_F=(f_last,))
+    assert (sub.r, sub.s, sub.n) == (1, 2, v.n)
+    for got, want in zip(sub.generators(), v.generators()):
+        assert np.allclose(got, want, atol=1e-15)
+    with pytest.raises(ValidationError, match="not invariant"):
+        # F_last (+) -F_last maps the diagonal copy onto the antidiagonal one
+        cl.restrict_to_subspace(double, basis,
+                                extra_F=(block_diag(v.F[-1], -v.F[-1]),))
+
+
 def test_signature_swap():
     v = cl.irreducible_rep(2, 1)
     w = cl.signature_swap(v)

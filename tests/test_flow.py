@@ -1,5 +1,9 @@
+import weakref
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from koflow import clifford as cl
 from koflow import flow, numerics
@@ -248,28 +252,93 @@ def test_clamp_phase():
     assert np.allclose(once @ t_mat, t_mat @ once, atol=1e-10)
 
 
+def _gapless_rotation(blocks=12):
+    """j0 on 4 (blocks + 1) dimensions and s -> expm(2 s X), for X
+    anticommuting with j0 and block diagonal: blocks 4 x 4 rotation
+    generators (pi/2 + eps/2) L1 (x) K1 with eps geometric in [1e-9, 3e-4].
+    expm(2 s X) j0 is a complex structure for every s; the pair kernel of
+    j0 and expm(2X) j0 has a gapless singular-value ramp."""
+    eps = np.geomspace(1e-9, 3e-4, blocks)
+    n = 4 * (blocks + 1)
+    j0_mat = np.zeros((n, n))
+    for i in range(blocks + 1):
+        j0_mat[4 * i:4 * i + 4, 4 * i:4 * i + 4] = np.kron(np.eye(2), cl.L1)
+
+    def rotation(s):
+        rot = np.eye(n)
+        for i in range(blocks):
+            gen = (np.pi / 2 + eps[i] / 2) * np.kron(cl.L1, cl.K1)
+            rot[4 * i:4 * i + 4, 4 * i:4 * i + 4] = expm(2 * s * gen)
+        return rot
+
+    return j0_mat, rotation
+
+
+def _bisecting_path():
+    """t -> expm(2 min(16 t, 1) X) j0: the whole turn happens on the first
+    of the 16 initial segments, which therefore has to be bisected."""
+    j0_mat, rotation = _gapless_rotation()
+    ctx = cl.CliffordRep(0, 0, j0_mat.shape[0])
+    return SkewPath(ctx, lambda t: rotation(min(16.0 * t, 1.0)) @ j0_mat)
+
+
+def _node_depth(t):
+    """Bisection depth of a node of the 16-segment partition: a midpoint
+    made at depth d has denominator 16 * 2^d."""
+    return max(0, Fraction(t).denominator.bit_length() - 1 - 4)
+
+
 def test_partition_depth_cap_on_ambiguous_jump():
     # discontinuous jump whose pair kernel has a gapless singular-value
     # ramp: every bisection stays ambiguous, so the depth cap must trip
-    blocks = 12
-    eps = np.geomspace(1e-9, 3e-4, blocks)
-    cells = [np.kron(cl.L1, np.eye(2))] * (blocks + 1)
-    j0_mat = np.zeros((4 * (blocks + 1), 4 * (blocks + 1)))
-    rot = np.eye(4 * (blocks + 1))
-    for i in range(blocks + 1):
-        sl = slice(4 * i, 4 * i + 4)
-        j0_mat[sl, sl] = np.kron(np.eye(2), cl.L1)
-        if i < blocks:
-            gen = (np.pi / 2 + eps[i] / 2) * np.kron(cl.L1, cl.K1)
-            from scipy.linalg import expm
-            rot[sl, sl] = expm(2 * gen)
-    j1_mat = rot @ j0_mat
+    j0_mat, rotation = _gapless_rotation()
+    j1_mat = rotation(1.0) @ j0_mat
     ctx = cl.CliffordRep(0, 0, j0_mat.shape[0])
-    # j1 = expm(2X) j0 with X anticommuting with j0 is again a complex structure
     path = SkewPath(ctx, lambda t: j0_mat if t < 1 / 3 else j1_mat)
-    from koflow.errors import AmbiguousKernelError
     with pytest.raises(AmbiguousKernelError):
         spectral_flow(path, FlowOptions(max_depth=6))
+
+
+def test_walk_samples_each_node_once_through_bisection():
+    base = _bisecting_path()
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return base.fn(t)
+
+    value = spectral_flow(SkewPath(base.context, counted))
+    assert value.to_json() == {"degree": 2, "group": "Z2", "value": 0}
+    assert len(calls) == len(set(calls)) > 17  # bisected, no node twice
+    assert max(map(_node_depth, calls)) > 0
+
+
+def test_walk_holds_left_phase_and_one_per_bisection_level(monkeypatch):
+    # the walk keeps the left phase, the new one and one pending right-end
+    # phase per bisection level in progress, never the whole partition
+    live = []
+    counts = []
+    complete = flow.complete_phase
+
+    def tracked(tmat, context, align_hint=None, seed=0):
+        j = complete(tmat, context, align_hint=align_hint, seed=seed)
+        live.append(weakref.ref(j))
+        counts.append(sum(ref() is not None for ref in live))
+        return j
+
+    base = _bisecting_path()
+    times = []
+
+    def sampled(t):
+        times.append(t)
+        return base.fn(t)
+
+    monkeypatch.setattr(flow, "complete_phase", tracked)
+    spectral_flow(SkewPath(base.context, sampled))
+    # completion order: T(0), the sampled nodes, T(1) when the walk reaches it
+    depths = [0] + [_node_depth(t) for t in times[2:]] + [0]
+    assert len(counts) == len(times) > 17
+    assert all(c <= 2 + d for c, d in zip(counts, depths))
 
 
 def test_forced_kernel_parity_blocks_admissible_obstructions():

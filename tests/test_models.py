@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
 from koflow.flow import (FlowOptions, SkewPath, classical_sf, complete_phase,
                          endpoint_flow, spectral_flow)
-from koflow.models import (CMat, LatticeSpec, RealStructure, aii_path,
-                           flux_path, hermitian_double, kitaev_path, realify,
-                           standard_quaternionic)
+from koflow.models import (NODE_ARRAYS, CMat, LatticeSpec, RealStructure,
+                           aii_path, flux_path, hermitian_double, kitaev_path,
+                           realify, standard_quaternionic)
 from koflow.numerics import op_norm, random_orthogonal
 
 from conftest import rotated_irrep
@@ -164,6 +166,21 @@ def test_kitaev_flow_is_one(n_ring):
     value = spectral_flow(path)
     assert (value.degree, value.value) == (2, 1)
     assert endpoint_flow(path) == value
+
+
+def test_kitaev_flow_peak_within_node_arrays():
+    # the lattice memory guard counts NODE_ARRAYS n x n arrays for the
+    # flow; the walk must not hold more (the path's own arrays are
+    # counted apart, so it is built before tracing starts)
+    n_ring = 64
+    path = kitaev_path(LatticeSpec(n_ring))
+    tracemalloc.start()
+    try:
+        spectral_flow(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= NODE_ARRAYS * 8 * (2 * n_ring) ** 2
 
 
 def test_kitaev_rejects_other_couplings():

@@ -5,11 +5,11 @@ from scipy.linalg import expm
 from koflow import clifford as cl
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
-from koflow.numerics import random_orthogonal, random_skew
-from koflow.pairs import (ComplexStructure, ProjectionPair, midpoint_operators,
-                          orthogonal_pair_parity, pair_index,
-                          projection_pair_index, projections_to_structures,
-                          spectral_submodule)
+from koflow.numerics import kernel_basis, random_orthogonal, random_skew
+from koflow.pairs import (ComplexStructure, ProjectionPair, kernel_module,
+                          midpoint_operators, orthogonal_pair_parity,
+                          pair_index, projection_pair_index,
+                          projections_to_structures, spectral_submodule)
 
 
 def standard_pair(r, s, module, copies_h0=2):
@@ -74,6 +74,20 @@ def test_r4_explicit_example():
                                ComplexStructure(j1_mat, ctx))
     assert kernel.n == 2
     assert (value.degree, value.value) == (2, 1)
+
+
+def test_kernel_module_is_the_compression_to_the_pair_kernel():
+    rng = np.random.default_rng(5)
+    module = cl.irreducible_rep(1, 2)
+    j0, j1, ctx = standard_pair(1, 1, module)
+    rot = commuting_rotation(ctx, rng, 0.3)
+    j1 = ComplexStructure(rot @ j1.J @ rot.T, ctx)
+    basis = kernel_basis(j0.J + j1.J)
+    sub = kernel_module(j0, j1)
+    assert (sub.r, sub.s, sub.n) == (1, 2, basis.shape[1]) and sub.n > 0
+    explicit = [basis.T @ g @ basis for g in ctx.generators() + [j0.J]]
+    for got, want in zip(sub.generators(), explicit):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_midpoint_identities():
