@@ -33,6 +33,12 @@ REALIFY_TOL = 1e-10
 # more phase on top of this count; LAPACK's own SVD workspace, allocated
 # outside Python, is not in it.
 NODE_ARRAYS = 11
+# n x n arrays of LAPACK workspace that the node SVD (gesdd) takes outside
+# Python's allocator, on top of NODE_ARRAYS: one np.linalg.svd of a
+# 2048 x 2048 skew matrix raised ru_maxrss by 6.6 n^2 doubles, of which
+# the returned u and vt are 2 (numpy 2.4, OpenBLAS, 2 threads); 4.6,
+# rounded up.
+SVD_WORKSPACE_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -216,9 +222,10 @@ def kitaev_path(spec: LatticeSpec) -> SkewPath:
             "only the sweet spot mu = 0, w = -1 is implemented")
     n = spec.N
     # the ring shift, the S and H parts (4), M and its eigenvectors (2)
-    # and one step of the flow walk, counted before any of them is allocated
+    # and one step of the flow walk with its SVD workspace, counted before
+    # any of them is allocated
     check_memory(f"the Kitaev chain at N={n}",
-                 8 * (n * n + (6 + NODE_ARRAYS) * (2 * n) ** 2))
+                 8 * (n * n + (6 + NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * (2 * n) ** 2))
     shift = _ring_shift(n)
     s_re = np.kron(shift, _B_BLOCK.re)
     s_im = np.kron(shift, _B_BLOCK.im)
@@ -265,9 +272,11 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     if N < 3:
         raise ValidationError(f"ring length must be at least 3, got {N}")
     dim = N * module.n
-    # three ring arrays, the context generators and one step of the flow walk
+    # three ring arrays, the context generators and one step of the flow
+    # walk with its SVD workspace
     check_memory(f"the flux path at N={N}",
-                 8 * (3 * N * N + (module.r + module.s - 1 + NODE_ARRAYS) * dim * dim))
+                 8 * (3 * N * N + (module.r + module.s - 1 + NODE_ARRAYS
+                                   + SVD_WORKSPACE_ARRAYS) * dim * dim))
     module.validate(1e-10)
     ring = (_ring_shift(N) + _ring_shift(N).T) / 2.0
     f_last = np.array(module.F[-1])

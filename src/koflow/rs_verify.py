@@ -11,11 +11,15 @@ lives on the whole line (no wall, no Brillouin zone).
 
 The grading S = F_{s+1} (x) L1 commutes with every lifted generator while
 D anticommutes with it, so in the bases of its two eigenspaces (sectors)
-D = [[0, -X^T], [X, 0]].  Only the block X is built, as a sum of two
-Kronecker products of Hermite-basis matrices with cell-size sector
-blocks, and each lifted generator is kept as its two cell-size sector
-blocks.  The truncation is rectangular: a symmetric one would make X
-square, so every bound state would acquire a ghost partner of the
+D = [[0, -X^T], [X, 0]].  The cell-size sector blocks of the coefficient
+and derivative terms are one orthogonal cell A up to a sign, so X is one
+Kronecker product level (x) A of a scalar Hermite-basis "level" matrix
+(coefficient plus signed derivative) with that cell; each singular value
+of the level matrix is n singular values of X, and its null vectors v
+give the kernel vectors v (x) eta for every cell vector eta.  Each
+lifted generator is kept as its two cell-size sector blocks.  The
+truncation is rectangular: a symmetric one would make X square, so
+every bound state would acquire a ghost partner of the
 opposite class at the same singular value and the computed kernel class
 would cancel to zero (local grid stencils suffer the same cancellation
 through their sign-alternating doubler branch).  Keeping one extra basis
@@ -42,10 +46,12 @@ from .abs_index import KOClass, abs_class
 from .clifford import K1, K2, L1, OMEGA_11, CliffordRep, check_relations
 from .errors import AmbiguousKernelError, ValidationError
 from .flow import SkewPath, spectral_flow
-from .numerics import check_memory, split_zero_cluster
+from .numerics import check_memory, residual_norm, split_zero_cluster
 
 # Singular values probed beyond dim(module) by numeric_kernel.
 KERNEL_EXTRA = 6
+# Bound on ||A A^T - I|| and ||B -+ A|| for the two cell blocks of X.
+CELL_TOL = 1e-12
 
 
 def default_switching(t: float) -> float:
@@ -96,16 +102,19 @@ class RSProblem:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Sector-block storage of the skew matrix D = [[0, -X^T], [X, 0]].
+    """Sector-block storage of the skew matrix D = [[0, -X^T], [X, 0]],
+    with X = kron(matrix, cell) one Kronecker product level (x) cell.
 
     Sector coordinates list the m levels of the full sector, then the
     retained levels of the cut sector, each level carrying the columns of
-    `keep_full` (resp. `keep_cut`) as cell vectors.  `matrix` is X (cut
-    rows, full columns).  Each lifted Clifford generator is a (2, n, n)
-    array: its cell blocks on the full and on the cut sector.
+    `keep_full` (resp. `keep_cut`) as cell vectors.  `matrix` is the
+    scalar level matrix (cut levels by full levels) and `cell` the
+    orthogonal n x n cell block.  Each lifted Clifford generator is a
+    (2, n, n) array: its cell blocks on the full and on the cut sector.
     """
 
     matrix: np.ndarray
+    cell: np.ndarray
     problem: RSProblem
     keep_full: np.ndarray
     keep_cut: np.ndarray
@@ -114,33 +123,34 @@ class DiscreteOperator:
 
     @property
     def dimension(self) -> int:
-        return sum(self.matrix.shape)
+        return self.cell.shape[0] * sum(self.matrix.shape)
 
     def lift(self, gen: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """A lifted generator applied to columns in sector coordinates."""
         rows, cols = self.matrix.shape
         n, k = gen.shape[1], vecs.shape[1]
         return np.concatenate(
-            [(gen[0] @ vecs[:cols].reshape(cols // n, n, k)).reshape(cols, k),
-             (gen[1] @ vecs[cols:].reshape(rows // n, n, k)).reshape(rows, k)])
+            [(gen[0] @ vecs[:cols * n].reshape(cols, n, k)).reshape(cols * n, k),
+             (gen[1] @ vecs[cols * n:].reshape(rows, n, k)).reshape(rows * n, k)])
 
     def to_cells(self, vecs: np.ndarray) -> np.ndarray:
         """Columns in sector coordinates as (level, cell, column) arrays."""
         rows, cols = self.matrix.shape
-        n, k = self.keep_full.shape[1], vecs.shape[1]
-        out = self.keep_full @ vecs[:cols].reshape(cols // n, n, k)
-        out[:rows // n] += self.keep_cut @ vecs[cols:].reshape(rows // n, n, k)
+        n, k = self.cell.shape[0], vecs.shape[1]
+        out = self.keep_full @ vecs[:cols * n].reshape(cols, n, k)
+        out[:rows] += self.keep_cut @ vecs[cols * n:].reshape(rows, n, k)
         return out
 
 
 def _basis_blocks(problem: RSProblem):
-    """(derivative matrix, coefficient matrix) in the scaled Hermite basis.
+    """(derivative superdiagonal, coefficient matrix) in the scaled Hermite
+    basis.
 
     The position operator is the exact tridiagonal Jacobi matrix; its
     eigendecomposition gives the collocation points, and multiplication
     by f is f evaluated there, rotated back (exactly symmetric).  The
     derivative is the exact antisymmetric bidiagonal matrix, divided by
-    the length scale.
+    the length scale: `step` on the superdiagonal, -`step` below.
     """
     m = problem.m
     ell = problem.scale
@@ -148,12 +158,9 @@ def _basis_blocks(problem: RSProblem):
     theta, u = sla.eigh_tridiagonal(np.zeros(m), off)
     f_nodes = np.array([problem.f(ell * t) for t in theta])
     coeff = (u * f_nodes) @ u.T
-    coeff = (coeff + coeff.T) / 2.0
-    deriv = np.zeros((m, m))
-    idx = np.arange(m - 1)
-    deriv[idx, idx + 1] = off / ell
-    deriv[idx + 1, idx] = -off / ell
-    return deriv, coeff
+    coeff = coeff + coeff.T
+    coeff /= 2.0
+    return off / ell, coeff
 
 
 def _sector_bases(f_last: np.ndarray):
@@ -186,27 +193,44 @@ def switching_direction(problem: RSProblem) -> int:
 def _assemble(problem: RSProblem, cell_even: np.ndarray, deriv_sign: float,
               cell_deriv: np.ndarray, f_new_cell: np.ndarray,
               bound_sector: int, square: bool) -> DiscreteOperator:
-    """Sector blocks of D = A (x) cell_even + deriv_sign d/dt (x) cell_deriv."""
-    module, m = problem.module, problem.m
+    """Sector blocks of D = A (x) cell_even + deriv_sign d/dt (x) cell_deriv.
+
+    Both terms have cell blocks B = sign * A with A orthogonal (checked),
+    so X = kron(coeff + sign * deriv_sign * deriv, A) is stored as its
+    scalar level matrix and the cell A.
+    """
+    module, m, n = problem.module, problem.m, problem.module.n
     bound_sector *= switching_direction(problem)
     rows = m if square or bound_sector == 0 else m - 1
-    cols, n_rows = module.n * m, module.n * rows
-    # coeff and deriv, X, both Gram matrices and the window's eigenvectors
+    width = -(-(n + KERNEL_EXTRA) // n)  # level vectors in a kernel window
+    # the position eigenvectors, coeff and its symmetrization (which holds
+    # the level matrix), both scalar Gram matrices and their eigenvector
+    # windows
     check_memory("the discrete operator",
-                 8 * (2 * m * m + n_rows * cols + cols * cols + n_rows * n_rows
-                      + (cols + n_rows) * (module.n + KERNEL_EXTRA)))
+                 8 * (3 * m * m + m * m + rows * rows + (m + rows) * width))
     f_last = np.array(module.F[-1])
     plus, minus = _sector_bases(f_last)
     keep_full, keep_cut = (minus, plus) if bound_sector < 0 else (plus, minus)
-    deriv, coeff = _basis_blocks(problem)
-    cell_deriv = np.kron(np.eye(module.n), cell_deriv)
-    mat = np.kron(coeff[:rows], keep_cut.T @ np.kron(f_last, cell_even) @ keep_full)
-    mat += np.kron(deriv_sign * deriv[:rows], keep_cut.T @ cell_deriv @ keep_full)
+    cell = keep_cut.T @ np.kron(f_last, cell_even) @ keep_full
+    cell_d = keep_cut.T @ np.kron(np.eye(n), cell_deriv) @ keep_full
+    if residual_norm(CELL_TOL, [cell @ cell.T - np.eye(n)]) > CELL_TOL:
+        raise ValidationError("the coefficient cell block is not orthogonal")
+    sign = next((s for s in (1.0, -1.0)
+                 if residual_norm(CELL_TOL, [cell_d - s * cell]) <= CELL_TOL), None)
+    if sign is None:
+        raise ValidationError("the derivative cell block is not +-1 times the "
+                              "coefficient cell block")
+    step, coeff = _basis_blocks(problem)
+    level = coeff[:rows]  # a view: the derivative is added in place
+    step *= sign * deriv_sign
+    idx = np.arange(m - 1)
+    level[idx, idx + 1] += step
+    level[idx[:rows - 1] + 1, idx[:rows - 1]] -= step[:rows - 1]
     cells = [np.kron(g, cell_even) for g in module.E + module.F[:-1]] \
-        + [np.kron(np.eye(module.n), f_new_cell)]
+        + [np.kron(np.eye(n), f_new_cell)]
     gens = tuple(np.stack([keep_full.T @ g @ keep_full, keep_cut.T @ g @ keep_cut])
                  for g in cells)
-    return DiscreteOperator(matrix=mat, problem=problem,
+    return DiscreteOperator(matrix=level, cell=cell, problem=problem,
                             keep_full=keep_full, keep_cut=keep_cut,
                             lifted_E=gens[:module.r],
                             lifted_F=gens[module.r:])
@@ -249,24 +273,33 @@ def numeric_kernel(op: DiscreteOperator, tol: float = 1e-4,
     """Orthonormal basis of ker D = ker X (+) ker X^T in sector
     coordinates, and the singular-value gap report.
 
-    Each half comes from a partial eigensolve of its Gram matrix; the
-    window's magnitudes are then recomputed as the singular values of
-    X V (resp. X^T U), at the eps * sigma_max noise floor of X rather than
-    the sqrt(eps) * sigma_max floor of the Gram matrix.  sigma_max comes
-    from Lanczos.  The zero cluster is sigma < tol * sigma_max with a
+    X is one Kronecker product level (x) cell with an orthogonal cell, so
+    each singular value of the level matrix stands for n singular values
+    of X, and a right (left) singular vector v of the level matrix gives
+    the right (left) ones v (x) eta of X for every cell vector eta.  Each
+    half of the level spectrum comes from a partial eigensolve of its
+    scalar Gram matrix; the window's magnitudes are then recomputed as the
+    singular values of level V (resp. level^T U), at the eps * sigma_max
+    noise floor of X rather than the sqrt(eps) * sigma_max floor of the
+    Gram matrix.  The window holds the smallest n + extra singular values
+    of X, counted with their n-fold repeats.  sigma_max comes from
+    Lanczos.  The zero cluster is sigma < tol * sigma_max with a
     mandatory gap ratio to the first survivor.
     """
     from scipy.sparse.linalg import svds  # here, to keep `import koflow` light
 
-    mat = op.matrix
-    k = min(op.dimension - 2, op.problem.module.n + extra)
+    mat, n = op.matrix, op.cell.shape[0]
+    k = min(op.dimension - 2, n + extra)
     values, vectors = [], []
     for block in (mat, mat.T):
-        _, vecs = sla.eigh(block.T @ block, overwrite_a=True,
-                           subset_by_index=[0, min(k, block.shape[1]) - 1])
+        count = min(k, n * block.shape[1])
+        # the Gram matrix is symmetric: its Fortran-ordered transpose lets
+        # LAPACK work in place
+        _, vecs = sla.eigh((block.T @ block).T, overwrite_a=True,
+                           subset_by_index=[0, -(-count // n) - 1])
         _, svals, wt = np.linalg.svd(block @ vecs, full_matrices=False)
-        values.append(svals[::-1])
-        vectors.append(vecs @ wt[::-1].T)
+        values.append(np.repeat(svals[::-1], n)[:count])
+        vectors.append(np.kron(vecs @ wt[::-1].T, np.eye(n))[:, :count])
     values = np.concatenate(values)
     order = np.argsort(values, kind="stable")[:k]
     svals = values[order]
@@ -325,7 +358,7 @@ def analytic_profiles(problem: RSProblem, op: DiscreteOperator) -> np.ndarray:
     phi = hermite_values(problem.m, y)
     u_coef = phi.T @ (w * u_bar)
     cells = np.sqrt(2.0) * _sector_bases(np.array(module.F[-1]))[0]
-    rows = op.matrix.shape[0] // module.n
+    rows = op.matrix.shape[0]
     profiles = np.concatenate([np.kron(u_coef[:, None], op.keep_full.T @ cells),
                                np.kron(u_coef[:rows, None], op.keep_cut.T @ cells)])
     return profiles / np.linalg.norm(profiles, axis=0)

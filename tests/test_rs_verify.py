@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import rotated_irrep
 
 from koflow import clifford as cl
+from koflow import rs_verify
 from koflow.errors import ValidationError
+from koflow.numerics import split_zero_cluster
 from koflow.rs_verify import (RSProblem, analytic_profiles,
                               assemble_rs_operator, assemble_rs_operator_alt,
                               convergence_study, default_switching,
@@ -44,7 +49,7 @@ def reference_operator(module, L, m, alt=False, square=False):
 
 def materialize(op):
     """[[0, -X^T], [X, 0]] and the lifted generators as dense matrices."""
-    x = op.matrix
+    x = np.kron(op.matrix, op.cell)
     rows, cols = x.shape
     dense = np.block([[np.zeros((cols, cols)), -x.T], [x, np.zeros((rows, rows))]])
     n = op.keep_full.shape[1]
@@ -101,9 +106,65 @@ def test_block_matches_dense_reference(module, alt, square):
     assemble = assemble_rs_operator_alt if alt else assemble_rs_operator
     op = assemble(problem, square=square)
     ref, cols = reference_operator(module, 12.0, 200, alt=alt, square=square)
-    assert np.array_equal(ref[cols:, :cols], op.matrix)
-    assert np.array_equal(ref[:cols, cols:], -op.matrix.T)
+    x = np.kron(op.matrix, op.cell)
+    assert np.array_equal(ref[cols:, :cols], x)
+    assert np.array_equal(ref[:cols, cols:], -x.T)
     assert not ref[:cols, :cols].any() and not ref[cols:, cols:].any()
+
+
+@pytest.mark.parametrize("alt", [False, True])
+@pytest.mark.parametrize("square", [False, True])
+@pytest.mark.parametrize("r,s,seed", [(0, 3, 11), (0, 7, 12), (2, 3, 13)])
+def test_factored_kernel_matches_dense_svd(r, s, seed, alt, square):
+    # numeric_kernel works on the scalar level matrix; a full SVD of the
+    # dense X = kron(level, cell) must give the same window, kernel
+    # dimension and kernel
+    problem = RSProblem(rotated_irrep(r, s, seed), L=12.0, m=200)
+    op = (assemble_rs_operator_alt if alt else assemble_rs_operator)(problem, square=square)
+    basis, report = numeric_kernel(op)
+    x = np.kron(op.matrix, op.cell)
+    u, svals, vt = np.linalg.svd(x)
+    right = np.concatenate([svals, np.zeros(x.shape[1] - svals.size)])  # rows of vt
+    left = np.concatenate([svals, np.zeros(x.shape[0] - svals.size)])  # columns of u
+    k = len(report["smallest_singular_values"])
+    window = np.sort(np.concatenate([right, left]))[:k]
+    # relative agreement; the exact zeros of a rectangular X are read at
+    # the eps * sigma_max floor
+    np.testing.assert_allclose(report["smallest_singular_values"], window,
+                               rtol=1e-6, atol=1e-12 * svals[0])
+    kdim = split_zero_cluster(window / svals[0], rel_tol=1e-4, gap_ratio=100.0,
+                              abs_floor=0.0)
+    assert report["kernel_dim"] == kdim
+    assert kdim == (0 if square else problem.module.n)
+    cut = (window[kdim - 1] + window[kdim]) / 2.0 if kdim else 0.0
+    dense = sla.block_diag(vt[right < cut].T, u[:, left < cut])
+    assert dense.shape == basis.shape
+    # subspaces of equal dimension: ||P - P_dense|| = ||(I - P_dense) basis||
+    assert np.linalg.norm(basis - dense @ (dense.T @ basis), 2) < 1e-8
+
+
+def test_cells_must_form_one_kronecker_product():
+    problem = RSProblem(STANDARD, L=12.0, m=200)
+    kwargs = dict(deriv_sign=-1.0, f_new_cell=-cl.L1, bound_sector=+1, square=False)
+    with pytest.raises(ValidationError, match="not \\+-1 times"):
+        rs_verify._assemble(problem, cell_even=cl.OMEGA_11, cell_deriv=cl.K2, **kwargs)
+    with pytest.raises(ValidationError, match="not orthogonal"):
+        rs_verify._assemble(problem, cell_even=2.0 * cl.OMEGA_11,
+                            cell_deriv=2.0 * cl.K1, **kwargs)
+
+
+def test_memory_plan_bounds_traced_peak(monkeypatch):
+    planned = []
+    monkeypatch.setattr(rs_verify, "check_memory", lambda what, size: planned.append(size))
+    problem = RSProblem(STANDARD, L=12.0, m=600)
+    tracemalloc.start()
+    try:
+        numeric_kernel(assemble_rs_operator(problem))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(planned) == 1
+    assert peak <= planned[0]
 
 
 def test_sigma_max_is_largest_singular_value():
