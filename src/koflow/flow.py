@@ -29,11 +29,9 @@ from .clifford import (CliffordRep, intertwiner, irreducible_rep,
                        restrict_to_subspace)
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
-from .numerics import (min_singular_value, residual_norm, skew_phase,
-                       split_zero_cluster, svd_split)
+from .numerics import (SAMPLE_TOL, Grading, min_singular_value, residual_norm,
+                       skew_phase, split_zero_cluster, svd_split)
 from .pairs import ComplexStructure, pair_index
-
-SAMPLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,12 +39,22 @@ class SkewPath:
     """A family t in [0,1] of skew matrices anticommuting with a context.
 
     Continuity is the caller's contract; every sample is validated for
-    skewness and anticommutation.
+    skewness and anticommutation.  A path whose samples all anticommute
+    with a symmetric involution of trace 0 may declare it as its
+    `grading`: its nodes are then decomposed by the half-size SVD of
+    `svd_split`, which checks each sample against it.
     """
 
     context: CliffordRep
     fn: Callable[[float], np.ndarray]
     label: str = ""
+    grading: Grading | None = None
+
+    def __post_init__(self):
+        if self.grading is not None and self.grading.n != self.context.n:
+            raise ValidationError(
+                f"grading of dimension {self.grading.n} on a path "
+                f"of dimension {self.context.n}")
 
     def at(self, t: float) -> np.ndarray:
         mat = np.asarray(self.fn(t), dtype=float)
@@ -146,9 +154,17 @@ def _split_phase_kernel(svals: np.ndarray) -> int:
                                   label="phase kernel (regularized)")
 
 
-def complete_phase(tmat: np.ndarray, context: CliffordRep,
+def _range_phase(split):
+    """The phase u[:, :rank] @ vt[:rank] of a split (u, s, vt, k) on the
+    range, and the kernel basis vt[rank:]^T."""
+    u, _, vt, k = split
+    rank = u.shape[0] - k
+    return u[:, :rank] @ vt[:rank], vt[rank:].T.copy()
+
+
+def complete_phase(tmat: np.ndarray | tuple, context: CliffordRep,
                    align_hint: np.ndarray | None = None,
-                   seed: int = 0) -> ComplexStructure:
+                   seed: int = 0, grading: Grading | None = None) -> ComplexStructure:
     """Complete a skew generator-anticommuting matrix to a complex structure.
 
     Equal to T|T|^-1 on the complement of the kernel cluster; on the
@@ -156,16 +172,23 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
     generators, chosen canonically (or following `align_hint`).  Raises
     ObstructionError when the kernel module does not extend (for example
     an odd-dimensional kernel with empty context).
+
+    T is split by `svd_split` (graded when `grading` is given).  `tmat`
+    may also be given as the (range phase, kernel basis) of that split:
+    the flow splits its endpoints first, to check that they are
+    invertible.
     """
-    tmat = np.asarray(tmat, dtype=float)
     n = context.n
-    if tmat.shape != (n, n):
-        raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
-    u, _, vt, k = svd_split(tmat, _split_phase_kernel)
-    rank = n - k
-    j = u[:, :rank] @ vt[:rank]
+    if isinstance(tmat, tuple):
+        j, basis = tmat
+    else:
+        tmat = np.asarray(tmat, dtype=float)
+        if tmat.shape != (n, n):
+            raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
+        j, basis = _range_phase(svd_split(tmat, _split_phase_kernel, grading))
+        del tmat  # the structure below needs only j and the basis
+    k = basis.shape[1]
     if k > 0:
-        basis = vt[rank:].T
         try:
             kernel_rep = restrict_to_subspace(context, basis, 1e-8)
         except ValidationError as exc:
@@ -192,18 +215,22 @@ def _flow_degree(context: CliffordRep) -> int:
     return (context.s + 2 - context.r) % 8
 
 
-def _endpoint_samples(path: SkewPath, opts: FlowOptions):
-    """(T(0), T(1)), each sampled and validated once; raises
-    ValidationError when an endpoint is not invertible."""
-    samples = []
+def _split_endpoints(path: SkewPath, opts: FlowOptions):
+    """The (range phase, kernel basis) of T(0) and T(1), each sampled,
+    validated and decomposed once; raises ValidationError when an
+    endpoint is not invertible, before its kernel cluster is split."""
+    splits = []
     for t_end in (0.0, 1.0):
-        samples.append(path.at(t_end))
-        smin = min_singular_value(samples[-1])
-        if smin < opts.inv_tol:
-            raise ValidationError(
-                f"endpoint t={t_end} is not invertible "
-                f"(smallest singular value {smin:.3e} < {opts.inv_tol})")
-    return tuple(samples)
+        def split(svals, t_end=t_end):
+            smin = float(svals[0]) if svals.size else np.inf
+            if smin < opts.inv_tol:
+                raise ValidationError(
+                    f"endpoint t={t_end} is not invertible "
+                    f"(smallest singular value {smin:.3e} < {opts.inv_tol})")
+            return _split_phase_kernel(svals)
+
+        splits.append(_range_phase(svd_split(path.at(t_end), split, path.grading)))
+    return tuple(splits)
 
 
 def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
@@ -216,22 +243,22 @@ def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
     once, with the left phase as its alignment hint.
     """
     opts = opts or FlowOptions()
-    ctx = path.context
+    ctx, grading = path.context, path.grading
     degree = _flow_degree(ctx)
-    t0_mat, t1_mat = _endpoint_samples(path, opts)
+    t0_node, t1_node = _split_endpoints(path, opts)
     if ctx.n == 0:
         return KOClass.of(degree, 0)
 
     total = KOClass.of(degree, 0)
-    a, ja = 0.0, complete_phase(t0_mat, ctx, seed=opts.seed)
-    del t0_mat  # T(1) is kept for the last node; T(0) is done with
+    a, ja = 0.0, complete_phase(t0_node, ctx, seed=opts.seed)
+    del t0_node  # the range phase of T(1) is kept for the last node
     m = max(1, opts.initial_segments)
     pending = [(i / m, 0, None) for i in range(m, 0, -1)]
     while pending:
         b, depth, jb = pending.pop()
         if jb is None:
-            jb = complete_phase(t1_mat if b == 1.0 else path.at(b), ctx,
-                                align_hint=ja.J, seed=opts.seed)
+            jb = complete_phase(t1_node if b == 1.0 else path.at(b), ctx,
+                                align_hint=ja.J, seed=opts.seed, grading=grading)
         if residual_norm(opts.phase_bound, [ja.J - jb.J]) > opts.phase_bound:
             # phases not 0.9-close: the pair kernel may be nonempty
             try:
@@ -254,11 +281,11 @@ def endpoint_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
     theorem makes this an independent oracle for spectral_flow."""
     opts = opts or FlowOptions()
     ctx = path.context
-    t0_mat, t1_mat = _endpoint_samples(path, opts)
+    t0_node, t1_node = _split_endpoints(path, opts)
     if ctx.n == 0:
         return KOClass.of(_flow_degree(ctx), 0)
-    j0 = complete_phase(t0_mat, ctx, seed=opts.seed)
-    j1 = complete_phase(t1_mat, ctx, seed=opts.seed)
+    j0 = complete_phase(t0_node, ctx, seed=opts.seed)
+    j1 = complete_phase(t1_node, ctx, seed=opts.seed)
     value, _ = pair_index(j0, j1)
     return value
 

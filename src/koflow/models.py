@@ -17,27 +17,30 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, schur
 
 from .clifford import K1, K2, L1, CliffordRep
 from .errors import ValidationError
 from .flow import SkewPath
-from .numerics import check_memory, op_norm, residual_norm, sym_eigh
+from .numerics import Grading, check_memory, op_norm, residual_norm, sym_eigh
 
 REALIFY_TOL = 1e-10
 # n x n arrays that one step of the flow walk holds at its peak, measured
-# with tracemalloc: 10.1 on the Kitaev flow at N = 64, 9.0 at N = 128 and
-# on the Cl_{0,7} flux flow at N = 48.  They are T(1), the left phase and,
-# inside complete_phase, the sample, the singular vectors and the phase
-# being built and checked.  Each bisection level in progress holds one
-# more phase on top of this count; LAPACK's own SVD workspace, allocated
-# outside Python, is not in it.
-NODE_ARRAYS = 11
-# n x n arrays of LAPACK workspace that the node SVD (gesdd) takes outside
-# Python's allocator, on top of NODE_ARRAYS: one np.linalg.svd of a
-# 2048 x 2048 skew matrix raised ru_maxrss by 6.6 n^2 doubles, of which
+# with tracemalloc: 9.1 on the graded Kitaev flow at N = 64 (9.0 at
+# N = 128, and ungraded at N = 63 and 65) and 6.0 on the graded Cl_{0,7}
+# flux flow at N = 48.  They are the range phase of T(1), the left phase
+# and, inside a node, the sample with its realification or its split and
+# the phase being built and checked.  Each bisection level in progress
+# holds one more phase on top of this count; LAPACK's own SVD workspace,
+# allocated outside Python, is not in it.
+NODE_ARRAYS = 10
+# n x n arrays of LAPACK workspace that a dense n x n SVD (gesdd) takes
+# outside Python's allocator, on top of NODE_ARRAYS: one np.linalg.svd of
+# a 2048 x 2048 skew matrix raised ru_maxrss by 6.6 n^2 doubles, of which
 # the returned u and vt are 2 (numpy 2.4, OpenBLAS, 2 threads); 4.6,
-# rounded up.
+# rounded up.  A graded node decomposes only its n/2 x n/2 block (the
+# whole graded split raised ru_maxrss by 1.3 n^2 at n = 2048), but the
+# pair kernels still take dense n x n SVDs, so every path counts 5.
 SVD_WORKSPACE_ARRAYS = 5
 
 
@@ -216,16 +219,21 @@ def kitaev_path(spec: LatticeSpec) -> SkewPath:
     (antiperiodic) chain.  H_alpha = S_alpha + S_alpha^* with S_alpha =
     shift (x) B plus the flux correction on the (0 -> 1) bond block; the
     flux-free part S_0 + S_0^* is built once.
+
+    For even N every bond joins the two sublattices, so the sublattice
+    parity diag((-1)^j) (x) I_2 anticommutes with each H_alpha and
+    commutes with C: realified, it is the path's grading.
     """
     if not (spec.mu == 0.0 and spec.w == -1.0):
         raise ValidationError(
             "only the sweet spot mu = 0, w = -1 is implemented")
     n = spec.N
-    # the ring shift, the S and H parts (4), M and its eigenvectors (2)
-    # and one step of the flow walk with its SVD workspace, counted before
-    # any of them is allocated
+    # the ring shift, the S and H parts (4), M and its eigenvectors (2),
+    # the grading's bases (1) and one step of the flow walk with its SVD
+    # workspace, counted before any of them is allocated (building the
+    # grading takes fewer arrays than the walk, and before it)
     check_memory(f"the Kitaev chain at N={n}",
-                 8 * (n * n + (6 + NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * (2 * n) ** 2))
+                 8 * (n * n + (7 + NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * (2 * n) ** 2))
     shift = _ring_shift(n)
     s_re = np.kron(shift, _B_BLOCK.re)
     s_im = np.kron(shift, _B_BLOCK.im)
@@ -233,6 +241,10 @@ def kitaev_path(spec: LatticeSpec) -> SkewPath:
     h_im = s_im - s_im.T
     rs = RealStructure(2 * n, np.kron(np.eye(n), K2))
     ctx = CliffordRep(0, 0, 2 * n)
+    grading = None
+    if n % 2 == 0:
+        parity = np.kron(np.diag((-1.0) ** np.arange(n)), np.eye(2))
+        grading = Grading(realify(rs, CMat.real(parity)))
 
     def sample(alpha: float) -> np.ndarray:
         corr = _bond_correction(alpha)
@@ -243,7 +255,8 @@ def kitaev_path(spec: LatticeSpec) -> SkewPath:
         im[0:2, 2:4] -= corr.im.T
         return realify(rs, CMat(np.negative(im, out=im), re))  # i H_alpha
 
-    return SkewPath(ctx, sample, label=f"kitaev flux insertion, N={n}")
+    return SkewPath(ctx, sample, label=f"kitaev flux insertion, N={n}",
+                    grading=grading)
 
 
 def flux_path(module: CliffordRep, N: int) -> SkewPath:
@@ -265,7 +278,9 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     copy of the module.
 
     The context generators are I_N (x) g for the cell generators g and
-    carry copies = N, so products with them run cell by cell.
+    carry copies = N, so products with them run cell by cell.  The
+    grading is I_N (x) g for the g that anticommutes with F_{s+1}: with
+    the real Schur form F_{s+1} = Z (+) [[0, b], [-b, 0]] Z^T, g = Z (+) K1 Z^T.
     """
     if module.s < 1:
         raise ValidationError("the unit-cell module needs at least one skew generator")
@@ -284,6 +299,8 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
                       E=tuple(np.kron(np.eye(N), g) for g in module.E),
                       F=tuple(np.kron(np.eye(N), g) for g in module.F[:-1]),
                       copies=N)
+    _, z = schur(f_last, output="real")
+    grading = Grading(z @ np.kron(np.eye(module.n // 2), K1) @ z.T, copies=N)
 
     def sample(alpha: float) -> np.ndarray:
         pot = 2.0 * np.ones(N)
@@ -293,7 +310,7 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
 
     return SkewPath(ctx, sample,
                     label=f"single-cell gap inversion, N={N}, "
-                          f"cell ({module.r},{module.s})")
+                          f"cell ({module.r},{module.s})", grading=grading)
 
 
 # ---------------------------------------------------------------------------

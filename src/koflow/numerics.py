@@ -14,8 +14,14 @@ Residual convention: every structural check goes through
 `residual_norm`, which tries the Frobenius bound ||R||_2 <= ||R||_F first
 and takes the exact 2-norm (`op_norm`, an SVD) only when that bound fails.
 A non-finite residual fails every check: it counts as inf, with no SVD.
+
+Graded convention: a skew T that anticommutes with a symmetric involution
+G of trace 0 (a `Grading`) maps each eigenspace of G to the other, so one
+SVD of the n/2 x n/2 block between them gives the SVD of T.
 """
 from __future__ import annotations
+
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -24,6 +30,8 @@ from .errors import AmbiguousKernelError, ValidationError
 # Default guards, shared by kernel extraction everywhere.
 ZERO_CLUSTER_REL_TOL = 1e-8
 GAP_RATIO_GUARD = 1e3
+# Residual bound for a path sample: skewness, anticommutation, grading.
+SAMPLE_TOL = 1e-10
 # Bytes that the large arrays of one problem may take together.
 MEMORY_BUDGET = 4 * 2 ** 30
 
@@ -71,6 +79,66 @@ def sym_eigh(mat: np.ndarray):
     return np.linalg.eigh((mat + mat.T) / 2.0)
 
 
+@dataclass(frozen=True)
+class Grading:
+    """A symmetric orthogonal involution G = I_copies (x) g of trace 0.
+
+    Kept as the orthonormal eigenbasis `basis` = [minus, plus] of the
+    c x c cell g: c/2 columns spanning its -1 eigenspace, then c/2
+    spanning its +1 eigenspace.  `right`, `left` and `lift` apply
+    I (x) basis (or one half of it) through reshapes, as CliffordRep
+    applies its cells.  g is checked on construction and not stored.
+    """
+
+    g: InitVar[np.ndarray]
+    copies: int = 1
+    basis: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, g):
+        g = np.asarray(g, dtype=float)
+        c = g.shape[0] if g.ndim == 2 else -1
+        if g.shape != (c, c) or self.copies < 1:
+            raise ValidationError(
+                f"a grading needs a square cell and copies >= 1, got shape "
+                f"{g.shape} and {self.copies} copies")
+        worst = residual_norm(SAMPLE_TOL, [g - g.T, g @ g - np.eye(c)])
+        if worst > SAMPLE_TOL:
+            raise ValidationError(
+                f"a grading must be a symmetric orthogonal involution (residual {worst:.3e})")
+        vals, vecs = sym_eigh(g)
+        if 2 * np.count_nonzero(vals < 0.0) != c:
+            raise ValidationError(f"a grading must have trace 0, got {np.trace(g):.3g}")
+        vecs.setflags(write=False)
+        object.__setattr__(self, "basis", vecs)
+
+    @property
+    def n(self) -> int:
+        return self.copies * self.basis.shape[0]
+
+    @property
+    def minus(self) -> np.ndarray:
+        return self.basis[:, :self.basis.shape[0] // 2]
+
+    @property
+    def plus(self) -> np.ndarray:
+        return self.basis[:, self.basis.shape[0] // 2:]
+
+    def right(self, mat: np.ndarray) -> np.ndarray:
+        """mat (I (x) basis) for a matrix with n columns."""
+        c = self.basis.shape[0]
+        return (mat.reshape(-1, c) @ self.basis).reshape(mat.shape)
+
+    def left(self, mat: np.ndarray) -> np.ndarray:
+        """(I (x) basis)^T mat for a matrix with n rows."""
+        c = self.basis.shape[0]
+        return (self.basis.T @ mat.reshape(self.copies, c, -1)).reshape(mat.shape)
+
+    def lift(self, half: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        """(I (x) half) mat for `minus` or `plus` and a matrix with n/2 rows."""
+        return (half @ mat.reshape(self.copies, half.shape[1], -1)).reshape(
+            -1, mat.shape[1])
+
+
 def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL,
                        gap_ratio: float = GAP_RATIO_GUARD, label: str = "kernel",
                        abs_floor: float = 1e-12):
@@ -115,14 +183,47 @@ def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL
     return k
 
 
-def svd_split(mat: np.ndarray, split):
+def svd_split(mat: np.ndarray, split, grading: Grading | None = None):
     """One SVD mat = u diag(s) vt (s descending) and the size k of its zero
     cluster, found by `split` on the ascending singular values s[::-1].
 
     The last k rows of vt span the numerical kernel; u[:, :n-k] @ vt[:n-k]
     is the phase of mat on the complement.
+
+    With a grading, mat is skew (the caller checks) and must anticommute
+    with G.  In the basis (minus, plus) G mat + mat G is
+    2 diag(-minus^T mat minus, plus^T mat plus): those two blocks are the
+    grading check, a ValidationError above SAMPLE_TOL.  The rest of mat
+    is minus B plus^T - plus B^T minus^T with B = minus^T mat plus, so
+    B = U S W^T gives mat = [minus U, plus W] diag(S, S) [plus W, -minus U]^T:
+    each singular value of B appears twice, and u, vt are interleaved to
+    keep s descending.
     """
-    u, s, vt = np.linalg.svd(mat)
+    if grading is None:
+        u, s, vt = np.linalg.svd(mat)
+        return u, s, vt, split(s[::-1])
+    n, c = grading.n, grading.basis.shape[0]
+    if mat.shape != (n, n):
+        raise ValidationError(f"matrix shape {mat.shape} does not match the grading ({n})")
+    # mat in the basis I (x) [minus, plus], one c x c block per pair of cells
+    graded = grading.left(grading.right(mat)).reshape(grading.copies, c, grading.copies, c)
+    h = c // 2
+    b = graded[:, :h, :, h:].copy().reshape(n // 2, n // 2)
+    graded[:, :h, :, h:] = 0.0
+    graded[:, h:, :, :h] = 0.0
+    graded *= 2.0  # now G mat + mat G in that basis, up to the sign of a block
+    worst = residual_norm(SAMPLE_TOL, [graded.reshape(n, n)])
+    if worst > SAMPLE_TOL:
+        raise ValidationError(f"matrix breaks its grading (residual {worst:.3e})")
+    del graded
+    ub, sb, wbt = np.linalg.svd(b)
+    minus, plus = grading.minus, grading.plus
+    u, vt = np.empty((n, n)), np.empty((n, n))
+    u[:, 0::2] = grading.lift(minus, ub)
+    u[:, 1::2] = grading.lift(plus, wbt.T)
+    vt[0::2] = u[:, 1::2].T
+    np.negative(u[:, 0::2].T, out=vt[1::2])
+    s = np.repeat(sb, 2)
     return u, s, vt, split(s[::-1])
 
 

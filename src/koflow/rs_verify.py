@@ -283,8 +283,10 @@ def numeric_kernel(op: DiscreteOperator, tol: float = 1e-4,
     noise floor of X rather than the sqrt(eps) * sigma_max floor of the
     Gram matrix.  The window holds the smallest n + extra singular values
     of X, counted with their n-fold repeats.  sigma_max comes from
-    Lanczos.  The zero cluster is sigma < tol * sigma_max with a
-    mandatory gap ratio to the first survivor.
+    Lanczos.  The zero cluster is split off the window in units of
+    sigma_max by `split_zero_cluster`, which scales its cut by the largest
+    value it is given: the cut is tol times the top of the window, not
+    tol * sigma_max, with a mandatory gap ratio to the first survivor.
     """
     from scipy.sparse.linalg import svds  # here, to keep `import koflow` light
 

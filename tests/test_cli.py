@@ -296,6 +296,12 @@ def _golden_module_file(tmp_path):
     return str(module_file)
 
 
+def _golden_cl01_file(tmp_path):
+    module_file = tmp_path / "cl01.json"
+    module_file.write_text(json.dumps(cl.rep_to_json(cl.irreducible_rep(0, 1))))
+    return str(module_file)
+
+
 def _golden_rotated_cl07_file(tmp_path):
     module_file = tmp_path / "cl07.json"
     module_file.write_text(json.dumps(cl.rep_to_json(rotated_irrep(0, 7, seed=7))))
@@ -307,6 +313,11 @@ GOLDEN = {
                         '{"degree": 2, "group": "Z2", "value": 1}\n'),
     "kitaev-N8-seed3": (["kitaev", "--N", "8", "--seed", "3"], {},
                         '{"degree": 2, "group": "Z2", "value": 1}\n'),
+    "kitaev-N9": (["kitaev", "--N", "9"], {},
+                  '{"degree": 2, "group": "Z2", "value": 1}\n'),
+    "flux-cl01-N4": (["flux", "--N", "4"], {"--module": _golden_cl01_file},
+                     '{"class": {"degree": 2, "group": "Z2", "value": 1}, '
+                     '"module_class": {"degree": 2, "group": "Z2", "value": 1}}\n'),
     "flux-cl03-N3": (["flux", "--N", "3"], {"--module": _golden_module_file},
                      '{"class": {"degree": 4, "group": "Z", "value": 1}, '
                      '"module_class": {"degree": 4, "group": "Z", "value": 1}}\n'),

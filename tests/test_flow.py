@@ -13,7 +13,7 @@ from koflow.flow import (FlowOptions, SkewPath, _split_phase_kernel, cayley,
                          clamp_phase, classical_sf, complete_phase,
                          endpoint_flow, spectral_flow)
 from koflow.models import LatticeSpec, kitaev_path
-from koflow.numerics import (min_singular_value, random_orthogonal,
+from koflow.numerics import (Grading, min_singular_value, random_orthogonal,
                              random_skew, split_zero_cluster, svd_split,
                              sym_eigh)
 from koflow.pairs import ComplexStructure
@@ -53,6 +53,88 @@ def test_sample_validation():
     bad = SkewPath(ctx, lambda t: np.eye(2))
     with pytest.raises(ValidationError):
         bad.at(0.0)
+
+
+def test_singular_endpoint_errors_keep_their_order():
+    # T(0) is sampled, checked and split before T(1) is sampled; the check
+    # reads the node's own singular values against inv_tol, before any
+    # kernel completion (a zero T(0) on R^3 would be obstructed)
+    ctx3 = cl.CliffordRep(0, 0, 3)
+    with pytest.raises(ValidationError, match="endpoint t=0.0 is not invertible"):
+        spectral_flow(SkewPath(ctx3, lambda t: np.zeros((3, 3))))
+    # singular values whose kernel split is ambiguous even when regularized
+    ramp = np.kron(np.diag([5e-9, 2e-6, 5e-4, 5e-3, 4e-2, 1.0]), cl.L1)
+    with pytest.raises(AmbiguousKernelError):
+        _split_phase_kernel(np.linalg.svd(ramp, compute_uv=False)[::-1])
+    with pytest.raises(ValidationError, match="endpoint t=0.0 is not invertible"):
+        spectral_flow(SkewPath(cl.CliffordRep(0, 0, 12), lambda t: ramp))
+    ctx = cl.CliffordRep(0, 0, 4)
+
+    def path(t0, t1):
+        return SkewPath(ctx, lambda t: np.kron(np.diag([1.0, t0 if t < 0.5 else t1]), cl.L1))
+
+    not_skew = np.eye(4)
+    broken = SkewPath(ctx, lambda t: not_skew if t > 0.5 else np.zeros((4, 4)))
+    cases = [(path(0.0, 1.0), "endpoint t=0.0 is not invertible"),
+             (path(1.0, 0.0), "endpoint t=1.0 is not invertible"),
+             (path(0.0, 0.0), "endpoint t=0.0"),
+             (broken, "endpoint t=0.0"),
+             (SkewPath(ctx, lambda t: not_skew), "violates skewness")]
+    for p, message in cases:
+        for solve in (spectral_flow, endpoint_flow):
+            with pytest.raises(ValidationError, match=message):
+                solve(p)
+    opts = FlowOptions(inv_tol=1e-3)
+    with pytest.raises(ValidationError, match=r"5\.000e-04 < 0\.001"):
+        spectral_flow(path(5e-4, 1.0), opts)
+    assert spectral_flow(path(2e-3, 1.0), opts).value == 0
+
+
+def test_endpoint_checks_take_no_extra_svd(monkeypatch):
+    # each sample is decomposed once, by its node SVD, which also gives
+    # the endpoint check: no values-only SVD, T(1) not decomposed twice
+    svd = np.linalg.svd
+    calls, in_pair = [], []
+
+    def counted(mat, *args, **kwargs):
+        calls.append((mat.shape, kwargs.get("compute_uv", True), bool(in_pair)))
+        return svd(mat, *args, **kwargs)
+
+    def tracked_pair(j0, j1):
+        in_pair.append(True)
+        try:
+            return pair_index(j0, j1)
+        finally:
+            in_pair.pop()
+
+    pair_index = flow.pair_index
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(flow, "pair_index", tracked_pair)
+    base = kitaev_path(LatticeSpec(9))
+    times = []
+
+    def sampled(t):
+        times.append(t)
+        return base.fn(t)
+
+    assert spectral_flow(SkewPath(base.context, sampled)).value == 1
+    nodes = [shape for shape, _, inside in calls if shape == (18, 18) and not inside]
+    assert all(uv for shape, uv, _ in calls if shape == (18, 18))
+    assert nodes == [(18, 18)] * len(times)
+
+
+def test_path_sample_off_its_grading_raises():
+    # the grading is checked on every node by the split itself
+    ctx = cl.CliffordRep(0, 0, 4)
+    grading = Grading(np.kron(np.eye(2), cl.K1))
+    t_good = np.kron(np.diag([1.0, -1.0]), cl.L1)
+    assert spectral_flow(SkewPath(ctx, lambda t: t_good, grading=grading)).value == 0
+    off = np.kron(cl.L1, np.diag([1.0, 0.0]))  # commutes with I (x) K1
+    drifting = SkewPath(ctx, lambda t: t_good + (t > 0.6) * off, grading=grading)
+    with pytest.raises(ValidationError, match="breaks its grading"):
+        spectral_flow(drifting)
+    with pytest.raises(ValidationError, match="grading of dimension 4"):
+        SkewPath(cl.CliffordRep(0, 0, 6), lambda t: np.zeros((6, 6)), grading=grading)
 
 
 @pytest.mark.parametrize("r,sp", [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2),
@@ -320,8 +402,8 @@ def test_walk_holds_left_phase_and_one_per_bisection_level(monkeypatch):
     counts = []
     complete = flow.complete_phase
 
-    def tracked(tmat, context, align_hint=None, seed=0):
-        j = complete(tmat, context, align_hint=align_hint, seed=seed)
+    def tracked(tmat, context, align_hint=None, seed=0, grading=None):
+        j = complete(tmat, context, align_hint=align_hint, seed=seed, grading=grading)
         live.append(weakref.ref(j))
         counts.append(sum(ref() is not None for ref in live))
         return j

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koflow import clifford as cl
+from koflow import flow
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
 from koflow.flow import (FlowOptions, SkewPath, classical_sf, complete_phase,
@@ -181,6 +182,54 @@ def test_kitaev_flow_peak_within_node_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= NODE_ARRAYS * 8 * (2 * n_ring) ** 2
+
+
+def _lattice_path(name):
+    if name.startswith("kitaev"):
+        return kitaev_path(LatticeSpec(int(name.split("-N")[1])))
+    s, n_ring = {"flux-cl01": (1, 5), "flux-cl03": (3, 4), "flux-cl07": (7, 3)}[name]
+    return flux_path(rotated_irrep(0, s, seed=s), n_ring)
+
+
+@pytest.mark.parametrize("name", ["kitaev-N4", "kitaev-N8", "kitaev-N64", "kitaev-N9",
+                                  "flux-cl01", "flux-cl03", "flux-cl07"])
+def test_graded_flow_matches_ungraded_and_endpoint(name):
+    # even rings and every flux cell carry a grading, odd rings none; the
+    # half-size node SVD leaves the class where the dense route puts it
+    path = _lattice_path(name)
+    assert (path.grading is None) == (name == "kitaev-N9")
+    ungraded = SkewPath(path.context, path.fn)
+    assert spectral_flow(path) == spectral_flow(ungraded) == endpoint_flow(path)
+
+
+def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
+    # Kitaev N = 8 acts on R^16; graded, every node SVD is of the 8 x 8
+    # sector block, and only the pair kernels take a 16 x 16 one
+    svd = np.linalg.svd
+    shapes, in_pair = [], []
+
+    def counted(mat, *args, **kwargs):
+        if not in_pair:
+            shapes.append(mat.shape)
+        return svd(mat, *args, **kwargs)
+
+    def tracked_pair(j0, j1):
+        in_pair.append(True)
+        try:
+            return pair_index(j0, j1)
+        finally:
+            in_pair.pop()
+
+    pair_index = flow.pair_index
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(flow, "pair_index", tracked_pair)
+    path = kitaev_path(LatticeSpec(8))
+    for p in (path, SkewPath(path.context, path.fn)):
+        shapes.clear()
+        assert spectral_flow(p).value == 1
+        nodes = [shape for shape in shapes if shape[0] >= 8]
+        assert len(nodes) >= 17
+        assert set(nodes) == ({(8, 8)} if p.grading else {(16, 16)})
 
 
 def test_kitaev_rejects_other_couplings():
