@@ -1,5 +1,5 @@
 """Physical model builders: particle-hole symmetric lattice Hamiltonians
-realified to skew paths.
+as skew paths.
 
 Complex matrices are carried as pairs of real matrices (real and
 imaginary part); no complex dtype enters the numerical core.  An
@@ -9,7 +9,12 @@ operators commuting with C restrict to real matrices there.  In the
 eigenbasis V of M an operator A commutes with C exactly when V^T Re(A) V
 is block diagonal and V^T Im(A) V block off-diagonal for the (-1, +1)
 split of M, so `realify` checks and realifies with one real compression
-by V.
+by V; the class AII paths and library input go through it.
+
+The Kitaev chain needs no realification: its C = I_N (x) K2 conj acts
+site by site, and `kitaev_path` writes each sample straight in a
+site-ordered Majorana basis, a real skew matrix with closed-form 2 x 2
+blocks, graded (for even N) by one 4 x 4 cell tiled N/2 times.
 """
 from __future__ import annotations
 
@@ -26,14 +31,14 @@ from .numerics import Grading, check_memory, op_norm, residual_norm, sym_eigh
 
 REALIFY_TOL = 1e-10
 # n x n arrays that one step of the flow walk holds at its peak, measured
-# with tracemalloc: 9.1 on the graded Kitaev flow at N = 64 (9.0 at
-# N = 128, and ungraded at N = 63 and 65) and 6.0 on the graded Cl_{0,7}
-# flux flow at N = 48.  They are the range phase of T(1), the left phase
-# and, inside a node, the sample with its realification or its split and
-# the phase being built and checked.  Each bisection level in progress
-# holds one more phase on top of this count; LAPACK's own SVD workspace,
-# allocated outside Python, is not in it.
-NODE_ARRAYS = 10
+# with tracemalloc: 7.1 on the Kitaev flow at N = 63 and 64, graded or not
+# (7.2 at N = 32, 6.3 at N = 128), and 6.3 on the graded Cl_{0,7} flux
+# flow at N = 48.  They are the range phase of T(1), the left phase and,
+# inside a node, the sample with its split and the phase being built and
+# checked.  Each bisection level in progress holds one more phase on top
+# of this count; LAPACK's own SVD workspace, allocated outside Python, is
+# not in it.
+NODE_ARRAYS = 8
 # n x n arrays of LAPACK workspace that a dense n x n SVD (gesdd) takes
 # outside Python's allocator, on top of NODE_ARRAYS: one np.linalg.svd of
 # a 2048 x 2048 skew matrix raised ru_maxrss by 6.6 n^2 doubles, of which
@@ -185,75 +190,77 @@ class LatticeSpec:
             raise ValidationError(f"ring length must be at least 3, got {self.N}")
 
 
-# Pairing block of the hopping term: (1/2) [[1, i], [i, -1]].
-_B_BLOCK = CMat(K1 / 2.0, K2 / 2.0)
+# Majorana basis of one site: the columns (1, 1)/sqrt(2) and
+# i (1, -1)/sqrt(2) span the fixed space of C = K2 conj on C^2.  In it the
+# hopping block of site j to site j + 1 of i H_0, i B with B = (1/2)
+# [[1, i], [i, -1]], is the real block _BOND.
+_BOND = 0.5 * np.array([[-1.0, -1.0], [1.0, 1.0]])
 
 
-def _bond_correction(alpha: float) -> CMat:
-    """Flux-dependent correction added to the (0 -> 1) bond block.
+def _seam_block(alpha: float) -> np.ndarray:
+    """Real block of i H_alpha from site 0 to site 1.
 
-    (1/2) [[e^{-i pi a} - 1,  i(e^{i pi a} - 1)],
-           [i(e^{-i pi a} - 1),  -(e^{i pi a} - 1)]]
+    The flux turns the seam hopping B into B diag(e^{-i pi a}, e^{i pi a});
+    that diagonal commutes with C and its real form is the rotation
+    [[c, s], [-s, c]], c = cos(pi a), s = sin(pi a).
     """
     c = np.cos(np.pi * alpha)
     s = np.sin(np.pi * alpha)
-    re = 0.5 * np.array([[c - 1.0, -s], [s, -(c - 1.0)]])
-    im = 0.5 * np.array([[-s, c - 1.0], [c - 1.0, -s]])
-    return CMat(re, im)
+    return _BOND @ np.array([[c, s], [-s, c]])
 
 
 def _ring_shift(n: int) -> np.ndarray:
-    shift = np.zeros((n, n))
-    for j in range(n):
-        shift[(j + 1) % n, j] = 1.0
-    return shift
+    """The cyclic shift e_j -> e_{j+1 mod n}."""
+    return np.roll(np.eye(n), 1, axis=0)
 
 
 def kitaev_path(spec: LatticeSpec) -> SkewPath:
     """Flux insertion through one bond of the closed Kitaev chain at the
     sweet spot (mu = 0, w = -1).
 
-    The path alpha -> realify(i H_alpha) lives on a 2N-dimensional real
-    space with empty Clifford context; both endpoints have spectrum in
-    {-1, +1}, the alpha = 1 endpoint being the sign-flipped-bond
-    (antiperiodic) chain.  H_alpha = S_alpha + S_alpha^* with S_alpha =
-    shift (x) B plus the flux correction on the (0 -> 1) bond block; the
-    flux-free part S_0 + S_0^* is built once.
+    The path alpha -> i H_alpha lives on a 2N-dimensional real space with
+    empty Clifford context; both endpoints have spectrum in {-1, +1}, the
+    alpha = 1 endpoint being the sign-flipped-bond (antiperiodic) chain.
+    H_alpha = S_alpha + S_alpha^* with S_alpha = shift (x) B, the (0 -> 1)
+    bond block carrying the flux.
+
+    Each sample is written straight in the site-ordered Majorana basis
+    I_N (x) W, W the real basis of one site's fixed space of C = K2 conj:
+    i H_alpha is a real skew matrix with closed-form 2 x 2 blocks
+    (`_BOND` on every bond, `_seam_block(alpha)` on the seam).  The
+    flux-free matrix is built once; a sample copies it and patches the
+    two seam blocks.
 
     For even N every bond joins the two sublattices, so the sublattice
     parity diag((-1)^j) (x) I_2 anticommutes with each H_alpha and
-    commutes with C: realified, it is the path's grading.
+    commutes with C.  W is site-local, so in the Majorana basis the parity
+    is I_{N/2} (x) diag(1, 1, -1, -1): the path's grading, one 4 x 4 cell
+    tiled N/2 times.
     """
     if not (spec.mu == 0.0 and spec.w == -1.0):
         raise ValidationError(
             "only the sweet spot mu = 0, w = -1 is implemented")
     n = spec.N
-    # the ring shift, the S and H parts (4), M and its eigenvectors (2),
-    # the grading's bases (1) and one step of the flow walk with its SVD
-    # workspace, counted before any of them is allocated (building the
-    # grading takes fewer arrays than the walk, and before it)
+    # the flux-free matrix (1) and one step of the flow walk with its SVD
+    # workspace, counted before any of them is allocated
     check_memory(f"the Kitaev chain at N={n}",
-                 8 * (n * n + (7 + NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * (2 * n) ** 2))
-    shift = _ring_shift(n)
-    s_re = np.kron(shift, _B_BLOCK.re)
-    s_im = np.kron(shift, _B_BLOCK.im)
-    h_re = s_re + s_re.T
-    h_im = s_im - s_im.T
-    rs = RealStructure(2 * n, np.kron(np.eye(n), K2))
+                 8 * (1 + NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * (2 * n) ** 2)
+    sites = np.arange(n)
+    flux_free = np.zeros((2 * n, 2 * n))
+    blocks = flux_free.reshape(n, 2, n, 2)  # [site, row, site, column]
+    blocks[(sites + 1) % n, :, sites, :] = _BOND
+    blocks[sites, :, (sites + 1) % n, :] = -_BOND.T
     ctx = CliffordRep(0, 0, 2 * n)
     grading = None
     if n % 2 == 0:
-        parity = np.kron(np.diag((-1.0) ** np.arange(n)), np.eye(2))
-        grading = Grading(realify(rs, CMat.real(parity)))
+        grading = Grading(np.diag([1.0, 1.0, -1.0, -1.0]), copies=n // 2)
 
     def sample(alpha: float) -> np.ndarray:
-        corr = _bond_correction(alpha)
-        re, im = h_re.copy(), h_im.copy()
-        re[2:4, 0:2] += corr.re
-        re[0:2, 2:4] += corr.re.T
-        im[2:4, 0:2] += corr.im
-        im[0:2, 2:4] -= corr.im.T
-        return realify(rs, CMat(np.negative(im, out=im), re))  # i H_alpha
+        seam = _seam_block(alpha)
+        mat = flux_free.copy()
+        mat[2:4, 0:2] = seam
+        mat[0:2, 2:4] = -seam.T
+        return mat
 
     return SkewPath(ctx, sample, label=f"kitaev flux insertion, N={n}",
                     grading=grading)
@@ -293,7 +300,8 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
                  8 * (3 * N * N + (module.r + module.s - 1 + NODE_ARRAYS
                                    + SVD_WORKSPACE_ARRAYS) * dim * dim))
     module.validate(1e-10)
-    ring = (_ring_shift(N) + _ring_shift(N).T) / 2.0
+    shift = _ring_shift(N)
+    ring = (shift + shift.T) / 2.0
     f_last = np.array(module.F[-1])
     ctx = CliffordRep(module.r, module.s - 1, dim,
                       E=tuple(np.kron(np.eye(N), g) for g in module.E),

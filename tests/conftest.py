@@ -21,3 +21,28 @@ def rotated_irrep(r, s, seed, chirality=None):
     q = random_orthogonal(np.random.default_rng(seed), rep.n)
     return CliffordRep(r, s, rep.n, E=tuple(q @ g @ q.T for g in rep.E),
                        F=tuple(q @ g @ q.T for g in rep.F))
+
+
+# Complex reference of the Kitaev flux insertion, written apart from
+# koflow.models: the pairing block B of the bond j -> j + 1 and the seam
+# correction that threads flux alpha through the bond 0 -> 1.
+KITAEV_B = 0.5 * np.array([[1.0, 1.0j], [1.0j, -1.0]])
+# the site's Majorana basis: columns (1, 1)/sqrt(2) and i (1, -1)/sqrt(2),
+# fixed by C = K2 conj
+MAJORANA_SITE = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / np.sqrt(2.0)
+
+
+def kitaev_seam_correction(alpha):
+    """(1/2) [[e^{-i pi a} - 1, i(e^{i pi a} - 1)],
+              [i(e^{-i pi a} - 1), -(e^{i pi a} - 1)]]"""
+    down, up = np.exp(-1j * np.pi * alpha) - 1.0, np.exp(1j * np.pi * alpha) - 1.0
+    return 0.5 * np.array([[down, 1j * up], [1j * down, -up]])
+
+
+def complex_kitaev(n_ring, alpha):
+    """The complex 2N x 2N Hamiltonian H_alpha = S_alpha + S_alpha^*."""
+    bond = np.zeros((n_ring, n_ring))
+    bond[1, 0] = 1.0
+    s_alpha = np.kron(np.roll(np.eye(n_ring), 1, axis=0), KITAEV_B) \
+        + np.kron(bond, kitaev_seam_correction(alpha))
+    return s_alpha + s_alpha.conj().T

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from koflow import clifford as cl
+from koflow import cli as cli_mod
 from koflow import models
 from koflow.cli import main
 
-from conftest import rotated_irrep
+from conftest import complex_kitaev, rotated_irrep
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +99,31 @@ def test_sf_model_and_tracks(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "t,sigma1,sigma2"
     assert len(lines) == 102
+
+
+def test_kitaev_tracks_match_complex_reference(tmp_path, capsys, monkeypatch):
+    # the rows are compared before printing (the CSV keeps 12 digits, and
+    # rows near the alpha = 0.5 crossing hold 1e-16 noise)
+    written = []
+    write_csv = cli_mod._write_csv
+
+    def recorded(path, header, rows):
+        written.append(np.array(rows))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli_mod, "_write_csv", recorded)
+    out_file = tmp_path / "f.csv"
+    code, _, _ = run_cli(capsys, "kitaev", "--N", "8", "--tracks", "4",
+                         "--out", str(out_file))
+    assert code == 0
+    (rows,) = written
+    times = np.linspace(0.0, 1.0, 101)
+    reference = [np.sort(np.linalg.svd(1j * complex_kitaev(8, t), compute_uv=False))[:4]
+                 for t in times]
+    assert np.array_equal(rows[:, 0], times)
+    assert np.abs(rows[:, 1:] - reference).max() <= 1e-14
+    printed = np.loadtxt(out_file, delimiter=",", skiprows=1)
+    assert np.allclose(printed, rows, rtol=1e-11, atol=0.0)
 
 
 def test_sf_sampled_path(tmp_path, capsys):

@@ -593,7 +593,7 @@ def test_pf_sign_matches_brute_force():
         assert pf_sign(a) == np.sign(pf)
 
 
-@pytest.mark.parametrize("n_ring", list(range(3, 17)))
+@pytest.mark.parametrize("n_ring", list(range(3, 17)) + [64])
 def test_pfaffian_oracle_kitaev(n_ring):
     path = kitaev_path(LatticeSpec(n_ring))
     flips = pf_sign(path.at(0.0)) != pf_sign(path.at(1.0))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koflow import clifford as cl
-from koflow import flow
+from koflow import flow, models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
 from koflow.flow import (FlowOptions, SkewPath, classical_sf, complete_phase,
@@ -16,7 +16,8 @@ from koflow.models import (NODE_ARRAYS, CMat, LatticeSpec, RealStructure,
                            realify, standard_quaternionic)
 from koflow.numerics import op_norm, random_orthogonal
 
-from conftest import rotated_irrep
+from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev,
+                      kitaev_seam_correction, rotated_irrep)
 
 
 def test_cmat_arithmetic():
@@ -70,31 +71,48 @@ def test_realify_is_algebra_map():
                            atol=1e-10)
 
 
-def _realify_direct(m, a):
-    """Reference realification: (V Phi)^H A (V Phi) in complex arithmetic,
-    Phi = 1 on the +1 eigenvectors of M and i on the -1 eigenvectors."""
-    vals, vecs = np.linalg.eigh(m)
-    w = vecs * np.where(vals > 0.0, 1.0, 1j)
+def _realify_direct(w, a):
+    """Reference realification: w^H A w in complex arithmetic, for a
+    basis w of the fixed subspace of C."""
     return w.conj().T @ a @ w
+
+
+def _eigh_basis(m):
+    """The fixed-subspace basis V Phi that `RealStructure` reads off
+    eigh(M): Phi = 1 on the +1 eigenvectors of M, i on the -1 ones."""
+    vals, vecs = np.linalg.eigh(m)
+    return vecs * np.where(vals > 0.0, 1.0, 1j)
 
 
 @pytest.mark.parametrize("n_ring", [3, 8, 64])
 def test_kitaev_samples_match_dense_reference(n_ring):
-    from koflow.models import _B_BLOCK, _bond_correction
-    shift = np.roll(np.eye(n_ring), 1, axis=0)
-    bond = np.zeros((n_ring, n_ring))
-    bond[1, 0] = 1.0
-    cell = np.eye(1)
-    b_block = _B_BLOCK.re + 1j * _B_BLOCK.im
-    m = np.kron(np.eye(n_ring), cl.K2)
+    # the builder writes i H_alpha in the Majorana basis W = I_N (x) W_site
+    w = np.kron(np.eye(n_ring), MAJORANA_SITE)
     path = kitaev_path(LatticeSpec(n_ring))
     for alpha in (0.0, 0.3, 0.5, 0.77, 1.0):
-        corr = _bond_correction(alpha)
-        s_alpha = np.kron(np.kron(shift, cell), b_block) \
-            + np.kron(np.kron(bond, cell), corr.re + 1j * corr.im)
-        h_alpha = s_alpha + s_alpha.conj().T
-        reference = _realify_direct(m, 1j * h_alpha)
-        assert np.all(path.at(alpha) == reference.real)
+        reference = _realify_direct(w, 1j * complex_kitaev(n_ring, alpha))
+        assert np.abs(reference.imag).max() <= 1e-14
+        assert np.abs(path.at(alpha) - reference.real).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_ring", [3, 8, 64])
+def test_kitaev_samples_are_realify_up_to_signed_permutation(n_ring):
+    # realify's basis eigh(M) Phi and the Majorana basis W span the same
+    # real subspace; P = W^H eigh(M) Phi is a signed permutation, and
+    # realify(i H_alpha) = P^T sample P
+    m = np.kron(np.eye(n_ring), cl.K2)
+    rs = RealStructure(2 * n_ring, m)
+    p = np.kron(np.eye(n_ring), MAJORANA_SITE).conj().T @ _eigh_basis(m)
+    assert np.abs(p.imag).max() <= 1e-15
+    p = p.real
+    assert np.allclose(np.abs(p), np.abs(p).round(), atol=1e-15)
+    assert np.array_equal(np.abs(p).round().sum(axis=0), np.ones(2 * n_ring))
+    assert np.array_equal(np.abs(p).round().sum(axis=1), np.ones(2 * n_ring))
+    path = kitaev_path(LatticeSpec(n_ring))
+    for alpha in (0.0, 0.3, 0.5, 0.77, 1.0):
+        h_alpha = complex_kitaev(n_ring, alpha)
+        realified = realify(rs, CMat(-h_alpha.imag, h_alpha.real))  # i H_alpha
+        assert np.abs(realified - p.T @ path.at(alpha) @ p).max() <= 1e-14
 
 
 def test_realify_reports_the_commutation_residual():
@@ -114,18 +132,32 @@ def test_realify_reports_the_commutation_residual():
 
 
 def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
-    calls = []
-    matmul = CMat.__matmul__
+    # building the N = 256 ring and sampling the 17 nodes of the default
+    # flow makes no CMat, calls no realify and takes one eigh: the grading
+    # cell's, 4 x 4
+    eighs, cmats = [], []
+    eigh = np.linalg.eigh
+    post_init = CMat.__post_init__
 
-    def counted(self, other):
-        calls.append(self.shape)
-        return matmul(self, other)
+    def counted_eigh(mat, *args, **kwargs):
+        eighs.append(mat.shape)
+        return eigh(mat, *args, **kwargs)
 
-    monkeypatch.setattr(CMat, "__matmul__", counted)
-    path = kitaev_path(LatticeSpec(8))
+    def counted_cmat(self):
+        cmats.append(self)
+        post_init(self)
+
+    def no_realify(*args, **kwargs):
+        raise AssertionError("realify was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(CMat, "__post_init__", counted_cmat)
+    monkeypatch.setattr(models, "realify", no_realify)
+    path = kitaev_path(LatticeSpec(256))
     for t in np.linspace(0.0, 1.0, FlowOptions().initial_segments + 1):
         path.at(t)  # the 17 nodes of the default flow, all accepted for Kitaev
-    assert calls == []
+    assert eighs == [(4, 4)] and cmats == []
+    assert path.grading.basis.shape == (4, 4) and path.grading.copies == 128
 
 
 @settings(max_examples=25)
@@ -154,11 +186,13 @@ def test_kitaev_endpoint_spectra():
 
 def test_kitaev_alpha_one_is_flipped_bond():
     # alpha = 1 equals the chain with the (0,1) bond block negated
-    from koflow.models import _B_BLOCK, _bond_correction
-    total = _B_BLOCK + _bond_correction(1.0)
-    assert np.allclose(total.re, -_B_BLOCK.re) and np.allclose(total.im, -_B_BLOCK.im)
-    zero = _bond_correction(0.0)
-    assert np.allclose(zero.re, 0.0) and np.allclose(zero.im, 0.0)
+    assert np.allclose(KITAEV_B + kitaev_seam_correction(1.0), -KITAEV_B)
+    assert np.allclose(kitaev_seam_correction(0.0), 0.0)
+    path = kitaev_path(LatticeSpec(5))
+    flipped = path.at(0.0)
+    flipped[2:4, 0:2] *= -1.0
+    flipped[0:2, 2:4] *= -1.0
+    assert np.allclose(path.at(1.0), flipped, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n_ring", list(range(3, 17)))
@@ -166,7 +200,7 @@ def test_kitaev_flow_is_one(n_ring):
     path = kitaev_path(LatticeSpec(n_ring))
     value = spectral_flow(path)
     assert (value.degree, value.value) == (2, 1)
-    assert endpoint_flow(path) == value
+    assert endpoint_flow(path) == spectral_flow(SkewPath(path.context, path.fn)) == value
 
 
 def test_kitaev_flow_peak_within_node_arrays():

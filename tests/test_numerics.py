@@ -102,9 +102,8 @@ def test_residual_norm_rejects_with_exact_norm():
 
 
 def test_valid_kitaev_nodes_run_no_svd(monkeypatch):
-    # sampling (skewness), realification (commutation with C, real
-    # compression) and the ComplexStructure check all pass on their
-    # Frobenius bounds: no exact 2-norm is taken
+    # sampling (skewness) and the ComplexStructure check both pass on
+    # their Frobenius bounds: no exact 2-norm is taken
     calls = []
 
     def counted(mat):
