@@ -15,6 +15,10 @@ The Kitaev chain needs no realification: its C = I_N (x) K2 conj acts
 site by site, and `kitaev_path` writes each sample straight in a
 site-ordered Majorana basis, a real skew matrix with closed-form 2 x 2
 blocks, graded (for even N) by one 4 x 4 cell tiled N/2 times.
+
+scipy is imported only inside `flux_path` (the real Schur form of the
+cell), so importing this module, and the Kitaev and AII builders, load
+numpy alone.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import block_diag, schur
 
 from .clifford import K1, K2, L1, CliffordRep
 from .errors import ValidationError
@@ -289,6 +292,8 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     grading is I_N (x) g for the g that anticommutes with F_{s+1}: with
     the real Schur form F_{s+1} = Z (+) [[0, b], [-b, 0]] Z^T, g = Z (+) K1 Z^T.
     """
+    from scipy.linalg import schur  # here, to keep `import koflow` light
+
     if module.s < 1:
         raise ValidationError("the unit-cell module needs at least one skew generator")
     if N < 3:
@@ -368,7 +373,10 @@ def aii_path(h_fn: Callable[[float], CMat], n: int,
         if tres > tol:
             raise ValidationError(
                 f"sample at t={t} breaks time reversal (residual {tres:.3e})")
-        nambu = CMat(block_diag(-h.re, h.re), block_diag(-h.im, -h.im))  # -H (+) conj H
+        zero = np.zeros_like(h.re)
+        # -H (+) conj H
+        nambu = CMat(np.block([[-h.re, zero], [zero, h.re]]),
+                     np.block([[-h.im, zero], [zero, -h.im]]))
         return realify(rs, nambu.times_i())
 
     return SkewPath(ctx, sample, label="class AII Nambu path")

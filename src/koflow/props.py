@@ -6,11 +6,13 @@ The randomized families realize the axioms that characterize the flow
 (homotopy, path additivity, stability, normalization) together with
 constancy and direct sums, plus the structural invariants of the algebra,
 index, and pair layers.
+
+scipy is imported only inside `commuting_rotation` (its `expm`), so
+importing this module loads numpy alone.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import clifford as cliff
 from .abs_index import abs_class
@@ -26,6 +28,8 @@ from .rs_verify import RSProblem, verify_rs
 
 def commuting_rotation(ctx: cliff.CliffordRep, rng: np.random.Generator,
                        scale: float) -> np.ndarray:
+    from scipy.linalg import expm  # here, to keep `import koflow` light
+
     gen = ctx.project_skew(random_skew(rng, ctx.n), +1)
     nrm = max(np.linalg.norm(gen, 2), 1e-12)
     return expm(scale * gen / nrm)

@@ -33,6 +33,10 @@ profile.
 Convention note: pairing the same coefficient family against the line's
 Dirac class in bivariant K-theory produces the NEGATIVE of the flow; only
 the direct (unsigned-convention) equality above is asserted here.
+
+scipy is imported only inside the solves that call it, `_basis_blocks`
+(tridiagonal eigensolve) and `numeric_kernel` (Gram eigensolves and
+Lanczos), so importing this module loads numpy alone.
 """
 from __future__ import annotations
 
@@ -40,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .abs_index import KOClass, abs_class
 from .clifford import K1, K2, L1, OMEGA_11, CliffordRep, check_relations
@@ -152,10 +155,12 @@ def _basis_blocks(problem: RSProblem):
     derivative is the exact antisymmetric bidiagonal matrix, divided by
     the length scale: `step` on the superdiagonal, -`step` below.
     """
+    from scipy.linalg import eigh_tridiagonal  # here, to keep `import koflow` light
+
     m = problem.m
     ell = problem.scale
     off = np.sqrt(np.arange(1, m) / 2.0)
-    theta, u = sla.eigh_tridiagonal(np.zeros(m), off)
+    theta, u = eigh_tridiagonal(np.zeros(m), off)
     f_nodes = np.array([problem.f(ell * t) for t in theta])
     coeff = (u * f_nodes) @ u.T
     coeff = coeff + coeff.T
@@ -288,7 +293,9 @@ def numeric_kernel(op: DiscreteOperator, tol: float = 1e-4,
     value it is given: the cut is tol times the top of the window, not
     tol * sigma_max, with a mandatory gap ratio to the first survivor.
     """
-    from scipy.sparse.linalg import svds  # here, to keep `import koflow` light
+    # here, to keep `import koflow` light
+    import scipy.linalg as sla
+    from scipy.sparse.linalg import svds
 
     mat, n = op.matrix, op.cell.shape[0]
     k = min(op.dimension - 2, n + extra)
@@ -325,14 +332,22 @@ def numeric_kernel(op: DiscreteOperator, tol: float = 1e-4,
 
 def hermite_values(m: int, points: np.ndarray) -> np.ndarray:
     """Matrix of the first m normalized Hermite functions at the points
-    (stable damped recurrence)."""
-    phi = np.zeros((points.size, m))
-    phi[:, 0] = np.pi ** -0.25 * np.exp(-points ** 2 / 2.0)
+    (stable damped recurrence), one row per point.
+
+    The recurrence reads only its last two orders, so it runs on two
+    contiguous vectors and writes each new order once into its column:
+    reading strided columns back is slower, and a transposed copy of an
+    (m, points) array doubles the memory."""
+    phi = np.empty((points.size, m))
+    prev = np.pi ** -0.25 * np.exp(-points ** 2 / 2.0)
+    phi[:, 0] = prev
     if m > 1:
-        phi[:, 1] = np.sqrt(2.0) * points * phi[:, 0]
+        cur = np.sqrt(2.0) * points * prev
+        phi[:, 1] = cur
     for n in range(1, m - 1):
-        phi[:, n + 1] = (points * np.sqrt(2.0 / (n + 1)) * phi[:, n]
-                         - np.sqrt(n / (n + 1.0)) * phi[:, n - 1])
+        prev, cur = cur, (points * np.sqrt(2.0 / (n + 1)) * cur
+                          - np.sqrt(n / (n + 1.0)) * prev)
+        phi[:, n + 1] = cur
     return phi
 
 

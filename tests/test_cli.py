@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,3 +375,72 @@ def test_golden_stdout(tmp_path, capsys, argv, files, expected):
         argv = argv + [flag, make(tmp_path)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (0, expected, "")
+
+
+_IMPORT_PROBE = textwrap.dedent("""
+    import contextlib, io, json, os, sys
+    import numpy as np
+    import koflow, koflow.cli
+    from koflow.cli import main
+
+    tmp = sys.argv[1]
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        return code, out.getvalue()
+
+    def scipy_loaded():
+        return sorted(k for k in sys.modules
+                      if k == "scipy" or k.startswith("scipy."))
+
+    codes = {}
+    after_import = scipy_loaded()
+    codes["kitaev"], _ = run("kitaev", "--N", "8")
+    codes["sf"], _ = run("sf", "--model", "kitaev", "--N", "6")
+    codes["aii"], _ = run("aii", "--demo")
+    codes["irrep"], rep = run("irrep", "--r", "2", "--s", "1")
+    rep_file = os.path.join(tmp, "rep.json")
+    with open(rep_file, "w") as fh:
+        fh.write(rep)
+    codes["check"], _ = run("check", "--module", rep_file)
+    j0 = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    j1 = j0.copy()
+    j1[2:, 2:] *= -1.0
+    for name, mat in (("j0", j0), ("j1", j1)):
+        with open(os.path.join(tmp, name + ".json"), "w") as fh:
+            json.dump(mat.reshape(-1).tolist(), fh)
+    with open(os.path.join(tmp, "ctx.json"), "w") as fh:
+        json.dump({"r": 0, "s": 0, "n": 4, "E": [], "F": []}, fh)
+    codes["pair-index"], _ = run("pair-index", "--j0", os.path.join(tmp, "j0.json"),
+                                 "--j1", os.path.join(tmp, "j1.json"),
+                                 "--module", os.path.join(tmp, "ctx.json"))
+    after_light = scipy_loaded()
+    codes["irrep-cl01"], cell = run("irrep", "--r", "0", "--s", "1")
+    cell_file = os.path.join(tmp, "cl01.json")
+    with open(cell_file, "w") as fh:
+        fh.write(cell)
+    codes["flux"], _ = run("flux", "--module", cell_file, "--N", "3")
+    print(json.dumps({"codes": codes, "after_import": after_import,
+                      "after_light": after_light,
+                      "flux_loads_linalg": "scipy.linalg" in sys.modules}))
+""")
+
+
+def test_light_commands_load_no_scipy(tmp_path):
+    # one fresh interpreter: `import koflow` and the commands that call no
+    # scipy function must leave scipy unloaded, while flux (real Schur
+    # form of its cell) loads scipy.linalg, so the probe sees a load
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert all(code == 0 for code in report["codes"].values()), report["codes"]
+    assert report["after_import"] == []
+    assert report["after_light"] == []
+    assert report["flux_loads_linalg"] is True

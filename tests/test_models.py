@@ -356,6 +356,30 @@ def test_aii_quarter_relation():
         assert 4 * value.value == classical
 
 
+def test_aii_samples_match_block_diag_reference():
+    # the Nambu block -H (+) conj H is placed with numpy; a scipy
+    # block_diag reference must give the same samples bit for bit
+    from scipy.linalg import block_diag
+
+    n = 4
+    jq = np.kron(cl.L1, np.eye(n // 2))
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = a + a.conj().T
+    base = (a + jq @ a.conj() @ jq.T) / 2.0  # commutes with T = jq conj
+
+    def h_complex(t):
+        return base + (2.0 * t - 1.0) * np.eye(n)
+
+    path = aii_path(lambda t: CMat(h_complex(t).real, h_complex(t).imag), n)
+    rs = RealStructure(2 * n, np.kron(cl.K2, np.eye(n)))
+    for t in (0.0, 0.3, 0.5, 1.0):
+        h = h_complex(t)
+        nambu = CMat(block_diag(-h.real, h.real), block_diag(-h.imag, -h.imag))
+        assert np.any(h.imag != 0.0)
+        assert np.array_equal(path.at(t), realify(rs, nambu.times_i()))
+
+
 def test_aii_kernel_dims_divisible_by_four():
     h_fn = (lambda t: CMat.real((2 * t - 1.0) * np.eye(4)))
     path = aii_path(h_fn, 4)

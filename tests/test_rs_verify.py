@@ -251,3 +251,24 @@ def test_memory_guard():
     with pytest.raises(ValidationError):
         RSProblem(big, L=12.0, m=70000)
         assemble_rs_operator(RSProblem(big, L=12.0, m=70000))
+
+
+def _column_hermite_reference(m, points):
+    """The Hermite recurrence written on the columns of a (points, m)
+    array."""
+    phi = np.zeros((points.size, m))
+    phi[:, 0] = np.pi ** -0.25 * np.exp(-points ** 2 / 2.0)
+    if m > 1:
+        phi[:, 1] = np.sqrt(2.0) * points * phi[:, 0]
+    for n in range(1, m - 1):
+        phi[:, n + 1] = (points * np.sqrt(2.0 / (n + 1)) * phi[:, n]
+                         - np.sqrt(n / (n + 1.0)) * phi[:, n - 1])
+    return phi
+
+
+@pytest.mark.parametrize("m", [300, 1200])
+def test_hermite_values_match_column_recurrence(m):
+    points = np.linspace(-40.0, 40.0, 4001)
+    phi = rs_verify.hermite_values(m, points)
+    assert phi.shape == (points.size, m) and phi.flags.c_contiguous
+    assert np.array_equal(phi, _column_hermite_reference(m, points))
