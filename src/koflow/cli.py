@@ -118,7 +118,7 @@ def cmd_sf(args) -> int:
         obj = _load_json(args.path)
         try:
             ctx = cliff.rep_from_json(obj["context"]) if "context" in obj \
-                else cliff.CliffordRep(0, 0, int(obj["n"]))
+                else cliff.CliffordRep(0, 0, cliff.json_count(obj, "n"))
             times = np.asarray(obj["t"], dtype=float)
             mats = [cliff._matrix_from_json(m, ctx.n) for m in obj["T"]]
         except (KeyError, TypeError, ValueError) as exc:

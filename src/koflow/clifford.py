@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidModuleError, ValidationError
-from .numerics import residual_norm, sym_eigh
+from .numerics import check_memory, residual_norm, sym_eigh
 
 K1 = np.array([[1.0, 0.0], [0.0, -1.0]])
 K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -443,6 +443,9 @@ def irreducible_rep(r: int, s: int, chirality=None) -> CliffordRep:
     irreducible is rejected.
     """
     Signature(r, s)
+    # its r + s generators and two more n x n arrays for the chirality fix
+    check_memory(f"the Cl_{{{r},{s}}} irreducible",
+                 8 * (r + s + 2) * irreducible_dimension(r, s) ** 2)
     two = has_two_irreducibles(r, s)
     if chirality is not None and not two:
         raise ValidationError(
@@ -617,15 +620,29 @@ def _matrix_from_json(data, n: int) -> np.ndarray:
     return arr
 
 
+def json_count(obj, key: str) -> int:
+    """obj[key] as a count: a JSON integer >= 0, neither a float nor a bool."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValidationError(f"{key!r} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def _parse_rep(obj) -> CliffordRep:
-    """A representation from the JSON schema, relations not yet checked."""
+    """A representation from the JSON schema, relations not yet checked;
+    its bytes (generators, and three n x n arrays to check them) are
+    counted before any matrix is built."""
     try:
         if isinstance(obj, (str, bytes)):
             obj = json.loads(obj)
-        r, s, n = int(obj["r"]), int(obj["s"]), int(obj["n"])
+        r, s, n = (json_count(obj, key) for key in ("r", "s", "n"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed representation JSON: {exc}") from exc
+    check_memory(f"a module of dimension {n}", 8 * (r + s + 3) * n * n)
+    try:
         e_list = [_matrix_from_json(m, n) for m in obj.get("E", [])]
         f_list = [_matrix_from_json(m, n) for m in obj.get("F", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed representation JSON: {exc}") from exc
     return CliffordRep(r, s, n, E=tuple(e_list), F=tuple(f_list))
 

@@ -10,7 +10,7 @@ index of the endpoint phases; the endpoint computation is kept as an
 independent cross-check.
 
 Partition control: 16 uniform segments to start; a segment is accepted
-when the node phases are 0.9-close in operator norm (its pair kernel is
+when the node phases are 0.9-close in Frobenius norm (its pair kernel is
 then empty and it contributes nothing) or when its pair kernel splits
 cleanly; otherwise it is bisected, up to a depth cap.  A hard 0.9 bound
 alone cannot terminate: at a kernel crossing the phase genuinely jumps by
@@ -33,6 +33,12 @@ from .numerics import (SAMPLE_TOL, Grading, min_singular_value, residual_norm,
                        skew_phase, split_zero_cluster, svd_split)
 from .pairs import ComplexStructure, pair_index
 
+# Node phases this close in Frobenius norm, hence in operator norm, have an
+# empty pair kernel.  Closer than this only in operator norm, they go to
+# `pair_index`, which finds it empty too: ||J0 - J1||_2 <= 0.9 keeps every
+# singular value of J0 + J1 above sqrt(4 - 0.81) > 1.78.
+PHASE_BOUND = 0.9
+
 
 @dataclass(frozen=True)
 class SkewPath:
@@ -40,8 +46,8 @@ class SkewPath:
 
     Continuity is the caller's contract; every sample is validated for
     skewness and anticommutation.  A path whose samples all anticommute
-    with a symmetric involution of trace 0 may declare it as its
-    `grading`: its nodes are then decomposed by the half-size SVD of
+    with a diagonal sign matrix of trace 0 may declare its sign vector as
+    its `grading`: its nodes are then decomposed by the half-size SVD of
     `svd_split`, which checks each sample against it.
     """
 
@@ -75,7 +81,6 @@ class FlowOptions:
     inv_tol: float = 1e-8
     max_depth: int = 20
     initial_segments: int = 16
-    phase_bound: float = 0.9
     seed: int = 0
 
 
@@ -154,14 +159,6 @@ def _split_phase_kernel(svals: np.ndarray) -> int:
                                   label="phase kernel (regularized)")
 
 
-def _range_phase(split):
-    """The phase u[:, :rank] @ vt[:rank] of a split (u, s, vt, k) on the
-    range, and the kernel basis vt[rank:]^T."""
-    u, _, vt, k = split
-    rank = u.shape[0] - k
-    return u[:, :rank] @ vt[:rank], vt[rank:].T.copy()
-
-
 def complete_phase(tmat: np.ndarray | tuple, context: CliffordRep,
                    align_hint: np.ndarray | None = None,
                    seed: int = 0, grading: Grading | None = None) -> ComplexStructure:
@@ -185,7 +182,7 @@ def complete_phase(tmat: np.ndarray | tuple, context: CliffordRep,
         tmat = np.asarray(tmat, dtype=float)
         if tmat.shape != (n, n):
             raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
-        j, basis = _range_phase(svd_split(tmat, _split_phase_kernel, grading))
+        j, basis = svd_split(tmat, _split_phase_kernel, grading)
         del tmat  # the structure below needs only j and the basis
     k = basis.shape[1]
     if k > 0:
@@ -229,7 +226,7 @@ def _split_endpoints(path: SkewPath, opts: FlowOptions):
                     f"(smallest singular value {smin:.3e} < {opts.inv_tol})")
             return _split_phase_kernel(svals)
 
-        splits.append(_range_phase(svd_split(path.at(t_end), split, path.grading)))
+        splits.append(svd_split(path.at(t_end), split, path.grading))
     return tuple(splits)
 
 
@@ -259,7 +256,7 @@ def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
         if jb is None:
             jb = complete_phase(t1_node if b == 1.0 else path.at(b), ctx,
                                 align_hint=ja.J, seed=opts.seed, grading=grading)
-        if residual_norm(opts.phase_bound, [ja.J - jb.J]) > opts.phase_bound:
+        if np.linalg.norm(ja.J - jb.J) > PHASE_BOUND:
             # phases not 0.9-close: the pair kernel may be nonempty
             try:
                 contribution, _ = pair_index(ja, jb)

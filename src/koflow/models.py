@@ -14,7 +14,8 @@ by V; the class AII paths and library input go through it.
 The Kitaev chain needs no realification: its C = I_N (x) K2 conj acts
 site by site, and `kitaev_path` writes each sample straight in a
 site-ordered Majorana basis, a real skew matrix with closed-form 2 x 2
-blocks, graded (for even N) by one 4 x 4 cell tiled N/2 times.
+blocks, graded (for even N) by the sign vector (1, 1, -1, -1) tiled N/2
+times.
 
 scipy is imported only inside `flux_path` (the real Schur form of the
 cell), so importing this module, and the Kitaev and AII builders, load
@@ -34,8 +35,8 @@ from .numerics import Grading, check_memory, op_norm, residual_norm, sym_eigh
 
 REALIFY_TOL = 1e-10
 # n x n arrays that one step of the flow walk holds at its peak, measured
-# with tracemalloc: 7.1 on the Kitaev flow at N = 63 and 64, graded or not
-# (7.2 at N = 32, 6.3 at N = 128), and 6.3 on the graded Cl_{0,7} flux
+# with tracemalloc: 7.0 on the Kitaev flow at N = 63 and 64, graded or not
+# (7.2 at N = 32, 6.0 at N = 128), and 6.0 on the graded Cl_{0,7} flux
 # flow at N = 48.  They are the range phase of T(1), the left phase and,
 # inside a node, the sample with its split and the phase being built and
 # checked.  Each bisection level in progress holds one more phase on top
@@ -47,8 +48,9 @@ NODE_ARRAYS = 8
 # a 2048 x 2048 skew matrix raised ru_maxrss by 6.6 n^2 doubles, of which
 # the returned u and vt are 2 (numpy 2.4, OpenBLAS, 2 threads); 4.6,
 # rounded up.  A graded node decomposes only its n/2 x n/2 block (the
-# whole graded split raised ru_maxrss by 1.3 n^2 at n = 2048), but the
-# pair kernels still take dense n x n SVDs, so every path counts 5.
+# whole graded split, returned phase included, raised ru_maxrss by 1.9 n^2
+# at n = 2048), but the pair kernels still take dense n x n SVDs, so every
+# path counts 5.
 SVD_WORKSPACE_ARRAYS = 5
 
 
@@ -237,8 +239,8 @@ def kitaev_path(spec: LatticeSpec) -> SkewPath:
     For even N every bond joins the two sublattices, so the sublattice
     parity diag((-1)^j) (x) I_2 anticommutes with each H_alpha and
     commutes with C.  W is site-local, so in the Majorana basis the parity
-    is I_{N/2} (x) diag(1, 1, -1, -1): the path's grading, one 4 x 4 cell
-    tiled N/2 times.
+    is the diagonal sign vector (1, 1, -1, -1) tiled N/2 times: the path's
+    grading, taken by index with no basis change.
     """
     if not (spec.mu == 0.0 and spec.w == -1.0):
         raise ValidationError(
@@ -256,7 +258,7 @@ def kitaev_path(spec: LatticeSpec) -> SkewPath:
     ctx = CliffordRep(0, 0, 2 * n)
     grading = None
     if n % 2 == 0:
-        grading = Grading(np.diag([1.0, 1.0, -1.0, -1.0]), copies=n // 2)
+        grading = Grading(np.tile([1, 1, -1, -1], n // 2))
 
     def sample(alpha: float) -> np.ndarray:
         seam = _seam_block(alpha)
@@ -287,10 +289,13 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     termination of the same flux idea and pins the crossing kernel to one
     copy of the module.
 
-    The context generators are I_N (x) g for the cell generators g and
-    carry copies = N, so products with them run cell by cell.  The
-    grading is I_N (x) g for the g that anticommutes with F_{s+1}: with
-    the real Schur form F_{s+1} = Z (+) [[0, b], [-b, 0]] Z^T, g = Z (+) K1 Z^T.
+    The path is written in the frame of the real Schur vectors Z of
+    F_{s+1} = Z (+) [[0, b], [-b, 0]] Z^T: every cell generator g becomes
+    Z^T g Z once, which leaves the class unchanged.  There F_{s+1} is a
+    sum of 2 x 2 blocks that K1 anticommutes with, so the path's grading
+    is the diagonal sign vector (1, -1) tiled dim/2 times.  The context
+    generators are I_N (x) g for the conjugated cell generators g and
+    carry copies = N, so products with them run cell by cell.
     """
     from scipy.linalg import schur  # here, to keep `import koflow` light
 
@@ -307,13 +312,15 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     module.validate(1e-10)
     shift = _ring_shift(N)
     ring = (shift + shift.T) / 2.0
-    f_last = np.array(module.F[-1])
+    _, z = schur(module.F[-1], output="real")
+    e_cells = [z.T @ g @ z for g in module.E]
+    f_cells = [z.T @ g @ z for g in module.F]
+    f_last = f_cells.pop()
     ctx = CliffordRep(module.r, module.s - 1, dim,
-                      E=tuple(np.kron(np.eye(N), g) for g in module.E),
-                      F=tuple(np.kron(np.eye(N), g) for g in module.F[:-1]),
+                      E=tuple(np.kron(np.eye(N), g) for g in e_cells),
+                      F=tuple(np.kron(np.eye(N), g) for g in f_cells),
                       copies=N)
-    _, z = schur(f_last, output="real")
-    grading = Grading(z @ np.kron(np.eye(module.n // 2), K1) @ z.T, copies=N)
+    grading = Grading(np.tile([1, -1], dim // 2))
 
     def sample(alpha: float) -> np.ndarray:
         pot = 2.0 * np.ones(N)

@@ -15,13 +15,15 @@ Residual convention: every structural check goes through
 and takes the exact 2-norm (`op_norm`, an SVD) only when that bound fails.
 A non-finite residual fails every check: it counts as inf, with no SVD.
 
-Graded convention: a skew T that anticommutes with a symmetric involution
-G of trace 0 (a `Grading`) maps each eigenspace of G to the other, so one
-SVD of the n/2 x n/2 block between them gives the SVD of T.
+Graded convention: a grading is a diagonal G = diag(signs) with n/2
+entries -1 and n/2 entries +1 (a `Grading`, stored as its sign vector).
+A skew T that anticommutes with G maps the coordinates of each sign to
+those of the other, so one SVD of the n/2 x n/2 block T[minus, plus],
+taken by index, gives the SVD of T.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,62 +83,32 @@ def sym_eigh(mat: np.ndarray):
 
 @dataclass(frozen=True)
 class Grading:
-    """A symmetric orthogonal involution G = I_copies (x) g of trace 0.
+    """A diagonal symmetric involution G = diag(signs) of trace 0.
 
-    Kept as the orthonormal eigenbasis `basis` = [minus, plus] of the
-    c x c cell g: c/2 columns spanning its -1 eigenspace, then c/2
-    spanning its +1 eigenspace.  `right`, `left` and `lift` apply
-    I (x) basis (or one half of it) through reshapes, as CliffordRep
-    applies its cells.  g is checked on construction and not stored.
+    `signs` is a 1-D vector of exact -1 and +1 entries, as many of each;
+    the indices of the -1 entries span G's -1 eigenspace, those of the +1
+    entries its +1 eigenspace.  A path whose grading is not diagonal is
+    written in a frame where it is (`models.flux_path`).
     """
 
-    g: InitVar[np.ndarray]
-    copies: int = 1
-    basis: np.ndarray = field(init=False, repr=False)
+    signs: np.ndarray
 
-    def __post_init__(self, g):
-        g = np.asarray(g, dtype=float)
-        c = g.shape[0] if g.ndim == 2 else -1
-        if g.shape != (c, c) or self.copies < 1:
+    def __post_init__(self):
+        signs = np.array(self.signs, dtype=float)
+        if signs.ndim != 1:
             raise ValidationError(
-                f"a grading needs a square cell and copies >= 1, got shape "
-                f"{g.shape} and {self.copies} copies")
-        worst = residual_norm(SAMPLE_TOL, [g - g.T, g @ g - np.eye(c)])
-        if worst > SAMPLE_TOL:
+                f"a grading is a 1-D sign vector, got shape {signs.shape}")
+        if not np.all(np.abs(signs) == 1.0):
+            raise ValidationError("a grading's entries must be exactly -1 or +1")
+        if 2 * np.count_nonzero(signs < 0.0) != signs.size:
             raise ValidationError(
-                f"a grading must be a symmetric orthogonal involution (residual {worst:.3e})")
-        vals, vecs = sym_eigh(g)
-        if 2 * np.count_nonzero(vals < 0.0) != c:
-            raise ValidationError(f"a grading must have trace 0, got {np.trace(g):.3g}")
-        vecs.setflags(write=False)
-        object.__setattr__(self, "basis", vecs)
+                f"a grading must have trace 0, got {signs.sum():.3g}")
+        signs.setflags(write=False)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def n(self) -> int:
-        return self.copies * self.basis.shape[0]
-
-    @property
-    def minus(self) -> np.ndarray:
-        return self.basis[:, :self.basis.shape[0] // 2]
-
-    @property
-    def plus(self) -> np.ndarray:
-        return self.basis[:, self.basis.shape[0] // 2:]
-
-    def right(self, mat: np.ndarray) -> np.ndarray:
-        """mat (I (x) basis) for a matrix with n columns."""
-        c = self.basis.shape[0]
-        return (mat.reshape(-1, c) @ self.basis).reshape(mat.shape)
-
-    def left(self, mat: np.ndarray) -> np.ndarray:
-        """(I (x) basis)^T mat for a matrix with n rows."""
-        c = self.basis.shape[0]
-        return (self.basis.T @ mat.reshape(self.copies, c, -1)).reshape(mat.shape)
-
-    def lift(self, half: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        """(I (x) half) mat for `minus` or `plus` and a matrix with n/2 rows."""
-        return (half @ mat.reshape(self.copies, half.shape[1], -1)).reshape(
-            -1, mat.shape[1])
+        return self.signs.size
 
 
 def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL,
@@ -184,55 +156,53 @@ def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL
 
 
 def svd_split(mat: np.ndarray, split, grading: Grading | None = None):
-    """One SVD mat = u diag(s) vt (s descending) and the size k of its zero
-    cluster, found by `split` on the ascending singular values s[::-1].
+    """The range phase and the kernel basis of mat, from one SVD.
 
-    The last k rows of vt span the numerical kernel; u[:, :n-k] @ vt[:n-k]
-    is the phase of mat on the complement.
+    `split` finds the size k of the zero cluster on the ascending singular
+    values.  With mat = u diag(s) vt (s descending) the phase is
+    u[:, :n-k] @ vt[:n-k] and the kernel basis the columns vt[n-k:]^T.
 
     With a grading, mat is skew (the caller checks) and must anticommute
-    with G.  In the basis (minus, plus) G mat + mat G is
-    2 diag(-minus^T mat minus, plus^T mat plus): those two blocks are the
-    grading check, a ValidationError above SAMPLE_TOL.  The rest of mat
-    is minus B plus^T - plus B^T minus^T with B = minus^T mat plus, so
-    B = U S W^T gives mat = [minus U, plus W] diag(S, S) [plus W, -minus U]^T:
-    each singular value of B appears twice, and u, vt are interleaved to
-    keep s descending.
+    with G.  With m and p the indices of G's -1 and +1 entries,
+    G mat + mat G is -2 mat[m, m] on the first sector and 2 mat[p, p] on
+    the second: those two blocks are the grading check, a ValidationError
+    above SAMPLE_TOL.  The rest of mat is B = mat[m, p] and -B^T, so
+    B = U S W^T is the whole SVD: each singular value of B appears twice,
+    the phase is U_r W_r^T on [m, p] and its negated transpose on [p, m]
+    (r the range), and the kernel basis is U's kernel columns on m and
+    W's on p.
     """
     if grading is None:
         u, s, vt = np.linalg.svd(mat)
-        return u, s, vt, split(s[::-1])
-    n, c = grading.n, grading.basis.shape[0]
+        rank = s.size - split(s[::-1])
+        return u[:, :rank] @ vt[:rank], vt[rank:].T.copy()
+    n = grading.n
     if mat.shape != (n, n):
         raise ValidationError(f"matrix shape {mat.shape} does not match the grading ({n})")
-    # mat in the basis I (x) [minus, plus], one c x c block per pair of cells
-    graded = grading.left(grading.right(mat)).reshape(grading.copies, c, grading.copies, c)
-    h = c // 2
-    b = graded[:, :h, :, h:].copy().reshape(n // 2, n // 2)
-    graded[:, :h, :, h:] = 0.0
-    graded[:, h:, :, :h] = 0.0
-    graded *= 2.0  # now G mat + mat G in that basis, up to the sign of a block
-    worst = residual_norm(SAMPLE_TOL, [graded.reshape(n, n)])
+    order = np.argsort(grading.signs, kind="stable")  # the -1 indices first
+    minus, plus = order[:n // 2], order[n // 2:]
+    worst = residual_norm(SAMPLE_TOL, (2.0 * mat[idx[:, None], idx] for idx in (minus, plus)))
     if worst > SAMPLE_TOL:
         raise ValidationError(f"matrix breaks its grading (residual {worst:.3e})")
-    del graded
-    ub, sb, wbt = np.linalg.svd(b)
-    minus, plus = grading.minus, grading.plus
-    u, vt = np.empty((n, n)), np.empty((n, n))
-    u[:, 0::2] = grading.lift(minus, ub)
-    u[:, 1::2] = grading.lift(plus, wbt.T)
-    vt[0::2] = u[:, 1::2].T
-    np.negative(u[:, 0::2].T, out=vt[1::2])
-    s = np.repeat(sb, 2)
-    return u, s, vt, split(s[::-1])
+    ub, sb, wbt = np.linalg.svd(mat.take(minus, 0).take(plus, 1))
+    k = split(np.repeat(sb[::-1], 2)) // 2  # the values come in equal pairs
+    rank = sb.size - k
+    block = ub[:, :rank] @ wbt[:rank]
+    phase = np.zeros((n, n))
+    phase[minus[:, None], plus] = block
+    phase[plus[:, None], minus] = -block.T
+    basis = np.zeros((n, 2 * k))
+    basis[minus, :k] = ub[:, rank:]
+    basis[plus, k:] = wbt[rank:].T
+    return phase, basis
 
 
 def kernel_basis(mat: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL,
                  gap_ratio: float = GAP_RATIO_GUARD, label: str = "kernel"):
     """Orthonormal basis (columns) of the numerical kernel of a square real
     matrix, guarded by split_zero_cluster on its singular values."""
-    _, _, vt, k = svd_split(
-        mat, lambda s: split_zero_cluster(s, rel_tol, gap_ratio, label=label))
+    _, s, vt = np.linalg.svd(mat)
+    k = split_zero_cluster(s[::-1], rel_tol, gap_ratio, label=label)
     return vt[vt.shape[0] - k:].T
 
 

@@ -309,6 +309,52 @@ def test_lattice_memory_guard_trips_before_allocation(tmp_path, capsys, monkeypa
     assert "bytes, over the memory budget" in err
 
 
+HOSTILE_SIZES = {
+    "module-n-negative": (["check", "--module", "rep.json"],
+                          {"r": 0, "s": 0, "n": -1}, "nonnegative integer"),
+    "module-n-fractional": (["check", "--module", "rep.json"],
+                            {"r": 0, "s": 0, "n": 2.7}, "nonnegative integer"),
+    "module-n-bool": (["check", "--module", "rep.json"],
+                      {"r": 0, "s": 0, "n": True}, "nonnegative integer"),
+    "module-r-negative": (["flux", "--module", "rep.json"],
+                          {"r": -1, "s": 1, "n": 2, "E": [], "F": [L1_FLAT]},
+                          "nonnegative integer"),
+    "module-s-fractional": (["flux", "--module", "rep.json"],
+                            {"r": 0, "s": 1.5, "n": 2, "E": [], "F": [L1_FLAT]},
+                            "nonnegative integer"),
+    "module-n-over-budget": (["check", "--module", "rep.json"],
+                             {"r": 0, "s": 0, "n": 100000000},
+                             "bytes, over the memory budget"),
+    "flux-module-n-over-budget": (["flux", "--module", "rep.json"],
+                                  {"r": 0, "s": 1, "n": 100000000, "E": [], "F": []},
+                                  "bytes, over the memory budget"),
+    "path-n-fractional": (["sf", "--path", "rep.json"],
+                          {"n": 2.7, "t": [0.0, 1.0], "T": [L1_FLAT, L1_FLAT]},
+                          "nonnegative integer"),
+    "irrep-over-budget": (["irrep", "--r", "30", "--s", "30"], None,
+                          "bytes, over the memory budget"),
+}
+
+
+@pytest.mark.parametrize("argv,content,message", list(HOSTILE_SIZES.values()),
+                         ids=list(HOSTILE_SIZES))
+def test_hostile_sizes_exit_2_before_allocation(tmp_path, capsys, monkeypatch,
+                                                argv, content, message):
+    # a size that is not a count, or one over the memory budget, is
+    # rejected before any matrix of that size is built or checked
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a matrix was allocated before the guard")
+
+    for name in ("_matrix_from_json", "check_relations", "_irreducible_recursive"):
+        monkeypatch.setattr(cl, name, unreachable)
+    if content is not None:
+        (tmp_path / "rep.json").write_text(json.dumps(content))
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "validation error" in err and message in err
+
+
 def _golden_path_file(tmp_path):
     """Nine samples of T(t) = diag(1, 1 - 2t) (x) L1 + t(1 - t)/10 L1 (x) K1:
     one 2-plane crosses zero once."""
@@ -353,6 +399,13 @@ GOLDEN = {
                      '{"class": {"degree": 4, "group": "Z", "value": 1}, '
                      '"module_class": {"degree": 4, "group": "Z", "value": 1}}\n'),
     "flux-rotated-cl07-N12": (["flux", "--N", "12", "--seed", "7"],
+                              {"--module": _golden_rotated_cl07_file},
+                              '{"class": {"degree": 0, "group": "Z", "value": 1}, '
+                              '"module_class": {"degree": 0, "group": "Z", "value": 1}}\n'),
+    # the benchmark's two graded workloads, at their sizes
+    "kitaev-N256": (["kitaev", "--N", "256", "--seed", "0"], {},
+                    '{"degree": 2, "group": "Z2", "value": 1}\n'),
+    "flux-rotated-cl07-N48": (["flux", "--N", "48", "--seed", "0"],
                               {"--module": _golden_rotated_cl07_file},
                               '{"class": {"degree": 0, "group": "Z", "value": 1}, '
                               '"module_class": {"degree": 0, "group": "Z", "value": 1}}\n'),

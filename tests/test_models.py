@@ -14,7 +14,7 @@ from koflow.flow import (FlowOptions, SkewPath, classical_sf, complete_phase,
 from koflow.models import (NODE_ARRAYS, CMat, LatticeSpec, RealStructure,
                            aii_path, flux_path, hermitian_double, kitaev_path,
                            realify, standard_quaternionic)
-from koflow.numerics import op_norm, random_orthogonal
+from koflow.numerics import op_norm, random_orthogonal, svd_split
 
 from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev,
                       kitaev_seam_correction, rotated_irrep)
@@ -132,9 +132,9 @@ def test_realify_reports_the_commutation_residual():
 
 
 def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
-    # building the N = 256 ring and sampling the 17 nodes of the default
-    # flow makes no CMat, calls no realify and takes one eigh: the grading
-    # cell's, 4 x 4
+    # building the N = 256 ring and sampling and splitting the 17 nodes of
+    # the default flow makes no CMat, calls no realify and takes no eigh:
+    # the grading is a sign vector, taken by index
     eighs, cmats = [], []
     eigh = np.linalg.eigh
     post_init = CMat.__post_init__
@@ -155,9 +155,10 @@ def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
     monkeypatch.setattr(models, "realify", no_realify)
     path = kitaev_path(LatticeSpec(256))
     for t in np.linspace(0.0, 1.0, FlowOptions().initial_segments + 1):
-        path.at(t)  # the 17 nodes of the default flow, all accepted for Kitaev
-    assert eighs == [(4, 4)] and cmats == []
-    assert path.grading.basis.shape == (4, 4) and path.grading.copies == 128
+        # the 17 nodes of the default flow, all accepted for Kitaev
+        svd_split(path.at(t), flow._split_phase_kernel, path.grading)
+    assert eighs == [] and cmats == []
+    np.testing.assert_array_equal(path.grading.signs, np.tile([1, 1, -1, -1], 128))
 
 
 @settings(max_examples=25)
@@ -282,6 +283,18 @@ def test_flux_path_reproduces_class(r, sp):
         module = cl.irreducible_rep(r, sp, ch)
         path = flux_path(module, 3)
         assert spectral_flow(path) == abs_class(module)
+
+
+@pytest.mark.parametrize("r,sp,seed", [(0, 1, 0), (1, 2, 1), (0, 3, 2), (2, 3, 3),
+                                       (0, 7, 7)])
+def test_flux_samples_anticommute_with_sign_grading(r, sp, seed):
+    # in the Schur frame of F_{s+1} the grading is diag(1, -1, 1, -1, ...)
+    path = flux_path(rotated_irrep(r, sp, seed=seed), 4)
+    signs = path.grading.signs
+    np.testing.assert_array_equal(signs, np.tile([1, -1], path.context.n // 2))
+    for t in (0.0, 0.3, 0.5, 1.0):
+        t_mat = path.at(t)
+        assert op_norm(signs[:, None] * t_mat + t_mat * signs) <= 1e-12
 
 
 def test_flux_double_module_vanishes_mod2():

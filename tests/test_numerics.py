@@ -162,44 +162,47 @@ def test_nan_residual_raises_validation_error(build, message):
         build()
 
 
-def _graded_skew(rng, cell, copies, svals):
-    """A skew T anticommuting with G = I_copies (x) g for a random cell
-    involution g of trace 0; B = minus^T T plus has singular values svals."""
-    q = random_orthogonal(rng, cell)
-    g = q @ np.diag([-1.0] * (cell // 2) + [1.0] * (cell // 2)) @ q.T
-    minus = np.kron(np.eye(copies), q[:, :cell // 2])
-    plus = np.kron(np.eye(copies), q[:, cell // 2:])
-    half = copies * cell // 2
+def _graded_skew(rng, signs, svals):
+    """A skew T anticommuting with G = diag(signs) whose block
+    B = T[minus, plus] has singular values svals in random frames."""
+    signs = np.asarray(signs, dtype=float)
+    minus, plus = np.flatnonzero(signs < 0), np.flatnonzero(signs > 0)
+    half = signs.size // 2
     b = random_orthogonal(rng, half) @ np.diag(svals) @ random_orthogonal(rng, half)
-    return minus @ b @ plus.T - plus @ b.T @ minus.T, Grading(g, copies=copies)
+    t_mat = np.zeros((signs.size, signs.size))
+    t_mat[np.ix_(minus, plus)] = b
+    t_mat[np.ix_(plus, minus)] = -b.T
+    return t_mat, Grading(signs)
 
 
 def _phase_split(mat, grading):
-    """Singular values, range phase and kernel projector of mat, read
-    from svd_split with the phase-kernel split."""
-    u, s, vt, k = svd_split(mat, flow._split_phase_kernel, grading)
-    rank = s.size - k
-    return s, u[:, :rank] @ vt[:rank], vt[rank:].T @ vt[rank:]
+    """Range phase and kernel projector of mat, read from svd_split with
+    the phase-kernel split."""
+    phase, basis = svd_split(mat, flow._split_phase_kernel, grading)
+    return phase, basis @ basis.T
 
 
-def _near_singular_graded(seed):
-    """Q (diag(1e-9, 5e-7, 1, 1) (x) L1) Q^T, graded by Q (I_4 (x) K1) Q^T."""
-    q = random_orthogonal(np.random.default_rng(seed), 8)
-    t_mat = q @ np.kron(np.diag([1e-9, 5e-7, 1.0, 1.0]), clifford.L1) @ q.T
-    return t_mat, Grading(q @ np.kron(np.eye(4), clifford.K1) @ q.T)
+def _shuffled_signs(rng, n):
+    return rng.permutation(np.repeat([-1.0, 1.0], n // 2))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_graded_svd_split_matches_dense(seed):
-    # the half-size SVD of the sector block gives the singular values, the
-    # range phase and the kernel projector of the dense SVD
+    # the half-size SVD of the sector block, taken by index, gives the
+    # range phase and the kernel projector of the dense SVD, for tiled and
+    # shuffled sign patterns alike
     rng = np.random.default_rng(seed)
-    cases = [_near_singular_graded(seed)]
-    for cell, copies in ((2, 1), (8, 1), (4, 3), (8, 5)):
-        half = copies * cell // 2
-        svals = rng.uniform(0.5, 2.0, half)
-        svals[:rng.integers(0, 3)] = 0.0  # an exact kernel of 0, 2 or 4
-        cases.append(_graded_skew(rng, cell, copies, svals))
+    # near-singular: B has singular values 1e-9, 5e-7, 1, 1, so T has each
+    # twice and the regularized split takes the four sub-gap ones as kernel
+    cases = [_graded_skew(rng, _shuffled_signs(rng, 8), [1e-9, 5e-7, 1.0, 1.0])]
+    for signs in (np.tile([1, -1], 1), np.tile([1, 1, -1, -1], 3),
+                  _shuffled_signs(rng, 8), _shuffled_signs(rng, 20)):
+        half = signs.size // 2
+        for kernel in (0, 1, 2):  # an exact kernel of T of 0, 2 or 4
+            if kernel <= half:
+                svals = rng.uniform(0.5, 2.0, half)
+                svals[:kernel] = 0.0
+                cases.append(_graded_skew(rng, signs, svals))
     for t_mat, grading in cases:
         graded = _phase_split(t_mat, grading)
         dense = _phase_split(t_mat, None)
@@ -207,29 +210,34 @@ def test_graded_svd_split_matches_dense(seed):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
     # the near-singular case splits off its four sub-gap values
-    assert np.trace(_phase_split(*cases[0])[2]) == pytest.approx(4.0)
+    assert np.trace(_phase_split(*cases[0])[1]) == pytest.approx(4.0)
 
 
 def test_graded_svd_split_rejects_sample_off_its_grading():
     # a part commuting with G shows in the diagonal sector blocks
-    t_mat, grading = _graded_skew(np.random.default_rng(3), 4, 3, np.ones(6))
+    rng = np.random.default_rng(3)
+    t_mat, grading = _graded_skew(rng, _shuffled_signs(rng, 12), np.ones(6))
     split = flow._split_phase_kernel
     svd_split(t_mat, split, grading)
-    side = np.kron(np.eye(3), grading.plus)
-    bad = t_mat + 1e-6 * side @ random_skew(np.random.default_rng(4), 6) @ side.T
+    plus = np.flatnonzero(grading.signs > 0)
+    bad = t_mat.copy()
+    bad[np.ix_(plus, plus)] += 1e-6 * random_skew(np.random.default_rng(4), 6)
     with pytest.raises(ValidationError, match="breaks its grading"):
         svd_split(bad, split, grading)
     with pytest.raises(ValidationError, match="does not match the grading"):
         svd_split(t_mat[:10, :10], split, grading)
 
 
-@pytest.mark.parametrize("g,message", [
-    (np.diag([1.0, 1.0, -1.0]), "trace 0"),
-    (np.diag([1.0, 1.0, -1.0, 1.0]), "trace 0"),
-    (np.array([[0.0, 1.0], [0.0, 0.0]]), "symmetric orthogonal involution"),
-    (np.diag([2.0, -0.5]), "symmetric orthogonal involution"),
-    (np.ones(4), "square"),
-], ids=["odd", "unbalanced", "not-symmetric", "not-orthogonal", "not-a-matrix"])
-def test_grading_checks_its_involution(g, message):
+@pytest.mark.parametrize("signs,message", [
+    ([1.0, 1.0, -1.0], "trace 0"),
+    ([1.0, 1.0, -1.0, 1.0], "trace 0"),
+    ([1.0, 0.0, -1.0, -1.0], "exactly -1 or \\+1"),
+    ([2.0, -0.5], "exactly -1 or \\+1"),
+    (np.diag([1.0, -1.0]), "1-D sign vector"),
+], ids=["odd", "unbalanced", "zero-entry", "not-orthogonal", "matrix"])
+def test_grading_checks_its_involution(signs, message):
+    # diag(signs) is an orthogonal involution of trace 0 exactly when the
+    # entries are +-1, as many of each
     with pytest.raises(ValidationError, match=message):
-        Grading(g)
+        Grading(signs)
+    np.testing.assert_array_equal(Grading([-1, 1, 1, -1]).signs, [-1.0, 1.0, 1.0, -1.0])
