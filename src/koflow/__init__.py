@@ -11,7 +11,7 @@ from .errors import (AmbiguousKernelError, IllConditionedError,
                      InvalidModuleError, ObstructionError, ValidationError)
 from .flow import (FlowOptions, SkewPath, cayley, clamp_phase, classical_sf,
                    complete_phase, endpoint_flow, spectral_flow)
-from .models import (CMat, LatticeSpec, RealStructure, aii_path, flux_path,
+from .models import (LatticeSpec, RealStructure, aii_path, flux_path,
                      hermitian_double, kitaev_path, realify,
                      standard_quaternionic)
 from .pairs import (ComplexStructure, MidpointPair, ProjectionPair,

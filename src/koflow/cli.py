@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .abs_index import abs_class
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      InvalidModuleError, ObstructionError, ValidationError)
 from .flow import FlowOptions, SkewPath, classical_sf, spectral_flow
-from .models import CMat, LatticeSpec, aii_path, flux_path, hermitian_double, kitaev_path
+from .models import LatticeSpec, aii_path, flux_path, hermitian_double, kitaev_path
 from .pairs import ComplexStructure, pair_index
 from .props import run_all
 from .rs_verify import RSProblem, hermite_values, verify_rs
@@ -46,8 +47,24 @@ def _load_matrix(path: str, n: int) -> np.ndarray:
     return cliff._matrix_from_json(data, n)
 
 
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:  # missing directory, a directory, no permission
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_out(path: str) -> None:
+    """Raise ValidationError, before the solve, when `path` cannot be
+    written; a file made only to find that out is removed again."""
+    existed = os.path.lexists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _open_out(path, "w") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(f"{x:.12g}" for x in row) + "\n")
@@ -55,12 +72,14 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _flow(path: SkewPath, args):
     """The spectral flow of `path`, after checking the --tracks request
-    against it: 0 <= tracks <= n, and --out when tracks > 0."""
+    against it: 0 <= tracks <= n, and a writable --out when tracks > 0."""
     n = path.context.n
     if not 0 <= args.tracks <= n:
         raise ValidationError(f"--tracks must lie in [0, {n}], got {args.tracks}")
     if args.tracks and not args.out:
         raise ValidationError("--tracks needs --out")
+    if args.tracks:
+        _check_out(args.out)
     return spectral_flow(path, FlowOptions(seed=args.seed))
 
 
@@ -164,7 +183,7 @@ def cmd_flux(args) -> int:
 
 def cmd_aii(args) -> int:
     def h_fn(t):
-        return CMat.real((2.0 * t - 1.0) * np.eye(4))
+        return (2.0 * t - 1.0) * np.eye(4)
 
     path = aii_path(h_fn, 4)
     value = _flow(path, args)
@@ -180,6 +199,8 @@ def cmd_rs_check(args) -> int:
     module = cliff.rep_from_json(_load_json(args.module)) if args.module \
         else cliff.CliffordRep(0, 1, 2, F=(cliff.L1,))
     problem = RSProblem(module, L=args.L, m=args.m)
+    if args.out:
+        _check_out(args.out)
     report = verify_rs(problem)
     _emit(report.to_json())
     if args.out:

@@ -38,6 +38,12 @@ from .pairs import ComplexStructure, pair_index
 # `pair_index`, which finds it empty too: ||J0 - J1||_2 <= 0.9 keeps every
 # singular value of J0 + J1 above sqrt(4 - 0.81) > 1.78.
 PHASE_BOUND = 0.9
+# An endpoint (of a flow, or of a classical flow) whose smallest singular
+# value or eigenvalue magnitude falls below this is singular.
+INV_TOL = 1e-8
+# Bisection levels below the initial partition before a segment whose
+# pair kernel stays ambiguous is an AmbiguousKernelError.
+MAX_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,6 @@ class SkewPath:
 
 @dataclass(frozen=True)
 class FlowOptions:
-    inv_tol: float = 1e-8
-    max_depth: int = 20
     initial_segments: int = 16
     seed: int = 0
 
@@ -212,7 +216,7 @@ def _flow_degree(context: CliffordRep) -> int:
     return (context.s + 2 - context.r) % 8
 
 
-def _split_endpoints(path: SkewPath, opts: FlowOptions):
+def _split_endpoints(path: SkewPath):
     """The (range phase, kernel basis) of T(0) and T(1), each sampled,
     validated and decomposed once; raises ValidationError when an
     endpoint is not invertible, before its kernel cluster is split."""
@@ -220,10 +224,10 @@ def _split_endpoints(path: SkewPath, opts: FlowOptions):
     for t_end in (0.0, 1.0):
         def split(svals, t_end=t_end):
             smin = float(svals[0]) if svals.size else np.inf
-            if smin < opts.inv_tol:
+            if smin < INV_TOL:
                 raise ValidationError(
                     f"endpoint t={t_end} is not invertible "
-                    f"(smallest singular value {smin:.3e} < {opts.inv_tol})")
+                    f"(smallest singular value {smin:.3e} < {INV_TOL})")
             return _split_phase_kernel(svals)
 
         splits.append(svd_split(path.at(t_end), split, path.grading))
@@ -242,7 +246,7 @@ def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
     opts = opts or FlowOptions()
     ctx, grading = path.context, path.grading
     degree = _flow_degree(ctx)
-    t0_node, t1_node = _split_endpoints(path, opts)
+    t0_node, t1_node = _split_endpoints(path)
     if ctx.n == 0:
         return KOClass.of(degree, 0)
 
@@ -261,9 +265,9 @@ def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
             try:
                 contribution, _ = pair_index(ja, jb)
             except AmbiguousKernelError:
-                if depth >= opts.max_depth:
+                if depth >= MAX_DEPTH:
                     raise AmbiguousKernelError(
-                        f"partition depth {opts.max_depth} exceeded on segment "
+                        f"partition depth {MAX_DEPTH} exceeded on segment "
                         f"[{a}, {b}] without a clean pair kernel")
                 pending.append((b, depth + 1, jb))
                 pending.append(((a + b) / 2.0, depth + 1, None))
@@ -278,7 +282,7 @@ def endpoint_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
     theorem makes this an independent oracle for spectral_flow."""
     opts = opts or FlowOptions()
     ctx = path.context
-    t0_node, t1_node = _split_endpoints(path, opts)
+    t0_node, t1_node = _split_endpoints(path)
     if ctx.n == 0:
         return KOClass.of(_flow_degree(ctx), 0)
     j0 = complete_phase(t0_node, ctx, seed=opts.seed)
@@ -323,8 +327,7 @@ def clamp_phase(tmat: np.ndarray) -> np.ndarray:
     return (u * np.minimum(svals, 1.0)) @ vt
 
 
-def classical_sf(path_fn: Callable[[float], np.ndarray],
-                 inv_tol: float = 1e-8) -> int:
+def classical_sf(path_fn: Callable[[float], np.ndarray]) -> int:
     """Classical spectral flow of a path of symmetric matrices:
     n_minus(start) - n_minus(end), endpoints required invertible."""
 
@@ -333,7 +336,7 @@ def classical_sf(path_fn: Callable[[float], np.ndarray],
         if residual_norm(SAMPLE_TOL, [mat - mat.T]) > SAMPLE_TOL:
             raise ValidationError(f"sample at t={t} is not symmetric")
         vals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
-        if vals.size and np.min(np.abs(vals)) < inv_tol:
+        if vals.size and np.min(np.abs(vals)) < INV_TOL:
             raise ValidationError(f"endpoint t={t} is singular")
         return int(np.sum(vals < 0.0))
 

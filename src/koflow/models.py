@@ -1,15 +1,16 @@
 """Physical model builders: particle-hole symmetric lattice Hamiltonians
 as skew paths.
 
-Complex matrices are carried as pairs of real matrices (real and
-imaginary part); no complex dtype enters the numerical core.  An
-antiunitary involution C = (conjugation after a real symmetric
-orthogonal M) fixes a real subspace of half the real dimension, and
-operators commuting with C restrict to real matrices there.  In the
-eigenbasis V of M an operator A commutes with C exactly when V^T Re(A) V
-is block diagonal and V^T Im(A) V block off-diagonal for the (-1, +1)
-split of M, so `realify` checks and realifies with one real compression
-by V; the class AII paths and library input go through it.
+Complex matrices are numpy complex arrays on the model side only:
+`realify` returns a real matrix, so no complex dtype enters the flow,
+pair or numerics core.  An antiunitary involution C = (conjugation
+after a real symmetric orthogonal M) fixes a real subspace of half the
+real dimension, and operators commuting with C restrict to real
+matrices there.  In the eigenbasis V of M an operator A commutes with C
+exactly when V^T Re(A) V is block diagonal and V^T Im(A) V block
+off-diagonal for the (-1, +1) split of M, so `realify` checks and
+realifies with one real compression by V; the class AII paths and
+library input go through it.
 
 The Kitaev chain needs no realification: its C = I_N (x) K2 conj acts
 site by site, and `kitaev_path` writes each sample straight in a
@@ -55,63 +56,6 @@ SVD_WORKSPACE_ARRAYS = 5
 
 
 @dataclass(frozen=True)
-class CMat:
-    """A complex matrix stored as (real part, imaginary part)."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        re = np.array(self.re, dtype=float)
-        im = np.array(self.im, dtype=float)
-        if re.shape != im.shape:
-            raise ValidationError("real and imaginary parts differ in shape")
-        re.setflags(write=False)
-        im.setflags(write=False)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @staticmethod
-    def real(mat) -> "CMat":
-        mat = np.asarray(mat, dtype=float)
-        return CMat(mat, np.zeros_like(mat))
-
-    @staticmethod
-    def eye(n: int) -> "CMat":
-        return CMat.real(np.eye(n))
-
-    @property
-    def shape(self):
-        return self.re.shape
-
-    def __add__(self, other: "CMat") -> "CMat":
-        return CMat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CMat") -> "CMat":
-        return CMat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "CMat":
-        return CMat(-self.re, -self.im)
-
-    def __matmul__(self, other: "CMat") -> "CMat":
-        return CMat(self.re @ other.re - self.im @ other.im,
-                    self.re @ other.im + self.im @ other.re)
-
-    def times_i(self) -> "CMat":
-        return CMat(-self.im, self.re)
-
-    def conj(self) -> "CMat":
-        return CMat(self.re, -self.im)
-
-    def h(self) -> "CMat":
-        return CMat(self.re.T, -self.im.T)
-
-    def kron(self, other: "CMat") -> "CMat":
-        return CMat(np.kron(self.re, other.re) - np.kron(self.im, other.im),
-                    np.kron(self.re, other.im) + np.kron(self.im, other.re))
-
-
-@dataclass(frozen=True)
 class RealStructure:
     """Antiunitary involution C(v) = M conj(v) and the basis of its fixed
     real subspace.
@@ -121,14 +65,14 @@ class RealStructure:
     span the -1 eigenspace, the rest the +1 eigenspace.  The fixed
     subspace has real dimension n; its orthonormal basis is read off V: a
     +1 eigenvector v is fixed by C as it stands, a -1 eigenvector v enters
-    as i v.
+    as i v, so `basis` is the read-only complex array V diag(i or 1).
     """
 
     n: int
     M: np.ndarray
     V: np.ndarray = field(init=False)
     k: int = field(init=False)
-    basis: CMat = field(init=False)
+    basis: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.M, dtype=float)
@@ -145,32 +89,36 @@ class RealStructure:
         plus = vals > 0.0
         object.__setattr__(self, "V", vecs)
         object.__setattr__(self, "k", int(np.count_nonzero(~plus)))
-        object.__setattr__(self, "basis", CMat(vecs * plus, vecs * ~plus))
+        basis = vecs * np.where(plus, 1.0, 1.0j)
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
 
 
-def realify(rs: RealStructure, a: CMat, tol: float = REALIFY_TOL) -> np.ndarray:
+def realify(rs: RealStructure, a: np.ndarray) -> np.ndarray:
     """Real matrix of an operator commuting with C on the fixed subspace.
 
     With r + i x = V^T A V, the residual M conj(A) M - A is twice the
     blocks of r off the (-1, +1) block diagonal (real part) and of x on it
     (imaginary part), so its 2-norms are 2 max(||r12||, ||r21||) and
     2 max(||x11||, ||x22||); it is measured as `residual_norm` measures a
-    CMat.  On the fixed basis V diag(i, ..., i, 1, ..., 1) the operator is
-    the real matrix [[r11, x12], [-x21, r22]].
+    complex residual.  On the fixed basis V diag(i, ..., i, 1, ..., 1) the
+    operator is the real matrix [[r11, x12], [-x21, r22]].
     """
     v, k = rs.V, rs.k
-    r = v.T @ a.re @ v
-    x = v.T @ a.im @ v
+    a = np.asarray(a)
+    # contiguous parts, so that both products run in BLAS
+    r = v.T @ np.ascontiguousarray(a.real, dtype=float) @ v
+    x = v.T @ np.ascontiguousarray(a.imag, dtype=float) @ v
     re_blocks = (r[:k, k:], r[k:, :k])
     im_blocks = (x[:k, :k], x[k:, k:])
     res = 2.0 * float(np.hypot.reduce(
         [np.linalg.norm(b) for b in re_blocks + im_blocks]))
     if not np.isfinite(res):
         res = np.inf  # a non-finite entry fails the check, with no SVD
-    elif res > tol:  # the Frobenius bound fails: take the exact norm
+    elif res > REALIFY_TOL:  # the Frobenius bound fails: take the exact norm
         res = 2.0 * float(np.hypot(max(map(op_norm, re_blocks)),
                                    max(map(op_norm, im_blocks))))
-    if res > tol:
+    if res > REALIFY_TOL:
         raise ValidationError(
             f"operator does not commute with the real structure (residual {res:.3e})")
     r[:k, k:] = x[:k, k:]
@@ -337,53 +285,48 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
 # Class AII (quaternionic) paths
 # ---------------------------------------------------------------------------
 
-def standard_quaternionic(n: int) -> CMat:
+def standard_quaternionic(n: int) -> np.ndarray:
     """Matrix J_q of the antiunitary T(v) = J_q conj(v) with T^2 = -I."""
     if n % 2:
         raise ValidationError("a quaternionic structure needs even complex dimension")
-    return CMat.real(np.kron(L1, np.eye(n // 2)))
+    return np.kron(L1, np.eye(n // 2))
 
 
-def hermitian_double(h: CMat) -> np.ndarray:
+def hermitian_double(h: np.ndarray) -> np.ndarray:
     """Real symmetric matrix of a hermitian matrix on the realified space
     (each complex eigenvalue appears twice)."""
-    return np.block([[h.re, -h.im], [h.im, h.re]])
+    h = np.asarray(h, dtype=complex)
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
-def aii_path(h_fn: Callable[[float], CMat], n: int,
-             jq: CMat | None = None, tol: float = REALIFY_TOL) -> SkewPath:
+def aii_path(h_fn: Callable[[float], np.ndarray], n: int) -> SkewPath:
     """Nambu-doubled, realified path for a time-reversal symmetric family.
 
-    `h_fn` samples a complex self-adjoint n x n matrix commuting with the
-    quaternionic structure T = (conjugation after jq); the returned path
-    anticommutes with the two skew generators built from C T-hat and
-    i C T-hat Q, and its degree-4 flow is one quarter of the classical
-    spectral flow of the realified family `hermitian_double(h_fn)`.
+    `h_fn` samples a self-adjoint n x n matrix (real or complex) commuting
+    with the quaternionic structure T = (conjugation after
+    `standard_quaternionic(n)`); the returned path anticommutes with the
+    two skew generators built from C T-hat and i C T-hat Q, and its
+    degree-4 flow is one quarter of the classical spectral flow of the
+    realified family `hermitian_double(h_fn)`.
     """
-    jq = standard_quaternionic(n) if jq is None else jq
-    if jq.shape != (n, n):
-        raise ValidationError("quaternionic structure has the wrong shape")
-    if residual_norm(tol, [jq @ jq.conj() + CMat.eye(n)]) > tol:
-        raise ValidationError("T^2 = -I fails for the supplied structure")
+    jq = standard_quaternionic(n)
     rs = RealStructure(2 * n, np.kron(K2, np.eye(n)))
     # F1 = C T-hat and F2 = i C T-hat Q, both linear and C-commuting.
-    f1 = CMat.real(np.kron(K2, np.eye(n))) @ CMat.real(np.eye(2)).kron(jq)
-    f2 = f1.times_i() @ CMat.real(np.kron(K1, np.eye(n)))
+    f1 = np.kron(K2, np.eye(n)) @ np.kron(np.eye(2), jq)
+    f2 = 1j * f1 @ np.kron(K1, np.eye(n))
     ctx = CliffordRep(0, 2, 2 * n,
                       F=(realify(rs, f1), realify(rs, f2)))
 
     def sample(t: float) -> np.ndarray:
-        h = h_fn(t)
-        if residual_norm(tol, [h - h.h()]) > tol:
+        h = np.asarray(h_fn(t), dtype=complex)
+        if residual_norm(REALIFY_TOL, [h - h.conj().T]) > REALIFY_TOL:
             raise ValidationError(f"sample at t={t} is not self-adjoint")
-        tres = residual_norm(tol, [h @ jq - jq @ h.conj()])
-        if tres > tol:
+        tres = residual_norm(REALIFY_TOL, [h @ jq - jq @ h.conj()])
+        if tres > REALIFY_TOL:
             raise ValidationError(
                 f"sample at t={t} breaks time reversal (residual {tres:.3e})")
-        zero = np.zeros_like(h.re)
-        # -H (+) conj H
-        nambu = CMat(np.block([[-h.re, zero], [zero, h.re]]),
-                     np.block([[-h.im, zero], [zero, -h.im]]))
-        return realify(rs, nambu.times_i())
+        zero = np.zeros_like(h)
+        # i (-H (+) conj H)
+        return realify(rs, 1j * np.block([[-h, zero], [zero, h.conj()]]))
 
     return SkewPath(ctx, sample, label="class AII Nambu path")

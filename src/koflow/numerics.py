@@ -54,15 +54,15 @@ def op_norm(mat: np.ndarray) -> float:
 
 
 def residual_norm(tol: float, residuals) -> float:
-    """Largest 2-norm among `residuals` (real matrices, or models.CMat
-    measured as hypot(||re||_2, ||im||_2)), exact whenever it exceeds tol.
+    """Largest 2-norm among `residuals`, exact whenever it exceeds tol;
+    a complex residual R is measured as hypot(||Re R||_2, ||Im R||_2).
 
     A residual whose Frobenius bound is within tol counts as that bound,
     so the accepted inputs and the residuals reported on failure are those
     of the exact norm.  A residual with a non-finite entry counts as inf.
     Consumed lazily: a generator keeps one alive."""
     def size(res) -> float:
-        parts = (res,) if isinstance(res, np.ndarray) else (res.re, res.im)
+        parts = (res.real, res.imag) if np.iscomplexobj(res) else (res,)
         bound = float(np.hypot.reduce([np.linalg.norm(p) for p in parts]))
         if bound <= tol:
             return bound

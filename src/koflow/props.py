@@ -17,7 +17,7 @@ import numpy as np
 from . import clifford as cliff
 from .abs_index import abs_class
 from .flow import SkewPath, classical_sf, endpoint_flow, spectral_flow
-from .models import (CMat, LatticeSpec, aii_path, flux_path, hermitian_double,
+from .models import (LatticeSpec, aii_path, flux_path, hermitian_double,
                      kitaev_path)
 from .numerics import min_singular_value, random_orthogonal, random_skew
 from .pairs import (ComplexStructure, ProjectionPair, orthogonal_pair_parity,
@@ -315,9 +315,9 @@ def models_suite(seed: int = 0):
     quarter = True
     kdims = True
     for h_fn, n in (
-            (lambda t: CMat.real((2 * t - 1.0) * np.eye(4)), 4),
-            (lambda t: CMat.real(np.eye(4)), 4),
-            (lambda t: CMat.real(np.kron(np.eye(2), np.diag([2 * t - 1.0, 2 * t - 1.0, 1.0, 1.0]))), 8)):
+            (lambda t: (2 * t - 1.0) * np.eye(4), 4),
+            (lambda t: np.eye(4), 4),
+            (lambda t: np.kron(np.eye(2), np.diag([2 * t - 1.0, 2 * t - 1.0, 1.0, 1.0])), 8)):
         path = aii_path(h_fn, n)
         flow_val = spectral_flow(path).value
         classical = classical_sf(lambda t: hermitian_double(h_fn(t)))

@@ -55,6 +55,8 @@ from .numerics import check_memory, residual_norm, split_zero_cluster
 KERNEL_EXTRA = 6
 # Bound on ||A A^T - I|| and ||B -+ A|| for the two cell blocks of X.
 CELL_TOL = 1e-12
+# Quadrature points whose Hermite values `analytic_profiles` holds at once.
+PROFILE_BLOCK = 1024
 
 
 def default_switching(t: float) -> float:
@@ -372,8 +374,12 @@ def analytic_profiles(problem: RSProblem, op: DiscreteOperator) -> np.ndarray:
     anchor = np.interp(0.0, t_pts, integral)
     with np.errstate(under="ignore"):
         u_bar = np.exp(integral - anchor)
-    phi = hermite_values(problem.m, y)
-    u_coef = phi.T @ (w * u_bar)
+    # project block by block: the whole (points, m) table is 38 MB at m = 1200
+    wu = w * u_bar
+    u_coef = np.zeros(problem.m)
+    for lo in range(0, y.size, PROFILE_BLOCK):
+        block = slice(lo, lo + PROFILE_BLOCK)
+        u_coef += hermite_values(problem.m, y[block]).T @ wu[block]
     cells = np.sqrt(2.0) * _sector_bases(np.array(module.F[-1]))[0]
     rows = op.matrix.shape[0]
     profiles = np.concatenate([np.kron(u_coef[:, None], op.keep_full.T @ cells),

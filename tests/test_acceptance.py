@@ -7,7 +7,7 @@ import numpy as np
 from koflow import clifford as cl
 from koflow.abs_index import abs_class
 from koflow.flow import SkewPath, classical_sf, endpoint_flow, spectral_flow
-from koflow.models import (CMat, LatticeSpec, aii_path, hermitian_double,
+from koflow.models import (LatticeSpec, aii_path, hermitian_double,
                            kitaev_path)
 from koflow.numerics import random_orthogonal
 from koflow.pairs import (ComplexStructure, ProjectionPair,
@@ -182,11 +182,10 @@ def test_criterion_7_robbin_salamon():
 def test_criterion_8_aii_quarter_relation():
     ok = True
     cases = [
-        (lambda t: CMat.real((2 * t - 1.0) * np.eye(4)), 4),
-        (lambda t: CMat.real(np.eye(4)), 4),
-        (lambda t: CMat.real(np.kron(np.eye(2),
-                                     np.diag([2 * t - 1.0, 2 * t - 1.0,
-                                              1.0, 1.0]))), 8),
+        (lambda t: (2 * t - 1.0) * np.eye(4), 4),
+        (lambda t: np.eye(4), 4),
+        (lambda t: np.kron(np.eye(2),
+                           np.diag([2 * t - 1.0, 2 * t - 1.0, 1.0, 1.0])), 8),
     ]
     for h_fn, n in cases:
         path = aii_path(h_fn, n)

@@ -309,6 +309,48 @@ def test_lattice_memory_guard_trips_before_allocation(tmp_path, capsys, monkeypa
     assert "bytes, over the memory budget" in err
 
 
+UNWRITABLE_OUT = {
+    "kitaev": ["kitaev", "--N", "4", "--tracks", "2"],
+    "sf": ["sf", "--model", "kitaev", "--N", "4", "--tracks", "2"],
+    "flux": ["flux", "--module", "rep.json", "--tracks", "2"],
+    "aii": ["aii", "--demo", "--tracks", "2"],
+    "rs-check": ["rs-check", "--m", "200"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("argv", list(UNWRITABLE_OUT.values()), ids=list(UNWRITABLE_OUT))
+def test_unwritable_out_exits_2_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                 argv, target):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the solve ran before --out was checked")
+
+    monkeypatch.setattr(cli_mod, "spectral_flow", unreachable)
+    monkeypatch.setattr(cli_mod, "verify_rs", unreachable)
+    (tmp_path / "rep.json").write_text(json.dumps(cl.rep_to_json(cl.irreducible_rep(0, 1))))
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    out_path = tmp_path / "absent" / "out.csv" if target == "missing-directory" else tmp_path
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "validation error: cannot write" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_out_check_leaves_no_file_behind(tmp_path, capsys):
+    # the writability check removes the file it made; a later failure of
+    # the solve leaves no empty CSV
+    ctx = cl.CliffordRep(0, 0, 2)
+    path_file = tmp_path / "flat.json"
+    path_file.write_text(json.dumps({"context": cl.rep_to_json(ctx), "t": [0.0, 1.0],
+                                     "T": [np.zeros(4).tolist(), np.zeros(4).tolist()]}))
+    out_file = tmp_path / "t.csv"
+    code, out, _ = run_cli(capsys, "sf", "--path", str(path_file), "--tracks", "1",
+                           "--out", str(out_file))
+    assert (code, out) == (2, "")  # singular endpoint
+    assert not out_file.exists()
+
+
 HOSTILE_SIZES = {
     "module-n-negative": (["check", "--module", "rep.json"],
                           {"r": 0, "s": 0, "n": -1}, "nonnegative integer"),

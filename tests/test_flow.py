@@ -55,9 +55,9 @@ def test_sample_validation():
         bad.at(0.0)
 
 
-def test_singular_endpoint_errors_keep_their_order():
+def test_singular_endpoint_errors_keep_their_order(monkeypatch):
     # T(0) is sampled, checked and split before T(1) is sampled; the check
-    # reads the node's own singular values against inv_tol, before any
+    # reads the node's own singular values against INV_TOL, before any
     # kernel completion (a zero T(0) on R^3 would be obstructed)
     ctx3 = cl.CliffordRep(0, 0, 3)
     with pytest.raises(ValidationError, match="endpoint t=0.0 is not invertible"):
@@ -84,10 +84,10 @@ def test_singular_endpoint_errors_keep_their_order():
         for solve in (spectral_flow, endpoint_flow):
             with pytest.raises(ValidationError, match=message):
                 solve(p)
-    opts = FlowOptions(inv_tol=1e-3)
+    monkeypatch.setattr(flow, "INV_TOL", 1e-3)
     with pytest.raises(ValidationError, match=r"5\.000e-04 < 0\.001"):
-        spectral_flow(path(5e-4, 1.0), opts)
-    assert spectral_flow(path(2e-3, 1.0), opts).value == 0
+        spectral_flow(path(5e-4, 1.0))
+    assert spectral_flow(path(2e-3, 1.0)).value == 0
 
 
 def test_endpoint_checks_take_no_extra_svd(monkeypatch):
@@ -370,15 +370,16 @@ def _node_depth(t):
     return max(0, Fraction(t).denominator.bit_length() - 1 - 4)
 
 
-def test_partition_depth_cap_on_ambiguous_jump():
+def test_partition_depth_cap_on_ambiguous_jump(monkeypatch):
     # discontinuous jump whose pair kernel has a gapless singular-value
     # ramp: every bisection stays ambiguous, so the depth cap must trip
     j0_mat, rotation = _gapless_rotation()
     j1_mat = rotation(1.0) @ j0_mat
     ctx = cl.CliffordRep(0, 0, j0_mat.shape[0])
     path = SkewPath(ctx, lambda t: j0_mat if t < 1 / 3 else j1_mat)
+    monkeypatch.setattr(flow, "MAX_DEPTH", 6)
     with pytest.raises(AmbiguousKernelError):
-        spectral_flow(path, FlowOptions(max_depth=6))
+        spectral_flow(path)
 
 
 def test_walk_samples_each_node_once_through_bisection():

@@ -11,7 +11,7 @@ from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
 from koflow.flow import (FlowOptions, SkewPath, classical_sf, complete_phase,
                          endpoint_flow, spectral_flow)
-from koflow.models import (NODE_ARRAYS, CMat, LatticeSpec, RealStructure,
+from koflow.models import (NODE_ARRAYS, LatticeSpec, RealStructure,
                            aii_path, flux_path, hermitian_double, kitaev_path,
                            realify, standard_quaternionic)
 from koflow.numerics import op_norm, random_orthogonal, svd_split
@@ -20,32 +20,19 @@ from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev,
                       kitaev_seam_correction, rotated_irrep)
 
 
-def test_cmat_arithmetic():
-    a = CMat(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
-    b = a.h()
-    prod = a @ b
-    direct = (a.re + 1j * a.im) @ (b.re + 1j * b.im)
-    assert np.allclose(prod.re + 1j * prod.im, direct)
-    assert np.allclose(a.times_i().re, -a.im)
-    k = a.kron(b)
-    directk = np.kron(a.re + 1j * a.im, b.re + 1j * b.im)
-    assert np.allclose(k.re + 1j * k.im, directk)
-
-
 def test_realify_examples():
     rs = RealStructure(2, np.eye(2))
-    i_sigma_y = CMat(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)))
+    i_sigma_y = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     assert np.allclose(realify(rs, i_sigma_y), [[0.0, 1.0], [-1.0, 0.0]])
-    assert np.allclose(realify(rs, CMat.eye(2)), np.eye(2))
-    i_sigma_x = CMat(np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(realify(rs, np.eye(2)), np.eye(2))
+    i_sigma_x = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValidationError):
         realify(rs, i_sigma_x)
 
 
 def _c_commuting(rng, m):
-    raw = CMat(rng.standard_normal(m.shape), rng.standard_normal(m.shape))
-    mr = CMat.real(m)
-    return raw + mr @ raw.conj() @ mr  # averaged onto the commutant of C
+    raw = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    return raw + m @ raw.conj() @ m  # averaged onto the commutant of C
 
 
 def _structures():
@@ -60,12 +47,12 @@ def test_realify_is_algebra_map():
     for m in _structures():
         rs = RealStructure(6, m)
         basis = rs.basis
-        gram = basis.h() @ basis
-        assert np.allclose(gram.re, np.eye(6), atol=1e-12)
-        assert np.allclose(gram.im, 0.0, atol=1e-12)
-        fixed = CMat.real(m) @ basis.conj()  # C applied to each column
-        assert np.allclose(fixed.re, basis.re, atol=1e-12)
-        assert np.allclose(fixed.im, basis.im, atol=1e-12)
+        gram = basis.conj().T @ basis
+        assert np.allclose(gram.real, np.eye(6), atol=1e-12)
+        assert np.allclose(gram.imag, 0.0, atol=1e-12)
+        fixed = m @ basis.conj()  # C applied to each column
+        assert np.allclose(fixed.real, basis.real, atol=1e-12)
+        assert np.allclose(fixed.imag, basis.imag, atol=1e-12)
         a, b = _c_commuting(rng, m), _c_commuting(rng, m)
         assert np.allclose(realify(rs, a @ b), realify(rs, a) @ realify(rs, b),
                            atol=1e-10)
@@ -111,7 +98,7 @@ def test_kitaev_samples_are_realify_up_to_signed_permutation(n_ring):
     path = kitaev_path(LatticeSpec(n_ring))
     for alpha in (0.0, 0.3, 0.5, 0.77, 1.0):
         h_alpha = complex_kitaev(n_ring, alpha)
-        realified = realify(rs, CMat(-h_alpha.imag, h_alpha.real))  # i H_alpha
+        realified = realify(rs, 1j * h_alpha)
         assert np.abs(realified - p.T @ path.at(alpha) @ p).max() <= 1e-14
 
 
@@ -119,11 +106,10 @@ def test_realify_reports_the_commutation_residual():
     rng = np.random.default_rng(11)
     for m in _structures():
         rs = RealStructure(6, m)
-        mr = CMat.real(m)
         for _ in range(50):
-            a = CMat(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
-            r = mr @ a.conj() @ mr - a
-            expected = f"{np.hypot(op_norm(r.re), op_norm(r.im)):.3e}"
+            a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            r = m @ a.conj() @ m - a
+            expected = f"{np.hypot(op_norm(r.real), op_norm(r.imag)):.3e}"
             with pytest.raises(ValidationError) as err:
                 realify(rs, a)
             assert str(err.value) == (
@@ -133,31 +119,26 @@ def test_realify_reports_the_commutation_residual():
 
 def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
     # building the N = 256 ring and sampling and splitting the 17 nodes of
-    # the default flow makes no CMat, calls no realify and takes no eigh:
-    # the grading is a sign vector, taken by index
-    eighs, cmats = [], []
+    # the default flow makes only float64 samples, calls no realify and
+    # takes no eigh: the grading is a sign vector, taken by index
+    eighs = []
     eigh = np.linalg.eigh
-    post_init = CMat.__post_init__
 
     def counted_eigh(mat, *args, **kwargs):
         eighs.append(mat.shape)
         return eigh(mat, *args, **kwargs)
 
-    def counted_cmat(self):
-        cmats.append(self)
-        post_init(self)
-
     def no_realify(*args, **kwargs):
         raise AssertionError("realify was called")
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(CMat, "__post_init__", counted_cmat)
     monkeypatch.setattr(models, "realify", no_realify)
     path = kitaev_path(LatticeSpec(256))
     for t in np.linspace(0.0, 1.0, FlowOptions().initial_segments + 1):
         # the 17 nodes of the default flow, all accepted for Kitaev
+        assert path.fn(t).dtype == np.float64
         svd_split(path.at(t), flow._split_phase_kernel, path.grading)
-    assert eighs == [] and cmats == []
+    assert eighs == []
     np.testing.assert_array_equal(path.grading.signs, np.tile([1, 1, -1, -1], 128))
 
 
@@ -173,8 +154,8 @@ def test_realify_is_star_algebra_map(signs, seed):
     a, b = _c_commuting(rng, m), _c_commuting(rng, m)
     ra, rb = realify(rs, a), realify(rs, b)
     assert np.allclose(realify(rs, a @ b), ra @ rb, atol=1e-10)
-    assert np.allclose(realify(rs, a.h()), ra.T, atol=1e-12)
-    assert np.allclose(realify(rs, CMat.eye(n)), np.eye(n), atol=1e-12)
+    assert np.allclose(realify(rs, a.conj().T), ra.T, atol=1e-12)
+    assert np.allclose(realify(rs, np.eye(n)), np.eye(n), atol=1e-12)
 
 
 def test_kitaev_endpoint_spectra():
@@ -355,10 +336,9 @@ def test_tiled_flux_class_matches_dense_context(s, chirality):
 
 def test_aii_quarter_relation():
     cases = [
-        (lambda t: CMat.real((2 * t - 1.0) * np.eye(4)), 4, 8),
-        (lambda t: CMat.real(np.eye(4)), 4, 0),
-        (lambda t: CMat.real(np.kron(np.eye(2),
-                                     np.diag([2 * t - 1.0, 2 * t - 1.0, 1.0, 1.0]))), 8, 8),
+        (lambda t: (2 * t - 1.0) * np.eye(4), 4, 8),
+        (lambda t: np.eye(4), 4, 0),
+        (lambda t: np.kron(np.eye(2), np.diag([2 * t - 1.0, 2 * t - 1.0, 1.0, 1.0])), 8, 8),
     ]
     for h_fn, n, expected_classical in cases:
         path = aii_path(h_fn, n)
@@ -384,17 +364,33 @@ def test_aii_samples_match_block_diag_reference():
     def h_complex(t):
         return base + (2.0 * t - 1.0) * np.eye(n)
 
-    path = aii_path(lambda t: CMat(h_complex(t).real, h_complex(t).imag), n)
+    path = aii_path(h_complex, n)
     rs = RealStructure(2 * n, np.kron(cl.K2, np.eye(n)))
     for t in (0.0, 0.3, 0.5, 1.0):
         h = h_complex(t)
-        nambu = CMat(block_diag(-h.real, h.real), block_diag(-h.imag, -h.imag))
+        nambu = block_diag(-h, h.conj())
         assert np.any(h.imag != 0.0)
-        assert np.array_equal(path.at(t), realify(rs, nambu.times_i()))
+        assert np.array_equal(path.at(t), realify(rs, 1j * nambu))
+
+
+def test_aii_real_and_complex_samples_agree():
+    # a real h_fn and the same family as complex arrays give the same
+    # samples bit for bit, on the same context
+    def h_real(t):
+        return np.kron(np.eye(2), np.diag([2 * t - 1.0, 2 * t - 1.0, 1.0, 1.0]))
+
+    real_path = aii_path(h_real, 8)
+    complex_path = aii_path(lambda t: h_real(t).astype(complex), 8)
+    for g_real, g_complex in zip(real_path.context.F, complex_path.context.F):
+        assert np.array_equal(g_real, g_complex)
+    for t in (0.0, 0.3, 0.5, 1.0):
+        sample = real_path.at(t)
+        assert sample.dtype == np.float64
+        assert np.array_equal(sample, complex_path.at(t))
 
 
 def test_aii_kernel_dims_divisible_by_four():
-    h_fn = (lambda t: CMat.real((2 * t - 1.0) * np.eye(4)))
+    h_fn = (lambda t: (2 * t - 1.0) * np.eye(4))
     path = aii_path(h_fn, 4)
     svals = np.linalg.svd(path.at(0.5), compute_uv=False)
     kdim = int(np.sum(svals < 1e-10))
@@ -403,7 +399,7 @@ def test_aii_kernel_dims_divisible_by_four():
 
 def test_aii_rejects_symmetry_violations():
     # breaks [h, T] = 0 for the standard quaternionic structure
-    bad = lambda t: CMat.real(np.diag([1.0, 1.0, 1.0, -1.0]))
+    bad = lambda t: np.diag([1.0, 1.0, 1.0, -1.0])
     path = aii_path(bad, 4)
     with pytest.raises(ValidationError):
         path.at(0.0)
@@ -412,6 +408,6 @@ def test_aii_rejects_symmetry_violations():
 def test_standard_quaternionic_squares_to_minus_one():
     jq = standard_quaternionic(6)
     t_sq = jq @ jq.conj()
-    assert np.allclose(t_sq.re, -np.eye(6)) and np.allclose(t_sq.im, 0.0)
+    assert np.allclose(t_sq.real, -np.eye(6)) and np.allclose(t_sq.imag, 0.0)
     with pytest.raises(ValidationError):
         standard_quaternionic(3)

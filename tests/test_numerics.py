@@ -4,7 +4,7 @@ import pytest
 from koflow import clifford, flow, models, numerics, pairs
 from koflow.errors import AmbiguousKernelError, ValidationError
 from koflow.flow import complete_phase
-from koflow.models import CMat, LatticeSpec, kitaev_path
+from koflow.models import LatticeSpec, kitaev_path
 from koflow.numerics import (Grading, kernel_basis, min_singular_value, op_norm,
                              random_orthogonal, random_skew, residual_norm,
                              skew_phase, split_zero_cluster, svd_split)
@@ -96,9 +96,9 @@ def test_residual_norm_rejects_with_exact_norm():
     assert worst > tol
     assert worst == op_norm(bad)
     # a complex residual is measured as hypot of its parts' 2-norms
-    cres = CMat(bad, 2.0 * bad)
+    cres = bad + 2.0j * bad
     assert residual_norm(tol, [cres]) == float(np.hypot(op_norm(bad), op_norm(2.0 * bad)))
-    assert residual_norm(tol, [CMat(small, small)]) <= tol
+    assert residual_norm(tol, [small + 1j * small]) <= tol
 
 
 def test_valid_kitaev_nodes_run_no_svd(monkeypatch):
@@ -128,7 +128,7 @@ def test_residual_norm_non_finite_is_inf(monkeypatch):
     monkeypatch.setattr(numerics, "op_norm", no_svd)
     nan = np.full((3, 3), np.nan)
     assert residual_norm(1e-10, [np.zeros((3, 3)), nan]) == np.inf
-    assert residual_norm(1e-10, [CMat(np.zeros((3, 3)), nan)]) == np.inf
+    assert residual_norm(1e-10, [1j * nan]) == np.inf
     assert residual_norm(1e-10, [np.diag([np.inf, 0.0, 0.0])]) == np.inf
 
 
@@ -139,12 +139,12 @@ def _nan_sample_at():
 
 def _nan_realify():
     rs = models.RealStructure(2, clifford.K2)
-    models.realify(rs, CMat(np.full((2, 2), np.nan), np.zeros((2, 2))))
+    models.realify(rs, np.full((2, 2), np.nan, dtype=complex))
 
 
 def _nan_aii_sample():
     nan = np.full((2, 2), np.nan)
-    models.aii_path(lambda t: CMat(nan, nan), 2).at(0.5)
+    models.aii_path(lambda t: nan + 1j * nan, 2).at(0.5)
 
 
 def _nan_complex_structure():

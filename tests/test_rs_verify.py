@@ -246,6 +246,20 @@ def test_analytic_profile_orthonormal():
         analytic_profiles(RSProblem(STANDARD, L=12.0, m=300, f=lambda t: 1.0), op)
 
 
+def test_analytic_profiles_never_hold_the_whole_hermite_table():
+    # the quadrature is projected block by block: the traced peak stays
+    # below half of the (4001 points, m) table that one projection would hold
+    problem = RSProblem(STANDARD, L=12.0, m=1200)
+    op = assemble_rs_operator(problem)
+    tracemalloc.start()
+    try:
+        analytic_profiles(problem, op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4001 * problem.m * 8 / 2
+
+
 def test_memory_guard():
     big = cl.irreducible_rep(0, 7)
     with pytest.raises(ValidationError):
