@@ -56,11 +56,12 @@ def _open_out(path: str, mode: str):
 
 def _check_out(path: str) -> None:
     """Raise ValidationError, before the solve, when `path` cannot be
-    written; a file made only to find that out is removed again."""
-    existed = os.path.lexists(path)
+    written; a file made only to find that out is removed again (the
+    target, when `path` is a dangling symlink)."""
+    existed = os.path.exists(path)
     _open_out(path, "a").close()
     if not existed:
-        os.remove(path)
+        os.remove(os.path.realpath(path))
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -159,16 +160,16 @@ def cmd_sf(args) -> int:
     else:
         raise ValidationError("sf needs either --model or --path")
     value = _flow(path, args)
-    _emit({"class": value.to_json(), "label": path.label})
     _tracks(path, args)
+    _emit({"class": value.to_json(), "label": path.label})
     return 0
 
 
 def cmd_kitaev(args) -> int:
     path = kitaev_path(LatticeSpec(args.N))
     value = _flow(path, args)
-    _emit(value.to_json())
     _tracks(path, args)
+    _emit(value.to_json())
     return 0
 
 
@@ -176,8 +177,8 @@ def cmd_flux(args) -> int:
     module = cliff.rep_from_json(_load_json(args.module))
     path = flux_path(module, args.N)
     value = _flow(path, args)
-    _emit({"class": value.to_json(), "module_class": abs_class(module).to_json()})
     _tracks(path, args)
+    _emit({"class": value.to_json(), "module_class": abs_class(module).to_json()})
     return 0
 
 
@@ -188,10 +189,10 @@ def cmd_aii(args) -> int:
     path = aii_path(h_fn, 4)
     value = _flow(path, args)
     classical = classical_sf(lambda t: hermitian_double(h_fn(t)))
+    _tracks(path, args)
     _emit({"class": value.to_json(),
            "classical_sf": classical,
            "quarter_relation": 4 * value.value == classical})
-    _tracks(path, args)
     return 0
 
 
@@ -202,7 +203,6 @@ def cmd_rs_check(args) -> int:
     if args.out:
         _check_out(args.out)
     report = verify_rs(problem)
-    _emit(report.to_json())
     if args.out:
         points = np.linspace(-4.0, 6.0, 401)
         phi = hermite_values(problem.m, points / problem.scale) / np.sqrt(problem.scale)
@@ -211,6 +211,7 @@ def cmd_rs_check(args) -> int:
         header = ["x"] + [f"v{c + 1}_{k + 1}" for c in range(cells.shape[2])
                           for k in range(cells.shape[1])]
         _write_csv(args.out, header, np.column_stack([points, values]))
+    _emit(report.to_json())
     return 0
 
 

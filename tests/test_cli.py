@@ -337,18 +337,36 @@ def test_unwritable_out_exits_2_before_the_solve(tmp_path, capsys, monkeypatch,
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_out_check_leaves_no_file_behind(tmp_path, capsys):
-    # the writability check removes the file it made; a later failure of
-    # the solve leaves no empty CSV
+@pytest.mark.parametrize("target", ["file", "dangling-symlink"])
+def test_out_check_leaves_no_file_behind(tmp_path, capsys, target):
+    # the writability check removes the file it made, also behind a
+    # dangling symlink; a later failure of the solve leaves no empty CSV
     ctx = cl.CliffordRep(0, 0, 2)
     path_file = tmp_path / "flat.json"
     path_file.write_text(json.dumps({"context": cl.rep_to_json(ctx), "t": [0.0, 1.0],
                                      "T": [np.zeros(4).tolist(), np.zeros(4).tolist()]}))
     out_file = tmp_path / "t.csv"
+    if target == "dangling-symlink":
+        out_file.symlink_to(tmp_path / "target.csv")
+    before = sorted(tmp_path.iterdir())
     code, out, _ = run_cli(capsys, "sf", "--path", str(path_file), "--tracks", "1",
                            "--out", str(out_file))
     assert (code, out) == (2, "")  # singular endpoint
+    assert sorted(tmp_path.iterdir()) == before
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", list(UNWRITABLE_OUT.values()), ids=list(UNWRITABLE_OUT))
+def test_failed_out_write_after_the_solve_prints_nothing(tmp_path, capsys, monkeypatch,
+                                                        argv):
+    # should --out become unwritable during the solve, the command still
+    # exits 2 with empty stdout: the file is written before the report
+    monkeypatch.setattr(cli_mod, "_check_out", lambda path: None)
+    (tmp_path / "rep.json").write_text(json.dumps(cl.rep_to_json(cl.irreducible_rep(0, 1))))
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "absent" / "out.csv"))
+    assert (code, out) == (2, "")
+    assert "validation error: cannot write" in err
 
 
 HOSTILE_SIZES = {
