@@ -2,18 +2,17 @@
 with Clifford symmetries."""
 
 from .abs_index import Group, KOClass, abs_class, forgetful, group_of
-from .clifford import (CliffordRep, Signature, ValidationReport, are_equivalent,
+from .clifford import (CliffordRep, ValidationReport, are_equivalent,
                        check_relations, cl11_tensor, decompose, direct_sum,
                        intertwiner, irreducible_dimension, irreducible_rep,
                        rep_from_json, rep_to_json, restrict_to_subspace,
                        signature_swap, volume_element)
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      InvalidModuleError, ObstructionError, ValidationError)
-from .flow import (FlowOptions, SkewPath, cayley, clamp_phase, classical_sf,
-                   complete_phase, endpoint_flow, spectral_flow)
-from .models import (LatticeSpec, RealStructure, aii_path, flux_path,
-                     hermitian_double, kitaev_path, realify,
-                     standard_quaternionic)
+from .flow import (SkewPath, cayley, clamp_phase, classical_sf, complete_phase,
+                   endpoint_flow, spectral_flow)
+from .models import (RealStructure, aii_path, flux_path, hermitian_double,
+                     kitaev_path, realify, standard_quaternionic)
 from .pairs import (ComplexStructure, MidpointPair, ProjectionPair,
                     midpoint_operators, orthogonal_pair_parity, pair_index,
                     projection_pair_index, projections_to_structures,

@@ -21,11 +21,14 @@ from . import clifford as cliff
 from .abs_index import abs_class
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      InvalidModuleError, ObstructionError, ValidationError)
-from .flow import FlowOptions, SkewPath, classical_sf, spectral_flow
-from .models import LatticeSpec, aii_path, flux_path, hermitian_double, kitaev_path
+from .flow import SkewPath, classical_sf, spectral_flow
+from .models import aii_path, flux_path, hermitian_double, kitaev_path
 from .pairs import ComplexStructure, pair_index
 from .props import run_all
 from .rs_verify import RSProblem, hermite_values, verify_rs
+
+# Evenly spaced path parameters at which --tracks samples the spectrum.
+TRACK_SAMPLES = 101
 
 
 def _emit(obj) -> None:
@@ -73,23 +76,26 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _flow(path: SkewPath, args):
     """The spectral flow of `path`, after checking the --tracks request
-    against it: 0 <= tracks <= n, and a writable --out when tracks > 0."""
+    against it: 0 <= tracks <= n, and --out given, and writable, exactly
+    when tracks > 0."""
     n = path.context.n
     if not 0 <= args.tracks <= n:
         raise ValidationError(f"--tracks must lie in [0, {n}], got {args.tracks}")
     if args.tracks and not args.out:
         raise ValidationError("--tracks needs --out")
+    if args.out and not args.tracks:
+        raise ValidationError("--out needs --tracks")
     if args.tracks:
         _check_out(args.out)
-    return spectral_flow(path, FlowOptions(seed=args.seed))
+    return spectral_flow(path, seed=args.seed)
 
 
-def _tracks(path: SkewPath, args, samples: int = 101) -> None:
+def _tracks(path: SkewPath, args) -> None:
     """The `--tracks` smallest singular values along the path, as CSV."""
     if not args.tracks:
         return
     rows = []
-    for t in np.linspace(0.0, 1.0, samples):
+    for t in np.linspace(0.0, 1.0, TRACK_SAMPLES):
         svals = np.linalg.svd(path.at(t), compute_uv=False)
         rows.append([t] + sorted(svals)[:args.tracks])
     _write_csv(args.out, ["t"] + [f"sigma{i + 1}" for i in range(args.tracks)], rows)
@@ -122,7 +128,7 @@ def cmd_pair_index(args) -> int:
 
 def _model_path(args) -> SkewPath:
     if args.model == "kitaev":
-        return kitaev_path(LatticeSpec(args.N))
+        return kitaev_path(args.N)
     if args.model == "flux":
         if args.module is None:
             raise ValidationError("sf --model flux needs --module")
@@ -166,7 +172,7 @@ def cmd_sf(args) -> int:
 
 
 def cmd_kitaev(args) -> int:
-    path = kitaev_path(LatticeSpec(args.N))
+    path = kitaev_path(args.N)
     value = _flow(path, args)
     _tracks(path, args)
     _emit(value.to_json())

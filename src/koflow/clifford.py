@@ -38,23 +38,10 @@ OMEGA_20 = K1 @ K2  # = -L1
 # dimensions this library targets), restrictions at 1e-9.
 CONSTRUCTION_TOL = 1e-12
 RESTRICTION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Counts of symmetric (r) and skew (s) generators."""
-
-    r: int
-    s: int
-
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0:
-            raise ValidationError(f"signature needs r, s >= 0, got ({self.r}, {self.s})")
-
-    @property
-    def degree(self) -> int:
-        """(s - r) mod 8, the only thing the index groups depend on."""
-        return (self.s - self.r) % 8
+# Seeded random candidates that `intertwiner` averages after the identity,
+# and the smallest singular value an average needs to count as invertible.
+INTERTWINER_TRIES = 8
+INTERTWINER_TOL = 1e-8
 
 
 def _freeze(mat: np.ndarray) -> np.ndarray:
@@ -109,10 +96,6 @@ class CliffordRep:
                         f"a generator is not I_{self.copies} (x) a {c} x {c} cell")
         object.__setattr__(self, "cells", tuple(cells))
 
-    @property
-    def sig(self) -> Signature:
-        return Signature(self.r, self.s)
-
     def generators(self):
         return list(self.E) + list(self.F)
 
@@ -156,7 +139,6 @@ class CliffordRep:
 class ValidationReport:
     """Violated relations with their max-abs residuals."""
 
-    tol: float
     violations: tuple  # of (name, residual)
     max_residual: float
 
@@ -203,7 +185,7 @@ def check_relations(rep: CliffordRep, tol: float = CONSTRUCTION_TOL) -> Validati
             probe(
                 f"E{i + 1}F{k + 1} + F{k + 1}E{i + 1} = 0",
                 rep.E[i] @ rep.F[k] + rep.F[k] @ rep.E[i])
-    return ValidationReport(tol=tol, violations=tuple(entries),
+    return ValidationReport(violations=tuple(entries),
                             max_residual=float(np.max(sizes, initial=0.0)))
 
 
@@ -442,7 +424,8 @@ def irreducible_rep(r: int, s: int, chirality=None) -> CliffordRep:
     default).  Supplying a chirality for an algebra with a unique
     irreducible is rejected.
     """
-    Signature(r, s)
+    if r < 0 or s < 0:
+        raise ValidationError(f"signature needs r, s >= 0, got ({r}, {s})")
     # its r + s generators and two more n x n arrays for the chirality fix
     check_memory(f"the Cl_{{{r},{s}}} irreducible",
                  8 * (r + s + 2) * irreducible_dimension(r, s) ** 2)
@@ -549,8 +532,7 @@ def _group_elements(rep: CliffordRep):
     return elements
 
 
-def intertwiner(rep_a: CliffordRep, rep_b: CliffordRep, seed: int = 0,
-                tries: int = 8, tol: float = 1e-8):
+def intertwiner(rep_a: CliffordRep, rep_b: CliffordRep, seed: int = 0):
     """Orthogonal U with rep_a(g) U = U rep_b(g) for all generators, or None.
 
     Candidate matrices are averaged over the generated group (exact
@@ -567,14 +549,15 @@ def intertwiner(rep_a: CliffordRep, rep_b: CliffordRep, seed: int = 0,
     group_b = _group_elements(rep_b)
     rng = np.random.default_rng(seed)
     candidates = [np.eye(rep_a.n)]
-    candidates += [rng.standard_normal((rep_a.n, rep_b.n)) for _ in range(tries)]
+    candidates += [rng.standard_normal((rep_a.n, rep_b.n))
+                   for _ in range(INTERTWINER_TRIES)]
     for cand in candidates:
         avg = np.zeros_like(cand)
         for ga, gb in zip(group_a, group_b):
             avg += ga @ cand @ gb.T
         avg /= len(group_a)
         u, svals, vt = np.linalg.svd(avg)
-        if svals[-1] > tol and svals[-1] > 1e-6 * svals[0]:
+        if svals[-1] > INTERTWINER_TOL and svals[-1] > 1e-6 * svals[0]:
             return u @ vt
     return None
 
@@ -647,6 +630,6 @@ def _parse_rep(obj) -> CliffordRep:
     return CliffordRep(r, s, n, E=tuple(e_list), F=tuple(f_list))
 
 
-def rep_from_json(obj, tol: float = CONSTRUCTION_TOL) -> CliffordRep:
+def rep_from_json(obj) -> CliffordRep:
     """Parse and validate a representation from the JSON schema."""
-    return _parse_rep(obj).validate(tol)
+    return _parse_rep(obj).validate()

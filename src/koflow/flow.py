@@ -41,9 +41,14 @@ PHASE_BOUND = 0.9
 # An endpoint (of a flow, or of a classical flow) whose smallest singular
 # value or eigenvalue magnitude falls below this is singular.
 INV_TOL = 1e-8
+# Uniform segments of the initial partition.
+INITIAL_SEGMENTS = 16
 # Bisection levels below the initial partition before a segment whose
 # pair kernel stays ambiguous is an AmbiguousKernelError.
 MAX_DEPTH = 20
+# A Cayley resolvent I - T F_s of larger condition number is
+# IllConditionedError.
+CAYLEY_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -80,12 +85,6 @@ class SkewPath:
                 f"path sample at t={t} violates skewness/anticommutation "
                 f"(residual {worst:.3e})")
         return mat
-
-
-@dataclass(frozen=True)
-class FlowOptions:
-    initial_segments: int = 16
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +233,16 @@ def _split_endpoints(path: SkewPath):
     return tuple(splits)
 
 
-def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
+def spectral_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     """KO-valued spectral flow of a path with invertible endpoints.
 
     Walks the partition from left to right.  It holds the phase at the
     left end of the current segment and a stack of pending right ends
     (t, depth, phase or None), nearest last; a phase stays on the stack
     only for the right end of a bisected segment.  Each node is completed
-    once, with the left phase as its alignment hint.
+    once, with the left phase as its alignment hint; `seed` drives the
+    random candidates of a kernel completion's intertwiner.
     """
-    opts = opts or FlowOptions()
     ctx, grading = path.context, path.grading
     degree = _flow_degree(ctx)
     t0_node, t1_node = _split_endpoints(path)
@@ -251,15 +250,15 @@ def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
         return KOClass.of(degree, 0)
 
     total = KOClass.of(degree, 0)
-    a, ja = 0.0, complete_phase(t0_node, ctx, seed=opts.seed)
+    a, ja = 0.0, complete_phase(t0_node, ctx, seed=seed)
     del t0_node  # the range phase of T(1) is kept for the last node
-    m = max(1, opts.initial_segments)
+    m = INITIAL_SEGMENTS
     pending = [(i / m, 0, None) for i in range(m, 0, -1)]
     while pending:
         b, depth, jb = pending.pop()
         if jb is None:
             jb = complete_phase(t1_node if b == 1.0 else path.at(b), ctx,
-                                align_hint=ja.J, seed=opts.seed, grading=grading)
+                                align_hint=ja.J, seed=seed, grading=grading)
         if np.linalg.norm(ja.J - jb.J) > PHASE_BOUND:
             # phases not 0.9-close: the pair kernel may be nonempty
             try:
@@ -277,16 +276,15 @@ def spectral_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
     return total
 
 
-def endpoint_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
+def endpoint_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     """Pair index of the endpoint phases: the finite-dimensional endpoint
     theorem makes this an independent oracle for spectral_flow."""
-    opts = opts or FlowOptions()
     ctx = path.context
     t0_node, t1_node = _split_endpoints(path)
     if ctx.n == 0:
         return KOClass.of(_flow_degree(ctx), 0)
-    j0 = complete_phase(t0_node, ctx, seed=opts.seed)
-    j1 = complete_phase(t1_node, ctx, seed=opts.seed)
+    j0 = complete_phase(t0_node, ctx, seed=seed)
+    j1 = complete_phase(t1_node, ctx, seed=seed)
     value, _ = pair_index(j0, j1)
     return value
 
@@ -295,8 +293,7 @@ def endpoint_flow(path: SkewPath, opts: FlowOptions | None = None) -> KOClass:
 # Cayley transform and the spectral clamp
 # ---------------------------------------------------------------------------
 
-def cayley(tmat: np.ndarray, context: CliffordRep,
-           cond_limit: float = 1e12) -> np.ndarray:
+def cayley(tmat: np.ndarray, context: CliffordRep) -> np.ndarray:
     """Cayley transform -F_s (I + T F_s)(I - T F_s)^-1.
 
     Maps skew generator-anticommuting matrices to complex structures
@@ -309,7 +306,7 @@ def cayley(tmat: np.ndarray, context: CliffordRep,
     f_s = context.F[-1]
     n = context.n
     m = np.eye(n) - tmat @ f_s
-    if np.linalg.cond(m) > cond_limit:
+    if np.linalg.cond(m) > CAYLEY_COND_LIMIT:
         raise IllConditionedError(
             "resolvent I - T F_s is too ill-conditioned for the Cayley transform")
     return -f_s @ (np.eye(n) + tmat @ f_s) @ np.linalg.inv(m)

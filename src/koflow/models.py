@@ -106,6 +106,9 @@ def realify(rs: RealStructure, a: np.ndarray) -> np.ndarray:
     """
     v, k = rs.V, rs.k
     a = np.asarray(a)
+    if a.shape != (rs.n, rs.n):
+        raise ValidationError(
+            f"operator has shape {a.shape}, expected ({rs.n}, {rs.n})")
     # contiguous parts, so that both products run in BLAS
     r = v.T @ np.ascontiguousarray(a.real, dtype=float) @ v
     x = v.T @ np.ascontiguousarray(a.imag, dtype=float) @ v
@@ -129,19 +132,6 @@ def realify(rs: RealStructure, a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Kitaev chain flux insertion
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Ring length and couplings for the flux-insertion chain."""
-
-    N: int
-    mu: float = 0.0
-    w: float = -1.0
-
-    def __post_init__(self):
-        if self.N < 3:
-            raise ValidationError(f"ring length must be at least 3, got {self.N}")
-
 
 # Majorana basis of one site: the columns (1, 1)/sqrt(2) and
 # i (1, -1)/sqrt(2) span the fixed space of C = K2 conj on C^2.  In it the
@@ -167,9 +157,9 @@ def _ring_shift(n: int) -> np.ndarray:
     return np.roll(np.eye(n), 1, axis=0)
 
 
-def kitaev_path(spec: LatticeSpec) -> SkewPath:
-    """Flux insertion through one bond of the closed Kitaev chain at the
-    sweet spot (mu = 0, w = -1).
+def kitaev_path(N: int) -> SkewPath:
+    """Flux insertion through one bond of the closed Kitaev chain of N
+    sites at the sweet spot (mu = 0, w = -1), the only couplings built.
 
     The path alpha -> i H_alpha lives on a 2N-dimensional real space with
     empty Clifford context; both endpoints have spectrum in {-1, +1}, the
@@ -190,23 +180,21 @@ def kitaev_path(spec: LatticeSpec) -> SkewPath:
     is the diagonal sign vector (1, 1, -1, -1) tiled N/2 times: the path's
     grading, taken by index with no basis change.
     """
-    if not (spec.mu == 0.0 and spec.w == -1.0):
-        raise ValidationError(
-            "only the sweet spot mu = 0, w = -1 is implemented")
-    n = spec.N
+    if N < 3:
+        raise ValidationError(f"ring length must be at least 3, got {N}")
     # the flux-free matrix (1) and one step of the flow walk with its SVD
     # workspace, counted before any of them is allocated
-    check_memory(f"the Kitaev chain at N={n}",
-                 8 * (1 + NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * (2 * n) ** 2)
-    sites = np.arange(n)
-    flux_free = np.zeros((2 * n, 2 * n))
-    blocks = flux_free.reshape(n, 2, n, 2)  # [site, row, site, column]
-    blocks[(sites + 1) % n, :, sites, :] = _BOND
-    blocks[sites, :, (sites + 1) % n, :] = -_BOND.T
-    ctx = CliffordRep(0, 0, 2 * n)
+    check_memory(f"the Kitaev chain at N={N}",
+                 8 * (1 + NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * (2 * N) ** 2)
+    sites = np.arange(N)
+    flux_free = np.zeros((2 * N, 2 * N))
+    blocks = flux_free.reshape(N, 2, N, 2)  # [site, row, site, column]
+    blocks[(sites + 1) % N, :, sites, :] = _BOND
+    blocks[sites, :, (sites + 1) % N, :] = -_BOND.T
+    ctx = CliffordRep(0, 0, 2 * N)
     grading = None
-    if n % 2 == 0:
-        grading = Grading(np.tile([1, 1, -1, -1], n // 2))
+    if N % 2 == 0:
+        grading = Grading(np.tile([1, 1, -1, -1], N // 2))
 
     def sample(alpha: float) -> np.ndarray:
         seam = _seam_block(alpha)
@@ -215,7 +203,7 @@ def kitaev_path(spec: LatticeSpec) -> SkewPath:
         mat[0:2, 2:4] = -seam.T
         return mat
 
-    return SkewPath(ctx, sample, label=f"kitaev flux insertion, N={n}",
+    return SkewPath(ctx, sample, label=f"kitaev flux insertion, N={N}",
                     grading=grading)
 
 
@@ -319,6 +307,9 @@ def aii_path(h_fn: Callable[[float], np.ndarray], n: int) -> SkewPath:
 
     def sample(t: float) -> np.ndarray:
         h = np.asarray(h_fn(t), dtype=complex)
+        if h.shape != (n, n):
+            raise ValidationError(
+                f"sample at t={t} has shape {h.shape}, expected ({n}, {n})")
         if residual_norm(REALIFY_TOL, [h - h.conj().T]) > REALIFY_TOL:
             raise ValidationError(f"sample at t={t} is not self-adjoint")
         tres = residual_norm(REALIFY_TOL, [h @ jq - jq @ h.conj()])

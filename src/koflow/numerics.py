@@ -7,8 +7,7 @@ used consistently by the index and flow modules.
 Spectral convention: kernels, phases and small singular values are read
 from one SVD of the matrix itself (`svd_split`), not from a squared
 matrix such as M^T M or -T^2, whose eigenvalues put every singular value
-below sqrt(eps) ||M|| into noise.  (pairs.spectral_submodule keeps its
-eigh of -T0^2: its lambda^2 window is stated in squared units.)
+below sqrt(eps) ||M|| into noise.
 
 Residual convention: every structural check goes through
 `residual_norm`, which tries the Frobenius bound ||R||_2 <= ||R||_F first
@@ -197,12 +196,11 @@ def svd_split(mat: np.ndarray, split, grading: Grading | None = None):
     return phase, basis
 
 
-def kernel_basis(mat: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL,
-                 gap_ratio: float = GAP_RATIO_GUARD, label: str = "kernel"):
+def kernel_basis(mat: np.ndarray, label: str = "kernel"):
     """Orthonormal basis (columns) of the numerical kernel of a square real
     matrix, guarded by split_zero_cluster on its singular values."""
     _, s, vt = np.linalg.svd(mat)
-    k = split_zero_cluster(s[::-1], rel_tol, gap_ratio, label=label)
+    k = split_zero_cluster(s[::-1], label=label)
     return vt[vt.shape[0] - k:].T
 
 

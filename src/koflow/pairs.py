@@ -16,10 +16,15 @@ import numpy as np
 from .abs_index import KOClass, abs_class
 from .clifford import K1, K2, L1, CliffordRep, restrict_to_subspace
 from .errors import AmbiguousKernelError, ValidationError
-from .numerics import (GAP_RATIO_GUARD, ZERO_CLUSTER_REL_TOL, kernel_basis,
-                       op_norm, residual_norm, skew_phase, sym_eigh)
+from .numerics import (kernel_basis, op_norm, residual_norm, skew_phase,
+                       split_zero_cluster)
 
 STRUCTURE_TOL = 1e-10
+# Bound on the residuals of the six midpoint identities.
+MIDPOINT_TOL = 1e-12
+# A spectral window whose edge lambda lies this close to a singular value
+# of T0 is a ValidationError.
+WINDOW_GUARD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,16 +58,14 @@ def _same_context(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
     return c0
 
 
-def kernel_module(j0: ComplexStructure, j1: ComplexStructure,
-                  rel_tol: float = ZERO_CLUSTER_REL_TOL,
-                  gap_ratio: float = GAP_RATIO_GUARD) -> CliffordRep:
+def kernel_module(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
     """ker(J0 + J1) as a module with one extra skew generator F_{s+1} = J0.
 
     The kernel is extracted by numerics.kernel_basis; the zero cluster
     must be separated from the rest by the gap-ratio guard.
     """
     ctx = _same_context(j0, j1)
-    basis = kernel_basis(j0.J + j1.J, rel_tol, gap_ratio, label="pair kernel")
+    basis = kernel_basis(j0.J + j1.J, label="pair kernel")
     try:
         return restrict_to_subspace(ctx, basis, 1e-9, extra_F=(j0.J,))
     except ValidationError as exc:
@@ -88,8 +91,7 @@ class MidpointPair:
         return max((res for _, res in self.residuals), default=0.0)
 
 
-def midpoint_operators(j0: ComplexStructure, j1: ComplexStructure,
-                       tol: float = 1e-12) -> MidpointPair:
+def midpoint_operators(j0: ComplexStructure, j1: ComplexStructure) -> MidpointPair:
     """The half sum/difference, with all six algebraic identities checked."""
     _same_context(j0, j1)
     t0 = (j0.J + j1.J) / 2.0
@@ -105,14 +107,17 @@ def midpoint_operators(j0: ComplexStructure, j1: ComplexStructure,
     ]
     residuals = tuple((name, op_norm(mat)) for name, mat in checks)
     worst = max(res for _, res in residuals)
-    if worst > tol:
+    if worst > MIDPOINT_TOL:
         raise ValidationError(f"midpoint identities violated (residual {worst:.3e})")
     return MidpointPair(T0=t0, T1=t1, residuals=residuals)
 
 
 def spectral_submodule(j0: ComplexStructure, j1: ComplexStructure,
-                       lam: float, eig_guard: float = 1e-10) -> CliffordRep:
-    """The rank-(r, s+2) module on the spectral subspace of -T0^2 in (0, lam^2).
+                       lam: float) -> CliffordRep:
+    """The rank-(r, s+2) module on the spectral subspace of -T0^2 in
+    (0, lam^2): the span of the right singular vectors of T0 whose
+    singular values lie in (0, lam), read from one SVD of T0, with its
+    kernel split off by `split_zero_cluster`.
 
     Generators: the context ones restricted, then J0, then the phase of
     J0 T1 T0, all restricted to the subspace.
@@ -121,14 +126,21 @@ def spectral_submodule(j0: ComplexStructure, j1: ComplexStructure,
     if not 0.0 < lam < 1.0:
         raise ValidationError(f"lambda must lie in (0, 1), got {lam}")
     mid = midpoint_operators(j0, j1)
-    vals, vecs = sym_eigh(-(mid.T0 @ mid.T0))
-    if np.any(np.abs(vals - lam ** 2) < eig_guard):
+    _, svals, vt = np.linalg.svd(mid.T0)
+    if np.any(np.abs(svals - lam) < WINDOW_GUARD):
         raise ValidationError(
-            f"lambda^2 = {lam ** 2} is within {eig_guard} of an eigenvalue of -T0^2")
-    zero_floor = max(eig_guard, 1e-12)
-    mask = (vals > zero_floor) & (vals < lam ** 2)
-    basis = vecs[:, mask]
-    phase = skew_phase(basis.T @ (j0.J @ mid.T1 @ mid.T0) @ basis)
+            f"lambda = {lam} is within {WINDOW_GUARD} of a singular value of T0")
+    svals, vt = svals[::-1], vt[::-1]  # ascending
+    window = slice(split_zero_cluster(svals, label="kernel of T0"),
+                   np.searchsorted(svals, lam))
+    basis = vt[window].T
+    # J0 T1 T0 on the window is skew and anticommutes with J0 only up to
+    # rounding over its smallest singular value: re-impose both before
+    # taking the phase
+    f1 = basis.T @ j0.J @ basis
+    x = basis.T @ (j0.J @ mid.T1 @ mid.T0) @ basis
+    x = (x - x.T) / 2.0
+    phase = skew_phase((x + f1 @ x @ f1) / 2.0)
     return restrict_to_subspace(ctx, basis, 1e-9,
                                 extra_F=(j0.J, basis @ phase @ basis.T))
 

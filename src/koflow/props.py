@@ -17,8 +17,7 @@ import numpy as np
 from . import clifford as cliff
 from .abs_index import abs_class
 from .flow import SkewPath, classical_sf, endpoint_flow, spectral_flow
-from .models import (LatticeSpec, aii_path, flux_path, hermitian_double,
-                     kitaev_path)
+from .models import aii_path, flux_path, hermitian_double, kitaev_path
 from .numerics import min_singular_value, random_orthogonal, random_skew
 from .pairs import (ComplexStructure, ProjectionPair, orthogonal_pair_parity,
                     pair_index, projection_pair_index,
@@ -300,7 +299,7 @@ def flow_suite(seed: int = 0):
 
 def models_suite(seed: int = 0):
     out = []
-    ok = all(spectral_flow(kitaev_path(LatticeSpec(n_ring))).value == 1
+    ok = all(spectral_flow(kitaev_path(n_ring)).value == 1
              for n_ring in range(3, 17))
     out.append(_record("models", "Kitaev flux flow is 1 for every N in 3..16", ok))
     ok = True

@@ -53,6 +53,10 @@ from .numerics import check_memory, residual_norm, split_zero_cluster
 
 # Singular values probed beyond dim(module) by numeric_kernel.
 KERNEL_EXTRA = 6
+# numeric_kernel's zero-cluster cut (relative, see its docstring) and the
+# gap ratio it demands of the first singular value above the cluster.
+KERNEL_TOL = 1e-4
+KERNEL_GAP_RATIO = 100.0
 # Bound on ||A A^T - I|| and ||B -+ A|| for the two cell blocks of X.
 CELL_TOL = 1e-12
 # Quadrature points whose Hermite values `analytic_profiles` holds at once.
@@ -120,7 +124,6 @@ class DiscreteOperator:
 
     matrix: np.ndarray
     cell: np.ndarray
-    problem: RSProblem
     keep_full: np.ndarray
     keep_cut: np.ndarray
     lifted_E: tuple = field(default=())
@@ -237,7 +240,7 @@ def _assemble(problem: RSProblem, cell_even: np.ndarray, deriv_sign: float,
         + [np.kron(np.eye(n), f_new_cell)]
     gens = tuple(np.stack([keep_full.T @ g @ keep_full, keep_cut.T @ g @ keep_cut])
                  for g in cells)
-    return DiscreteOperator(matrix=level, cell=cell, problem=problem,
+    return DiscreteOperator(matrix=level, cell=cell,
                             keep_full=keep_full, keep_cut=keep_cut,
                             lifted_E=gens[:module.r],
                             lifted_F=gens[module.r:])
@@ -275,8 +278,7 @@ def assemble_rs_operator_alt(problem: RSProblem, square: bool = False) -> Discre
                      square=square)
 
 
-def numeric_kernel(op: DiscreteOperator, tol: float = 1e-4,
-                   gap_ratio: float = 100.0, extra: int = KERNEL_EXTRA):
+def numeric_kernel(op: DiscreteOperator):
     """Orthonormal basis of ker D = ker X (+) ker X^T in sector
     coordinates, and the singular-value gap report.
 
@@ -288,19 +290,20 @@ def numeric_kernel(op: DiscreteOperator, tol: float = 1e-4,
     scalar Gram matrix; the window's magnitudes are then recomputed as the
     singular values of level V (resp. level^T U), at the eps * sigma_max
     noise floor of X rather than the sqrt(eps) * sigma_max floor of the
-    Gram matrix.  The window holds the smallest n + extra singular values
-    of X, counted with their n-fold repeats.  sigma_max comes from
+    Gram matrix.  The window holds the smallest n + KERNEL_EXTRA singular
+    values of X, counted with their n-fold repeats.  sigma_max comes from
     Lanczos.  The zero cluster is split off the window in units of
     sigma_max by `split_zero_cluster`, which scales its cut by the largest
-    value it is given: the cut is tol times the top of the window, not
-    tol * sigma_max, with a mandatory gap ratio to the first survivor.
+    value it is given: the cut is KERNEL_TOL times the top of the window,
+    not KERNEL_TOL * sigma_max, with a mandatory gap ratio of
+    KERNEL_GAP_RATIO to the first survivor.
     """
     # here, to keep `import koflow` light
     import scipy.linalg as sla
     from scipy.sparse.linalg import svds
 
     mat, n = op.matrix, op.cell.shape[0]
-    k = min(op.dimension - 2, n + extra)
+    k = min(op.dimension - 2, n + KERNEL_EXTRA)
     values, vectors = [], []
     for block in (mat, mat.T):
         count = min(k, n * block.shape[1])
@@ -316,11 +319,11 @@ def numeric_kernel(op: DiscreteOperator, tol: float = 1e-4,
     svals = values[order]
     smax = float(svds(mat, k=1, return_singular_vectors=False,
                       v0=np.random.default_rng(0).standard_normal(min(mat.shape)))[0])
-    kdim = split_zero_cluster(svals / smax, rel_tol=tol, gap_ratio=gap_ratio,
+    kdim = split_zero_cluster(svals / smax, rel_tol=KERNEL_TOL,
+                              gap_ratio=KERNEL_GAP_RATIO,
                               label="discrete kernel", abs_floor=0.0)
     if kdim >= k:
-        raise AmbiguousKernelError(
-            "kernel cluster fills the whole probed window; increase `extra`")
+        raise AmbiguousKernelError("kernel cluster fills the whole probed window")
     report = {
         "sigma_max": smax,
         "smallest_singular_values": svals.tolist(),
@@ -414,19 +417,18 @@ class RSReport:
         }
 
 
-def convergence_study(module: CliffordRep, L: float, m_values,
-                      f: Callable[[float], float] = default_switching):
+def convergence_study(module: CliffordRep, L: float, m_values):
     """Zero-cluster magnitude of the square-truncated assembly over a
     sequence of basis sizes.
 
     The square truncation pairs the bound states with their transpose
     ghosts at the singular value set by the basis's spectral resolution,
     so the cluster magnitude tracks the discretization error and shrinks
-    under refinement.
+    under refinement.  The coefficient path is the default switching.
     """
     out = []
     for m in m_values:
-        problem = RSProblem(module, L=L, m=int(m), f=f)
+        problem = RSProblem(module, L=L, m=int(m))
         op = assemble_rs_operator(problem, square=True)
         _, report = numeric_kernel(op)
         out.append({"m": int(m),

@@ -7,8 +7,7 @@ import numpy as np
 from koflow import clifford as cl
 from koflow.abs_index import abs_class
 from koflow.flow import SkewPath, classical_sf, endpoint_flow, spectral_flow
-from koflow.models import (LatticeSpec, aii_path, hermitian_double,
-                           kitaev_path)
+from koflow.models import aii_path, hermitian_double, kitaev_path
 from koflow.numerics import random_orthogonal
 from koflow.pairs import (ComplexStructure, ProjectionPair,
                           orthogonal_pair_parity, pair_index,
@@ -27,7 +26,7 @@ def test_criterion_1_kitaev():
     ok = True
     for n_ring in range(3, 17):
         start = time.monotonic()
-        value = spectral_flow(kitaev_path(LatticeSpec(n_ring)))
+        value = spectral_flow(kitaev_path(n_ring))
         elapsed = time.monotonic() - start
         if (value.degree, value.value) != (2, 1) or elapsed >= 1.0:
             ok = False

@@ -271,6 +271,12 @@ MALFORMED = {
     "tracks-above-dimension": (["kitaev", "--N", "3", "--tracks", "10", "--out", "f.csv"], {}),
     "tracks-negative": (["kitaev", "--N", "3", "--tracks", "-2", "--out", "f.csv"], {}),
     "tracks-without-out": (["kitaev", "--N", "3", "--tracks", "4"], {}),
+    "kitaev-out-without-tracks": (["kitaev", "--N", "4", "--out", "f.csv"], {}),
+    "sf-out-without-tracks": (["sf", "--model", "kitaev", "--N", "4", "--out", "f.csv"], {}),
+    "flux-out-without-tracks": (
+        ["flux", "--module", "rep.json", "--out", "f.csv"],
+        {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [L1_FLAT]}}),
+    "aii-out-without-tracks": (["aii", "--demo", "--out", "f.csv"], {}),
     "path-nan-sample": (
         ["sf", "--path", "p.json"],
         {"p.json": {"context": CTX2, "t": [0.0, 0.5, 1.0],

@@ -9,10 +9,10 @@ from koflow import clifford as cl
 from koflow import flow, numerics
 from koflow.abs_index import abs_class
 from koflow.errors import AmbiguousKernelError, ObstructionError, ValidationError
-from koflow.flow import (FlowOptions, SkewPath, _split_phase_kernel, cayley,
-                         clamp_phase, classical_sf, complete_phase,
-                         endpoint_flow, spectral_flow)
-from koflow.models import LatticeSpec, kitaev_path
+from koflow.flow import (SkewPath, _split_phase_kernel, cayley, clamp_phase,
+                         classical_sf, complete_phase, endpoint_flow,
+                         spectral_flow)
+from koflow.models import kitaev_path
 from koflow.numerics import (Grading, min_singular_value, random_orthogonal,
                              random_skew, split_zero_cluster, svd_split,
                              sym_eigh)
@@ -110,7 +110,7 @@ def test_endpoint_checks_take_no_extra_svd(monkeypatch):
     pair_index = flow.pair_index
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setattr(flow, "pair_index", tracked_pair)
-    base = kitaev_path(LatticeSpec(9))
+    base = kitaev_path(9)
     times = []
 
     def sampled(t):
@@ -451,7 +451,7 @@ def test_flow_independent_of_kernel_completion():
     ctx = cl.CliffordRep(0, 2, module.n, E=module.E, F=module.F[:-1])
     f_last = np.array(module.F[-1])
     path = SkewPath(ctx, lambda t: (1 - 2 * t) * f_last)
-    values = {spectral_flow(path, FlowOptions(seed=seed)).value
+    values = {spectral_flow(path, seed=seed).value
               for seed in range(5)}
     assert values == {abs_class(module).value}
 
@@ -515,11 +515,11 @@ def test_phase_closeness_takes_no_exact_norm(monkeypatch):
 
     monkeypatch.setattr(numerics, "op_norm", no_op_norm)
     for n_ring in (7, 8):
-        assert spectral_flow(kitaev_path(LatticeSpec(n_ring))).value == 1
+        assert spectral_flow(kitaev_path(n_ring)).value == 1
 
 
 def test_each_node_sampled_once():
-    base = kitaev_path(LatticeSpec(5))
+    base = kitaev_path(5)
     calls = []
 
     def counted(t):
@@ -609,7 +609,7 @@ def test_pf_sign_matches_brute_force():
 
 @pytest.mark.parametrize("n_ring", list(range(3, 17)) + [64])
 def test_pfaffian_oracle_kitaev(n_ring):
-    path = kitaev_path(LatticeSpec(n_ring))
+    path = kitaev_path(n_ring)
     flips = pf_sign(path.at(0.0)) != pf_sign(path.at(1.0))
     assert spectral_flow(path).value == int(flips)
 

@@ -9,11 +9,11 @@ from koflow import clifford as cl
 from koflow import flow, models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
-from koflow.flow import (FlowOptions, SkewPath, classical_sf, complete_phase,
-                         endpoint_flow, spectral_flow)
-from koflow.models import (NODE_ARRAYS, LatticeSpec, RealStructure,
-                           aii_path, flux_path, hermitian_double, kitaev_path,
-                           realify, standard_quaternionic)
+from koflow.flow import (SkewPath, classical_sf, complete_phase, endpoint_flow,
+                         spectral_flow)
+from koflow.models import (NODE_ARRAYS, RealStructure, aii_path, flux_path,
+                           hermitian_double, kitaev_path, realify,
+                           standard_quaternionic)
 from koflow.numerics import op_norm, random_orthogonal, svd_split
 
 from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev,
@@ -75,7 +75,7 @@ def _eigh_basis(m):
 def test_kitaev_samples_match_dense_reference(n_ring):
     # the builder writes i H_alpha in the Majorana basis W = I_N (x) W_site
     w = np.kron(np.eye(n_ring), MAJORANA_SITE)
-    path = kitaev_path(LatticeSpec(n_ring))
+    path = kitaev_path(n_ring)
     for alpha in (0.0, 0.3, 0.5, 0.77, 1.0):
         reference = _realify_direct(w, 1j * complex_kitaev(n_ring, alpha))
         assert np.abs(reference.imag).max() <= 1e-14
@@ -95,7 +95,7 @@ def test_kitaev_samples_are_realify_up_to_signed_permutation(n_ring):
     assert np.allclose(np.abs(p), np.abs(p).round(), atol=1e-15)
     assert np.array_equal(np.abs(p).round().sum(axis=0), np.ones(2 * n_ring))
     assert np.array_equal(np.abs(p).round().sum(axis=1), np.ones(2 * n_ring))
-    path = kitaev_path(LatticeSpec(n_ring))
+    path = kitaev_path(n_ring)
     for alpha in (0.0, 0.3, 0.5, 0.77, 1.0):
         h_alpha = complex_kitaev(n_ring, alpha)
         realified = realify(rs, 1j * h_alpha)
@@ -117,6 +117,12 @@ def test_realify_reports_the_commutation_residual():
                 f"(residual {expected})")
 
 
+def test_realify_rejects_a_wrong_shape():
+    rs = RealStructure(4, np.kron(cl.K2, np.eye(2)))
+    with pytest.raises(ValidationError, match=r"shape \(3, 3\), expected \(4, 4\)"):
+        realify(rs, np.eye(3))
+
+
 def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
     # building the N = 256 ring and sampling and splitting the 17 nodes of
     # the default flow makes only float64 samples, calls no realify and
@@ -133,8 +139,8 @@ def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(models, "realify", no_realify)
-    path = kitaev_path(LatticeSpec(256))
-    for t in np.linspace(0.0, 1.0, FlowOptions().initial_segments + 1):
+    path = kitaev_path(256)
+    for t in np.linspace(0.0, 1.0, flow.INITIAL_SEGMENTS + 1):
         # the 17 nodes of the default flow, all accepted for Kitaev
         assert path.fn(t).dtype == np.float64
         svd_split(path.at(t), flow._split_phase_kernel, path.grading)
@@ -160,7 +166,7 @@ def test_realify_is_star_algebra_map(signs, seed):
 
 def test_kitaev_endpoint_spectra():
     for n_ring in (3, 8):
-        path = kitaev_path(LatticeSpec(n_ring))
+        path = kitaev_path(n_ring)
         for t_end in (0.0, 1.0):
             svals = np.linalg.svd(path.at(t_end), compute_uv=False)
             assert np.allclose(svals, 1.0, atol=1e-12)
@@ -170,7 +176,7 @@ def test_kitaev_alpha_one_is_flipped_bond():
     # alpha = 1 equals the chain with the (0,1) bond block negated
     assert np.allclose(KITAEV_B + kitaev_seam_correction(1.0), -KITAEV_B)
     assert np.allclose(kitaev_seam_correction(0.0), 0.0)
-    path = kitaev_path(LatticeSpec(5))
+    path = kitaev_path(5)
     flipped = path.at(0.0)
     flipped[2:4, 0:2] *= -1.0
     flipped[0:2, 2:4] *= -1.0
@@ -179,7 +185,7 @@ def test_kitaev_alpha_one_is_flipped_bond():
 
 @pytest.mark.parametrize("n_ring", list(range(3, 17)))
 def test_kitaev_flow_is_one(n_ring):
-    path = kitaev_path(LatticeSpec(n_ring))
+    path = kitaev_path(n_ring)
     value = spectral_flow(path)
     assert (value.degree, value.value) == (2, 1)
     assert endpoint_flow(path) == spectral_flow(SkewPath(path.context, path.fn)) == value
@@ -190,7 +196,7 @@ def test_kitaev_flow_peak_within_node_arrays():
     # flow; the walk must not hold more (the path's own arrays are
     # counted apart, so it is built before tracing starts)
     n_ring = 64
-    path = kitaev_path(LatticeSpec(n_ring))
+    path = kitaev_path(n_ring)
     tracemalloc.start()
     try:
         spectral_flow(path)
@@ -202,7 +208,7 @@ def test_kitaev_flow_peak_within_node_arrays():
 
 def _lattice_path(name):
     if name.startswith("kitaev"):
-        return kitaev_path(LatticeSpec(int(name.split("-N")[1])))
+        return kitaev_path(int(name.split("-N")[1]))
     s, n_ring = {"flux-cl01": (1, 5), "flux-cl03": (3, 4), "flux-cl07": (7, 3)}[name]
     return flux_path(rotated_irrep(0, s, seed=s), n_ring)
 
@@ -239,7 +245,7 @@ def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
     pair_index = flow.pair_index
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setattr(flow, "pair_index", tracked_pair)
-    path = kitaev_path(LatticeSpec(8))
+    path = kitaev_path(8)
     for p in (path, SkewPath(path.context, path.fn)):
         shapes.clear()
         assert spectral_flow(p).value == 1
@@ -250,9 +256,7 @@ def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
 
 def test_kitaev_rejects_other_couplings():
     with pytest.raises(ValidationError):
-        kitaev_path(LatticeSpec(8, mu=0.5))
-    with pytest.raises(ValidationError):
-        LatticeSpec(2)
+        kitaev_path(2)
 
 
 @pytest.mark.parametrize("r,sp", [(0, 1), (0, 2), (1, 1), (2, 1), (0, 3),
@@ -402,6 +406,12 @@ def test_aii_rejects_symmetry_violations():
     bad = lambda t: np.diag([1.0, 1.0, 1.0, -1.0])
     path = aii_path(bad, 4)
     with pytest.raises(ValidationError):
+        path.at(0.0)
+
+
+def test_aii_rejects_a_wrong_sample_shape():
+    path = aii_path(lambda t: np.eye(3), 4)
+    with pytest.raises(ValidationError, match=r"shape \(3, 3\), expected \(4, 4\)"):
         path.at(0.0)
 
 

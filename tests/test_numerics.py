@@ -4,7 +4,7 @@ import pytest
 from koflow import clifford, flow, models, numerics, pairs
 from koflow.errors import AmbiguousKernelError, ValidationError
 from koflow.flow import complete_phase
-from koflow.models import LatticeSpec, kitaev_path
+from koflow.models import kitaev_path
 from koflow.numerics import (Grading, kernel_basis, min_singular_value, op_norm,
                              random_orthogonal, random_skew, residual_norm,
                              skew_phase, split_zero_cluster, svd_split)
@@ -113,7 +113,7 @@ def test_valid_kitaev_nodes_run_no_svd(monkeypatch):
     for module in (numerics, clifford, flow, models, pairs):
         if hasattr(module, "op_norm"):
             monkeypatch.setattr(module, "op_norm", counted)
-    path = kitaev_path(LatticeSpec(8))
+    path = kitaev_path(8)
     for t in (0.0, 0.25, 0.75, 1.0):
         complete_phase(path.at(t), path.context)
     assert calls == []

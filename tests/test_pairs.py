@@ -127,6 +127,22 @@ def test_spectral_submodule_nonempty():
     assert cl.check_relations(sub, 1e-9).ok
 
 
+def test_spectral_submodule_keeps_modes_below_the_squared_floor():
+    # J1 = Q(-J0)Q^T with Q = expm(1e-6 skew): every singular value of T0
+    # lies near 1e-6, so the lambda = 0.5 window is the whole space, though
+    # an eigenvalue floor of 1e-10 on -T0^2 drops each of them
+    ctx = cl.CliffordRep(0, 0, 8)
+    j0_mat = np.kron(np.eye(4), cl.L1)
+    q = expm(1e-6 * random_skew(np.random.default_rng(0), 8))
+    j0 = ComplexStructure(j0_mat, ctx)
+    j1 = ComplexStructure(q @ -j0_mat @ q.T, ctx)
+    svals = np.linalg.svd(midpoint_operators(j0, j1).T0, compute_uv=False)
+    assert 0.0 < svals.min() and svals.max() < 1e-5
+    sub = spectral_submodule(j0, j1, 0.5)
+    assert (sub.r, sub.s, sub.n) == (0, 2, 8)
+    assert cl.check_relations(sub, 1e-9).ok
+
+
 def test_spectral_submodule_eigenvalue_guard():
     module = cl.irreducible_rep(0, 1)
     j0, j1, _ = standard_pair(0, 0, module)
