@@ -10,10 +10,10 @@ from .clifford import (CliffordRep, ValidationReport, are_equivalent,
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      InvalidModuleError, ObstructionError, ValidationError)
 from .flow import (SkewPath, cayley, clamp_phase, classical_sf, complete_phase,
-                   endpoint_flow, spectral_flow)
+                   endpoint_flow, spectral_flow, split_node)
 from .models import (RealStructure, aii_path, flux_path, hermitian_double,
                      kitaev_path, realify, standard_quaternionic)
-from .pairs import (ComplexStructure, MidpointPair, ProjectionPair,
+from .pairs import (ComplexStructure, MidpointPair, OddStructure, ProjectionPair,
                     midpoint_operators, orthogonal_pair_parity, pair_index,
                     projection_pair_index, projections_to_structures,
                     spectral_submodule)

@@ -304,6 +304,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # default_rng takes no negative seed
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         return args.fn(args)
     except (ValidationError, InvalidModuleError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

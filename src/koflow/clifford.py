@@ -493,24 +493,34 @@ def restrict_to_subspace(rep: CliffordRep, basis: np.ndarray,
     `extra_F` as further skew generators, to an invariant subspace.
 
     `basis` holds orthonormal columns spanning the subspace; each image
-    g @ basis is computed once, checked for invariance to `tol` and
-    compressed to basis^T g basis.  The restricted module is checked
-    against the Clifford relations to `tol`; either failure raises
-    ValidationError with its residual.
+    g @ basis is computed once and handed to `restrict_images`.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != rep.n:
         raise ValidationError(f"basis shape {basis.shape} does not match dimension {rep.n}")
+    images = [g @ basis for g in rep.generators() + list(extra_F)]
+    return restrict_images(rep.r, basis, images, tol)
+
+
+def restrict_images(r: int, basis: np.ndarray, images, tol: float = RESTRICTION_TOL) -> CliffordRep:
+    """The module on the span of `basis` whose generators act on it as
+    `images` (g @ basis for each generator g, the r symmetric ones first).
+
+    Each image is checked for invariance to `tol` and compressed to
+    basis^T g basis; the restricted module is checked against the
+    Clifford relations to `tol`.  A basis whose columns are not
+    orthonormal, an image that leaves the span, or restricted generators
+    that break the relations raise ValidationError with the residual.
+    """
     k = basis.shape[1]
     if residual_norm(1e-10, [basis.T @ basis - np.eye(k)]) > 1e-10:
         raise ValidationError("basis columns are not orthonormal")
-    images = [g @ basis for g in rep.generators() + list(extra_F)]
     worst = residual_norm(tol, (img - basis @ (basis.T @ img) for img in images))
     if worst > tol:
         raise ValidationError(
             f"subspace is not invariant under the generators (residual {worst:.3e})")
     gens = [basis.T @ img for img in images]
-    sub = CliffordRep(rep.r, len(gens) - rep.r, k, E=gens[:rep.r], F=gens[rep.r:])
+    sub = CliffordRep(r, len(gens) - r, k, E=gens[:r], F=gens[r:])
     report = check_relations(sub, tol)
     if not report.ok:
         raise ValidationError(

@@ -16,6 +16,14 @@ cleanly; otherwise it is bisected, up to a depth cap.  A hard 0.9 bound
 alone cannot terminate: at a kernel crossing the phase genuinely jumps by
 norm 2 on the crossing subspace, while the jump's contribution is exactly
 the kernel class.
+
+Block route: a path with a `grading` and an empty context (r = s = 0)
+keeps every node phase as its n/2 x n/2 block P (`pairs.OddStructure`,
+see the graded convention of `numerics`).  Its nodes are split by
+`numerics.block_split`, completed with a k x k orthogonal block on the
+balanced kernel, re-imposed by P (3I - P^T P) / 2, compared by
+sqrt(2) ||Pa - Pb||_F, and paired by one SVD of P0 + P1.  Every other
+path takes the dense n x n route.
 """
 from __future__ import annotations
 
@@ -29,9 +37,9 @@ from .clifford import (CliffordRep, intertwiner, irreducible_rep,
                        restrict_to_subspace)
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
-from .numerics import (SAMPLE_TOL, Grading, min_singular_value, residual_norm,
-                       skew_phase, split_zero_cluster, svd_split)
-from .pairs import ComplexStructure, pair_index
+from .numerics import (SAMPLE_TOL, Grading, block_split, min_singular_value,
+                       residual_norm, skew_phase, split_zero_cluster, svd_split)
+from .pairs import ComplexStructure, OddStructure, pair_index
 
 # Node phases this close in Frobenius norm, hence in operator norm, have an
 # empty pair kernel.  Closer than this only in operator norm, they go to
@@ -49,6 +57,9 @@ MAX_DEPTH = 20
 # A Cayley resolvent I - T F_s of larger condition number is
 # IllConditionedError.
 CAYLEY_COND_LIMIT = 1e12
+# A kernel completion follows its alignment hint when the hint's
+# compression to the kernel has no singular value below this.
+HINT_SMIN = 0.3
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,8 @@ class SkewPath:
     skewness and anticommutation.  A path whose samples all anticommute
     with a diagonal sign matrix of trace 0 may declare its sign vector as
     its `grading`: its nodes are then decomposed by the half-size SVD of
-    `svd_split`, which checks each sample against it.
+    `numerics.block_split`, which checks each sample against it, and with
+    an empty context the whole walk takes the block route.
     """
 
     context: CliffordRep
@@ -119,7 +131,7 @@ def _kernel_completion(kernel_rep: CliffordRep, seed: int,
 
     if hint is not None and hint.shape == (k, k):
         skew = (hint - hint.T) / 2.0
-        if min_singular_value(skew) > 0.3:
+        if min_singular_value(skew) > HINT_SMIN:
             j = skew_phase(skew)
             if _valid(j):
                 return j
@@ -162,31 +174,84 @@ def _split_phase_kernel(svals: np.ndarray) -> int:
                                   label="phase kernel (regularized)")
 
 
-def complete_phase(tmat: np.ndarray | tuple, context: CliffordRep,
-                   align_hint: np.ndarray | None = None,
-                   seed: int = 0, grading: Grading | None = None) -> ComplexStructure:
-    """Complete a skew generator-anticommuting matrix to a complex structure.
+@dataclass(frozen=True)
+class Node:
+    """A sample split by one SVD: its range phase and its kernel cluster.
+
+    Dense route: `phase` is the n x n range phase of `svd_split` and
+    `kernel` the n x 2k kernel basis.  Block route (`grading` set):
+    `phase` is the n/2 x n/2 range block U_r W_r^T of `block_split` and
+    `kernel` the pair (U_k, W_k) of kernel columns on G's minus and plus
+    sectors.
+    """
+
+    phase: np.ndarray
+    kernel: object
+    grading: Grading | None = None
+
+
+def split_node(tmat: np.ndarray, context: CliffordRep,
+               grading: Grading | None = None, split=_split_phase_kernel) -> Node:
+    """The node of a skew `tmat` over `context`: one SVD, split by `split`.
+
+    With a grading and an empty context the node takes the block route;
+    otherwise the dense one, through the graded SVD of `svd_split` when a
+    grading is given.
+    """
+    n = context.n
+    tmat = np.asarray(tmat, dtype=float)
+    if tmat.shape != (n, n):
+        raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
+    if grading is not None and context.r == context.s == 0:
+        block, left, right = block_split(tmat, split, grading)
+        return Node(block, (left, right), grading)
+    return Node(*svd_split(tmat, split, grading))
+
+
+def _complete_block(node: Node, align_hint: np.ndarray | None) -> OddStructure:
+    """The block P of a completed node on the block route.
+
+    The balanced kernel (k columns on each side) is completed by
+    U_k Q W_k^T, with Q the polar factor of the hint's compression
+    U_k^T P_hint W_k when its smallest singular value clears HINT_SMIN,
+    else Q = I_k.  [[0, Q], [-Q^T, 0]] is a complex structure on the
+    kernel for every orthogonal Q, so no obstruction arises.  One
+    Newton-Schulz step P (3I - P^T P) / 2, the block of J (3I + J^2) / 2,
+    re-imposes orthogonality.
+    """
+    p = node.phase
+    left, right = node.kernel
+    k = left.shape[1]
+    if k > 0:
+        q = np.eye(k)
+        if align_hint is not None:
+            u, svals, vt = np.linalg.svd(left.T @ align_hint @ right)
+            if svals[-1] > HINT_SMIN:
+                q = u @ vt
+        p = p + left @ q @ right.T
+    p = p @ (3.0 * np.eye(p.shape[0]) - p.T @ p) / 2.0
+    return OddStructure(p, node.grading)
+
+
+def complete_phase(node: Node, context: CliffordRep,
+                   align_hint: np.ndarray | None = None, seed: int = 0):
+    """Complete a split node (`split_node`) to a complex structure.
 
     Equal to T|T|^-1 on the complement of the kernel cluster; on the
     kernel, any complex structure anticommuting with the restricted
-    generators, chosen canonically (or following `align_hint`).  Raises
-    ObstructionError when the kernel module does not extend (for example
-    an odd-dimensional kernel with empty context).
-
-    T is split by `svd_split` (graded when `grading` is given).  `tmat`
-    may also be given as the (range phase, kernel basis) of that split:
-    the flow splits its endpoints first, to check that they are
-    invertible.
+    generators, chosen canonically (or following `align_hint`, the
+    neighbouring phase as the walk holds it: J, or P on the block route).
+    Raises ObstructionError when the kernel module does not extend (for
+    example an odd-dimensional kernel with empty context).  A block-route
+    node gives an `OddStructure`, any other a `ComplexStructure`.
     """
-    n = context.n
-    if isinstance(tmat, tuple):
-        j, basis = tmat
-    else:
-        tmat = np.asarray(tmat, dtype=float)
-        if tmat.shape != (n, n):
-            raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
-        j, basis = svd_split(tmat, _split_phase_kernel, grading)
-        del tmat  # the structure below needs only j and the basis
+    if not isinstance(node, Node):
+        raise ValidationError(
+            f"complete_phase takes a Node from split_node, got {type(node).__name__}")
+    if node.grading is not None:
+        return _complete_block(node, align_hint)
+    j, basis = node.phase, node.kernel
+    del node  # the caller passes it on: the range phase goes once j is rebound
     k = basis.shape[1]
     if k > 0:
         try:
@@ -203,7 +268,7 @@ def complete_phase(tmat: np.ndarray | tuple, context: CliffordRep,
     # then one Newton-Schulz step J (3I + J^2) / 2 towards J^2 = -I (an odd
     # polynomial in J, so skewness and anticommutation survive).
     j = context.project_skew(j, -1)
-    j = j @ (3.0 * np.eye(n) + j @ j) / 2.0
+    j = j @ (3.0 * np.eye(context.n) + j @ j) / 2.0
     return ComplexStructure(j, context)
 
 
@@ -216,10 +281,10 @@ def _flow_degree(context: CliffordRep) -> int:
 
 
 def _split_endpoints(path: SkewPath):
-    """The (range phase, kernel basis) of T(0) and T(1), each sampled,
-    validated and decomposed once; raises ValidationError when an
-    endpoint is not invertible, before its kernel cluster is split."""
-    splits = []
+    """The nodes of T(0) and T(1), each sampled, validated and split once;
+    raises ValidationError when an endpoint is not invertible, before its
+    kernel cluster is split."""
+    nodes = []
     for t_end in (0.0, 1.0):
         def split(svals, t_end=t_end):
             smin = float(svals[0]) if svals.size else np.inf
@@ -229,8 +294,20 @@ def _split_endpoints(path: SkewPath):
                     f"(smallest singular value {smin:.3e} < {INV_TOL})")
             return _split_phase_kernel(svals)
 
-        splits.append(svd_split(path.at(t_end), split, path.grading))
-    return tuple(splits)
+        nodes.append(split_node(path.at(t_end), path.context, path.grading, split))
+    return tuple(nodes)
+
+
+def _stored(j) -> np.ndarray:
+    """A phase as the walk compares and aligns it: P on the block route."""
+    return j.P if isinstance(j, OddStructure) else j.J
+
+
+def _phase_distance(ja, jb) -> float:
+    """||Ja - Jb||_F; on the block route J holds P and -P^T, so it is
+    sqrt(2) ||Pa - Pb||_F."""
+    scale = np.sqrt(2.0) if isinstance(ja, OddStructure) else 1.0
+    return scale * float(np.linalg.norm(_stored(ja) - _stored(jb)))
 
 
 def spectral_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
@@ -243,7 +320,7 @@ def spectral_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     once, with the left phase as its alignment hint; `seed` drives the
     random candidates of a kernel completion's intertwiner.
     """
-    ctx, grading = path.context, path.grading
+    ctx = path.context
     degree = _flow_degree(ctx)
     t0_node, t1_node = _split_endpoints(path)
     if ctx.n == 0:
@@ -251,15 +328,17 @@ def spectral_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
 
     total = KOClass.of(degree, 0)
     a, ja = 0.0, complete_phase(t0_node, ctx, seed=seed)
-    del t0_node  # the range phase of T(1) is kept for the last node
+    del t0_node  # the node of T(1) is kept for the last step
     m = INITIAL_SEGMENTS
     pending = [(i / m, 0, None) for i in range(m, 0, -1)]
     while pending:
         b, depth, jb = pending.pop()
         if jb is None:
-            jb = complete_phase(t1_node if b == 1.0 else path.at(b), ctx,
-                                align_hint=ja.J, seed=seed, grading=grading)
-        if np.linalg.norm(ja.J - jb.J) > PHASE_BOUND:
+            # the new node is passed on, not held: complete_phase drops it
+            jb = complete_phase(
+                t1_node if b == 1.0 else split_node(path.at(b), ctx, path.grading),
+                ctx, align_hint=_stored(ja), seed=seed)
+        if _phase_distance(ja, jb) > PHASE_BOUND:
             # phases not 0.9-close: the pair kernel may be nonempty
             try:
                 contribution, _ = pair_index(ja, jb)

@@ -35,24 +35,40 @@ from .flow import SkewPath
 from .numerics import Grading, check_memory, op_norm, residual_norm, sym_eigh
 
 REALIFY_TOL = 1e-10
-# n x n arrays that one step of the flow walk holds at its peak, measured
-# with tracemalloc: 7.0 on the Kitaev flow at N = 63 and 64, graded or not
-# (7.2 at N = 32, 6.0 at N = 128), and 6.0 on the graded Cl_{0,7} flux
-# flow at N = 48.  They are the range phase of T(1), the left phase and,
-# inside a node, the sample with its split and the phase being built and
-# checked.  Each bisection level in progress holds one more phase on top
-# of this count; LAPACK's own SVD workspace, allocated outside Python, is
-# not in it.
+# n x n arrays that one step of the dense flow walk holds at its peak,
+# measured with tracemalloc: 6.0 on the ungraded Kitaev flow at N = 63, 64
+# and 128, and on the graded Cl_{0,7} flux flow at N = 48.  They are the
+# node of T(1), the left phase and, inside a node, the sample with its
+# split and the phase being built and checked (its J^T J - I is formed in
+# place).  Each bisection level in progress holds one more phase on top of
+# this count; LAPACK's own SVD workspace, allocated outside Python, is not
+# in it.
 NODE_ARRAYS = 8
 # n x n arrays of LAPACK workspace that a dense n x n SVD (gesdd) takes
 # outside Python's allocator, on top of NODE_ARRAYS: one np.linalg.svd of
 # a 2048 x 2048 skew matrix raised ru_maxrss by 6.6 n^2 doubles, of which
 # the returned u and vt are 2 (numpy 2.4, OpenBLAS, 2 threads); 4.6,
-# rounded up.  A graded node decomposes only its n/2 x n/2 block (the
-# whole graded split, returned phase included, raised ru_maxrss by 1.9 n^2
-# at n = 2048), but the pair kernels still take dense n x n SVDs, so every
-# path counts 5.
+# rounded up.
 SVD_WORKSPACE_ARRAYS = 5
+# The same two counts, still in n x n arrays, for the block route of a
+# graded path with an empty context (even Kitaev rings, Cl_{0,1} cells),
+# where phases, node SVDs and pair kernels are n/2 x n/2 blocks.  The walk
+# peaks while a node is sampled: the sample and its skewness residual are
+# two whole arrays, the held phases and the node's SVD a quarter each;
+# tracemalloc measured 3.0 on the Kitaev flow at N = 64, 2.6 at N = 128
+# and 2.5 at N = 256, and 3.1 on the Cl_{0,1} flux flow at N = 64.  One
+# np.linalg.svd of an h x h block raised ru_maxrss by 7.9 to 9.1 h^2
+# doubles at h = 2048 to 512, u and vt included: at most 7.1 (n/2)^2, or
+# 1.8 n^2, of workspace.
+BLOCK_NODE_ARRAYS = 4
+BLOCK_SVD_WORKSPACE_ARRAYS = 2
+
+
+def _walk_bytes(n: int, block: bool) -> int:
+    """Bytes of one step of the flow walk on R^n with its SVD workspace."""
+    arrays = (BLOCK_NODE_ARRAYS + BLOCK_SVD_WORKSPACE_ARRAYS if block
+              else NODE_ARRAYS + SVD_WORKSPACE_ARRAYS)
+    return 8 * arrays * n * n
 
 
 @dataclass(frozen=True)
@@ -182,10 +198,11 @@ def kitaev_path(N: int) -> SkewPath:
     """
     if N < 3:
         raise ValidationError(f"ring length must be at least 3, got {N}")
-    # the flux-free matrix (1) and one step of the flow walk with its SVD
-    # workspace, counted before any of them is allocated
+    # the flux-free matrix and one step of the flow walk with its SVD
+    # workspace (even rings take the block route), counted before any of
+    # them is allocated
     check_memory(f"the Kitaev chain at N={N}",
-                 8 * (1 + NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * (2 * N) ** 2)
+                 8 * (2 * N) ** 2 + _walk_bytes(2 * N, block=N % 2 == 0))
     sites = np.arange(N)
     flux_free = np.zeros((2 * N, 2 * N))
     blocks = flux_free.reshape(N, 2, N, 2)  # [site, row, site, column]
@@ -241,10 +258,11 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
         raise ValidationError(f"ring length must be at least 3, got {N}")
     dim = N * module.n
     # three ring arrays, the context generators and one step of the flow
-    # walk with its SVD workspace
+    # walk with its SVD workspace (a Cl_{0,1} cell leaves an empty context,
+    # so its graded path takes the block route)
     check_memory(f"the flux path at N={N}",
-                 8 * (3 * N * N + (module.r + module.s - 1 + NODE_ARRAYS
-                                   + SVD_WORKSPACE_ARRAYS) * dim * dim))
+                 8 * (3 * N * N + (module.r + module.s - 1) * dim * dim)
+                 + _walk_bytes(dim, block=module.r + module.s == 1))
     module.validate(1e-10)
     shift = _ring_shift(N)
     ring = (shift + shift.T) / 2.0

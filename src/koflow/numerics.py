@@ -18,7 +18,12 @@ Graded convention: a grading is a diagonal G = diag(signs) with n/2
 entries -1 and n/2 entries +1 (a `Grading`, stored as its sign vector).
 A skew T that anticommutes with G maps the coordinates of each sign to
 those of the other, so one SVD of the n/2 x n/2 block T[minus, plus],
-taken by index, gives the SVD of T.
+taken by index, gives the SVD of T (`block_split`).  The same holds for
+every matrix built from such T alone: a phase J of T, completed on its
+kernel with no other generator, is [[0, P], [-P^T, 0]] in G's
+(minus, plus) coordinates (`Grading.odd`), and J0 + J1 is the same form
+of P0 + P1, so phases and pair kernels can be kept and decomposed as
+their n/2 x n/2 blocks.
 """
 from __future__ import annotations
 
@@ -109,6 +114,21 @@ class Grading:
     def n(self) -> int:
         return self.signs.size
 
+    def sectors(self):
+        """The indices (minus, plus) of the -1 and the +1 entries, each
+        ascending."""
+        order = np.argsort(self.signs, kind="stable")  # the -1 indices first
+        return order[:self.n // 2], order[self.n // 2:]
+
+    def odd(self, block: np.ndarray) -> np.ndarray:
+        """The n x n matrix [[0, block], [-block^T, 0]] in (minus, plus)
+        coordinates, scattered by index: the skew G-odd matrix of `block`."""
+        minus, plus = self.sectors()
+        mat = np.zeros((self.n, self.n))
+        mat[minus[:, None], plus] = block
+        mat[plus[:, None], minus] = -block.T
+        return mat
+
 
 def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL,
                        gap_ratio: float = GAP_RATIO_GUARD, label: str = "kernel",
@@ -154,6 +174,32 @@ def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL
     return k
 
 
+def block_split(mat: np.ndarray, split, grading: Grading):
+    """The half-size split of a skew mat that anticommutes with a grading.
+
+    With m and p the indices of G's -1 and +1 entries, G mat + mat G is
+    -2 mat[m, m] on the first sector and 2 mat[p, p] on the second: those
+    two blocks are the grading check, a ValidationError above SAMPLE_TOL.
+    The rest of mat is B = mat[m, p] and -B^T, so B = U S W^T is the whole
+    SVD: each singular value of B appears twice, and `split` finds the
+    size 2k of the zero cluster on the doubled ascending values.  Returns
+    (U_r W_r^T, U_k, W_k): the range block of the phase (r the range) and
+    the kernel columns, U's on m and W's on p, k of each.
+    """
+    n = grading.n
+    if mat.shape != (n, n):
+        raise ValidationError(f"matrix shape {mat.shape} does not match the grading ({n})")
+    minus, plus = grading.sectors()
+    worst = residual_norm(SAMPLE_TOL, (2.0 * mat[idx[:, None], idx] for idx in (minus, plus)))
+    if worst > SAMPLE_TOL:
+        raise ValidationError(f"matrix breaks its grading (residual {worst:.3e})")
+    ub, sb, wbt = np.linalg.svd(mat.take(minus, 0).take(plus, 1))
+    k = split(np.repeat(sb[::-1], 2)) // 2  # the values come in equal pairs
+    rank = sb.size - k
+    # copies, so that the kernel columns do not keep U and W alive
+    return ub[:, :rank] @ wbt[:rank], ub[:, rank:].copy(), wbt[rank:].T.copy()
+
+
 def svd_split(mat: np.ndarray, split, grading: Grading | None = None):
     """The range phase and the kernel basis of mat, from one SVD.
 
@@ -161,39 +207,22 @@ def svd_split(mat: np.ndarray, split, grading: Grading | None = None):
     values.  With mat = u diag(s) vt (s descending) the phase is
     u[:, :n-k] @ vt[:n-k] and the kernel basis the columns vt[n-k:]^T.
 
-    With a grading, mat is skew (the caller checks) and must anticommute
-    with G.  With m and p the indices of G's -1 and +1 entries,
-    G mat + mat G is -2 mat[m, m] on the first sector and 2 mat[p, p] on
-    the second: those two blocks are the grading check, a ValidationError
-    above SAMPLE_TOL.  The rest of mat is B = mat[m, p] and -B^T, so
-    B = U S W^T is the whole SVD: each singular value of B appears twice,
-    the phase is U_r W_r^T on [m, p] and its negated transpose on [p, m]
-    (r the range), and the kernel basis is U's kernel columns on m and
-    W's on p.
+    With a grading, mat is skew (the caller checks) and is split by
+    `block_split`; its range block and kernel columns are scattered back
+    by index: the phase is `grading.odd` of the range block, and the
+    kernel basis holds U_k on G's -1 indices and W_k on its +1 indices.
     """
     if grading is None:
         u, s, vt = np.linalg.svd(mat)
         rank = s.size - split(s[::-1])
         return u[:, :rank] @ vt[:rank], vt[rank:].T.copy()
-    n = grading.n
-    if mat.shape != (n, n):
-        raise ValidationError(f"matrix shape {mat.shape} does not match the grading ({n})")
-    order = np.argsort(grading.signs, kind="stable")  # the -1 indices first
-    minus, plus = order[:n // 2], order[n // 2:]
-    worst = residual_norm(SAMPLE_TOL, (2.0 * mat[idx[:, None], idx] for idx in (minus, plus)))
-    if worst > SAMPLE_TOL:
-        raise ValidationError(f"matrix breaks its grading (residual {worst:.3e})")
-    ub, sb, wbt = np.linalg.svd(mat.take(minus, 0).take(plus, 1))
-    k = split(np.repeat(sb[::-1], 2)) // 2  # the values come in equal pairs
-    rank = sb.size - k
-    block = ub[:, :rank] @ wbt[:rank]
-    phase = np.zeros((n, n))
-    phase[minus[:, None], plus] = block
-    phase[plus[:, None], minus] = -block.T
-    basis = np.zeros((n, 2 * k))
-    basis[minus, :k] = ub[:, rank:]
-    basis[plus, k:] = wbt[rank:].T
-    return phase, basis
+    block, left, right = block_split(mat, split, grading)
+    minus, plus = grading.sectors()
+    k = left.shape[1]
+    basis = np.zeros((grading.n, 2 * k))
+    basis[minus, :k] = left
+    basis[plus, k:] = right
+    return grading.odd(block), basis
 
 
 def kernel_basis(mat: np.ndarray, label: str = "kernel"):
@@ -202,6 +231,16 @@ def kernel_basis(mat: np.ndarray, label: str = "kernel"):
     _, s, vt = np.linalg.svd(mat)
     k = split_zero_cluster(s[::-1], label=label)
     return vt[vt.shape[0] - k:].T
+
+
+def block_kernel(block: np.ndarray, label: str = "kernel"):
+    """Kernel columns (U_k, W_k) of the G-odd matrix [[0, B], [-B^T, 0]]
+    of a square block B: U_k on the minus sector and W_k on the plus one,
+    k of each, from one SVD B = U S W^T, guarded by split_zero_cluster on
+    the doubled singular values (each one of B appears twice)."""
+    u, s, wt = np.linalg.svd(block)
+    k = split_zero_cluster(np.repeat(s[::-1], 2), label=label) // 2
+    return u[:, s.size - k:], wt[s.size - k:].T
 
 
 def skew_phase(tmat: np.ndarray) -> np.ndarray:

@@ -6,6 +6,16 @@ module over the context algebra extended by one more skew generator,
 namely J0 restricted to the kernel.  At finite dimension every pair is
 Fredholm; the operator-norm smallness conditions appear only as the
 hypotheses under which additivity is guaranteed.
+
+Graded convention (see `numerics`): with an empty context, a complex
+structure that anticommutes with a grading G is J = [[0, P], [-P^T, 0]]
+in G's (minus, plus) coordinates, P an orthogonal n/2 x n/2 block, and
+is stored as P (`OddStructure`).  J0 + J1 is then the same form of
+P0 + P1, whose SVD U S W^T gives that of J0 + J1 with each singular value
+twice and the kernel basis U_k on the minus sector, W_k on the plus one;
+`pair_index` of two such structures reads its kernel from that one
+half-size SVD (`numerics.block_kernel`), split by the same guard and
+under the same label as a dense pair kernel.
 """
 from __future__ import annotations
 
@@ -14,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abs_index import KOClass, abs_class
-from .clifford import K1, K2, L1, CliffordRep, restrict_to_subspace
+from .clifford import (K1, K2, L1, CliffordRep, restrict_images,
+                       restrict_to_subspace)
 from .errors import AmbiguousKernelError, ValidationError
-from .numerics import (kernel_basis, op_norm, residual_norm, skew_phase,
-                       split_zero_cluster)
+from .numerics import (Grading, block_kernel, kernel_basis, op_norm,
+                       residual_norm, skew_phase, split_zero_cluster)
 
 STRUCTURE_TOL = 1e-10
 # Bound on the residuals of the six midpoint identities.
@@ -25,6 +36,13 @@ MIDPOINT_TOL = 1e-12
 # A spectral window whose edge lambda lies this close to a singular value
 # of T0 is a ValidationError.
 WINDOW_GUARD = 1e-10
+
+
+def _gram_residual(mat: np.ndarray) -> np.ndarray:
+    """mat^T mat - I, formed in place: one square array, no identity."""
+    gram = mat.T @ mat
+    gram.flat[::gram.shape[0] + 1] -= 1.0
+    return gram
 
 
 @dataclass(frozen=True)
@@ -42,11 +60,48 @@ class ComplexStructure:
         n = self.context.n
         if j.shape != (n, n):
             raise ValidationError(f"J has shape {j.shape}, context dimension is {n}")
-        worst = max(residual_norm(STRUCTURE_TOL, [j.T @ j - np.eye(n)]),
+        worst = max(residual_norm(STRUCTURE_TOL, [_gram_residual(j)]),
                     residual_norm(STRUCTURE_TOL, self.context.skew_residuals(j)))
         if worst > STRUCTURE_TOL:
             raise ValidationError(
                 f"not a context-anticommuting complex structure (residual {worst:.3e})")
+
+
+@dataclass(frozen=True)
+class OddStructure:
+    """A complex structure on an empty context that anticommutes with a
+    grading: J = [[0, P], [-P^T, 0]] in the grading's (minus, plus)
+    coordinates, stored as its n/2 x n/2 block P.
+
+    J is skew by construction, and J^2 = -I exactly when P is orthogonal:
+    the check is ||P^T P - I||_2 <= STRUCTURE_TOL, the same 2-norm as
+    ||J^T J - I||_2.  `J` and `context` scatter it to the dense form, so
+    every function of a `ComplexStructure` also takes it.
+    """
+
+    P: np.ndarray
+    grading: Grading
+
+    def __post_init__(self):
+        p = np.array(self.P, dtype=float)
+        p.setflags(write=False)
+        object.__setattr__(self, "P", p)
+        half = self.grading.n // 2
+        if p.shape != (half, half):
+            raise ValidationError(
+                f"P has shape {p.shape}, the grading's sectors have dimension {half}")
+        worst = residual_norm(STRUCTURE_TOL, [_gram_residual(p)])
+        if worst > STRUCTURE_TOL:
+            raise ValidationError(
+                f"not a grading-odd complex structure (residual {worst:.3e})")
+
+    @property
+    def J(self) -> np.ndarray:
+        return self.grading.odd(self.P)
+
+    @property
+    def context(self) -> CliffordRep:
+        return CliffordRep(0, 0, self.grading.n)
 
 
 def _same_context(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
@@ -62,12 +117,38 @@ def kernel_module(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
     """ker(J0 + J1) as a module with one extra skew generator F_{s+1} = J0.
 
     The kernel is extracted by numerics.kernel_basis; the zero cluster
-    must be separated from the rest by the gap-ratio guard.
+    must be separated from the rest by the gap-ratio guard.  Two
+    `OddStructure`s over one grading take the half-size route instead.
     """
+    if isinstance(j0, OddStructure) and isinstance(j1, OddStructure) \
+            and np.array_equal(j0.grading.signs, j1.grading.signs):
+        return _odd_kernel_module(j0, j1)
     ctx = _same_context(j0, j1)
     basis = kernel_basis(j0.J + j1.J, label="pair kernel")
     try:
         return restrict_to_subspace(ctx, basis, 1e-9, extra_F=(j0.J,))
+    except ValidationError as exc:
+        raise AmbiguousKernelError(f"pair kernel module: {exc}") from exc
+
+
+def _odd_kernel_module(j0: OddStructure, j1: OddStructure) -> CliffordRep:
+    """ker(J0 + J1) with F_1 = J0, from one SVD of P0 + P1
+    (`numerics.block_kernel`).
+
+    In (minus, plus) coordinates the kernel basis is diag(U_k, W_k), and
+    J0 maps it to [[0, P0 W_k], [-P0^T U_k, 0]]; both go through the
+    invariance and relation checks of `restrict_images`.
+    """
+    left, right = block_kernel(j0.P + j1.P, label="pair kernel")
+    half, k = left.shape
+    basis = np.zeros((2 * half, 2 * k))
+    basis[:half, :k] = left
+    basis[half:, k:] = right
+    image = np.zeros((2 * half, 2 * k))
+    image[:half, k:] = j0.P @ right
+    image[half:, :k] = -j0.P.T @ left
+    try:
+        return restrict_images(0, basis, [image], 1e-9)
     except ValidationError as exc:
         raise AmbiguousKernelError(f"pair kernel module: {exc}") from exc
 

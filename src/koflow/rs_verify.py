@@ -92,8 +92,8 @@ class RSProblem:
     def __post_init__(self):
         if self.module.s < 1:
             raise ValidationError("the module needs at least one skew generator")
-        if not self.L > 2:
-            raise ValidationError(f"length scale must exceed 2, got {self.L}")
+        if not (np.isfinite(self.L) and self.L > 2):
+            raise ValidationError(f"length scale must be finite and exceed 2, got {self.L}")
         if self.m < 200:
             raise ValidationError(f"need at least 200 basis functions, got {self.m}")
         self.module.validate(1e-10)

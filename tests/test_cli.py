@@ -277,6 +277,15 @@ MALFORMED = {
         ["flux", "--module", "rep.json", "--out", "f.csv"],
         {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [L1_FLAT]}}),
     "aii-out-without-tracks": (["aii", "--demo", "--out", "f.csv"], {}),
+    "rs-check-infinite-L": (["rs-check", "--m", "200", "--L", "inf"], {}),
+    "rs-check-nan-L": (["rs-check", "--m", "200", "--L", "nan"], {}),
+    "kitaev-negative-seed": (["kitaev", "--N", "4", "--seed", "-1"], {}),
+    "sf-negative-seed": (["sf", "--model", "kitaev", "--N", "4", "--seed", "-1"], {}),
+    "flux-negative-seed": (
+        ["flux", "--module", "rep.json", "--seed", "-3"],
+        {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [L1_FLAT]}}),
+    "aii-negative-seed": (["aii", "--demo", "--seed", "-1"], {}),
+    "props-negative-seed": (["props", "--seed", "-1"], {}),
     "path-nan-sample": (
         ["sf", "--path", "p.json"],
         {"p.json": {"context": CTX2, "t": [0.0, 0.5, 1.0],
@@ -313,6 +322,23 @@ def test_lattice_memory_guard_trips_before_allocation(tmp_path, capsys, monkeypa
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "bytes, over the memory budget" in err
+
+
+@pytest.mark.parametrize("command", ["kitaev", "sf", "flux", "aii", "props"])
+def test_negative_seed_exits_2_before_the_solve(tmp_path, capsys, monkeypatch, command):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli_mod, "spectral_flow", unreachable)
+    monkeypatch.setattr(cli_mod, "run_all", unreachable)
+    module_file = tmp_path / "rep.json"
+    module_file.write_text(json.dumps(cl.rep_to_json(cl.irreducible_rep(0, 1))))
+    argv = {"kitaev": ["kitaev", "--N", "4"], "sf": ["sf", "--model", "kitaev"],
+            "flux": ["flux", "--module", str(module_file)], "aii": ["aii", "--demo"],
+            "props": ["props"]}[command]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-2")
+    assert (code, out) == (2, "")
+    assert "--seed must be nonnegative, got -2" in err
 
 
 UNWRITABLE_OUT = {

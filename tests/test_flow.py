@@ -11,12 +11,12 @@ from koflow.abs_index import abs_class
 from koflow.errors import AmbiguousKernelError, ObstructionError, ValidationError
 from koflow.flow import (SkewPath, _split_phase_kernel, cayley, clamp_phase,
                          classical_sf, complete_phase, endpoint_flow,
-                         spectral_flow)
+                         spectral_flow, split_node)
 from koflow.models import kitaev_path
 from koflow.numerics import (Grading, min_singular_value, random_orthogonal,
                              random_skew, split_zero_cluster, svd_split,
                              sym_eigh)
-from koflow.pairs import ComplexStructure
+from koflow.pairs import ComplexStructure, OddStructure
 from koflow.props import SIG_POOL, padded_context, random_admissible_path
 
 
@@ -30,18 +30,20 @@ def normalization_path(module):
 def test_complete_phase_invertible_is_exact_phase():
     ctx = cl.CliffordRep(0, 0, 4)
     t_mat = 2.5 * np.kron(np.eye(2), cl.L1)
-    j = complete_phase(t_mat, ctx)
+    j = complete_phase(split_node(t_mat, ctx), ctx)
     assert np.allclose(j.J, np.kron(np.eye(2), cl.L1), atol=1e-13)
 
 
 def test_complete_phase_zero_matrix_canonical():
-    j = complete_phase(np.zeros((2, 2)), cl.CliffordRep(0, 0, 2))
+    ctx = cl.CliffordRep(0, 0, 2)
+    j = complete_phase(split_node(np.zeros((2, 2)), ctx), ctx)
     assert np.array_equal(j.J, cl.L1)
 
 
 def test_complete_phase_obstruction():
     with pytest.raises(ObstructionError) as err:
-        complete_phase(np.zeros((3, 3)), cl.CliffordRep(0, 0, 3))
+        ctx = cl.CliffordRep(0, 0, 3)
+        complete_phase(split_node(np.zeros((3, 3)), ctx), ctx)
     assert err.value.ko_class is not None
     assert err.value.ko_class.value == 1
 
@@ -403,8 +405,8 @@ def test_walk_holds_left_phase_and_one_per_bisection_level(monkeypatch):
     counts = []
     complete = flow.complete_phase
 
-    def tracked(tmat, context, align_hint=None, seed=0, grading=None):
-        j = complete(tmat, context, align_hint=align_hint, seed=seed, grading=grading)
+    def tracked(node, context, align_hint=None, seed=0):
+        j = complete(node, context, align_hint=align_hint, seed=seed)
         live.append(weakref.ref(j))
         counts.append(sum(ref() is not None for ref in live))
         return j
@@ -440,7 +442,7 @@ def test_forced_kernel_parity_blocks_admissible_obstructions():
     with pytest.raises(ValidationError):
         spectral_flow(path)
     with pytest.raises(ObstructionError):
-        complete_phase(t_mat, ctx)
+        complete_phase(split_node(t_mat, ctx), ctx)
 
 
 def test_flow_independent_of_kernel_completion():
@@ -483,7 +485,8 @@ def test_complete_phase_one_svd(monkeypatch):
 
     monkeypatch.setattr(numerics, "sym_eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    j = complete_phase(t_mat, cl.CliffordRep(0, 0, 6))
+    ctx = cl.CliffordRep(0, 0, 6)
+    j = complete_phase(split_node(t_mat, ctx), ctx)
     assert svds == [(6, 6)] and eighs == []
     assert np.allclose(j.J, expected, atol=1e-12)
 
@@ -503,7 +506,7 @@ def test_complete_phase_reimposes_structure():
         t_mat = a - (1.0 - c) * a @ low @ low.T
         noise = random_skew(rng, ctx.n)
         t_mat = t_mat + 1e-10 * noise / np.linalg.norm(noise, 2)
-        assert isinstance(complete_phase(t_mat, ctx), ComplexStructure)
+        assert isinstance(complete_phase(split_node(t_mat, ctx), ctx), ComplexStructure)
 
 
 def test_phase_closeness_takes_no_exact_norm(monkeypatch):
@@ -547,7 +550,8 @@ def test_phase_kernel_regularized_fallback():
             split_zero_cluster(svals[::-1], label="phase kernel")
         _, basis = svd_split(t_mat, _split_phase_kernel)
         assert basis.shape == (8, 4)
-        j = complete_phase(t_mat, cl.CliffordRep(0, 0, 8))
+        ctx = cl.CliffordRep(0, 0, 8)
+        j = complete_phase(split_node(t_mat, ctx), ctx)
         assert isinstance(j, ComplexStructure)  # validated on construction
         gapped = q[:, 4:]  # unit singular values: the phase is T itself there
         assert np.allclose(j.J @ gapped, t_mat @ gapped, atol=1e-12)
@@ -624,3 +628,109 @@ def test_pfaffian_oracle_random_paths():
         assert spectral_flow(path).value == int(flips)
         outcomes.add(flips)
     assert outcomes == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# Block route: graded paths with an empty context
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_ring", range(4, 65, 2))
+def test_block_route_matches_dense_route_on_kitaev(n_ring):
+    path = kitaev_path(n_ring)
+    ctx = path.context
+    node = split_node(path.at(0.5), ctx, path.grading)
+    assert isinstance(complete_phase(node, ctx), OddStructure)
+    flips = pf_sign(path.at(0.0)) != pf_sign(path.at(1.0))
+    value = spectral_flow(path)
+    assert value == spectral_flow(SkewPath(ctx, path.fn)) == endpoint_flow(path)
+    assert value.value == int(flips) == 1
+
+
+# the right factor of B(t) turns by this angle per initial segment, so that
+# the hint of the crossing node's left phase compresses to cos = -0.2
+TURN = np.arccos(-0.2)
+
+
+def _odd_path(rng, half, crossings):
+    """T(t) = G-odd form of B(t) = Q1 D(t) R(t) Q2 over a shuffled
+    grading G: D(t) = diag(1 - 2t (`crossings` times), 1, ...), and R(t)
+    the rotation by 16 t TURN in the plane of coordinates 0 and
+    `crossings`.  T has an exact kernel of 2 * crossings at the node
+    t = 1/2, where the left phase's hint compresses to the kernel with
+    smallest singular value 0.2, below HINT_SMIN."""
+    grading = Grading(rng.permutation(np.repeat([-1.0, 1.0], half)))
+    q1, q2 = random_orthogonal(rng, half), random_orthogonal(rng, half)
+
+    def block(t):
+        d = np.ones(half)
+        d[:crossings] = 1.0 - 2.0 * t
+        c, s = np.cos(16.0 * t * TURN), np.sin(16.0 * t * TURN)
+        rot = np.eye(half)
+        rot[np.ix_([0, crossings], [0, crossings])] = [[c, -s], [s, c]]
+        return q1 @ (d[:, None] * rot) @ q2
+
+    ctx = cl.CliffordRep(0, 0, 2 * half)
+    return SkewPath(ctx, lambda t: grading.odd(block(t)), grading=grading)
+
+
+@pytest.mark.parametrize("crossings", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_block_route_matches_dense_with_exact_node_kernels(seed, crossings):
+    # node kernels of 2 and 4 at t = 1/2: the block route's class is the
+    # dense route's, the endpoint formula's and the Pfaffian oracle's
+    path = _odd_path(np.random.default_rng(seed), 5, crossings)
+    ctx = path.context
+    node = split_node(path.at(0.5), ctx, path.grading)
+    assert [cols.shape[1] for cols in node.kernel] == [crossings] * 2
+    flips = pf_sign(path.at(0.0)) != pf_sign(path.at(1.0))
+    value = spectral_flow(path)
+    assert value == spectral_flow(SkewPath(ctx, path.fn)) == endpoint_flow(path)
+    assert value.value == int(flips) == crossings % 2
+
+
+@pytest.mark.parametrize("crossings", [1, 2])
+def test_block_completion_follows_a_hint_or_takes_the_identity(crossings):
+    # the crossing node's kernel is completed by U_k Q W_k^T: Q = I when
+    # the left phase's hint compresses below HINT_SMIN, the hint's polar
+    # factor when it does not
+    path = _odd_path(np.random.default_rng(5), 5, crossings)
+    ctx, grading = path.context, path.grading
+    left = complete_phase(split_node(path.at(7 / 16), ctx, grading), ctx)
+    node = split_node(path.at(0.5), ctx, grading)
+    u_k, w_k = node.kernel
+    smin = np.linalg.svd(u_k.T @ left.P @ w_k, compute_uv=False)[-1]
+    assert smin == pytest.approx(0.2, abs=1e-12) and smin < flow.HINT_SMIN
+    plain = complete_phase(node, ctx, align_hint=left.P)
+    np.testing.assert_allclose(plain.P, node.phase + u_k @ w_k.T, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(plain.P, complete_phase(node, ctx).P)  # no hint
+    flipped = complete_phase(node, ctx, align_hint=-plain.P)  # compresses to -I
+    np.testing.assert_allclose(flipped.P, node.phase - u_k @ w_k.T, rtol=0.0, atol=1e-12)
+
+
+def test_block_completion_reimposes_orthogonality():
+    # a range block off orthogonality by 1e-7 fails the 1e-10 structure
+    # check as it stands; one Newton-Schulz step P (3I - P^T P) / 2 brings
+    # it within the check
+    rng = np.random.default_rng(2)
+    grading = Grading(rng.permutation(np.repeat([-1.0, 1.0], 6)))
+    noisy = random_orthogonal(rng, 6) + 1e-7 * rng.standard_normal((6, 6))
+    empty = np.zeros((6, 0))
+    with pytest.raises(ValidationError, match="grading-odd"):
+        OddStructure(noisy, grading)
+    j = complete_phase(flow.Node(noisy, (empty, empty), grading), cl.CliffordRep(0, 0, 12))
+    assert np.linalg.norm(j.P.T @ j.P - np.eye(6), 2) < 1e-11  # O(1e-7 squared)
+
+
+def test_block_phase_distance_is_the_dense_frobenius_distance():
+    path = kitaev_path(6)
+    ctx, grading = path.context, path.grading
+    ja, jb = (complete_phase(split_node(path.at(t), ctx, grading), ctx) for t in (0.0, 1.0))
+    assert flow._phase_distance(ja, jb) == pytest.approx(np.linalg.norm(ja.J - jb.J), rel=1e-14)
+
+
+def test_complete_phase_takes_a_node():
+    ctx = cl.CliffordRep(0, 0, 2)
+    with pytest.raises(ValidationError, match="takes a Node from split_node"):
+        complete_phase(cl.L1, ctx)
+    with pytest.raises(ValidationError, match="does not match context"):
+        split_node(np.zeros((3, 3)), ctx)

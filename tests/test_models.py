@@ -10,11 +10,13 @@ from koflow import flow, models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
 from koflow.flow import (SkewPath, classical_sf, complete_phase, endpoint_flow,
-                         spectral_flow)
-from koflow.models import (NODE_ARRAYS, RealStructure, aii_path, flux_path,
-                           hermitian_double, kitaev_path, realify,
-                           standard_quaternionic)
+                         spectral_flow, split_node)
+from koflow.models import (BLOCK_NODE_ARRAYS, BLOCK_SVD_WORKSPACE_ARRAYS,
+                           NODE_ARRAYS, SVD_WORKSPACE_ARRAYS, RealStructure,
+                           aii_path, flux_path, hermitian_double, kitaev_path,
+                           realify, standard_quaternionic)
 from koflow.numerics import op_norm, random_orthogonal, svd_split
+from koflow.pairs import ComplexStructure
 
 from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev,
                       kitaev_seam_correction, rotated_irrep)
@@ -191,19 +193,49 @@ def test_kitaev_flow_is_one(n_ring):
     assert endpoint_flow(path) == spectral_flow(SkewPath(path.context, path.fn)) == value
 
 
-def test_kitaev_flow_peak_within_node_arrays():
-    # the lattice memory guard counts NODE_ARRAYS n x n arrays for the
-    # flow; the walk must not hold more (the path's own arrays are
-    # counted apart, so it is built before tracing starts)
-    n_ring = 64
-    path = kitaev_path(n_ring)
+def _walk_peak_arrays(path):
+    """tracemalloc peak of spectral_flow(path), in n x n arrays; the path's
+    own arrays are counted apart by the guard, so it is built before
+    tracing starts."""
     tracemalloc.start()
     try:
         spectral_flow(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= NODE_ARRAYS * 8 * (2 * n_ring) ** 2
+    return peak / (8 * path.context.n ** 2)
+
+
+def test_kitaev_flow_peak_within_node_arrays():
+    # the lattice memory guard counts NODE_ARRAYS n x n arrays for the
+    # dense walk (odd rings) and BLOCK_NODE_ARRAYS for the block route
+    # (even rings); the walk must not hold more
+    assert kitaev_path(63).grading is None
+    assert _walk_peak_arrays(kitaev_path(63)) <= NODE_ARRAYS
+    assert _walk_peak_arrays(kitaev_path(64)) <= BLOCK_NODE_ARRAYS
+
+
+def test_flux_cl01_flow_peak_within_block_node_arrays():
+    path = flux_path(cl.irreducible_rep(0, 1), 64)
+    assert path.grading is not None and (path.context.r, path.context.s) == (0, 0)
+    assert _walk_peak_arrays(path) <= BLOCK_NODE_ARRAYS
+
+
+def test_lattice_memory_guard_counts_the_route(monkeypatch):
+    # even rings and Cl_{0,1} cells are counted at the block route's
+    # arrays, odd rings and larger cells at the dense walk's
+    planned = []
+    monkeypatch.setattr(models, "check_memory", lambda what, nbytes: planned.append(nbytes))
+    dense = NODE_ARRAYS + SVD_WORKSPACE_ARRAYS
+    block = BLOCK_NODE_ARRAYS + BLOCK_SVD_WORKSPACE_ARRAYS
+    assert block < dense
+    for n_ring, arrays in ((4, block), (5, dense), (64, block), (63, dense)):
+        kitaev_path(n_ring)
+        assert planned.pop() == 8 * (1 + arrays) * (2 * n_ring) ** 2
+    flux_path(cl.irreducible_rep(0, 1), 6)
+    assert planned.pop() == 8 * (3 * 36 + block * 12 ** 2)
+    flux_path(cl.irreducible_rep(0, 2), 6)
+    assert planned.pop() == 8 * (3 * 36 + (1 + dense) * 24 ** 2)
 
 
 def _lattice_path(name):
@@ -225,14 +257,13 @@ def test_graded_flow_matches_ungraded_and_endpoint(name):
 
 
 def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
-    # Kitaev N = 8 acts on R^16; graded, every node SVD is of the 8 x 8
-    # sector block, and only the pair kernels take a 16 x 16 one
+    # Kitaev N = 8 acts on R^16; graded, every node SVD and every pair
+    # kernel SVD is of an 8 x 8 block, ungraded every one is 16 x 16
     svd = np.linalg.svd
-    shapes, in_pair = [], []
+    shapes, pair_shapes, in_pair = [], [], []
 
     def counted(mat, *args, **kwargs):
-        if not in_pair:
-            shapes.append(mat.shape)
+        (pair_shapes if in_pair else shapes).append(mat.shape)
         return svd(mat, *args, **kwargs)
 
     def tracked_pair(j0, j1):
@@ -248,10 +279,34 @@ def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
     path = kitaev_path(8)
     for p in (path, SkewPath(path.context, path.fn)):
         shapes.clear()
+        pair_shapes.clear()
         assert spectral_flow(p).value == 1
+        size = (8, 8) if p.grading else (16, 16)
         nodes = [shape for shape in shapes if shape[0] >= 8]
-        assert len(nodes) >= 17
-        assert set(nodes) == ({(8, 8)} if p.grading else {(16, 16)})
+        pairs = [shape for shape in pair_shapes if shape[0] >= 8]
+        assert len(nodes) >= 17 and len(pairs) >= 1
+        assert set(nodes) == set(pairs) == {size}
+
+
+@pytest.mark.parametrize("s,n_ring", [(3, 4), (7, 3)])
+def test_flux_paths_with_a_context_keep_dense_phases(monkeypatch, s, n_ring):
+    # the rotated Cl_{0,3} and Cl_{0,7} cells leave a nonempty context:
+    # their graded paths split nodes by the half-size SVD but complete and
+    # pair n x n phases
+    path = flux_path(rotated_irrep(0, s, seed=s), n_ring)
+    assert path.grading is not None and path.context.s > 0
+    phases = []
+    complete = flow.complete_phase
+
+    def recorded(*args, **kwargs):
+        phases.append(complete(*args, **kwargs))
+        return phases[-1]
+
+    monkeypatch.setattr(flow, "complete_phase", recorded)
+    spectral_flow(path)
+    n = path.context.n
+    assert len(phases) >= 17
+    assert all(type(j) is ComplexStructure and j.J.shape == (n, n) for j in phases)
 
 
 def test_kitaev_rejects_other_couplings():
@@ -325,7 +380,7 @@ def test_flux_node_makes_no_dense_generator_product():
     for p in (path, dense):
         calls = _count_generator_products(p.context)
         # one flow node: SkewPath.at, complete_phase and its ComplexStructure
-        complete_phase(p.at(0.25), p.context)
+        complete_phase(split_node(p.at(0.25), p.context), p.context)
         counts.append(len(calls))
     assert counts[0] == 0 and counts[1] > 0
 

@@ -3,7 +3,7 @@ import pytest
 
 from koflow import clifford, flow, models, numerics, pairs
 from koflow.errors import AmbiguousKernelError, ValidationError
-from koflow.flow import complete_phase
+from koflow.flow import complete_phase, split_node
 from koflow.models import kitaev_path
 from koflow.numerics import (Grading, kernel_basis, min_singular_value, op_norm,
                              random_orthogonal, random_skew, residual_norm,
@@ -46,7 +46,8 @@ def test_skew_phase():
     # completes it on the kernel, leaving the two blocks uncoupled
     padded = np.zeros((6, 6))
     padded[:4, :4] = t_mat
-    j = complete_phase(padded, clifford.CliffordRep(0, 0, 6)).J
+    ctx = clifford.CliffordRep(0, 0, 6)
+    j = complete_phase(split_node(padded, ctx), ctx).J
     assert np.allclose(j[:4, :4], t_mat / 3.0, atol=1e-12)
     assert np.allclose(j[:4, 4:], 0.0) and np.allclose(j[4:, :4], 0.0)
     assert np.allclose(j[4:, 4:] @ j[4:, 4:], -np.eye(2))
@@ -115,7 +116,8 @@ def test_valid_kitaev_nodes_run_no_svd(monkeypatch):
             monkeypatch.setattr(module, "op_norm", counted)
     path = kitaev_path(8)
     for t in (0.0, 0.25, 0.75, 1.0):
-        complete_phase(path.at(t), path.context)
+        for grading in (None, path.grading):  # the dense and the block route
+            complete_phase(split_node(path.at(t), path.context, grading), path.context)
     assert calls == []
 
 

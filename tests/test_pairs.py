@@ -5,8 +5,10 @@ from scipy.linalg import expm
 from koflow import clifford as cl
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
-from koflow.numerics import kernel_basis, random_orthogonal, random_skew
-from koflow.pairs import (ComplexStructure, ProjectionPair, kernel_module,
+from koflow.numerics import (Grading, block_kernel, kernel_basis,
+                             random_orthogonal, random_skew)
+from koflow.pairs import (ComplexStructure, OddStructure, ProjectionPair,
+                          kernel_module,
                           midpoint_operators, orthogonal_pair_parity,
                           pair_index, projection_pair_index,
                           projections_to_structures, spectral_submodule)
@@ -253,3 +255,70 @@ def test_local_constancy():
         perturbed = ComplexStructure(rot @ j1.J @ rot.T, ctx)
         value, _ = pair_index(j0, perturbed)
         assert value == base
+
+
+def _odd_pair(rng, half, k):
+    """Orthogonal blocks P0 and P1 = P0 R over a shuffled grading, R with
+    eigenvalue -1 exactly k times: ker(P0 + P1) = ker(I + R) has
+    dimension k.  The rest of R is a Cayley transform (I - A)(I + A)^-1
+    of a skew A, with no eigenvalue near -1."""
+    grading = Grading(rng.permutation(np.repeat([-1.0, 1.0], half)))
+    a = 2.0 * random_skew(rng, half - k)
+    cayley = (np.eye(half - k) - a) @ np.linalg.inv(np.eye(half - k) + a)
+    rot = np.zeros((half, half))
+    rot[:k, :k] = -np.eye(k)
+    rot[k:, k:] = cayley
+    v = random_orthogonal(rng, half)
+    p0 = random_orthogonal(rng, half)
+    return OddStructure(p0, grading), OddStructure(p0 @ v @ rot @ v.T, grading)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_block_pair_kernel_matches_dense(monkeypatch, seed, k):
+    # a pair kernel of 0, 2 or 4 from the half-size SVD of P0 + P1 spans
+    # the kernel that the dense SVD of J0 + J1 finds, and pair_index of the
+    # blocks takes no n x n SVD
+    rng = np.random.default_rng(seed)
+    half = 7
+    j0, j1 = _odd_pair(rng, half, k)
+    minus, plus = j0.grading.sectors()
+    left, right = block_kernel(j0.P + j1.P, label="pair kernel")
+    assert left.shape == right.shape == (half, k)
+    basis = np.zeros((2 * half, 2 * k))
+    basis[minus, :k] = left
+    basis[plus, k:] = right
+    dense = kernel_basis(j0.J + j1.J, label="pair kernel")
+    assert dense.shape == (2 * half, 2 * k)
+    np.testing.assert_allclose(basis @ basis.T, dense @ dense.T, rtol=0.0, atol=1e-12)
+    ctx = cl.CliffordRep(0, 0, 2 * half)
+    want, want_module = pair_index(ComplexStructure(j0.J, ctx), ComplexStructure(j1.J, ctx))
+    svd, shapes = np.linalg.svd, []
+
+    def counted(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    got, module = pair_index(j0, j1)
+    assert shapes == [(half, half)]
+    assert got == want and got.value == k % 2
+    assert module.n == want_module.n == 2 * k and (module.r, module.s) == (0, 1)
+
+
+def test_odd_structure_checks_its_block():
+    grading = Grading([1.0, -1.0, -1.0, 1.0])
+    j = OddStructure(cl.L1, grading)
+    # minus = (1, 2), plus = (0, 3): J[minus, plus] = P, J[plus, minus] = -P^T
+    np.testing.assert_array_equal(j.J, [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
+                                        [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    ComplexStructure(j.J, j.context)  # the dense form is a complex structure
+    with pytest.raises(ValidationError, match="not a grading-odd complex structure"):
+        OddStructure(2.0 * cl.L1, grading)
+    with pytest.raises(ValidationError, match="sectors have dimension 2"):
+        OddStructure(np.eye(3), grading)
+    # a block and a dense structure pair through the dense route
+    flipped = OddStructure(-cl.L1, grading)
+    value, module = pair_index(j, ComplexStructure(flipped.J, j.context))
+    assert (module.n, value.value) == (4, 0)
+    assert pair_index(j, flipped)[0] == value

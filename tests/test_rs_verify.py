@@ -70,6 +70,9 @@ def test_default_switching():
 def test_problem_validation():
     with pytest.raises(ValidationError):
         RSProblem(STANDARD, L=1.0, m=300)
+    for length in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite and exceed 2"):
+            RSProblem(STANDARD, L=length, m=300)
     with pytest.raises(ValidationError):
         RSProblem(STANDARD, L=12.0, m=100)
     with pytest.raises(ValidationError):
