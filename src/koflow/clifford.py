@@ -502,7 +502,7 @@ def restrict_to_subspace(rep: CliffordRep, basis: np.ndarray,
     return restrict_images(rep.r, basis, images, tol)
 
 
-def restrict_images(r: int, basis: np.ndarray, images, tol: float = RESTRICTION_TOL) -> CliffordRep:
+def restrict_images(r: int, basis: np.ndarray, images, tol: float) -> CliffordRep:
     """The module on the span of `basis` whose generators act on it as
     `images` (g @ basis for each generator g, the r symmetric ones first).
 

@@ -174,6 +174,12 @@ def _split_phase_kernel(svals: np.ndarray) -> int:
                                   label="phase kernel (regularized)")
 
 
+def block_route(r: int, s: int, graded: bool) -> bool:
+    """Whether a path over a Cl_{r,s} context, with a grading or not,
+    takes the block route: it does when it is graded and r = s = 0."""
+    return graded and r == s == 0
+
+
 @dataclass(frozen=True)
 class Node:
     """A sample split by one SVD: its range phase and its kernel cluster.
@@ -202,7 +208,7 @@ def split_node(tmat: np.ndarray, context: CliffordRep,
     tmat = np.asarray(tmat, dtype=float)
     if tmat.shape != (n, n):
         raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
-    if grading is not None and context.r == context.s == 0:
+    if block_route(context.r, context.s, grading is not None):
         block, left, right = block_split(tmat, split, grading)
         return Node(block, (left, right), grading)
     return Node(*svd_split(tmat, split, grading))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .clifford import K1, K2, L1, CliffordRep
 from .errors import ValidationError
-from .flow import SkewPath
+from .flow import SkewPath, block_route
 from .numerics import Grading, check_memory, op_norm, residual_norm, sym_eigh
 
 REALIFY_TOL = 1e-10
@@ -50,8 +50,8 @@ NODE_ARRAYS = 8
 # the returned u and vt are 2 (numpy 2.4, OpenBLAS, 2 threads); 4.6,
 # rounded up.
 SVD_WORKSPACE_ARRAYS = 5
-# The same two counts, still in n x n arrays, for the block route of a
-# graded path with an empty context (even Kitaev rings, Cl_{0,1} cells),
+# The same two counts, still in n x n arrays, for the block route
+# (`flow.block_route`: even Kitaev rings, Cl_{0,1} cells),
 # where phases, node SVDs and pair kernels are n/2 x n/2 blocks.  The walk
 # peaks while a node is sampled: the sample and its skewness residual are
 # two whole arrays, the held phases and the node's SVD a quarter each;
@@ -198,20 +198,18 @@ def kitaev_path(N: int) -> SkewPath:
     """
     if N < 3:
         raise ValidationError(f"ring length must be at least 3, got {N}")
+    graded = N % 2 == 0
     # the flux-free matrix and one step of the flow walk with its SVD
-    # workspace (even rings take the block route), counted before any of
-    # them is allocated
+    # workspace, counted before any of them is allocated
     check_memory(f"the Kitaev chain at N={N}",
-                 8 * (2 * N) ** 2 + _walk_bytes(2 * N, block=N % 2 == 0))
+                 8 * (2 * N) ** 2 + _walk_bytes(2 * N, block_route(0, 0, graded)))
     sites = np.arange(N)
     flux_free = np.zeros((2 * N, 2 * N))
     blocks = flux_free.reshape(N, 2, N, 2)  # [site, row, site, column]
     blocks[(sites + 1) % N, :, sites, :] = _BOND
     blocks[sites, :, (sites + 1) % N, :] = -_BOND.T
     ctx = CliffordRep(0, 0, 2 * N)
-    grading = None
-    if N % 2 == 0:
-        grading = Grading(np.tile([1, 1, -1, -1], N // 2))
+    grading = Grading(np.tile([1, 1, -1, -1], N // 2)) if graded else None
 
     def sample(alpha: float) -> np.ndarray:
         seam = _seam_block(alpha)
@@ -258,11 +256,11 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
         raise ValidationError(f"ring length must be at least 3, got {N}")
     dim = N * module.n
     # three ring arrays, the context generators and one step of the flow
-    # walk with its SVD workspace (a Cl_{0,1} cell leaves an empty context,
-    # so its graded path takes the block route)
+    # walk with its SVD workspace; the path is graded, over a context of
+    # signature (r, s - 1)
     check_memory(f"the flux path at N={N}",
                  8 * (3 * N * N + (module.r + module.s - 1) * dim * dim)
-                 + _walk_bytes(dim, block=module.r + module.s == 1))
+                 + _walk_bytes(dim, block_route(module.r, module.s - 1, True)))
     module.validate(1e-10)
     shift = _ring_shift(N)
     ring = (shift + shift.T) / 2.0

@@ -174,6 +174,15 @@ def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL
     return k
 
 
+def _block_svd(block: np.ndarray, split):
+    """One SVD B = U S W^T of the block of [[0, B], [-B^T, 0]], with the
+    rank of B: each singular value of B appears twice in the G-odd
+    matrix, and `split` finds the size 2k of its zero cluster on the
+    doubled ascending values.  Returns (U, W^T, rank)."""
+    u, s, wt = np.linalg.svd(block)
+    return u, wt, s.size - split(np.repeat(s[::-1], 2)) // 2
+
+
 def block_split(mat: np.ndarray, split, grading: Grading):
     """The half-size split of a skew mat that anticommutes with a grading.
 
@@ -181,8 +190,7 @@ def block_split(mat: np.ndarray, split, grading: Grading):
     -2 mat[m, m] on the first sector and 2 mat[p, p] on the second: those
     two blocks are the grading check, a ValidationError above SAMPLE_TOL.
     The rest of mat is B = mat[m, p] and -B^T, so B = U S W^T is the whole
-    SVD: each singular value of B appears twice, and `split` finds the
-    size 2k of the zero cluster on the doubled ascending values.  Returns
+    SVD (`_block_svd`).  Returns
     (U_r W_r^T, U_k, W_k): the range block of the phase (r the range) and
     the kernel columns, U's on m and W's on p, k of each.
     """
@@ -193,9 +201,7 @@ def block_split(mat: np.ndarray, split, grading: Grading):
     worst = residual_norm(SAMPLE_TOL, (2.0 * mat[idx[:, None], idx] for idx in (minus, plus)))
     if worst > SAMPLE_TOL:
         raise ValidationError(f"matrix breaks its grading (residual {worst:.3e})")
-    ub, sb, wbt = np.linalg.svd(mat.take(minus, 0).take(plus, 1))
-    k = split(np.repeat(sb[::-1], 2)) // 2  # the values come in equal pairs
-    rank = sb.size - k
+    ub, wbt, rank = _block_svd(mat.take(minus, 0).take(plus, 1), split)
     # copies, so that the kernel columns do not keep U and W alive
     return ub[:, :rank] @ wbt[:rank], ub[:, rank:].copy(), wbt[rank:].T.copy()
 
@@ -233,14 +239,13 @@ def kernel_basis(mat: np.ndarray, label: str = "kernel"):
     return vt[vt.shape[0] - k:].T
 
 
-def block_kernel(block: np.ndarray, label: str = "kernel"):
-    """Kernel columns (U_k, W_k) of the G-odd matrix [[0, B], [-B^T, 0]]
-    of a square block B: U_k on the minus sector and W_k on the plus one,
-    k of each, from one SVD B = U S W^T, guarded by split_zero_cluster on
-    the doubled singular values (each one of B appears twice)."""
-    u, s, wt = np.linalg.svd(block)
-    k = split_zero_cluster(np.repeat(s[::-1], 2), label=label) // 2
-    return u[:, s.size - k:], wt[s.size - k:].T
+def block_kernel(block: np.ndarray):
+    """Kernel columns (U_k, W_k) of the pair sum [[0, B], [-B^T, 0]] of
+    two G-odd complex structures: U_k on the minus sector and W_k on the
+    plus one, k of each, from `_block_svd` guarded by split_zero_cluster
+    as a "pair kernel"."""
+    u, wt, rank = _block_svd(block, lambda v: split_zero_cluster(v, label="pair kernel"))
+    return u[:, rank:], wt[rank:].T
 
 
 def skew_phase(tmat: np.ndarray) -> np.ndarray:

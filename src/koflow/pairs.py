@@ -139,7 +139,7 @@ def _odd_kernel_module(j0: OddStructure, j1: OddStructure) -> CliffordRep:
     J0 maps it to [[0, P0 W_k], [-P0^T U_k, 0]]; both go through the
     invariance and relation checks of `restrict_images`.
     """
-    left, right = block_kernel(j0.P + j1.P, label="pair kernel")
+    left, right = block_kernel(j0.P + j1.P)
     half, k = left.shape
     basis = np.zeros((2 * half, 2 * k))
     basis[:half, :k] = left

@@ -46,3 +46,31 @@ def complex_kitaev(n_ring, alpha):
     s_alpha = np.kron(np.roll(np.eye(n_ring), 1, axis=0), KITAEV_B) \
         + np.kron(bond, kitaev_seam_correction(alpha))
     return s_alpha + s_alpha.conj().T
+
+
+def pf_sign(mat):
+    """Sign of the Pfaffian of a real skew matrix, 0 when singular.
+
+    Parlett-Reid elimination (Wimmer 2012, arXiv:1102.3440): a symmetric
+    swap of two rows and columns flips Pf, a congruence by a unit
+    lower-triangular Gauss transform keeps it, and once column k vanishes
+    below row k+1, Pf = a[k, k+1] * Pf(trailing block).
+    """
+    a = np.array(mat, dtype=float)
+    n = a.shape[0]
+    if n % 2:
+        return 0
+    sign = 1
+    for k in range(0, n, 2):
+        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if p != k + 1:
+            a[[k + 1, p]] = a[[p, k + 1]]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            sign = -sign
+        if a[k, k + 1] == 0.0:
+            return 0
+        sign *= int(np.sign(a[k, k + 1]))
+        tau = a[k + 2:, k] / a[k + 1, k]
+        row = a[k + 1, k + 2:].copy()
+        a[k + 2:, k + 2:] += np.outer(row, tau) - np.outer(tau, row)
+    return sign

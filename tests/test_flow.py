@@ -19,6 +19,8 @@ from koflow.numerics import (Grading, min_singular_value, random_orthogonal,
 from koflow.pairs import ComplexStructure, OddStructure
 from koflow.props import SIG_POOL, padded_context, random_admissible_path
 
+from conftest import pf_sign
+
 
 def normalization_path(module):
     ctx = cl.CliffordRep(module.r, module.s - 1, module.n,
@@ -561,34 +563,6 @@ def test_phase_kernel_regularized_fallback():
 # Pfaffian-sign oracle for the empty-context Z2 flow
 # ---------------------------------------------------------------------------
 
-def pf_sign(mat):
-    """Sign of the Pfaffian of a real skew matrix, 0 when singular.
-
-    Parlett-Reid elimination (Wimmer 2012, arXiv:1102.3440): a symmetric
-    swap of two rows and columns flips Pf, a congruence by a unit
-    lower-triangular Gauss transform keeps it, and once column k vanishes
-    below row k+1, Pf = a[k, k+1] * Pf(trailing block).
-    """
-    a = np.array(mat, dtype=float)
-    n = a.shape[0]
-    if n % 2:
-        return 0
-    sign = 1
-    for k in range(0, n, 2):
-        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-        if p != k + 1:
-            a[[k + 1, p]] = a[[p, k + 1]]
-            a[:, [k + 1, p]] = a[:, [p, k + 1]]
-            sign = -sign
-        if a[k, k + 1] == 0.0:
-            return 0
-        sign *= int(np.sign(a[k, k + 1]))
-        tau = a[k + 2:, k] / a[k + 1, k]
-        row = a[k + 1, k + 2:].copy()
-        a[k + 2:, k + 2:] += np.outer(row, tau) - np.outer(tau, row)
-    return sign
-
-
 def pf_brute(a):
     """Pfaffian by expansion along the first row."""
     n = a.shape[0]
@@ -633,18 +607,6 @@ def test_pfaffian_oracle_random_paths():
 # ---------------------------------------------------------------------------
 # Block route: graded paths with an empty context
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n_ring", range(4, 65, 2))
-def test_block_route_matches_dense_route_on_kitaev(n_ring):
-    path = kitaev_path(n_ring)
-    ctx = path.context
-    node = split_node(path.at(0.5), ctx, path.grading)
-    assert isinstance(complete_phase(node, ctx), OddStructure)
-    flips = pf_sign(path.at(0.0)) != pf_sign(path.at(1.0))
-    value = spectral_flow(path)
-    assert value == spectral_flow(SkewPath(ctx, path.fn)) == endpoint_flow(path)
-    assert value.value == int(flips) == 1
-
 
 # the right factor of B(t) turns by this angle per initial segment, so that
 # the hint of the crossing node's left phase compresses to cos = -0.2

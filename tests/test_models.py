@@ -16,10 +16,10 @@ from koflow.models import (BLOCK_NODE_ARRAYS, BLOCK_SVD_WORKSPACE_ARRAYS,
                            aii_path, flux_path, hermitian_double, kitaev_path,
                            realify, standard_quaternionic)
 from koflow.numerics import op_norm, random_orthogonal, svd_split
-from koflow.pairs import ComplexStructure
+from koflow.pairs import ComplexStructure, OddStructure
 
 from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev,
-                      kitaev_seam_correction, rotated_irrep)
+                      kitaev_seam_correction, pf_sign, rotated_irrep)
 
 
 def test_realify_examples():
@@ -185,12 +185,18 @@ def test_kitaev_alpha_one_is_flipped_bond():
     assert np.allclose(path.at(1.0), flipped, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n_ring", list(range(3, 17)))
+@pytest.mark.parametrize("n_ring", list(range(3, 17)) + list(range(18, 65, 2)))
 def test_kitaev_flow_is_one(n_ring):
+    """Even rings take the block route; the dense route on the ungraded
+    copy, the endpoint flow and the Pfaffian signs must agree with it."""
     path = kitaev_path(n_ring)
+    node = split_node(path.at(0.5), path.context, path.grading)
+    kind = OddStructure if n_ring % 2 == 0 else ComplexStructure
+    assert type(complete_phase(node, path.context)) is kind
     value = spectral_flow(path)
     assert (value.degree, value.value) == (2, 1)
     assert endpoint_flow(path) == spectral_flow(SkewPath(path.context, path.fn)) == value
+    assert pf_sign(path.at(0.0)) == -pf_sign(path.at(1.0)) != 0
 
 
 def _walk_peak_arrays(path):

@@ -283,7 +283,7 @@ def test_block_pair_kernel_matches_dense(monkeypatch, seed, k):
     half = 7
     j0, j1 = _odd_pair(rng, half, k)
     minus, plus = j0.grading.sectors()
-    left, right = block_kernel(j0.P + j1.P, label="pair kernel")
+    left, right = block_kernel(j0.P + j1.P)
     assert left.shape == right.shape == (half, k)
     basis = np.zeros((2 * half, 2 * k))
     basis[minus, :k] = left
