@@ -35,8 +35,10 @@ Dirac class in bivariant K-theory produces the NEGATIVE of the flow; only
 the direct (unsigned-convention) equality above is asserted here.
 
 scipy is imported only inside the solves that call it, `_basis_blocks`
-(tridiagonal eigensolve) and `numeric_kernel` (Gram eigensolves and
-Lanczos), so importing this module loads numpy alone.
+(tridiagonal eigensolve), `_gram` (a BLAS rank-k update) and
+`numeric_kernel` (one tridiagonal reduction of the Gram matrix and
+eigensolves of the tridiagonal), so importing this module loads numpy
+alone; scipy.sparse is never loaded.
 """
 from __future__ import annotations
 
@@ -61,6 +63,9 @@ KERNEL_GAP_RATIO = 100.0
 CELL_TOL = 1e-12
 # Quadrature points whose Hermite values `analytic_profiles` holds at once.
 PROFILE_BLOCK = 1024
+# Right end of the window [-1, 2] on which `coefficient_path` samples f;
+# the basis reach ell * sqrt(2m) must cover it.
+PATH_END = 2.0
 
 
 def default_switching(t: float) -> float:
@@ -98,6 +103,10 @@ class RSProblem:
             raise ValidationError(f"need at least 200 basis functions, got {self.m}")
         self.module.validate(1e-10)
         reach = self.scale * np.sqrt(2.0 * self.m)
+        if not reach >= PATH_END:
+            raise ValidationError(
+                f"the Hermite basis reaches |t| <= {reach:.3g}, short of the "
+                f"coefficient path's window [-1, {PATH_END:g}]: lower L or raise m")
         values = np.array([self.f(t) for t in np.linspace(-reach, reach, 801)])
         if np.max(np.abs(values)) > 1.0 + 1e-12:
             raise ValidationError("|f| must be bounded by 1")
@@ -212,12 +221,13 @@ def _assemble(problem: RSProblem, cell_even: np.ndarray, deriv_sign: float,
     module, m, n = problem.module, problem.m, problem.module.n
     bound_sector *= switching_direction(problem)
     rows = m if square or bound_sector == 0 else m - 1
-    width = -(-(n + KERNEL_EXTRA) // n)  # level vectors in a kernel window
-    # the position eigenvectors, coeff and its symmetrization (which holds
-    # the level matrix), both scalar Gram matrices and their eigenvector
-    # windows
-    check_memory("the discrete operator",
-                 8 * (3 * m * m + m * m + rows * rows + (m + rows) * width))
+    # the peak is three m x m arrays: the position eigenvectors, coeff and
+    # its symmetrization (which holds the level matrix).  numeric_kernel
+    # holds the level matrix beside one scalar Gram matrix at a time,
+    # reduced in place, so it stays below that.  64 m-vectors bound the
+    # rest of either: nodes and samples, the tridiagonal and its reflector
+    # scalars, the blocked LAPACK workspace and the eigenvector windows.
+    check_memory("the discrete operator", 8 * (3 * m * m + 64 * m))
     f_last = np.array(module.F[-1])
     plus, minus = _sector_bases(f_last)
     keep_full, keep_cut = (minus, plus) if bound_sector < 0 else (plus, minus)
@@ -278,6 +288,21 @@ def assemble_rs_operator_alt(problem: RSProblem, square: bool = False) -> Discre
                      square=square)
 
 
+def _gram(mat: np.ndarray, trans: int) -> np.ndarray:
+    """The lower triangle of mat^T mat (trans=0) or of mat mat^T
+    (trans=1), Fortran-ordered, for LAPACK to work on in place."""
+    from scipy.linalg import blas  # here, to keep `import koflow` light
+
+    return blas.dsyrk(1.0, mat.T, trans=trans, lower=1)
+
+
+def _ritz(block: np.ndarray, vecs: np.ndarray):
+    """Singular values of block @ vecs, ascending, and the orthonormal
+    combinations of the columns of vecs that they belong to."""
+    _, svals, wt = np.linalg.svd(block @ vecs, full_matrices=False)
+    return svals[::-1], vecs @ wt[::-1].T
+
+
 def numeric_kernel(op: DiscreteOperator):
     """Orthonormal basis of ker D = ker X (+) ker X^T in sector
     coordinates, and the singular-value gap report.
@@ -285,40 +310,58 @@ def numeric_kernel(op: DiscreteOperator):
     X is one Kronecker product level (x) cell with an orthogonal cell, so
     each singular value of the level matrix stands for n singular values
     of X, and a right (left) singular vector v of the level matrix gives
-    the right (left) ones v (x) eta of X for every cell vector eta.  Each
-    half of the level spectrum comes from a partial eigensolve of its
-    scalar Gram matrix; the window's magnitudes are then recomputed as the
-    singular values of level V (resp. level^T U), at the eps * sigma_max
-    noise floor of X rather than the sqrt(eps) * sigma_max floor of the
-    Gram matrix.  The window holds the smallest n + KERNEL_EXTRA singular
-    values of X, counted with their n-fold repeats.  sigma_max comes from
-    Lanczos.  The zero cluster is split off the window in units of
-    sigma_max by `split_zero_cluster`, which scales its cut by the largest
-    value it is given: the cut is KERNEL_TOL times the top of the window,
-    not KERNEL_TOL * sigma_max, with a mandatory gap ratio of
+    the right (left) ones v (x) eta of X for every cell vector eta.  The
+    Gram matrix level^T level is reduced to tridiagonal form once: its
+    smallest eigenpairs, back-transformed through the Householder
+    reflectors, span the right window, and its largest eigenvalue is
+    sigma_max^2.  The window's magnitudes are recomputed as the singular
+    values of level V, at the eps * sigma_max noise floor of X rather
+    than the sqrt(eps) * sigma_max floor of the Gram matrix.  The level
+    matrix has cols - rows more columns than rows, so its left singular
+    values are the right ones with that many zeros dropped; the window
+    takes one extra right eigenpair per dropped zero to fill both halves.
+    The eigenvectors of level level^T are computed only when a left
+    value falls inside the zero cluster.  The window holds the smallest
+    n + KERNEL_EXTRA singular values of X, counted with their n-fold
+    repeats.  The zero cluster is split off the window in units of
+    sigma_max by `split_zero_cluster`, which scales its cut by the
+    largest value it is given: the cut is KERNEL_TOL times the top of the
+    window, not KERNEL_TOL * sigma_max, with a mandatory gap ratio of
     KERNEL_GAP_RATIO to the first survivor.
     """
     # here, to keep `import koflow` light
     import scipy.linalg as sla
-    from scipy.sparse.linalg import svds
+    from scipy.linalg import lapack
 
     mat, n = op.matrix, op.cell.shape[0]
+    rows, cols = mat.shape
     k = min(op.dimension - 2, n + KERNEL_EXTRA)
-    values, vectors = [], []
-    for block in (mat, mat.T):
-        count = min(k, n * block.shape[1])
-        # the Gram matrix is symmetric: its Fortran-ordered transpose lets
-        # LAPACK work in place
-        _, vecs = sla.eigh((block.T @ block).T, overwrite_a=True,
-                           subset_by_index=[0, -(-count // n) - 1])
-        _, svals, wt = np.linalg.svd(block @ vecs, full_matrices=False)
-        values.append(np.repeat(svals[::-1], n)[:count])
-        vectors.append(np.kron(vecs @ wt[::-1].T, np.eye(n))[:, :count])
-    values = np.concatenate(values)
+    levels = -(-k // n)  # level values behind the k smallest values of X
+    index = cols - rows  # right null vectors forced by the shape alone
+    lwork, _ = lapack.dsytrd_lwork(cols, lower=1)
+    gram, diag, off, tau, _ = lapack.dsytrd(_gram(mat, 0), lower=1, lwork=int(lwork),
+                                            overwrite_a=1)
+    # raw LAPACK checks nothing: a non-finite level matrix shows up here
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValidationError("the level matrix has non-finite entries")
+    _, vecs = sla.eigh_tridiagonal(diag, off, select="i",
+                                   select_range=(0, levels + index - 1))
+    top = sla.eigvalsh_tridiagonal(diag, off, select="i",
+                                   select_range=(cols - 1, cols - 1))
+    smax = float(np.sqrt(top[0]))
+    # Q = H(1) ... H(cols - 1) acts on rows 1: and keeps its reflectors
+    # below the subdiagonal; a Fortran view that starts one entry in, with
+    # leading dimension cols, hands them to dormqr without a copy
+    reflectors = gram.ravel(order="F")[1:1 + cols * (cols - 1)].reshape(
+        cols, cols - 1, order="F")
+    query = lapack.dormqr("L", "N", reflectors, tau, vecs[1:], -1)[1]
+    vecs[1:] = lapack.dormqr("L", "N", reflectors, tau, vecs[1:], int(query[0]))[0]
+    del gram, reflectors
+    level_vals, level_vecs = _ritz(mat, vecs)
+    values = np.concatenate([np.repeat(level_vals[:levels], n)[:k],
+                             np.repeat(level_vals[index:index + levels], n)[:k]])
     order = np.argsort(values, kind="stable")[:k]
     svals = values[order]
-    smax = float(svds(mat, k=1, return_singular_vectors=False,
-                      v0=np.random.default_rng(0).standard_normal(min(mat.shape)))[0])
     kdim = split_zero_cluster(svals / smax, rel_tol=KERNEL_TOL,
                               gap_ratio=KERNEL_GAP_RATIO,
                               label="discrete kernel", abs_floor=0.0)
@@ -332,7 +375,18 @@ def numeric_kernel(op: DiscreteOperator):
         "first_nonzero": float(svals[kdim]),
         "gap_ratio": float(svals[kdim] / max(svals[kdim - 1], 1e-300)) if kdim else np.inf,
     }
-    return sla.block_diag(*vectors)[:, order[:kdim]], report
+    picked = order[:kdim]
+    left = picked >= k
+    eye = np.eye(n)
+    basis = np.zeros((n * (cols + rows), kdim))
+    basis[:n * cols, ~left] = np.kron(level_vecs[:, :levels], eye)[:, picked[~left]]
+    if left.any():
+        # left null vectors: a partial eigensolve of level level^T and its
+        # Ritz step
+        _, left_vecs = sla.eigh(_gram(mat, 1), overwrite_a=True,
+                                subset_by_index=[0, levels - 1])
+        basis[n * cols:, left] = np.kron(_ritz(mat.T, left_vecs)[1], eye)[:, picked[left] - k]
+    return basis, report
 
 
 def hermite_values(m: int, points: np.ndarray) -> np.ndarray:

@@ -279,6 +279,10 @@ MALFORMED = {
     "aii-out-without-tracks": (["aii", "--demo", "--out", "f.csv"], {}),
     "rs-check-infinite-L": (["rs-check", "--m", "200", "--L", "inf"], {}),
     "rs-check-nan-L": (["rs-check", "--m", "200", "--L", "nan"], {}),
+    # a basis squeezed below the coefficient path's window [-1, 2]
+    "rs-check-basis-misses-switch-1e100": (["rs-check", "--m", "300", "--L", "1e100"], {}),
+    "rs-check-basis-misses-switch-1e306": (["rs-check", "--m", "300", "--L", "1e306"], {}),
+    "rs-check-basis-misses-switch-1e307": (["rs-check", "--m", "300", "--L", "1e307"], {}),
     "kitaev-negative-seed": (["kitaev", "--N", "4", "--seed", "-1"], {}),
     "sf-negative-seed": (["sf", "--model", "kitaev", "--N", "4", "--seed", "-1"], {}),
     "flux-negative-seed": (
@@ -567,16 +571,20 @@ _IMPORT_PROBE = textwrap.dedent("""
     with open(cell_file, "w") as fh:
         fh.write(cell)
     codes["flux"], _ = run("flux", "--module", cell_file, "--N", "3")
+    codes["rs-check"], _ = run("rs-check", "--m", "200")
     print(json.dumps({"codes": codes, "after_import": after_import,
                       "after_light": after_light,
-                      "flux_loads_linalg": "scipy.linalg" in sys.modules}))
+                      "flux_loads_linalg": "scipy.linalg" in sys.modules,
+                      "sparse_loaded": [k for k in sys.modules
+                                        if k.startswith("scipy.sparse")]}))
 """)
 
 
 def test_light_commands_load_no_scipy(tmp_path):
     # one fresh interpreter: `import koflow` and the commands that call no
     # scipy function must leave scipy unloaded, while flux (real Schur
-    # form of its cell) loads scipy.linalg, so the probe sees a load
+    # form of its cell) loads scipy.linalg, so the probe sees a load;
+    # rs-check reads sigma_max off its tridiagonal and needs no scipy.sparse
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -589,3 +597,4 @@ def test_light_commands_load_no_scipy(tmp_path):
     assert report["after_import"] == []
     assert report["after_light"] == []
     assert report["flux_loads_linalg"] is True
+    assert report["sparse_loaded"] == []

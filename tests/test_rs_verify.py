@@ -79,6 +79,11 @@ def test_problem_validation():
         RSProblem(cl.irreducible_rep(1, 0, "+"), L=12.0, m=300)
     with pytest.raises(ValidationError):
         RSProblem(STANDARD, L=12.0, m=300, f=lambda t: 2.0 * default_switching(t))
+    # a basis squeezed below the coefficient path's window [-1, 2] cannot
+    # see the switch; at L = 1e307 the derivative would overflow as well
+    for length in (1e100, 1e306, 1e307):
+        with pytest.raises(ValidationError, match="short of the coefficient path"):
+            RSProblem(STANDARD, L=length, m=300)
 
 
 def test_assembly_structure():
@@ -135,15 +140,76 @@ def test_factored_kernel_matches_dense_svd(r, s, seed, alt, square):
     # the eps * sigma_max floor
     np.testing.assert_allclose(report["smallest_singular_values"], window,
                                rtol=1e-6, atol=1e-12 * svals[0])
+    assert report["sigma_max"] == pytest.approx(svals[0], rel=1e-10)
     kdim = split_zero_cluster(window / svals[0], rel_tol=1e-4, gap_ratio=100.0,
                               abs_floor=0.0)
     assert report["kernel_dim"] == kdim
     assert kdim == (0 if square else problem.module.n)
+    _assert_dense_kernel(basis, u, svals, vt, window, kdim)
+
+
+def _assert_dense_kernel(basis, u, svals, vt, window, kdim):
+    """The kernel basis spans the right and left null vectors of the dense
+    SVD x = u diag(svals) vt below the middle of the gap of the window."""
+    right = np.concatenate([svals, np.zeros(vt.shape[0] - svals.size)])
+    left = np.concatenate([svals, np.zeros(u.shape[1] - svals.size)])
     cut = (window[kdim - 1] + window[kdim]) / 2.0 if kdim else 0.0
     dense = sla.block_diag(vt[right < cut].T, u[:, left < cut])
     assert dense.shape == basis.shape
     # subspaces of equal dimension: ||P - P_dense|| = ||(I - P_dense) basis||
     assert np.linalg.norm(basis - dense @ (dense.T @ basis), 2) < 1e-8
+
+
+@pytest.mark.parametrize("r,s,seed,kdim", [(0, 1, 3, 4), (0, 3, 11, 8)])
+def test_square_kernel_takes_left_vectors_from_dense_svd(r, s, seed, kdim):
+    # at m = 600 the square truncation's bound states and transpose ghosts
+    # (near 5.3e-6) fall inside the zero cluster on both sides, so half of
+    # the kernel is left null vectors: the one case that solves level level^T
+    problem = RSProblem(rotated_irrep(r, s, seed), L=12.0, m=600)
+    op = assemble_rs_operator(problem, square=True)
+    basis, report = numeric_kernel(op)
+    assert report["kernel_dim"] == kdim
+    cols = op.matrix.shape[1] * op.cell.shape[0]
+    assert np.linalg.matrix_rank(basis[cols:]) == kdim // 2
+    x = np.kron(op.matrix, op.cell)
+    u, svals, vt = np.linalg.svd(x)
+    window = np.sort(np.concatenate([svals, svals]))[:len(report["smallest_singular_values"])]
+    np.testing.assert_allclose(report["smallest_singular_values"], window, rtol=1e-6)
+    _assert_dense_kernel(basis, u, svals, vt, window, kdim)
+
+
+def test_kernel_takes_one_gram_and_one_reduction(monkeypatch):
+    from scipy.linalg import lapack
+
+    calls = []
+
+    def record(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(rs_verify, "_gram", record("gram", rs_verify._gram))
+    monkeypatch.setattr(lapack, "dsytrd", record("dsytrd", lapack.dsytrd))
+    monkeypatch.setattr(sla, "eigh", record("eigh", sla.eigh))
+    problem = RSProblem(STANDARD, L=12.0, m=300)
+    _, report = numeric_kernel(assemble_rs_operator(problem))
+    assert report["kernel_dim"] == 2
+    assert calls == ["gram", "dsytrd"]
+    # the square truncation's left null vectors take the left Gram solve
+    calls.clear()
+    _, report = numeric_kernel(assemble_rs_operator(problem, square=True))
+    assert report["kernel_dim"] == 4
+    assert calls == ["gram", "dsytrd", "gram", "eigh"]
+
+
+def test_kernel_rejects_non_finite_level_matrix():
+    # dsytrd checks no input: its tridiagonal is checked before the
+    # eigensolves read it
+    op = assemble_rs_operator(RSProblem(STANDARD, L=12.0, m=200))
+    op.matrix[3, 5] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        numeric_kernel(op)
 
 
 def test_cells_must_form_one_kronecker_product():
@@ -157,24 +223,33 @@ def test_cells_must_form_one_kronecker_product():
 
 
 def test_memory_plan_bounds_traced_peak(monkeypatch):
-    planned = []
-    monkeypatch.setattr(rs_verify, "check_memory", lambda what, size: planned.append(size))
+    # the square truncation at m = 600 also takes the left Gram solve
     problem = RSProblem(STANDARD, L=12.0, m=600)
-    tracemalloc.start()
-    try:
-        numeric_kernel(assemble_rs_operator(problem))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(planned) == 1
-    assert peak <= planned[0]
+    for square in (False, True):
+        planned = []
+        monkeypatch.setattr(rs_verify, "check_memory",
+                            lambda what, size: planned.append(size))
+        tracemalloc.start()
+        try:
+            numeric_kernel(assemble_rs_operator(problem, square=square))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(planned) == 1
+        assert peak <= planned[0]
 
 
 def test_sigma_max_is_largest_singular_value():
     problem = RSProblem(STANDARD, L=12.0, m=200)
-    _, report = numeric_kernel(assemble_rs_operator(problem))
-    ref, _ = reference_operator(STANDARD, 12.0, 200)
-    assert report["sigma_max"] == pytest.approx(sla.svdvals(ref)[0], rel=1e-10)
+    # the alt and square assemblies change the level matrix; the rotated
+    # cells are checked against the dense SVD of
+    # test_factored_kernel_matches_dense_svd
+    for alt in (False, True):
+        for square in (False, True):
+            assemble = assemble_rs_operator_alt if alt else assemble_rs_operator
+            _, report = numeric_kernel(assemble(problem, square=square))
+            ref, _ = reference_operator(STANDARD, 12.0, 200, alt=alt, square=square)
+            assert report["sigma_max"] == pytest.approx(sla.svdvals(ref)[0], rel=1e-10)
 
 
 def test_constant_coefficient_has_no_kernel():
