@@ -17,13 +17,18 @@ alone cannot terminate: at a kernel crossing the phase genuinely jumps by
 norm 2 on the crossing subspace, while the jump's contribution is exactly
 the kernel class.
 
+Every sample is checked once, where it is taken (`SkewPath.at`):
+skewness, anticommutation with the context and, on a graded path, the
+grading.  Each node is then one `numerics.svd_split`: of T itself, or on
+a graded path of its n/2 x n/2 sector block (see the graded convention
+of `numerics`).
+
 Block route: a path with a `grading` and an empty context (r = s = 0)
-keeps every node phase as its n/2 x n/2 block P (`pairs.OddStructure`,
-see the graded convention of `numerics`).  Its nodes are split by
-`numerics.block_split`, completed with a k x k orthogonal block on the
-balanced kernel, re-imposed by P (3I - P^T P) / 2, compared by
-sqrt(2) ||Pa - Pb||_F, and paired by one SVD of P0 + P1.  Every other
-path takes the dense n x n route.
+keeps every node phase as its n/2 x n/2 block P (`pairs.OddStructure`).
+Its nodes are completed with a k x k orthogonal block on the balanced
+kernel, compared by sqrt(2) ||Pa - Pb||_F, and paired by one SVD of
+P0 + P1.  Every other path takes the dense n x n route; a graded one
+scatters its node's block and kernel columns back to n x n.
 """
 from __future__ import annotations
 
@@ -37,7 +42,7 @@ from .clifford import (CliffordRep, intertwiner, irreducible_rep,
                        restrict_to_subspace)
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
-from .numerics import (SAMPLE_TOL, Grading, block_split, min_singular_value,
+from .numerics import (SAMPLE_TOL, Grading, doubled, min_singular_value,
                        residual_norm, skew_phase, split_zero_cluster, svd_split)
 from .pairs import ComplexStructure, OddStructure, pair_index
 
@@ -69,9 +74,9 @@ class SkewPath:
     Continuity is the caller's contract; every sample is validated for
     skewness and anticommutation.  A path whose samples all anticommute
     with a diagonal sign matrix of trace 0 may declare its sign vector as
-    its `grading`: its nodes are then decomposed by the half-size SVD of
-    `numerics.block_split`, which checks each sample against it, and with
-    an empty context the whole walk takes the block route.
+    its `grading`: every sample is checked against it too, its nodes are
+    split by the half-size SVD of their sector block, and with an empty
+    context the whole walk takes the block route.
     """
 
     context: CliffordRep
@@ -96,6 +101,14 @@ class SkewPath:
             raise ValidationError(
                 f"path sample at t={t} violates skewness/anticommutation "
                 f"(residual {worst:.3e})")
+        if self.grading is not None:
+            # with m and p the indices of G's -1 and +1 entries, G T + T G
+            # is -2 T[m, m] on the first sector and 2 T[p, p] on the second
+            worst = residual_norm(SAMPLE_TOL, (2.0 * mat[idx[:, None], idx]
+                                               for idx in self.grading.sectors()))
+            if worst > SAMPLE_TOL:
+                raise ValidationError(
+                    f"path sample at t={t} breaks its grading (residual {worst:.3e})")
         return mat
 
 
@@ -129,7 +142,7 @@ def _kernel_completion(kernel_rep: CliffordRep, seed: int,
         return (residual_norm(1e-9, [j @ j + np.eye(k)]) <= 1e-9
                 and residual_norm(1e-9, kernel_rep.skew_residuals(j)) <= 1e-9)
 
-    if hint is not None and hint.shape == (k, k):
+    if hint is not None:
         skew = (hint - hint.T) / 2.0
         if min_singular_value(skew) > HINT_SMIN:
             j = skew_phase(skew)
@@ -186,9 +199,9 @@ class Node:
 
     Dense route: `phase` is the n x n range phase of `svd_split` and
     `kernel` the n x 2k kernel basis.  Block route (`grading` set):
-    `phase` is the n/2 x n/2 range block U_r W_r^T of `block_split` and
-    `kernel` the pair (U_k, W_k) of kernel columns on G's minus and plus
-    sectors.
+    `phase` is the n/2 x n/2 range block U_r W_r^T of the sector block's
+    `svd_split` and `kernel` the pair (U_k, W_k) of kernel columns on G's
+    minus and plus sectors.
     """
 
     phase: np.ndarray
@@ -200,18 +213,27 @@ def split_node(tmat: np.ndarray, context: CliffordRep,
                grading: Grading | None = None, split=_split_phase_kernel) -> Node:
     """The node of a skew `tmat` over `context`: one SVD, split by `split`.
 
-    With a grading and an empty context the node takes the block route;
-    otherwise the dense one, through the graded SVD of `svd_split` when a
-    grading is given.
+    Without a grading that is the SVD of tmat.  With one (a sample that
+    `SkewPath.at` checked against it) it is the SVD of the sector block
+    B = tmat[minus, plus], split by `doubled(split)`; the node keeps it
+    on the block route and scatters it back to n x n on the dense one.
     """
     n = context.n
     tmat = np.asarray(tmat, dtype=float)
     if tmat.shape != (n, n):
         raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
-    if block_route(context.r, context.s, grading is not None):
-        block, left, right = block_split(tmat, split, grading)
+    if grading is None:
+        phase, _, basis = svd_split(tmat, split)
+        return Node(phase, basis)
+    minus, plus = grading.sectors()
+    block, left, right = svd_split(tmat.take(minus, 0).take(plus, 1), doubled(split))
+    if block_route(context.r, context.s, True):
         return Node(block, (left, right), grading)
-    return Node(*svd_split(tmat, split, grading))
+    k = left.shape[1]
+    basis = np.zeros((n, 2 * k))
+    basis[minus, :k] = left
+    basis[plus, k:] = right
+    return Node(grading.odd(block), basis)
 
 
 def _complete_block(node: Node, align_hint: np.ndarray | None) -> OddStructure:
@@ -221,9 +243,8 @@ def _complete_block(node: Node, align_hint: np.ndarray | None) -> OddStructure:
     U_k Q W_k^T, with Q the polar factor of the hint's compression
     U_k^T P_hint W_k when its smallest singular value clears HINT_SMIN,
     else Q = I_k.  [[0, Q], [-Q^T, 0]] is a complex structure on the
-    kernel for every orthogonal Q, so no obstruction arises.  One
-    Newton-Schulz step P (3I - P^T P) / 2, the block of J (3I + J^2) / 2,
-    re-imposes orthogonality.
+    kernel for every orthogonal Q, so no obstruction arises.  The result
+    U diag(I, Q) W^T is orthogonal up to the rounding of the SVD.
     """
     p = node.phase
     left, right = node.kernel
@@ -235,7 +256,6 @@ def _complete_block(node: Node, align_hint: np.ndarray | None) -> OddStructure:
             if svals[-1] > HINT_SMIN:
                 q = u @ vt
         p = p + left @ q @ right.T
-    p = p @ (3.0 * np.eye(p.shape[0]) - p.T @ p) / 2.0
     return OddStructure(p, node.grading)
 
 

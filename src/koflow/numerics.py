@@ -4,10 +4,11 @@ Everything here is plain numpy on real matrices; the conventions
 (zero-cluster split with a gap-ratio guard, phase of a skew matrix) are
 used consistently by the index and flow modules.
 
-Spectral convention: kernels, phases and small singular values are read
-from one SVD of the matrix itself (`svd_split`), not from a squared
-matrix such as M^T M or -T^2, whose eigenvalues put every singular value
-below sqrt(eps) ||M|| into noise.
+Spectral convention: every kernel is split off one SVD of the matrix
+itself, by `svd_split`, the only function here that does so; it returns
+the range phase and the left and right kernel columns.  Kernels are not
+read from a squared matrix such as M^T M or -T^2, whose eigenvalues put
+every singular value below sqrt(eps) ||M|| into noise.
 
 Residual convention: every structural check goes through
 `residual_norm`, which tries the Frobenius bound ||R||_2 <= ||R||_F first
@@ -16,14 +17,17 @@ A non-finite residual fails every check: it counts as inf, with no SVD.
 
 Graded convention: a grading is a diagonal G = diag(signs) with n/2
 entries -1 and n/2 entries +1 (a `Grading`, stored as its sign vector).
-A skew T that anticommutes with G maps the coordinates of each sign to
-those of the other, so one SVD of the n/2 x n/2 block T[minus, plus],
-taken by index, gives the SVD of T (`block_split`).  The same holds for
-every matrix built from such T alone: a phase J of T, completed on its
-kernel with no other generator, is [[0, P], [-P^T, 0]] in G's
-(minus, plus) coordinates (`Grading.odd`), and J0 + J1 is the same form
-of P0 + P1, so phases and pair kernels can be kept and decomposed as
-their n/2 x n/2 blocks.
+A skew T that anticommutes with G is [[0, B], [-B^T, 0]] in G's
+(minus, plus) coordinates, B = T[minus, plus] taken by index, so the SVD
+B = U S W^T gives that of T with each singular value twice: `svd_split`
+of B with the split `doubled` gives the range block U_r W_r^T and the
+kernel columns U_k (on the minus sector) and W_k (on the plus one).  The
+same holds for every matrix built from such T alone: a phase J of T,
+completed on its kernel with no other generator, is the same form of an
+orthogonal block P (`Grading.odd`), and J0 + J1 is the form of P0 + P1,
+so phases and pair kernels can be kept and decomposed as their
+n/2 x n/2 blocks.  Whether a sample does anticommute with its grading
+is checked where it is sampled (`flow.SkewPath.at`).
 """
 from __future__ import annotations
 
@@ -130,6 +134,14 @@ class Grading:
         return mat
 
 
+def doubled(split):
+    """`split` read on the singular values of a block B, for the G-odd
+    matrix [[0, B], [-B^T, 0]]: each singular value of B appears there
+    twice, so `split` runs on the doubled values and B's zero cluster is
+    half of the one it finds."""
+    return lambda values: split(np.repeat(values, 2)) // 2
+
+
 def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL,
                        gap_ratio: float = GAP_RATIO_GUARD, label: str = "kernel",
                        abs_floor: float = 1e-12):
@@ -174,78 +186,18 @@ def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL
     return k
 
 
-def _block_svd(block: np.ndarray, split):
-    """One SVD B = U S W^T of the block of [[0, B], [-B^T, 0]], with the
-    rank of B: each singular value of B appears twice in the G-odd
-    matrix, and `split` finds the size 2k of its zero cluster on the
-    doubled ascending values.  Returns (U, W^T, rank)."""
-    u, s, wt = np.linalg.svd(block)
-    return u, wt, s.size - split(np.repeat(s[::-1], 2)) // 2
-
-
-def block_split(mat: np.ndarray, split, grading: Grading):
-    """The half-size split of a skew mat that anticommutes with a grading.
-
-    With m and p the indices of G's -1 and +1 entries, G mat + mat G is
-    -2 mat[m, m] on the first sector and 2 mat[p, p] on the second: those
-    two blocks are the grading check, a ValidationError above SAMPLE_TOL.
-    The rest of mat is B = mat[m, p] and -B^T, so B = U S W^T is the whole
-    SVD (`_block_svd`).  Returns
-    (U_r W_r^T, U_k, W_k): the range block of the phase (r the range) and
-    the kernel columns, U's on m and W's on p, k of each.
-    """
-    n = grading.n
-    if mat.shape != (n, n):
-        raise ValidationError(f"matrix shape {mat.shape} does not match the grading ({n})")
-    minus, plus = grading.sectors()
-    worst = residual_norm(SAMPLE_TOL, (2.0 * mat[idx[:, None], idx] for idx in (minus, plus)))
-    if worst > SAMPLE_TOL:
-        raise ValidationError(f"matrix breaks its grading (residual {worst:.3e})")
-    ub, wbt, rank = _block_svd(mat.take(minus, 0).take(plus, 1), split)
-    # copies, so that the kernel columns do not keep U and W alive
-    return ub[:, :rank] @ wbt[:rank], ub[:, rank:].copy(), wbt[rank:].T.copy()
-
-
-def svd_split(mat: np.ndarray, split, grading: Grading | None = None):
-    """The range phase and the kernel basis of mat, from one SVD.
+def svd_split(mat: np.ndarray, split):
+    """The range phase and the kernel columns of mat, from one SVD.
 
     `split` finds the size k of the zero cluster on the ascending singular
-    values.  With mat = u diag(s) vt (s descending) the phase is
-    u[:, :n-k] @ vt[:n-k] and the kernel basis the columns vt[n-k:]^T.
-
-    With a grading, mat is skew (the caller checks) and is split by
-    `block_split`; its range block and kernel columns are scattered back
-    by index: the phase is `grading.odd` of the range block, and the
-    kernel basis holds U_k on G's -1 indices and W_k on its +1 indices.
+    values.  With mat = U S V^T (S descending) and r the rank, returns
+    (U_r V_r^T, U_k, V_k): the range phase and the last k columns of U and
+    of V, copied so that they do not keep U and V alive.  A G-odd matrix
+    [[0, B], [-B^T, 0]] is split through its block B with `doubled(split)`.
     """
-    if grading is None:
-        u, s, vt = np.linalg.svd(mat)
-        rank = s.size - split(s[::-1])
-        return u[:, :rank] @ vt[:rank], vt[rank:].T.copy()
-    block, left, right = block_split(mat, split, grading)
-    minus, plus = grading.sectors()
-    k = left.shape[1]
-    basis = np.zeros((grading.n, 2 * k))
-    basis[minus, :k] = left
-    basis[plus, k:] = right
-    return grading.odd(block), basis
-
-
-def kernel_basis(mat: np.ndarray, label: str = "kernel"):
-    """Orthonormal basis (columns) of the numerical kernel of a square real
-    matrix, guarded by split_zero_cluster on its singular values."""
-    _, s, vt = np.linalg.svd(mat)
-    k = split_zero_cluster(s[::-1], label=label)
-    return vt[vt.shape[0] - k:].T
-
-
-def block_kernel(block: np.ndarray):
-    """Kernel columns (U_k, W_k) of the pair sum [[0, B], [-B^T, 0]] of
-    two G-odd complex structures: U_k on the minus sector and W_k on the
-    plus one, k of each, from `_block_svd` guarded by split_zero_cluster
-    as a "pair kernel"."""
-    u, wt, rank = _block_svd(block, lambda v: split_zero_cluster(v, label="pair kernel"))
-    return u[:, rank:], wt[rank:].T
+    u, s, vt = np.linalg.svd(mat)
+    rank = s.size - split(s[::-1])
+    return u[:, :rank] @ vt[:rank], u[:, rank:].copy(), vt[rank:].T.copy()
 
 
 def skew_phase(tmat: np.ndarray) -> np.ndarray:

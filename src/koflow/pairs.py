@@ -12,10 +12,13 @@ structure that anticommutes with a grading G is J = [[0, P], [-P^T, 0]]
 in G's (minus, plus) coordinates, P an orthogonal n/2 x n/2 block, and
 is stored as P (`OddStructure`).  J0 + J1 is then the same form of
 P0 + P1, whose SVD U S W^T gives that of J0 + J1 with each singular value
-twice and the kernel basis U_k on the minus sector, W_k on the plus one;
-`pair_index` of two such structures reads its kernel from that one
-half-size SVD (`numerics.block_kernel`), split by the same guard and
-under the same label as a dense pair kernel.
+twice and the kernel basis U_k on the minus sector, W_k on the plus one.
+
+Every kernel here, of a pair sum J0 + J1 or P0 + P1, of P + Q - I or of
+I + U0^T U1, is split off one `numerics.svd_split`, guarded by
+`split_zero_cluster` under its own label; a pair kernel of two
+`OddStructure`s is split with `numerics.doubled` on the half-size SVD,
+under the same label as a dense one.
 """
 from __future__ import annotations
 
@@ -27,8 +30,8 @@ from .abs_index import KOClass, abs_class
 from .clifford import (K1, K2, L1, CliffordRep, restrict_images,
                        restrict_to_subspace)
 from .errors import AmbiguousKernelError, ValidationError
-from .numerics import (Grading, block_kernel, kernel_basis, op_norm,
-                       residual_norm, skew_phase, split_zero_cluster)
+from .numerics import (Grading, doubled, op_norm, residual_norm, skew_phase,
+                       split_zero_cluster, svd_split)
 
 STRUCTURE_TOL = 1e-10
 # Bound on the residuals of the six midpoint identities.
@@ -36,6 +39,11 @@ MIDPOINT_TOL = 1e-12
 # A spectral window whose edge lambda lies this close to a singular value
 # of T0 is a ValidationError.
 WINDOW_GUARD = 1e-10
+
+
+def _split(label: str):
+    """The zero-cluster split of `split_zero_cluster` under `label`."""
+    return lambda values: split_zero_cluster(values, label=label)
 
 
 def _gram_residual(mat: np.ndarray) -> np.ndarray:
@@ -116,15 +124,15 @@ def _same_context(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
 def kernel_module(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
     """ker(J0 + J1) as a module with one extra skew generator F_{s+1} = J0.
 
-    The kernel is extracted by numerics.kernel_basis; the zero cluster
-    must be separated from the rest by the gap-ratio guard.  Two
-    `OddStructure`s over one grading take the half-size route instead.
+    The kernel is the right kernel columns of `numerics.svd_split`; the
+    zero cluster must be separated from the rest by the gap-ratio guard.
+    Two `OddStructure`s over one grading take the half-size route instead.
     """
     if isinstance(j0, OddStructure) and isinstance(j1, OddStructure) \
             and np.array_equal(j0.grading.signs, j1.grading.signs):
         return _odd_kernel_module(j0, j1)
     ctx = _same_context(j0, j1)
-    basis = kernel_basis(j0.J + j1.J, label="pair kernel")
+    _, _, basis = svd_split(j0.J + j1.J, _split("pair kernel"))
     try:
         return restrict_to_subspace(ctx, basis, 1e-9, extra_F=(j0.J,))
     except ValidationError as exc:
@@ -132,14 +140,14 @@ def kernel_module(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
 
 
 def _odd_kernel_module(j0: OddStructure, j1: OddStructure) -> CliffordRep:
-    """ker(J0 + J1) with F_1 = J0, from one SVD of P0 + P1
-    (`numerics.block_kernel`).
+    """ker(J0 + J1) with F_1 = J0, from one SVD of P0 + P1, split with
+    `numerics.doubled`.
 
     In (minus, plus) coordinates the kernel basis is diag(U_k, W_k), and
     J0 maps it to [[0, P0 W_k], [-P0^T U_k, 0]]; both go through the
     invariance and relation checks of `restrict_images`.
     """
-    left, right = block_kernel(j0.P + j1.P)
+    _, left, right = svd_split(j0.P + j1.P, doubled(_split("pair kernel")))
     half, k = left.shape
     basis = np.zeros((2 * half, 2 * k))
     basis[:half, :k] = left
@@ -262,7 +270,7 @@ def projection_pair_index(pp: ProjectionPair) -> int:
     """
     p, q = pp.P, pp.Q
     n = p.shape[0]
-    basis = kernel_basis(p + q - np.eye(n), label="kernel of P+Q-I")
+    _, _, basis = svd_split(p + q - np.eye(n), _split("kernel of P+Q-I"))
     k = basis.shape[1]
     if k == 0:
         return 0
@@ -302,6 +310,6 @@ def orthogonal_pair_parity(u0: np.ndarray, u1: np.ndarray) -> int:
     for name, u in (("U0", u0), ("U1", u1)):
         if residual_norm(1e-10, [u.T @ u - np.eye(n)]) > 1e-10:
             raise ValidationError(f"{name} is not orthogonal")
-    cluster = kernel_basis(np.eye(n) + u0.T @ u1,
-                           label="eigenvalue -1 cluster of U0^T U1")
+    _, _, cluster = svd_split(np.eye(n) + u0.T @ u1,
+                              _split("eigenvalue -1 cluster of U0^T U1"))
     return cluster.shape[1] % 2

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .abs_index import KOClass, abs_class
-from .clifford import K1, K2, L1, OMEGA_11, CliffordRep, check_relations
+from .clifford import K1, K2, L1, OMEGA_11, CliffordRep, restrict_images
 from .errors import AmbiguousKernelError, ValidationError
 from .flow import SkewPath, spectral_flow
 from .numerics import check_memory, residual_norm, split_zero_cluster
@@ -509,15 +509,9 @@ def verify_rs(problem: RSProblem, assemble=None) -> RSReport:
     op = (assemble or assemble_rs_operator)(problem)
     basis, report = numeric_kernel(op)
     kdim = report["kernel_dim"]
-    module = problem.module
-    kernel_rep = CliffordRep(
-        module.r, module.s, kdim,
-        E=tuple(basis.T @ op.lift(g, basis) for g in op.lifted_E),
-        F=tuple(basis.T @ op.lift(g, basis) for g in op.lifted_F))
-    rel = check_relations(kernel_rep, 1e-7)
-    if not rel.ok:
-        raise ValidationError(
-            f"kernel module violates relations (max residual {rel.max_residual:.3e})")
+    kernel_rep = restrict_images(
+        problem.module.r, basis,
+        [op.lift(g, basis) for g in op.lifted_E + op.lifted_F], 1e-7)
     kernel_class = abs_class(kernel_rep)
     flow_class = spectral_flow(coefficient_path(problem))
     if kdim and switching_direction(problem) == 1:

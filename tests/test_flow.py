@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from koflow import clifford as cl
-from koflow import flow, numerics
+from koflow import flow, models, numerics, pairs
 from koflow.abs_index import abs_class
 from koflow.errors import AmbiguousKernelError, ObstructionError, ValidationError
 from koflow.flow import (SkewPath, _split_phase_kernel, cayley, clamp_phase,
@@ -16,10 +16,10 @@ from koflow.models import kitaev_path
 from koflow.numerics import (Grading, min_singular_value, random_orthogonal,
                              random_skew, split_zero_cluster, svd_split,
                              sym_eigh)
-from koflow.pairs import ComplexStructure, OddStructure
+from koflow.pairs import ComplexStructure
 from koflow.props import SIG_POOL, padded_context, random_admissible_path
 
-from conftest import pf_sign
+from conftest import pf_sign, rotated_irrep
 
 
 def normalization_path(module):
@@ -128,7 +128,7 @@ def test_endpoint_checks_take_no_extra_svd(monkeypatch):
 
 
 def test_path_sample_off_its_grading_raises():
-    # the grading is checked on every node by the split itself
+    # the grading is checked on every sample by SkewPath.at
     ctx = cl.CliffordRep(0, 0, 4)
     grading = Grading([1, -1, 1, -1])  # I (x) K1
     t_good = np.kron(np.diag([1.0, -1.0]), cl.L1)
@@ -139,6 +139,27 @@ def test_path_sample_off_its_grading_raises():
         spectral_flow(drifting)
     with pytest.raises(ValidationError, match="grading of dimension 4"):
         SkewPath(cl.CliffordRep(0, 0, 6), lambda t: np.zeros((6, 6)), grading=grading)
+
+
+def test_skew_path_rejects_sample_off_its_grading():
+    # a skew part commuting with G shows in the diagonal sector blocks, on
+    # a shuffled grading and on both sectors; the residual is 2 T[idx, idx]
+    rng = np.random.default_rng(3)
+    grading = Grading(rng.permutation(np.repeat([-1.0, 1.0], 6)))
+    block = random_orthogonal(rng, 6)
+    ctx = cl.CliffordRep(0, 0, 12)
+    good = SkewPath(ctx, lambda t: grading.odd(block), grading=grading)
+    good.at(0.5)
+    for idx in grading.sectors():
+        bad = grading.odd(block)
+        part = 1e-6 * random_skew(np.random.default_rng(4), 6)
+        bad[np.ix_(idx, idx)] += part
+        path = SkewPath(ctx, lambda t, bad=bad: bad, grading=grading)
+        with pytest.raises(ValidationError, match="breaks its grading") as err:
+            path.at(0.5)
+        assert f"{2.0 * np.linalg.norm(part, 2):.3e}" in str(err.value)
+    # without the grading the same sample is a valid one
+    SkewPath(ctx, lambda t: bad).at(0.5)
 
 
 @pytest.mark.parametrize("r,sp", [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2),
@@ -550,7 +571,7 @@ def test_phase_kernel_regularized_fallback():
         svals = np.linalg.svd(t_mat, compute_uv=False)
         with pytest.raises(AmbiguousKernelError):
             split_zero_cluster(svals[::-1], label="phase kernel")
-        _, basis = svd_split(t_mat, _split_phase_kernel)
+        _, _, basis = svd_split(t_mat, _split_phase_kernel)
         assert basis.shape == (8, 4)
         ctx = cl.CliffordRep(0, 0, 8)
         j = complete_phase(split_node(t_mat, ctx), ctx)
@@ -669,18 +690,73 @@ def test_block_completion_follows_a_hint_or_takes_the_identity(crossings):
     np.testing.assert_allclose(flipped.P, node.phase - u_k @ w_k.T, rtol=0.0, atol=1e-12)
 
 
-def test_block_completion_reimposes_orthogonality():
-    # a range block off orthogonality by 1e-7 fails the 1e-10 structure
-    # check as it stands; one Newton-Schulz step P (3I - P^T P) / 2 brings
-    # it within the check
+def test_block_completion_rejects_a_non_orthogonal_node():
+    # a block-route completion U diag(I, Q) W^T is orthogonal up to the
+    # SVD's rounding, and nothing re-imposes it: a hand-built range block
+    # off orthogonality by 1e-7 fails the 1e-10 structure check
     rng = np.random.default_rng(2)
     grading = Grading(rng.permutation(np.repeat([-1.0, 1.0], 6)))
     noisy = random_orthogonal(rng, 6) + 1e-7 * rng.standard_normal((6, 6))
     empty = np.zeros((6, 0))
-    with pytest.raises(ValidationError, match="grading-odd"):
-        OddStructure(noisy, grading)
-    j = complete_phase(flow.Node(noisy, (empty, empty), grading), cl.CliffordRep(0, 0, 12))
-    assert np.linalg.norm(j.P.T @ j.P - np.eye(6), 2) < 1e-11  # O(1e-7 squared)
+    ctx = cl.CliffordRep(0, 0, 12)
+    with pytest.raises(ValidationError, match="not a grading-odd complex structure"):
+        complete_phase(flow.Node(noisy, (empty, empty), grading), ctx)
+    # the same with a kernel: the range block of rank 4 plus U_k W_k^T
+    u, w = random_orthogonal(rng, 6), random_orthogonal(rng, 6)
+    exact = flow.Node(u[:, :4] @ w[:, :4].T, (u[:, 4:], w[:, 4:]), grading)
+    j = complete_phase(exact, ctx)
+    np.testing.assert_allclose(j.P, u @ w.T, rtol=0.0, atol=1e-14)
+    off = flow.Node(exact.phase + 1e-7 * rng.standard_normal((6, 6)), exact.kernel, grading)
+    with pytest.raises(ValidationError, match="not a grading-odd complex structure"):
+        complete_phase(off, ctx)
+
+
+def _counted_svd_splits(monkeypatch, path):
+    """Spectral flow of `path` with the shape of every `svd_split` input,
+    the number of nodes (each sampled once) and of `pair_index` calls."""
+    shapes, times, pair_calls = [], [], []
+    svd_split_, pair_index_ = numerics.svd_split, flow.pair_index
+
+    def counted(mat, split):
+        shapes.append(mat.shape)
+        return svd_split_(mat, split)
+
+    def counted_pairs(j0, j1):
+        pair_calls.append(1)
+        return pair_index_(j0, j1)
+
+    def sampled(t):
+        times.append(t)
+        return path.fn(t)
+
+    for module in (flow, pairs):
+        monkeypatch.setattr(module, "svd_split", counted)
+    monkeypatch.setattr(flow, "pair_index", counted_pairs)
+    value = spectral_flow(SkewPath(path.context, sampled, grading=path.grading))
+    return value, shapes, len(times), len(pair_calls)
+
+
+def test_one_svd_per_node_and_per_pair_kernel(monkeypatch):
+    # every node and every pair kernel is one svd_split and nothing else
+    # is; a graded path splits its nodes at half size, and its pair
+    # kernels too on the block route
+    cases = [(kitaev_path(8), "block"), (kitaev_path(9), "dense"),
+             (models.flux_path(rotated_irrep(0, 3, 5), 3), "dense graded")]
+    for path, route in cases:
+        value, shapes, nodes, pair_calls = _counted_svd_splits(monkeypatch, path)
+        n = path.context.n
+        assert pair_calls >= 1 and len(shapes) == nodes + pair_calls, route
+        if route == "block":
+            assert shapes == [(n // 2, n // 2)] * len(shapes)
+        elif route == "dense":
+            assert path.grading is None
+            assert shapes == [(n, n)] * len(shapes)
+        else:
+            assert path.grading is not None and path.context.s == 2
+            assert shapes.count((n // 2, n // 2)) == nodes
+            assert shapes.count((n, n)) == pair_calls
+        monkeypatch.undo()
+        assert value == spectral_flow(path)
 
 
 def test_block_phase_distance_is_the_dense_frobenius_distance():

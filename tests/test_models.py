@@ -15,7 +15,7 @@ from koflow.models import (BLOCK_NODE_ARRAYS, BLOCK_SVD_WORKSPACE_ARRAYS,
                            NODE_ARRAYS, SVD_WORKSPACE_ARRAYS, RealStructure,
                            aii_path, flux_path, hermitian_double, kitaev_path,
                            realify, standard_quaternionic)
-from koflow.numerics import op_norm, random_orthogonal, svd_split
+from koflow.numerics import op_norm, random_orthogonal
 from koflow.pairs import ComplexStructure, OddStructure
 
 from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev,
@@ -145,7 +145,7 @@ def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
     for t in np.linspace(0.0, 1.0, flow.INITIAL_SEGMENTS + 1):
         # the 17 nodes of the default flow, all accepted for Kitaev
         assert path.fn(t).dtype == np.float64
-        svd_split(path.at(t), flow._split_phase_kernel, path.grading)
+        split_node(path.at(t), path.context, path.grading)
     assert eighs == []
     np.testing.assert_array_equal(path.grading.signs, np.tile([1, 1, -1, -1], 128))
 

@@ -5,7 +5,7 @@ from koflow import clifford, flow, models, numerics, pairs
 from koflow.errors import AmbiguousKernelError, ValidationError
 from koflow.flow import complete_phase, split_node
 from koflow.models import kitaev_path
-from koflow.numerics import (Grading, kernel_basis, min_singular_value, op_norm,
+from koflow.numerics import (Grading, doubled, min_singular_value, op_norm,
                              random_orthogonal, random_skew, residual_norm,
                              skew_phase, split_zero_cluster, svd_split)
 
@@ -68,10 +68,15 @@ def test_polar_and_random_orthogonal():
 
 
 def test_kernel_basis_and_norms():
+    # svd_split gives the range phase and both kernel bases, as copies
     mat = np.diag([0.0, 0.0, 1.0, 3.0])
-    basis = kernel_basis(mat)
-    assert basis.shape == (4, 2)
-    assert np.allclose(mat @ basis, 0.0)
+    turned = mat @ random_orthogonal(np.random.default_rng(1), 4)
+    phase, left, basis = svd_split(turned, split_zero_cluster)
+    assert left.shape == basis.shape == (4, 2)
+    assert np.allclose(turned @ basis, 0.0) and np.allclose(turned.T @ left, 0.0)
+    assert np.allclose(phase @ phase.T + left @ left.T, np.eye(4))
+    assert np.allclose(phase @ basis, 0.0)
+    assert left.base is None and basis.base is None
     assert op_norm(mat) == 3.0
     assert min_singular_value(np.diag([2.0, 5.0])) == 2.0
     assert min_singular_value(np.zeros((0, 0))) == np.inf
@@ -178,11 +183,11 @@ def _graded_skew(rng, signs, svals):
     return t_mat, Grading(signs)
 
 
-def _phase_split(mat, grading):
-    """Range phase and kernel projector of mat, read from svd_split with
-    the phase-kernel split."""
-    phase, basis = svd_split(mat, flow._split_phase_kernel, grading)
-    return phase, basis @ basis.T
+def _phase_split(mat, grading=None):
+    """Range phase and kernel projector of the node of mat over an empty
+    context, with or without its grading."""
+    node = split_node(mat, clifford.CliffordRep(0, 0, mat.shape[0]), grading)
+    return node.phase, node.kernel @ node.kernel.T
 
 
 def _shuffled_signs(rng, n):
@@ -190,10 +195,12 @@ def _shuffled_signs(rng, n):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_graded_svd_split_matches_dense(seed):
-    # the half-size SVD of the sector block, taken by index, gives the
-    # range phase and the kernel projector of the dense SVD, for tiled and
+def test_graded_svd_split_matches_dense(monkeypatch, seed):
+    # svd_split of the sector block, taken by index and split with
+    # `doubled`, scattered back by the dense graded route, gives the range
+    # phase and the kernel projector of the dense SVD, for tiled and
     # shuffled sign patterns alike
+    monkeypatch.setattr(flow, "block_route", lambda r, s, graded: False)
     rng = np.random.default_rng(seed)
     # near-singular: B has singular values 1e-9, 5e-7, 1, 1, so T has each
     # twice and the regularized split takes the four sub-gap ones as kernel
@@ -208,7 +215,7 @@ def test_graded_svd_split_matches_dense(seed):
                 cases.append(_graded_skew(rng, signs, svals))
     for t_mat, grading in cases:
         graded = _phase_split(t_mat, grading)
-        dense = _phase_split(t_mat, None)
+        dense = _phase_split(t_mat)
         for a, b in zip(graded, dense):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
@@ -216,19 +223,23 @@ def test_graded_svd_split_matches_dense(seed):
     assert np.trace(_phase_split(*cases[0])[1]) == pytest.approx(4.0)
 
 
-def test_graded_svd_split_rejects_sample_off_its_grading():
-    # a part commuting with G shows in the diagonal sector blocks
-    rng = np.random.default_rng(3)
-    t_mat, grading = _graded_skew(rng, _shuffled_signs(rng, 12), np.ones(6))
-    split = flow._split_phase_kernel
-    svd_split(t_mat, split, grading)
-    plus = np.flatnonzero(grading.signs > 0)
-    bad = t_mat.copy()
-    bad[np.ix_(plus, plus)] += 1e-6 * random_skew(np.random.default_rng(4), 6)
-    with pytest.raises(ValidationError, match="breaks its grading"):
-        svd_split(bad, split, grading)
-    with pytest.raises(ValidationError, match="does not match the grading"):
-        svd_split(t_mat[:10, :10], split, grading)
+def test_doubled_split_counts_each_singular_value_twice():
+    # B's zero cluster is half of the one found on its doubled values, and
+    # the guard sees the doubled values: 1e-9 and 5e-7 are ambiguous twice
+    # as they are once
+    split = doubled(split_zero_cluster)
+    assert split(np.array([0.0, 1e-14, 1.0, 2.0])) == 2
+    assert split(np.array([0.5, 1.0])) == 0
+    seen = []
+
+    def recorded(values):
+        seen.append(values)
+        return 4
+
+    assert doubled(recorded)(np.array([1e-9, 5e-7, 1.0])) == 2
+    np.testing.assert_array_equal(seen[0], [1e-9, 1e-9, 5e-7, 5e-7, 1.0, 1.0])
+    with pytest.raises(AmbiguousKernelError):
+        split(np.array([1e-9, 5e-7, 1.0, 1.0]))
 
 
 @pytest.mark.parametrize("signs,message", [

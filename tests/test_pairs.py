@@ -3,10 +3,12 @@ import pytest
 from scipy.linalg import expm
 
 from koflow import clifford as cl
+from koflow import models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
-from koflow.numerics import (Grading, block_kernel, kernel_basis,
-                             random_orthogonal, random_skew)
+from koflow.flow import complete_phase, split_node
+from koflow.numerics import (Grading, doubled, random_orthogonal, random_skew,
+                             split_zero_cluster, svd_split)
 from koflow.pairs import (ComplexStructure, OddStructure, ProjectionPair,
                           kernel_module,
                           midpoint_operators, orthogonal_pair_parity,
@@ -84,7 +86,7 @@ def test_kernel_module_is_the_compression_to_the_pair_kernel():
     j0, j1, ctx = standard_pair(1, 1, module)
     rot = commuting_rotation(ctx, rng, 0.3)
     j1 = ComplexStructure(rot @ j1.J @ rot.T, ctx)
-    basis = kernel_basis(j0.J + j1.J)
+    _, _, basis = svd_split(j0.J + j1.J, split_zero_cluster)
     sub = kernel_module(j0, j1)
     assert (sub.r, sub.s, sub.n) == (1, 2, basis.shape[1]) and sub.n > 0
     explicit = [basis.T @ g @ basis for g in ctx.generators() + [j0.J]]
@@ -283,12 +285,12 @@ def test_block_pair_kernel_matches_dense(monkeypatch, seed, k):
     half = 7
     j0, j1 = _odd_pair(rng, half, k)
     minus, plus = j0.grading.sectors()
-    left, right = block_kernel(j0.P + j1.P)
+    _, left, right = svd_split(j0.P + j1.P, doubled(split_zero_cluster))
     assert left.shape == right.shape == (half, k)
     basis = np.zeros((2 * half, 2 * k))
     basis[minus, :k] = left
     basis[plus, k:] = right
-    dense = kernel_basis(j0.J + j1.J, label="pair kernel")
+    _, _, dense = svd_split(j0.J + j1.J, split_zero_cluster)
     assert dense.shape == (2 * half, 2 * k)
     np.testing.assert_allclose(basis @ basis.T, dense @ dense.T, rtol=0.0, atol=1e-12)
     ctx = cl.CliffordRep(0, 0, 2 * half)
@@ -304,6 +306,28 @@ def test_block_pair_kernel_matches_dense(monkeypatch, seed, k):
     assert shapes == [(half, half)]
     assert got == want and got.value == k % 2
     assert module.n == want_module.n == 2 * k and (module.r, module.s) == (0, 1)
+
+
+def _kitaev_endpoint_phases(n_ring):
+    path = models.kitaev_path(n_ring)
+    ctx, grading = path.context, path.grading
+    return [complete_phase(split_node(path.at(t), ctx, grading), ctx) for t in (0.0, 1.0)]
+
+
+def test_block_pair_index_is_the_orthogonal_parity_and_the_determinant_sign():
+    # the degree-1 class of two grading-odd structures is
+    # dim ker(P0 + P1) mod 2 = dim ker(I + P0^T P1) mod 2, and (-1)^parity
+    # is det(P0) det(P1), which takes no SVD at all
+    pairs = [_odd_pair(np.random.default_rng(seed), 7, k)
+             for seed in range(4) for k in (0, 1, 2)]
+    pairs += [_kitaev_endpoint_phases(n_ring) for n_ring in (4, 8, 64, 256)]
+    for j0, j1 in pairs:
+        assert isinstance(j0, OddStructure) and isinstance(j1, OddStructure)
+        value = pair_index(j0, j1)[0].value
+        assert value == orthogonal_pair_parity(j0.P, j1.P)
+        assert (-1) ** value == np.sign(np.linalg.det(j0.P) * np.linalg.det(j1.P))
+    # the Kitaev flux insertion: one crossing, determinants of opposite signs
+    assert [pair_index(j0, j1)[0].value for j0, j1 in pairs[-4:]] == [1] * 4
 
 
 def test_odd_structure_checks_its_block():
