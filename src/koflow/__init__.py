@@ -10,7 +10,7 @@ from .clifford import (CliffordRep, ValidationReport, are_equivalent,
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      InvalidModuleError, ObstructionError, ValidationError)
 from .flow import (SkewPath, cayley, clamp_phase, classical_sf, complete_phase,
-                   endpoint_flow, spectral_flow, split_node)
+                   endpoint_flow, spectral_flow)
 from .models import (RealStructure, aii_path, flux_path, hermitian_double,
                      kitaev_path, realify, standard_quaternionic)
 from .pairs import (ComplexStructure, MidpointPair, OddStructure, ProjectionPair,

@@ -74,10 +74,11 @@ def _write_csv(path: str, header, rows) -> None:
             handle.write(",".join(f"{x:.12g}" for x in row) + "\n")
 
 
-def _flow(path: SkewPath, args):
-    """The spectral flow of `path`, after checking the --tracks request
-    against it: 0 <= tracks <= n, and --out given, and writable, exactly
-    when tracks > 0."""
+def _solve(path: SkewPath, args):
+    """The spectral flow of `path`, then the `--tracks` smallest singular
+    values along it as CSV in `--out`.  The request is checked before the
+    solve: 0 <= tracks <= n, and --out given, and writable, exactly when
+    tracks > 0."""
     n = path.context.n
     if not 0 <= args.tracks <= n:
         raise ValidationError(f"--tracks must lie in [0, {n}], got {args.tracks}")
@@ -87,18 +88,14 @@ def _flow(path: SkewPath, args):
         raise ValidationError("--out needs --tracks")
     if args.tracks:
         _check_out(args.out)
-    return spectral_flow(path, seed=args.seed)
-
-
-def _tracks(path: SkewPath, args) -> None:
-    """The `--tracks` smallest singular values along the path, as CSV."""
-    if not args.tracks:
-        return
-    rows = []
-    for t in np.linspace(0.0, 1.0, TRACK_SAMPLES):
-        svals = np.linalg.svd(path.at(t), compute_uv=False)
-        rows.append([t] + sorted(svals)[:args.tracks])
-    _write_csv(args.out, ["t"] + [f"sigma{i + 1}" for i in range(args.tracks)], rows)
+    value = spectral_flow(path, seed=args.seed)
+    if args.tracks:
+        rows = []
+        for t in np.linspace(0.0, 1.0, TRACK_SAMPLES):
+            svals = np.linalg.svd(path.at(t), compute_uv=False)
+            rows.append([t] + sorted(svals)[:args.tracks])
+        _write_csv(args.out, ["t"] + [f"sigma{i + 1}" for i in range(args.tracks)], rows)
+    return value
 
 
 def cmd_irrep(args) -> int:
@@ -165,16 +162,14 @@ def cmd_sf(args) -> int:
         path = SkewPath(ctx, fn, label="sampled path")
     else:
         raise ValidationError("sf needs either --model or --path")
-    value = _flow(path, args)
-    _tracks(path, args)
+    value = _solve(path, args)
     _emit({"class": value.to_json(), "label": path.label})
     return 0
 
 
 def cmd_kitaev(args) -> int:
     path = kitaev_path(args.N)
-    value = _flow(path, args)
-    _tracks(path, args)
+    value = _solve(path, args)
     _emit(value.to_json())
     return 0
 
@@ -182,8 +177,7 @@ def cmd_kitaev(args) -> int:
 def cmd_flux(args) -> int:
     module = cliff.rep_from_json(_load_json(args.module))
     path = flux_path(module, args.N)
-    value = _flow(path, args)
-    _tracks(path, args)
+    value = _solve(path, args)
     _emit({"class": value.to_json(), "module_class": abs_class(module).to_json()})
     return 0
 
@@ -193,9 +187,8 @@ def cmd_aii(args) -> int:
         return (2.0 * t - 1.0) * np.eye(4)
 
     path = aii_path(h_fn, 4)
-    value = _flow(path, args)
+    value = _solve(path, args)
     classical = classical_sf(lambda t: hermitian_double(h_fn(t)))
-    _tracks(path, args)
     _emit({"class": value.to_json(),
            "classical_sf": classical,
            "quarter_relation": 4 * value.value == classical})
@@ -236,6 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="koflow",
         description="KO-valued indices and spectral flow at finite matrix scale")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every subcommand that solves one flow (`_solve`)
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--tracks", type=int, default=0)
+    solve.add_argument("--out", default=None)
 
     p = sub.add_parser("irrep", help="canonical irreducible representation")
     p.add_argument("--r", type=int, required=True)
@@ -254,36 +252,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", required=True, help="context representation JSON")
     p.set_defaults(fn=cmd_pair_index)
 
-    p = sub.add_parser("sf", help="spectral flow of a model or sampled path")
+    p = sub.add_parser("sf", parents=[solve],
+                       help="spectral flow of a model or sampled path")
     p.add_argument("--model", choices=["kitaev", "flux"], default=None)
     p.add_argument("--path", default=None, help="JSON file with t and T samples")
     p.add_argument("--module", default=None, help="module JSON (flux model)")
     p.add_argument("--N", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tracks", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sf)
 
-    p = sub.add_parser("kitaev", help="Kitaev chain flux insertion")
+    p = sub.add_parser("kitaev", parents=[solve], help="Kitaev chain flux insertion")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tracks", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_kitaev)
 
-    p = sub.add_parser("flux", help="flux insertion with a module unit cell")
+    p = sub.add_parser("flux", parents=[solve],
+                       help="flux insertion with a module unit cell")
     p.add_argument("--module", required=True)
     p.add_argument("--N", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tracks", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_flux)
 
-    p = sub.add_parser("aii", help="class AII demonstration path")
+    p = sub.add_parser("aii", parents=[solve], help="class AII demonstration path")
     p.add_argument("--demo", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tracks", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_aii)
 
     p = sub.add_parser("rs-check", help="Robbin-Salamon verification")

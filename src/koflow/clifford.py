@@ -16,7 +16,6 @@ signed permutations, so the anticommutator cancellations are exact).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -24,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidModuleError, ValidationError
-from .numerics import check_memory, residual_norm, sym_eigh
+from .numerics import check_memory, residual_norm
 
 K1 = np.array([[1.0, 0.0], [0.0, -1.0]])
 K2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -470,16 +469,14 @@ def decompose(rep: CliffordRep):
 
     Returns (m_plus, m_minus) when Cl_{r,s} has two irreducibles (they are
     separated by the sign of the central volume element), else a single
-    multiplicity m.
+    multiplicity m.  There r - s = 1 mod 4 makes the volume element omega
+    a symmetric involution, so its +-1 eigenspaces have the dimensions
+    (n +- tr omega) / 2.
     """
     d_irr = irreducible_dimension(rep.r, rep.s)
     if has_two_irreducibles(rep.r, rep.s):
-        if rep.n == 0:
-            return (0, 0)
-        omega = volume_element(rep)
-        vals, _ = sym_eigh(omega)
-        dim_minus = int(np.sum(vals < 0.0))
-        dim_plus = rep.n - dim_minus
+        trace = float(np.trace(volume_element(rep)))
+        dim_plus, dim_minus = (rep.n + trace) / 2.0, (rep.n - trace) / 2.0
         m_plus = _integer_multiplicity(dim_plus / d_irr, "multiplicity of the + irreducible")
         m_minus = _integer_multiplicity(dim_minus / d_irr, "multiplicity of the - irreducible")
         return (m_plus, m_minus)
@@ -626,8 +623,6 @@ def _parse_rep(obj) -> CliffordRep:
     its bytes (generators, and three n x n arrays to check them) are
     counted before any matrix is built."""
     try:
-        if isinstance(obj, (str, bytes)):
-            obj = json.loads(obj)
         r, s, n = (json_count(obj, key) for key in ("r", "s", "n"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed representation JSON: {exc}") from exc

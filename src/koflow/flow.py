@@ -19,9 +19,15 @@ the kernel class.
 
 Every sample is checked once, where it is taken (`SkewPath.at`):
 skewness, anticommutation with the context and, on a graded path, the
-grading.  Each node is then one `numerics.svd_split`: of T itself, or on
-a graded path of its n/2 x n/2 sector block (see the graded convention
-of `numerics`).
+grading.  Each node is then one `complete_phase` call, which takes one
+`numerics.svd_split`: of T itself, or on a graded path of its n/2 x n/2
+sector block (see the graded convention of `numerics`).
+
+Endpoint rule: an endpoint is invertible exactly when the default
+`numerics.split_zero_cluster` finds an empty zero cluster on the
+singular values of its node SVD, a rule relative to ||T||; a nonempty
+or ambiguous cluster is a ValidationError.  Both endpoint phases are
+completed, T(0) first, before the walk starts.
 
 Block route: a path with a `grading` and an empty context (r = s = 0)
 keeps every node phase as its n/2 x n/2 block P (`pairs.OddStructure`).
@@ -51,8 +57,8 @@ from .pairs import ComplexStructure, OddStructure, pair_index
 # `pair_index`, which finds it empty too: ||J0 - J1||_2 <= 0.9 keeps every
 # singular value of J0 + J1 above sqrt(4 - 0.81) > 1.78.
 PHASE_BOUND = 0.9
-# An endpoint (of a flow, or of a classical flow) whose smallest singular
-# value or eigenvalue magnitude falls below this is singular.
+# An endpoint of a classical flow whose smallest eigenvalue magnitude
+# falls below this is singular.
 INV_TOL = 1e-8
 # Uniform segments of the initial partition.
 INITIAL_SEGMENTS = 16
@@ -193,51 +199,11 @@ def block_route(r: int, s: int, graded: bool) -> bool:
     return graded and r == s == 0
 
 
-@dataclass(frozen=True)
-class Node:
-    """A sample split by one SVD: its range phase and its kernel cluster.
-
-    Dense route: `phase` is the n x n range phase of `svd_split` and
-    `kernel` the n x 2k kernel basis.  Block route (`grading` set):
-    `phase` is the n/2 x n/2 range block U_r W_r^T of the sector block's
-    `svd_split` and `kernel` the pair (U_k, W_k) of kernel columns on G's
-    minus and plus sectors.
-    """
-
-    phase: np.ndarray
-    kernel: object
-    grading: Grading | None = None
-
-
-def split_node(tmat: np.ndarray, context: CliffordRep,
-               grading: Grading | None = None, split=_split_phase_kernel) -> Node:
-    """The node of a skew `tmat` over `context`: one SVD, split by `split`.
-
-    Without a grading that is the SVD of tmat.  With one (a sample that
-    `SkewPath.at` checked against it) it is the SVD of the sector block
-    B = tmat[minus, plus], split by `doubled(split)`; the node keeps it
-    on the block route and scatters it back to n x n on the dense one.
-    """
-    n = context.n
-    tmat = np.asarray(tmat, dtype=float)
-    if tmat.shape != (n, n):
-        raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
-    if grading is None:
-        phase, _, basis = svd_split(tmat, split)
-        return Node(phase, basis)
-    minus, plus = grading.sectors()
-    block, left, right = svd_split(tmat.take(minus, 0).take(plus, 1), doubled(split))
-    if block_route(context.r, context.s, True):
-        return Node(block, (left, right), grading)
-    k = left.shape[1]
-    basis = np.zeros((n, 2 * k))
-    basis[minus, :k] = left
-    basis[plus, k:] = right
-    return Node(grading.odd(block), basis)
-
-
-def _complete_block(node: Node, align_hint: np.ndarray | None) -> OddStructure:
-    """The block P of a completed node on the block route.
+def _complete_block(p: np.ndarray, left: np.ndarray, right: np.ndarray,
+                    grading: Grading, align_hint: np.ndarray | None) -> OddStructure:
+    """The block P of a completed node on the block route, from its range
+    block p = U_r W_r^T and its kernel columns U_k (`left`) and W_k
+    (`right`) on G's minus and plus sectors.
 
     The balanced kernel (k columns on each side) is completed by
     U_k Q W_k^T, with Q the polar factor of the hint's compression
@@ -246,8 +212,6 @@ def _complete_block(node: Node, align_hint: np.ndarray | None) -> OddStructure:
     kernel for every orthogonal Q, so no obstruction arises.  The result
     U diag(I, Q) W^T is orthogonal up to the rounding of the SVD.
     """
-    p = node.phase
-    left, right = node.kernel
     k = left.shape[1]
     if k > 0:
         q = np.eye(k)
@@ -256,28 +220,48 @@ def _complete_block(node: Node, align_hint: np.ndarray | None) -> OddStructure:
             if svals[-1] > HINT_SMIN:
                 q = u @ vt
         p = p + left @ q @ right.T
-    return OddStructure(p, node.grading)
+    return OddStructure(p, grading)
 
 
-def complete_phase(node: Node, context: CliffordRep,
-                   align_hint: np.ndarray | None = None, seed: int = 0):
-    """Complete a split node (`split_node`) to a complex structure.
+def complete_phase(tmat: np.ndarray, context: CliffordRep,
+                   grading: Grading | None = None,
+                   align_hint: np.ndarray | None = None, seed: int = 0,
+                   split=_split_phase_kernel):
+    """The phase of a skew `tmat` over `context`, completed to a complex
+    structure: one SVD, split by `split`.
 
     Equal to T|T|^-1 on the complement of the kernel cluster; on the
     kernel, any complex structure anticommuting with the restricted
     generators, chosen canonically (or following `align_hint`, the
     neighbouring phase as the walk holds it: J, or P on the block route).
-    Raises ObstructionError when the kernel module does not extend (for
-    example an odd-dimensional kernel with empty context).  A block-route
-    node gives an `OddStructure`, any other a `ComplexStructure`.
+    Without a grading the SVD is that of tmat.  With one (a sample that
+    `SkewPath.at` checked against it) it is the SVD of the sector block
+    B = tmat[minus, plus], split by `doubled(split)`; on the block route
+    the phase stays an `OddStructure`, on the dense one it is scattered
+    back to n x n.  Raises ObstructionError when the kernel module does
+    not extend (for example an odd-dimensional kernel with empty context).
     """
-    if not isinstance(node, Node):
-        raise ValidationError(
-            f"complete_phase takes a Node from split_node, got {type(node).__name__}")
-    if node.grading is not None:
-        return _complete_block(node, align_hint)
-    j, basis = node.phase, node.kernel
-    del node  # the caller passes it on: the range phase goes once j is rebound
+    n = context.n
+    tmat = np.asarray(tmat, dtype=float)
+    if tmat.shape != (n, n):
+        raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
+    if grading is None:
+        u_r, vt_r, _, basis = svd_split(tmat, split)
+        j = u_r @ vt_r
+    else:
+        minus, plus = grading.sectors()
+        u_r, vt_r, left, right = svd_split(tmat.take(minus, 0).take(plus, 1),
+                                           doubled(split))
+        if block_route(context.r, context.s, True):
+            return _complete_block(u_r @ vt_r, left, right, grading, align_hint)
+        k = left.shape[1]
+        basis = np.zeros((n, 2 * k))
+        basis[minus, :k] = left
+        basis[plus, k:] = right
+        j = grading.odd(u_r @ vt_r)
+    # the views keep all of U and V^T alive; drop them before the kernel
+    # completion and the Newton-Schulz step allocate n x n arrays
+    del u_r, vt_r
     k = basis.shape[1]
     if k > 0:
         try:
@@ -306,22 +290,31 @@ def _flow_degree(context: CliffordRep) -> int:
     return (context.s + 2 - context.r) % 8
 
 
-def _split_endpoints(path: SkewPath):
-    """The nodes of T(0) and T(1), each sampled, validated and split once;
-    raises ValidationError when an endpoint is not invertible, before its
-    kernel cluster is split."""
-    nodes = []
-    for t_end in (0.0, 1.0):
-        def split(svals, t_end=t_end):
-            smin = float(svals[0]) if svals.size else np.inf
-            if smin < INV_TOL:
-                raise ValidationError(
-                    f"endpoint t={t_end} is not invertible "
-                    f"(smallest singular value {smin:.3e} < {INV_TOL})")
-            return _split_phase_kernel(svals)
+def _endpoint_phases(path: SkewPath, seed: int):
+    """The phases of T(0) and T(1), each sampled, checked and completed
+    once, T(0) first.
 
-        nodes.append(split_node(path.at(t_end), path.context, path.grading, split))
-    return tuple(nodes)
+    An endpoint is invertible exactly when `split_zero_cluster`, with its
+    default guards, finds an empty zero cluster on its singular values;
+    a nonempty or ambiguous cluster raises ValidationError before any
+    completion.  An endpoint phase so has no kernel and needs no hint.
+    """
+    phases = []
+    for t_end in (0.0, 1.0):
+        def invertible(svals, t_end=t_end):
+            try:
+                k = split_zero_cluster(svals)
+            except AmbiguousKernelError as exc:
+                raise ValidationError(f"endpoint t={t_end} is not invertible ({exc})") from exc
+            if k:
+                raise ValidationError(
+                    f"endpoint t={t_end} is not invertible ({k} singular values "
+                    f"in the zero cluster, smallest {svals[0]:.3e}, largest {svals[-1]:.3e})")
+            return 0
+
+        phases.append(complete_phase(path.at(t_end), path.context, path.grading,
+                                     seed=seed, split=invertible))
+    return tuple(phases)
 
 
 def _stored(j) -> np.ndarray:
@@ -342,28 +335,21 @@ def spectral_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     Walks the partition from left to right.  It holds the phase at the
     left end of the current segment and a stack of pending right ends
     (t, depth, phase or None), nearest last; a phase stays on the stack
-    only for the right end of a bisected segment.  Each node is completed
-    once, with the left phase as its alignment hint; `seed` drives the
+    only for t = 1 and for the right end of a bisected segment.  The
+    endpoint phases are completed first; every other node is completed
+    once, with the left phase as its alignment hint.  `seed` drives the
     random candidates of a kernel completion's intertwiner.
     """
-    ctx = path.context
-    degree = _flow_degree(ctx)
-    t0_node, t1_node = _split_endpoints(path)
-    if ctx.n == 0:
-        return KOClass.of(degree, 0)
-
-    total = KOClass.of(degree, 0)
-    a, ja = 0.0, complete_phase(t0_node, ctx, seed=seed)
-    del t0_node  # the node of T(1) is kept for the last step
-    m = INITIAL_SEGMENTS
-    pending = [(i / m, 0, None) for i in range(m, 0, -1)]
+    ja, j1 = _endpoint_phases(path, seed)
+    total = KOClass.of(_flow_degree(path.context), 0)
+    a, m = 0.0, INITIAL_SEGMENTS
+    # the right end t = 1 holds J(1) from the start
+    pending = [(1.0, 0, j1)] + [(i / m, 0, None) for i in range(m - 1, 0, -1)]
     while pending:
         b, depth, jb = pending.pop()
         if jb is None:
-            # the new node is passed on, not held: complete_phase drops it
-            jb = complete_phase(
-                t1_node if b == 1.0 else split_node(path.at(b), ctx, path.grading),
-                ctx, align_hint=_stored(ja), seed=seed)
+            jb = complete_phase(path.at(b), path.context, path.grading,
+                                align_hint=_stored(ja), seed=seed)
         if _phase_distance(ja, jb) > PHASE_BOUND:
             # phases not 0.9-close: the pair kernel may be nonempty
             try:
@@ -384,13 +370,7 @@ def spectral_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
 def endpoint_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     """Pair index of the endpoint phases: the finite-dimensional endpoint
     theorem makes this an independent oracle for spectral_flow."""
-    ctx = path.context
-    t0_node, t1_node = _split_endpoints(path)
-    if ctx.n == 0:
-        return KOClass.of(_flow_degree(ctx), 0)
-    j0 = complete_phase(t0_node, ctx, seed=seed)
-    j1 = complete_phase(t1_node, ctx, seed=seed)
-    value, _ = pair_index(j0, j1)
+    value, _ = pair_index(*_endpoint_phases(path, seed))
     return value
 
 

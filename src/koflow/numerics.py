@@ -6,7 +6,7 @@ used consistently by the index and flow modules.
 
 Spectral convention: every kernel is split off one SVD of the matrix
 itself, by `svd_split`, the only function here that does so; it returns
-the range phase and the left and right kernel columns.  Kernels are not
+the range factors and the left and right kernel columns.  Kernels are not
 read from a squared matrix such as M^T M or -T^2, whose eigenvalues put
 every singular value below sqrt(eps) ||M|| into noise.
 
@@ -20,13 +20,13 @@ entries -1 and n/2 entries +1 (a `Grading`, stored as its sign vector).
 A skew T that anticommutes with G is [[0, B], [-B^T, 0]] in G's
 (minus, plus) coordinates, B = T[minus, plus] taken by index, so the SVD
 B = U S W^T gives that of T with each singular value twice: `svd_split`
-of B with the split `doubled` gives the range block U_r W_r^T and the
-kernel columns U_k (on the minus sector) and W_k (on the plus one).  The
-same holds for every matrix built from such T alone: a phase J of T,
-completed on its kernel with no other generator, is the same form of an
-orthogonal block P (`Grading.odd`), and J0 + J1 is the form of P0 + P1,
-so phases and pair kernels can be kept and decomposed as their
-n/2 x n/2 blocks.  Whether a sample does anticommute with its grading
+of B with the split `doubled` gives the factors of the range block
+U_r W_r^T and the kernel columns U_k (on the minus sector) and W_k (on
+the plus one).  The same holds for every matrix built from such T
+alone: a phase J of T, completed on its kernel with no other generator,
+is the same form of an orthogonal block P (`Grading.odd`), and J0 + J1
+is the form of P0 + P1, so phases and pair kernels can be kept and
+decomposed as their n/2 x n/2 blocks.  Whether a sample does anticommute with its grading
 is checked where it is sampled (`flow.SkewPath.at`).
 """
 from __future__ import annotations
@@ -187,17 +187,20 @@ def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL
 
 
 def svd_split(mat: np.ndarray, split):
-    """The range phase and the kernel columns of mat, from one SVD.
+    """The range factors and the kernel columns of mat, from one SVD.
 
     `split` finds the size k of the zero cluster on the ascending singular
     values.  With mat = U S V^T (S descending) and r the rank, returns
-    (U_r V_r^T, U_k, V_k): the range phase and the last k columns of U and
-    of V, copied so that they do not keep U and V alive.  A G-odd matrix
-    [[0, B], [-B^T, 0]] is split through its block B with `doubled(split)`.
+    (U_r, V_r^T, U_k, V_k): views of the first r columns of U and rows of
+    V^T, whose product U_r V_r^T is the range phase, and the last k
+    columns of U and of V, copied so that they do not keep U and V alive.
+    The views do: a caller that keeps the range phase forms the product
+    and drops them.  A G-odd matrix [[0, B], [-B^T, 0]] is split through
+    its block B with `doubled(split)`.
     """
     u, s, vt = np.linalg.svd(mat)
     rank = s.size - split(s[::-1])
-    return u[:, :rank] @ vt[:rank], u[:, rank:].copy(), vt[rank:].T.copy()
+    return u[:, :rank], vt[:rank], u[:, rank:].copy(), vt[rank:].T.copy()
 
 
 def skew_phase(tmat: np.ndarray) -> np.ndarray:

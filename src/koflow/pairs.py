@@ -132,7 +132,7 @@ def kernel_module(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
             and np.array_equal(j0.grading.signs, j1.grading.signs):
         return _odd_kernel_module(j0, j1)
     ctx = _same_context(j0, j1)
-    _, _, basis = svd_split(j0.J + j1.J, _split("pair kernel"))
+    *_, basis = svd_split(j0.J + j1.J, _split("pair kernel"))
     try:
         return restrict_to_subspace(ctx, basis, 1e-9, extra_F=(j0.J,))
     except ValidationError as exc:
@@ -147,7 +147,7 @@ def _odd_kernel_module(j0: OddStructure, j1: OddStructure) -> CliffordRep:
     J0 maps it to [[0, P0 W_k], [-P0^T U_k, 0]]; both go through the
     invariance and relation checks of `restrict_images`.
     """
-    _, left, right = svd_split(j0.P + j1.P, doubled(_split("pair kernel")))
+    _, _, left, right = svd_split(j0.P + j1.P, doubled(_split("pair kernel")))
     half, k = left.shape
     basis = np.zeros((2 * half, 2 * k))
     basis[:half, :k] = left
@@ -270,7 +270,7 @@ def projection_pair_index(pp: ProjectionPair) -> int:
     """
     p, q = pp.P, pp.Q
     n = p.shape[0]
-    _, _, basis = svd_split(p + q - np.eye(n), _split("kernel of P+Q-I"))
+    *_, basis = svd_split(p + q - np.eye(n), _split("kernel of P+Q-I"))
     k = basis.shape[1]
     if k == 0:
         return 0
@@ -310,6 +310,6 @@ def orthogonal_pair_parity(u0: np.ndarray, u1: np.ndarray) -> int:
     for name, u in (("U0", u0), ("U1", u1)):
         if residual_norm(1e-10, [u.T @ u - np.eye(n)]) > 1e-10:
             raise ValidationError(f"{name} is not orthogonal")
-    _, _, cluster = svd_split(np.eye(n) + u0.T @ u1,
-                              _split("eigenvalue -1 cluster of U0^T U1"))
+    *_, cluster = svd_split(np.eye(n) + u0.T @ u1,
+                            _split("eigenvalue -1 cluster of U0^T U1"))
     return cluster.shape[1] % 2

@@ -230,6 +230,13 @@ def test_exit_code_numerical_guard(tmp_path, capsys):
 CTX2 = {"r": 0, "s": 0, "n": 2, "E": [], "F": []}
 L1_FLAT = [0.0, -1.0, 1.0, 0.0]
 MINUS_L1_FLAT = [0.0, 1.0, -1.0, 0.0]
+
+
+def _near_singular_path(a0, a1):
+    """An `sf --path` file from T(0) = a0 L1 (+) L1 to T(1) = a1 L1 (+) L1."""
+    return {"n": 4, "t": [0.0, 1.0],
+            "T": [np.kron(np.diag([a, 1.0]), cl.L1).reshape(-1).tolist() for a in (a0, a1)]}
+
 NAN = float("nan")  # json.dumps writes it as the NaN literal json.load accepts
 MALFORMED = {
     "check-generator-of-length-3": (
@@ -290,6 +297,21 @@ MALFORMED = {
         {"rep.json": {"r": 0, "s": 1, "n": 2, "E": [], "F": [L1_FLAT]}}),
     "aii-negative-seed": (["aii", "--demo", "--seed", "-1"], {}),
     "props-negative-seed": (["props", "--seed", "-1"], {}),
+    # a module file whose JSON is a string holding the module's JSON
+    "check-json-encoded-string": (
+        ["check", "--module", "rep.json"],
+        {"rep.json": json.dumps(json.dumps({"r": 0, "s": 1, "n": 2, "E": [], "F": [L1_FLAT]}))}),
+    "flux-json-encoded-string": (
+        ["flux", "--module", "rep.json"],
+        {"rep.json": json.dumps(json.dumps({"r": 0, "s": 1, "n": 2, "E": [], "F": [L1_FLAT]}))}),
+    # an endpoint block at 5e-8 ||T(0)|| is a kernel, whatever the class
+    # the endpoint Pfaffian signs would give
+    "path-endpoint-5e-8-then-minus-L1": (["sf", "--path", "p.json"],
+                                         {"p.json": _near_singular_path(5e-8, -1.0)}),
+    "path-endpoint-5e-8-then-L1": (["sf", "--path", "p.json"],
+                                   {"p.json": _near_singular_path(5e-8, 1.0)}),
+    "path-endpoint-minus-5e-8-then-minus-L1": (["sf", "--path", "p.json"],
+                                               {"p.json": _near_singular_path(-5e-8, -1.0)}),
     "path-nan-sample": (
         ["sf", "--path", "p.json"],
         {"p.json": {"context": CTX2, "t": [0.0, 0.5, 1.0],

@@ -205,7 +205,7 @@ def test_intertwiner_identity_first():
 def test_json_round_trip():
     v = cl.irreducible_rep(2, 1, "-")
     blob = json.dumps(cl.rep_to_json(v))
-    w = cl.rep_from_json(blob)
+    w = cl.rep_from_json(json.loads(blob))
     assert (w.r, w.s, w.n) == (v.r, v.s, v.n)
     for a, b in zip(v.generators(), w.generators()):
         assert np.array_equal(a, b)

@@ -11,11 +11,11 @@ from koflow.abs_index import abs_class
 from koflow.errors import AmbiguousKernelError, ObstructionError, ValidationError
 from koflow.flow import (SkewPath, _split_phase_kernel, cayley, clamp_phase,
                          classical_sf, complete_phase, endpoint_flow,
-                         spectral_flow, split_node)
+                         spectral_flow)
 from koflow.models import kitaev_path
-from koflow.numerics import (Grading, min_singular_value, random_orthogonal,
-                             random_skew, split_zero_cluster, svd_split,
-                             sym_eigh)
+from koflow.numerics import (Grading, doubled, min_singular_value,
+                             random_orthogonal, random_skew, split_zero_cluster,
+                             svd_split, sym_eigh)
 from koflow.pairs import ComplexStructure
 from koflow.props import SIG_POOL, padded_context, random_admissible_path
 
@@ -32,20 +32,20 @@ def normalization_path(module):
 def test_complete_phase_invertible_is_exact_phase():
     ctx = cl.CliffordRep(0, 0, 4)
     t_mat = 2.5 * np.kron(np.eye(2), cl.L1)
-    j = complete_phase(split_node(t_mat, ctx), ctx)
+    j = complete_phase(t_mat, ctx)
     assert np.allclose(j.J, np.kron(np.eye(2), cl.L1), atol=1e-13)
 
 
 def test_complete_phase_zero_matrix_canonical():
     ctx = cl.CliffordRep(0, 0, 2)
-    j = complete_phase(split_node(np.zeros((2, 2)), ctx), ctx)
+    j = complete_phase(np.zeros((2, 2)), ctx)
     assert np.array_equal(j.J, cl.L1)
 
 
 def test_complete_phase_obstruction():
     with pytest.raises(ObstructionError) as err:
         ctx = cl.CliffordRep(0, 0, 3)
-        complete_phase(split_node(np.zeros((3, 3)), ctx), ctx)
+        complete_phase(np.zeros((3, 3)), ctx)
     assert err.value.ko_class is not None
     assert err.value.ko_class.value == 1
 
@@ -59,10 +59,10 @@ def test_sample_validation():
         bad.at(0.0)
 
 
-def test_singular_endpoint_errors_keep_their_order(monkeypatch):
+def test_singular_endpoint_errors_keep_their_order():
     # T(0) is sampled, checked and split before T(1) is sampled; the check
-    # reads the node's own singular values against INV_TOL, before any
-    # kernel completion (a zero T(0) on R^3 would be obstructed)
+    # is the default zero-cluster split of the node's own singular values,
+    # before any kernel completion (a zero T(0) on R^3 would be obstructed)
     ctx3 = cl.CliffordRep(0, 0, 3)
     with pytest.raises(ValidationError, match="endpoint t=0.0 is not invertible"):
         spectral_flow(SkewPath(ctx3, lambda t: np.zeros((3, 3))))
@@ -88,10 +88,11 @@ def test_singular_endpoint_errors_keep_their_order(monkeypatch):
         for solve in (spectral_flow, endpoint_flow):
             with pytest.raises(ValidationError, match=message):
                 solve(p)
-    monkeypatch.setattr(flow, "INV_TOL", 1e-3)
-    with pytest.raises(ValidationError, match=r"5\.000e-04 < 0\.001"):
-        spectral_flow(path(5e-4, 1.0))
-    assert spectral_flow(path(2e-3, 1.0)).value == 0
+    # the rule is relative to ||T(0)|| = 1: singular values at 5e-8 are a
+    # kernel, at 2e-7 they are not
+    with pytest.raises(ValidationError, match="endpoint t=0.0 is not invertible"):
+        spectral_flow(path(5e-8, 1.0))
+    assert spectral_flow(path(2e-7, 1.0)).value == 0
 
 
 def test_endpoint_checks_take_no_extra_svd(monkeypatch):
@@ -424,14 +425,15 @@ def test_walk_samples_each_node_once_through_bisection():
 def test_walk_holds_left_phase_and_one_per_bisection_level(monkeypatch):
     # the walk keeps the left phase, the new one and one pending right-end
     # phase per bisection level in progress, never the whole partition
-    live = []
-    counts = []
+    live, counts, held = [], [], []
     complete = flow.complete_phase
 
-    def tracked(node, context, align_hint=None, seed=0):
-        j = complete(node, context, align_hint=align_hint, seed=seed)
+    def tracked(*args, **kwargs):
+        j = complete(*args, **kwargs)
         live.append(weakref.ref(j))
-        counts.append(sum(ref() is not None for ref in live))
+        # live phases other than J(1), the second one completed
+        counts.append(sum(ref() is not None for ref in live[:1] + live[2:]))
+        held.append(len(live) < 2 or live[1]() is not None)
         return j
 
     base = _bisecting_path()
@@ -443,9 +445,11 @@ def test_walk_holds_left_phase_and_one_per_bisection_level(monkeypatch):
 
     monkeypatch.setattr(flow, "complete_phase", tracked)
     spectral_flow(SkewPath(base.context, sampled))
-    # completion order: T(0), the sampled nodes, T(1) when the walk reaches it
-    depths = [0] + [_node_depth(t) for t in times[2:]] + [0]
+    # completion order: T(0), T(1), then the sampled nodes; J(1) is held
+    # from the start, the other phases within 2 + depth
+    depths = [0, 0] + [_node_depth(t) for t in times[2:]]
     assert len(counts) == len(times) > 17
+    assert all(held)
     assert all(c <= 2 + d for c, d in zip(counts, depths))
 
 
@@ -465,7 +469,7 @@ def test_forced_kernel_parity_blocks_admissible_obstructions():
     with pytest.raises(ValidationError):
         spectral_flow(path)
     with pytest.raises(ObstructionError):
-        complete_phase(split_node(t_mat, ctx), ctx)
+        complete_phase(t_mat, ctx)
 
 
 def test_flow_independent_of_kernel_completion():
@@ -509,7 +513,7 @@ def test_complete_phase_one_svd(monkeypatch):
     monkeypatch.setattr(numerics, "sym_eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     ctx = cl.CliffordRep(0, 0, 6)
-    j = complete_phase(split_node(t_mat, ctx), ctx)
+    j = complete_phase(t_mat, ctx)
     assert svds == [(6, 6)] and eighs == []
     assert np.allclose(j.J, expected, atol=1e-12)
 
@@ -529,7 +533,7 @@ def test_complete_phase_reimposes_structure():
         t_mat = a - (1.0 - c) * a @ low @ low.T
         noise = random_skew(rng, ctx.n)
         t_mat = t_mat + 1e-10 * noise / np.linalg.norm(noise, 2)
-        assert isinstance(complete_phase(split_node(t_mat, ctx), ctx), ComplexStructure)
+        assert isinstance(complete_phase(t_mat, ctx), ComplexStructure)
 
 
 def test_phase_closeness_takes_no_exact_norm(monkeypatch):
@@ -571,10 +575,10 @@ def test_phase_kernel_regularized_fallback():
         svals = np.linalg.svd(t_mat, compute_uv=False)
         with pytest.raises(AmbiguousKernelError):
             split_zero_cluster(svals[::-1], label="phase kernel")
-        _, _, basis = svd_split(t_mat, _split_phase_kernel)
+        *_, basis = svd_split(t_mat, _split_phase_kernel)
         assert basis.shape == (8, 4)
         ctx = cl.CliffordRep(0, 0, 8)
-        j = complete_phase(split_node(t_mat, ctx), ctx)
+        j = complete_phase(t_mat, ctx)
         assert isinstance(j, ComplexStructure)  # validated on construction
         gapped = q[:, 4:]  # unit singular values: the phase is T itself there
         assert np.allclose(j.J @ gapped, t_mat @ gapped, atol=1e-12)
@@ -611,6 +615,34 @@ def test_pfaffian_oracle_kitaev(n_ring):
     path = kitaev_path(n_ring)
     flips = pf_sign(path.at(0.0)) != pf_sign(path.at(1.0))
     assert spectral_flow(path).value == int(flips)
+
+
+@pytest.mark.parametrize("sign1", [1.0, -1.0])
+@pytest.mark.parametrize("a0", [5e-8, -5e-8, 2e-7, -2e-7])
+def test_near_singular_endpoint_is_rejected_or_matches_the_pfaffian_flip(a0, sign1):
+    # T(0) = a0 L1 (+) L1 and T(1) = sign1 L1 (+) L1: a block at 5e-8
+    # ||T(0)|| is a kernel, so both flows reject the path; at 2e-7 the
+    # endpoint is invertible and both give the flip of the Pfaffian signs
+    ends = [np.kron(np.diag([a, 1.0]), cl.L1) for a in (a0, sign1)]
+    path = SkewPath(cl.CliffordRep(0, 0, 4), lambda t: (1.0 - t) * ends[0] + t * ends[1])
+    flips = pf_sign(ends[0]) != pf_sign(ends[1])
+    for solve in (spectral_flow, endpoint_flow):
+        if abs(a0) < 1e-7:
+            with pytest.raises(ValidationError, match="endpoint t=0.0 is not invertible"):
+                solve(path)
+        else:
+            assert solve(path).value == int(flips)
+
+
+@pytest.mark.parametrize("n_ring", [7, 8])
+def test_kitaev_flow_is_scale_invariant(n_ring):
+    # the endpoint rule and every kernel split are relative to ||T||: the
+    # scaled path has the class of the path, on the dense and block routes
+    base = kitaev_path(n_ring)
+    for exponent in range(-11, 10):
+        path = SkewPath(base.context, lambda t, c=10.0 ** exponent: c * base.fn(t),
+                        grading=base.grading)
+        assert spectral_flow(path).value == endpoint_flow(path).value == 1, exponent
 
 
 def test_pfaffian_oracle_random_paths():
@@ -663,8 +695,9 @@ def test_block_route_matches_dense_with_exact_node_kernels(seed, crossings):
     # dense route's, the endpoint formula's and the Pfaffian oracle's
     path = _odd_path(np.random.default_rng(seed), 5, crossings)
     ctx = path.context
-    node = split_node(path.at(0.5), ctx, path.grading)
-    assert [cols.shape[1] for cols in node.kernel] == [crossings] * 2
+    minus, plus = path.grading.sectors()
+    *_, u_k, w_k = svd_split(path.at(0.5)[np.ix_(minus, plus)], doubled(_split_phase_kernel))
+    assert u_k.shape[1] == w_k.shape[1] == crossings
     flips = pf_sign(path.at(0.0)) != pf_sign(path.at(1.0))
     value = spectral_flow(path)
     assert value == spectral_flow(SkewPath(ctx, path.fn)) == endpoint_flow(path)
@@ -678,16 +711,18 @@ def test_block_completion_follows_a_hint_or_takes_the_identity(crossings):
     # factor when it does not
     path = _odd_path(np.random.default_rng(5), 5, crossings)
     ctx, grading = path.context, path.grading
-    left = complete_phase(split_node(path.at(7 / 16), ctx, grading), ctx)
-    node = split_node(path.at(0.5), ctx, grading)
-    u_k, w_k = node.kernel
+    left = complete_phase(path.at(7 / 16), ctx, grading)
+    t_mat = path.at(0.5)
+    minus, plus = grading.sectors()
+    u_r, wt_r, u_k, w_k = svd_split(t_mat[np.ix_(minus, plus)], doubled(_split_phase_kernel))
+    phase = u_r @ wt_r
     smin = np.linalg.svd(u_k.T @ left.P @ w_k, compute_uv=False)[-1]
     assert smin == pytest.approx(0.2, abs=1e-12) and smin < flow.HINT_SMIN
-    plain = complete_phase(node, ctx, align_hint=left.P)
-    np.testing.assert_allclose(plain.P, node.phase + u_k @ w_k.T, rtol=0.0, atol=1e-12)
-    np.testing.assert_array_equal(plain.P, complete_phase(node, ctx).P)  # no hint
-    flipped = complete_phase(node, ctx, align_hint=-plain.P)  # compresses to -I
-    np.testing.assert_allclose(flipped.P, node.phase - u_k @ w_k.T, rtol=0.0, atol=1e-12)
+    plain = complete_phase(t_mat, ctx, grading, align_hint=left.P)
+    np.testing.assert_allclose(plain.P, phase + u_k @ w_k.T, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(plain.P, complete_phase(t_mat, ctx, grading).P)  # no hint
+    flipped = complete_phase(t_mat, ctx, grading, align_hint=-plain.P)  # compresses to -I
+    np.testing.assert_allclose(flipped.P, phase - u_k @ w_k.T, rtol=0.0, atol=1e-12)
 
 
 def test_block_completion_rejects_a_non_orthogonal_node():
@@ -698,17 +733,16 @@ def test_block_completion_rejects_a_non_orthogonal_node():
     grading = Grading(rng.permutation(np.repeat([-1.0, 1.0], 6)))
     noisy = random_orthogonal(rng, 6) + 1e-7 * rng.standard_normal((6, 6))
     empty = np.zeros((6, 0))
-    ctx = cl.CliffordRep(0, 0, 12)
     with pytest.raises(ValidationError, match="not a grading-odd complex structure"):
-        complete_phase(flow.Node(noisy, (empty, empty), grading), ctx)
+        flow._complete_block(noisy, empty, empty, grading, None)
     # the same with a kernel: the range block of rank 4 plus U_k W_k^T
     u, w = random_orthogonal(rng, 6), random_orthogonal(rng, 6)
-    exact = flow.Node(u[:, :4] @ w[:, :4].T, (u[:, 4:], w[:, 4:]), grading)
-    j = complete_phase(exact, ctx)
+    exact = u[:, :4] @ w[:, :4].T
+    j = flow._complete_block(exact, u[:, 4:], w[:, 4:], grading, None)
     np.testing.assert_allclose(j.P, u @ w.T, rtol=0.0, atol=1e-14)
-    off = flow.Node(exact.phase + 1e-7 * rng.standard_normal((6, 6)), exact.kernel, grading)
+    off = exact + 1e-7 * rng.standard_normal((6, 6))
     with pytest.raises(ValidationError, match="not a grading-odd complex structure"):
-        complete_phase(off, ctx)
+        flow._complete_block(off, u[:, 4:], w[:, 4:], grading, None)
 
 
 def _counted_svd_splits(monkeypatch, path):
@@ -762,13 +796,11 @@ def test_one_svd_per_node_and_per_pair_kernel(monkeypatch):
 def test_block_phase_distance_is_the_dense_frobenius_distance():
     path = kitaev_path(6)
     ctx, grading = path.context, path.grading
-    ja, jb = (complete_phase(split_node(path.at(t), ctx, grading), ctx) for t in (0.0, 1.0))
+    ja, jb = (complete_phase(path.at(t), ctx, grading) for t in (0.0, 1.0))
     assert flow._phase_distance(ja, jb) == pytest.approx(np.linalg.norm(ja.J - jb.J), rel=1e-14)
 
 
-def test_complete_phase_takes_a_node():
+def test_complete_phase_checks_the_shape():
     ctx = cl.CliffordRep(0, 0, 2)
-    with pytest.raises(ValidationError, match="takes a Node from split_node"):
-        complete_phase(cl.L1, ctx)
     with pytest.raises(ValidationError, match="does not match context"):
-        split_node(np.zeros((3, 3)), ctx)
+        complete_phase(np.zeros((3, 3)), ctx)

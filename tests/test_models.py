@@ -10,7 +10,7 @@ from koflow import flow, models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
 from koflow.flow import (SkewPath, classical_sf, complete_phase, endpoint_flow,
-                         spectral_flow, split_node)
+                         spectral_flow)
 from koflow.models import (BLOCK_NODE_ARRAYS, BLOCK_SVD_WORKSPACE_ARRAYS,
                            NODE_ARRAYS, SVD_WORKSPACE_ARRAYS, RealStructure,
                            aii_path, flux_path, hermitian_double, kitaev_path,
@@ -145,7 +145,7 @@ def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
     for t in np.linspace(0.0, 1.0, flow.INITIAL_SEGMENTS + 1):
         # the 17 nodes of the default flow, all accepted for Kitaev
         assert path.fn(t).dtype == np.float64
-        split_node(path.at(t), path.context, path.grading)
+        complete_phase(path.at(t), path.context, path.grading)
     assert eighs == []
     np.testing.assert_array_equal(path.grading.signs, np.tile([1, 1, -1, -1], 128))
 
@@ -190,9 +190,8 @@ def test_kitaev_flow_is_one(n_ring):
     """Even rings take the block route; the dense route on the ungraded
     copy, the endpoint flow and the Pfaffian signs must agree with it."""
     path = kitaev_path(n_ring)
-    node = split_node(path.at(0.5), path.context, path.grading)
     kind = OddStructure if n_ring % 2 == 0 else ComplexStructure
-    assert type(complete_phase(node, path.context)) is kind
+    assert type(complete_phase(path.at(0.5), path.context, path.grading)) is kind
     value = spectral_flow(path)
     assert (value.degree, value.value) == (2, 1)
     assert endpoint_flow(path) == spectral_flow(SkewPath(path.context, path.fn)) == value
@@ -386,7 +385,7 @@ def test_flux_node_makes_no_dense_generator_product():
     for p in (path, dense):
         calls = _count_generator_products(p.context)
         # one flow node: SkewPath.at, complete_phase and its ComplexStructure
-        complete_phase(split_node(p.at(0.25), p.context), p.context)
+        complete_phase(p.at(0.25), p.context)
         counts.append(len(calls))
     assert counts[0] == 0 and counts[1] > 0
 

@@ -3,7 +3,7 @@ import pytest
 
 from koflow import clifford, flow, models, numerics, pairs
 from koflow.errors import AmbiguousKernelError, ValidationError
-from koflow.flow import complete_phase, split_node
+from koflow.flow import complete_phase
 from koflow.models import kitaev_path
 from koflow.numerics import (Grading, doubled, min_singular_value, op_norm,
                              random_orthogonal, random_skew, residual_norm,
@@ -47,7 +47,7 @@ def test_skew_phase():
     padded = np.zeros((6, 6))
     padded[:4, :4] = t_mat
     ctx = clifford.CliffordRep(0, 0, 6)
-    j = complete_phase(split_node(padded, ctx), ctx).J
+    j = complete_phase(padded, ctx).J
     assert np.allclose(j[:4, :4], t_mat / 3.0, atol=1e-12)
     assert np.allclose(j[:4, 4:], 0.0) and np.allclose(j[4:, :4], 0.0)
     assert np.allclose(j[4:, 4:] @ j[4:, 4:], -np.eye(2))
@@ -68,10 +68,13 @@ def test_polar_and_random_orthogonal():
 
 
 def test_kernel_basis_and_norms():
-    # svd_split gives the range phase and both kernel bases, as copies
+    # svd_split gives the range factors, as views, and both kernel
+    # bases, as copies
     mat = np.diag([0.0, 0.0, 1.0, 3.0])
     turned = mat @ random_orthogonal(np.random.default_rng(1), 4)
-    phase, left, basis = svd_split(turned, split_zero_cluster)
+    u_r, vt_r, left, basis = svd_split(turned, split_zero_cluster)
+    assert u_r.base is not None and vt_r.base is not None
+    phase = u_r @ vt_r
     assert left.shape == basis.shape == (4, 2)
     assert np.allclose(turned @ basis, 0.0) and np.allclose(turned.T @ left, 0.0)
     assert np.allclose(phase @ phase.T + left @ left.T, np.eye(4))
@@ -122,7 +125,7 @@ def test_valid_kitaev_nodes_run_no_svd(monkeypatch):
     path = kitaev_path(8)
     for t in (0.0, 0.25, 0.75, 1.0):
         for grading in (None, path.grading):  # the dense and the block route
-            complete_phase(split_node(path.at(t), path.context, grading), path.context)
+            complete_phase(path.at(t), path.context, grading)
     assert calls == []
 
 
@@ -183,11 +186,22 @@ def _graded_skew(rng, signs, svals):
     return t_mat, Grading(signs)
 
 
-def _phase_split(mat, grading=None):
-    """Range phase and kernel projector of the node of mat over an empty
-    context, with or without its grading."""
-    node = split_node(mat, clifford.CliffordRep(0, 0, mat.shape[0]), grading)
-    return node.phase, node.kernel @ node.kernel.T
+def _phase_split(monkeypatch, mat, grading=None):
+    """Range phase and kernel projector of the completed phase of mat over
+    an empty context, with or without its grading: the kernel basis is the
+    one that `complete_phase` restricts the context to, and the completed
+    phase is block diagonal on the kernel and its complement."""
+    bases = [np.zeros((mat.shape[0], 0))]
+    restrict = flow.restrict_to_subspace
+
+    def recorded(rep, basis, *args):
+        bases.append(basis)
+        return restrict(rep, basis, *args)
+
+    monkeypatch.setattr(flow, "restrict_to_subspace", recorded)
+    j = complete_phase(mat, clifford.CliffordRep(0, 0, mat.shape[0]), grading).J
+    projector = bases[-1] @ bases[-1].T
+    return j - j @ projector, projector
 
 
 def _shuffled_signs(rng, n):
@@ -214,13 +228,13 @@ def test_graded_svd_split_matches_dense(monkeypatch, seed):
                 svals[:kernel] = 0.0
                 cases.append(_graded_skew(rng, signs, svals))
     for t_mat, grading in cases:
-        graded = _phase_split(t_mat, grading)
-        dense = _phase_split(t_mat)
+        graded = _phase_split(monkeypatch, t_mat, grading)
+        dense = _phase_split(monkeypatch, t_mat)
         for a, b in zip(graded, dense):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
     # the near-singular case splits off its four sub-gap values
-    assert np.trace(_phase_split(*cases[0])[1]) == pytest.approx(4.0)
+    assert np.trace(_phase_split(monkeypatch, *cases[0])[1]) == pytest.approx(4.0)
 
 
 def test_doubled_split_counts_each_singular_value_twice():

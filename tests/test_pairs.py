@@ -6,7 +6,7 @@ from koflow import clifford as cl
 from koflow import models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
-from koflow.flow import complete_phase, split_node
+from koflow.flow import complete_phase
 from koflow.numerics import (Grading, doubled, random_orthogonal, random_skew,
                              split_zero_cluster, svd_split)
 from koflow.pairs import (ComplexStructure, OddStructure, ProjectionPair,
@@ -86,7 +86,7 @@ def test_kernel_module_is_the_compression_to_the_pair_kernel():
     j0, j1, ctx = standard_pair(1, 1, module)
     rot = commuting_rotation(ctx, rng, 0.3)
     j1 = ComplexStructure(rot @ j1.J @ rot.T, ctx)
-    _, _, basis = svd_split(j0.J + j1.J, split_zero_cluster)
+    *_, basis = svd_split(j0.J + j1.J, split_zero_cluster)
     sub = kernel_module(j0, j1)
     assert (sub.r, sub.s, sub.n) == (1, 2, basis.shape[1]) and sub.n > 0
     explicit = [basis.T @ g @ basis for g in ctx.generators() + [j0.J]]
@@ -285,12 +285,12 @@ def test_block_pair_kernel_matches_dense(monkeypatch, seed, k):
     half = 7
     j0, j1 = _odd_pair(rng, half, k)
     minus, plus = j0.grading.sectors()
-    _, left, right = svd_split(j0.P + j1.P, doubled(split_zero_cluster))
+    _, _, left, right = svd_split(j0.P + j1.P, doubled(split_zero_cluster))
     assert left.shape == right.shape == (half, k)
     basis = np.zeros((2 * half, 2 * k))
     basis[minus, :k] = left
     basis[plus, k:] = right
-    _, _, dense = svd_split(j0.J + j1.J, split_zero_cluster)
+    *_, dense = svd_split(j0.J + j1.J, split_zero_cluster)
     assert dense.shape == (2 * half, 2 * k)
     np.testing.assert_allclose(basis @ basis.T, dense @ dense.T, rtol=0.0, atol=1e-12)
     ctx = cl.CliffordRep(0, 0, 2 * half)
@@ -311,7 +311,7 @@ def test_block_pair_kernel_matches_dense(monkeypatch, seed, k):
 def _kitaev_endpoint_phases(n_ring):
     path = models.kitaev_path(n_ring)
     ctx, grading = path.context, path.grading
-    return [complete_phase(split_node(path.at(t), ctx, grading), ctx) for t in (0.0, 1.0)]
+    return [complete_phase(path.at(t), ctx, grading) for t in (0.0, 1.0)]
 
 
 def test_block_pair_index_is_the_orthogonal_parity_and_the_determinant_sign():
