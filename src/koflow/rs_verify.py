@@ -5,9 +5,10 @@ of the coefficient path A(t) = f(t) F_{s+1}.
 The operator is compressed onto Hermite functions of t/ell.  In that
 basis d/dt is an exact bidiagonal antisymmetric matrix and multiplication
 by f becomes f evaluated on the spectral decomposition of the
-(tridiagonal) position matrix, so the assembly is exactly skew, the
-lifted Clifford generators anticommute with it exactly, and the basis
-lives on the whole line (no wall, no Brillouin zone).
+(tridiagonal) position matrix, assembled by parity from its nonnegative
+eigenvalues alone, so the assembly is exactly skew, the lifted Clifford
+generators anticommute with it exactly, and the basis lives on the whole
+line (no wall, no Brillouin zone).
 
 The grading S = F_{s+1} (x) L1 commutes with every lifted generator while
 D anticommutes with it, so in the bases of its two eigenspaces (sectors)
@@ -34,11 +35,12 @@ Convention note: pairing the same coefficient family against the line's
 Dirac class in bivariant K-theory produces the NEGATIVE of the flow; only
 the direct (unsigned-convention) equality above is asserted here.
 
-scipy is imported only inside the solves that call it, `_basis_blocks`
-(tridiagonal eigensolve), `_gram` (a BLAS rank-k update) and
-`numeric_kernel` (one tridiagonal reduction of the Gram matrix and
-eigensolves of the tridiagonal), so importing this module loads numpy
-alone; scipy.sparse is never loaded.
+scipy is imported only inside the solves that call it, `_hermite_nodes`
+(a values-only tridiagonal solve for the collocation nodes, whose
+eigenvectors come from the Hermite recurrence), `_gram` (a BLAS rank-k
+update) and `numeric_kernel` (one tridiagonal reduction of the Gram
+matrix and eigensolves of the tridiagonal), so importing this module
+loads numpy alone; scipy.sparse is never loaded.
 """
 from __future__ import annotations
 
@@ -159,27 +161,104 @@ class DiscreteOperator:
         return out
 
 
+def _hermite_nodes(m: int):
+    """The ceil(m/2) nonnegative eigenvalues of the m x m Hermite Jacobi
+    matrix J (zero diagonal, sqrt(j/2) off it), ascending, with their
+    unit eigenvectors as columns.
+
+    This is the Golub-Welsch construction (Math. Comp. 23, 1969) with the
+    Newton polish of Townsend, Trogdon and Olver (IMA J. Numer. Anal. 36,
+    2016).  The positive nodes are the square roots of the eigenvalues of
+    the odd-row block of J^2, a half-size tridiagonal solved for values
+    only; an odd m adds the zero node.  Each eigenvector is the Hermite
+    recurrence h_{j+1} = theta sqrt(2/(j+1)) h_j - sqrt(j/(j+1)) h_{j-1}
+    (the Hermite functions without their Gaussian, which underflows past
+    theta = 37.6) from h_0 = 1.  A column is rescaled, with everything
+    above it, by an exact power of two once it passes 2^330: a step grows
+    it at most sqrt(2) theta + 1 times, so it is checked every 8 steps.
+    The recurrence runs one order past the matrix, so h_m, which vanishes
+    at an exact node, and h_m' = sqrt(2m) h_{m-1} give one Newton step
+    theta -> theta + delta; the eigenvector moves with it to first order,
+    by delta h_j' = delta sqrt(2j) h_{j-1}.
+    """
+    from scipy.linalg import eigh_tridiagonal  # here, to keep `import koflow` light
+
+    odd = np.arange(1, m, 2)
+    diag = odd + 0.5  # (J^2)_{jj} = j/2 + (j+1)/2
+    if m % 2 == 0:
+        diag[-1] -= m / 2.0  # the last row has no (j+1) neighbour
+    squares = eigh_tridiagonal(diag, np.sqrt((odd[:-1] + 1.0) * (odd[:-1] + 2.0)) / 2.0,
+                               eigvals_only=True, lapack_driver="sterf")
+    theta = np.concatenate([np.zeros(m % 2), np.sqrt(squares)])
+    up = np.sqrt(2.0 / np.arange(1, m + 1))
+    down = np.sqrt(np.arange(m) / np.arange(1.0, m + 1))
+    h = np.empty((m + 1, theta.size))
+    h[0] = 1.0
+    h[1] = np.sqrt(2.0) * theta
+    for j in range(1, m):
+        row = np.multiply(theta, h[j], out=h[j + 1])
+        row *= up[j]
+        row -= down[j] * h[j - 1]
+        if j % 8 == 0:
+            big = np.abs(h[j:j + 2]).max(axis=0) > 2.0 ** 330
+            if big.any():
+                h[:j + 2, big] *= 2.0 ** -330
+    delta = -h[m] / (np.sqrt(2.0 * m) * h[m - 1])
+    vecs = h[:m]
+    shift = h[:m - 1] * delta
+    shift *= np.sqrt(2.0 * np.arange(1, m))[:, None]
+    vecs[1:] += shift
+    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
+    return theta + delta, vecs
+
+
+def _weighted_product(left: np.ndarray, weights: np.ndarray, right: np.ndarray):
+    """left diag(weights) right^T, summed over the nonzero weights only:
+    a switch from +1 to -1 has f(ell theta) + f(-ell theta) = 0 at every
+    node past its window, so the diagonal parity blocks take the few
+    nodes inside it."""
+    keep = weights != 0.0
+    return (left[:, keep] * weights[keep]) @ right[:, keep].T
+
+
 def _basis_blocks(problem: RSProblem):
     """(derivative superdiagonal, coefficient matrix) in the scaled Hermite
     basis.
 
-    The position operator is the exact tridiagonal Jacobi matrix; its
-    eigendecomposition gives the collocation points, and multiplication
-    by f is f evaluated there, rotated back (exactly symmetric).  The
-    derivative is the exact antisymmetric bidiagonal matrix, divided by
-    the length scale: `step` on the superdiagonal, -`step` below.
+    The position operator is the exact tridiagonal Jacobi matrix J;
+    multiplication by f is f evaluated at its eigenvalues (the
+    collocation nodes), rotated back by its eigenvectors.  J maps even
+    basis functions to odd ones, so its nodes pair up as +-theta with
+    eigenvectors (a, c) and (a, -c) on the (even, odd) rows, and the
+    coefficient matrix is built by parity blocks from the nonnegative
+    nodes of `_hermite_nodes` alone: a diag(s) a^T on the even rows,
+    c diag(s) c^T on the odd rows and a diag(d) c^T between them, with
+    s = f(ell theta) + f(-ell theta) and d = f(ell theta) - f(-ell theta)
+    (the zero node of an odd m counts once).  The two diagonal blocks are
+    symmetrized and the off-diagonal ones are each other's transposes, so
+    the matrix is exactly symmetric.  The derivative is the exact
+    antisymmetric bidiagonal matrix, divided by the length scale: `step`
+    on the superdiagonal, -`step` below.
     """
-    from scipy.linalg import eigh_tridiagonal  # here, to keep `import koflow` light
-
     m = problem.m
     ell = problem.scale
-    off = np.sqrt(np.arange(1, m) / 2.0)
-    theta, u = eigh_tridiagonal(np.zeros(m), off)
-    f_nodes = np.array([problem.f(ell * t) for t in theta])
-    coeff = (u * f_nodes) @ u.T
-    coeff = coeff + coeff.T
-    coeff /= 2.0
-    return off / ell, coeff
+    theta, vecs = _hermite_nodes(m)
+    f_pos = np.array([problem.f(ell * t) for t in theta])
+    f_neg = np.array([problem.f(-ell * t) for t in theta])
+    even_w, odd_w = f_pos + f_neg, f_pos - f_neg
+    if m % 2:
+        even_w[0] /= 2.0  # the zero node is its own mirror image
+    coeff = np.empty((m, m))
+    for rows in (slice(0, m, 2), slice(1, m, 2)):
+        block = _weighted_product(vecs[rows], even_w, vecs[rows])
+        block += block.T
+        block /= 2.0
+        coeff[rows, rows] = block
+        del block
+    block = _weighted_product(vecs[0::2], odd_w, vecs[1::2])
+    coeff[0::2, 1::2] = block
+    coeff[1::2, 0::2] = block.T
+    return np.sqrt(np.arange(1, m) / 2.0) / ell, coeff
 
 
 def _sector_bases(f_last: np.ndarray):
@@ -221,13 +300,16 @@ def _assemble(problem: RSProblem, cell_even: np.ndarray, deriv_sign: float,
     module, m, n = problem.module, problem.m, problem.module.n
     bound_sector *= switching_direction(problem)
     rows = m if square or bound_sector == 0 else m - 1
-    # the peak is three m x m arrays: the position eigenvectors, coeff and
-    # its symmetrization (which holds the level matrix).  numeric_kernel
-    # holds the level matrix beside one scalar Gram matrix at a time,
-    # reduced in place, so it stays below that.  64 m-vectors bound the
-    # rest of either: nodes and samples, the tridiagonal and its reflector
-    # scalars, the blocked LAPACK workspace and the eigenvector windows.
-    check_memory("the discrete operator", 8 * (3 * m * m + 64 * m))
+    # the peak is in _basis_blocks: coeff (which holds the level matrix),
+    # the m x ceil(m/2) node eigenvectors and three ceil(m/2)^2 block
+    # temporaries (a weighted operand, the other operand and their
+    # product), 9/4 m^2 and 2m + 1.  numeric_kernel holds the level matrix
+    # beside one scalar Gram matrix at a time, reduced in place, so it
+    # stays below that.  64 m-vectors bound the rest of either: nodes,
+    # weights and recurrence coefficients, the tridiagonal and its
+    # reflector scalars, the blocked LAPACK workspace and the eigenvector
+    # windows.
+    check_memory("the discrete operator", 8 * (9 * m * m // 4 + 64 * m))
     f_last = np.array(module.F[-1])
     plus, minus = _sector_bases(f_last)
     keep_full, keep_cut = (minus, plus) if bound_sector < 0 else (plus, minus)

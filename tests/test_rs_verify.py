@@ -20,12 +20,13 @@ STANDARD = cl.CliffordRep(0, 1, 2, F=(cl.L1,))
 def reference_operator(module, L, m, alt=False, square=False):
     """Dense D in sector coordinates, for the descending default switch,
     built from plain np.kron of the full Hermite-basis operator and the
-    sector bases; returns (D, number of full-sector coordinates)."""
+    sector bases; returns (D, number of full-sector coordinates).  The
+    coefficient matrix is the one `_basis_blocks` returns (checked
+    against a dense eigensolve by test_coefficient_matches_dense_eigensolve),
+    so D pins the layout and signs of the assembly bit for bit."""
     ell = 1.3 / np.sqrt(L)
     off = np.sqrt(np.arange(1, m) / 2.0)
-    theta, u = sla.eigh_tridiagonal(np.zeros(m), off)
-    coeff = (u * np.array([default_switching(ell * t) for t in theta])) @ u.T
-    coeff = (coeff + coeff.T) / 2.0
+    coeff = rs_verify._basis_blocks(RSProblem(module, L=L, m=m))[1]
     deriv = np.diag(off / ell, 1) - np.diag(off / ell, -1)
     n = module.n
     f_last = np.array(module.F[-1])
@@ -118,6 +119,62 @@ def test_block_matches_dense_reference(module, alt, square):
     assert np.array_equal(ref[cols:, :cols], x)
     assert np.array_equal(ref[:cols, cols:], -x.T)
     assert not ref[:cols, :cols].any() and not ref[cols:, cols:].any()
+
+
+def _dense_coefficient(problem):
+    """The coefficient matrix from LAPACK's full tridiagonal eigensolve of
+    the Hermite Jacobi matrix, with all m eigenvectors."""
+    m, ell = problem.m, problem.scale
+    theta, u = sla.eigh_tridiagonal(np.zeros(m), np.sqrt(np.arange(1, m) / 2.0))
+    return (u * np.array([problem.f(ell * t) for t in theta])) @ u.T
+
+
+@pytest.mark.parametrize("m", [200, 201, 1200, 1201])
+def test_coefficient_matches_dense_eigensolve(m):
+    problem = RSProblem(STANDARD, L=12.0, m=m)
+    step, coeff = rs_verify._basis_blocks(problem)
+    assert np.array_equal(coeff, coeff.T)
+    assert np.abs(coeff - _dense_coefficient(problem)).max() <= 1e-13
+    assert np.array_equal(step, np.sqrt(np.arange(1, m) / 2.0) / problem.scale)
+
+
+def _even_switch(t):
+    return default_switching(abs(t))
+
+
+def _odd_switch(t):
+    return (default_switching(t) - default_switching(-t)) / 2.0
+
+
+@pytest.mark.parametrize("m", [200, 201])
+def test_coefficient_parity_blocks(m):
+    # f(-t) = f(t) exactly leaves no weight between even and odd rows;
+    # f(-t) = -f(t) exactly leaves none within them
+    assert _even_switch(-0.3) == _even_switch(0.3)
+    assert _odd_switch(-0.3) == -_odd_switch(0.3)
+    even = rs_verify._basis_blocks(RSProblem(STANDARD, L=12.0, m=m, f=_even_switch))[1]
+    assert not even[0::2, 1::2].any() and not even[1::2, 0::2].any()
+    assert even[0::2, 0::2].any() and even[1::2, 1::2].any()
+    odd = rs_verify._basis_blocks(RSProblem(STANDARD, L=12.0, m=m, f=_odd_switch))[1]
+    assert not odd[0::2, 0::2].any() and not odd[1::2, 1::2].any()
+    assert odd[0::2, 1::2].any()
+    for f, coeff in ((_even_switch, even), (_odd_switch, odd)):
+        reference = _dense_coefficient(RSProblem(STANDARD, L=12.0, m=m, f=f))
+        assert np.abs(coeff - reference).max() <= 1e-13
+
+
+def test_basis_blocks_request_no_eigenvectors(monkeypatch):
+    calls = []
+    solve = sla.eigh_tridiagonal
+
+    def record(*args, **kwargs):
+        calls.append(kwargs.get("eigvals_only", False))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh_tridiagonal", record)
+    for m in (200, 201):
+        rs_verify._basis_blocks(RSProblem(STANDARD, L=12.0, m=m))
+    assert calls == [True, True]
 
 
 @pytest.mark.parametrize("alt", [False, True])
@@ -271,6 +328,20 @@ def test_standard_problem_small():
     assert (report.kernel_class.degree, report.kernel_class.value) == (2, 1)
     assert report.kernel_class == report.flow_class
     assert report.profile_error < 1e-2
+
+
+def test_odd_basis_size():
+    # an odd m puts a collocation node at zero, its own mirror image
+    problem = RSProblem(STANDARD, L=12.0, m=301)
+    report = verify_rs(problem)
+    assert report.kernel_dim == 2
+    assert report.agrees
+    assert report.profile_error < 1e-2
+    # analytic_profiles builds the cells of the main normalization only, so
+    # the alternative one is checked on its kernel and class
+    alt = verify_rs(problem, assemble=assemble_rs_operator_alt)
+    assert alt.kernel_dim == 2
+    assert alt.agrees
 
 
 def test_doubled_module_kernel():
