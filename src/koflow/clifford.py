@@ -220,15 +220,33 @@ def direct_sum(a: CliffordRep, b: CliffordRep) -> CliffordRep:
                        F=tuple(blk(x, y) for x, y in zip(a.F, b.F)))
 
 
+def _graded_tensor(rep: CliffordRep, block: CliffordRep) -> CliffordRep:
+    """Graded tensor product of `rep` with a block of an even number of
+    generators, whose volume element omega anticommutes with each of them.
+
+    The old generators X go to X (x) omega, listed first, the block's Y
+    to I (x) Y.  A skew omega (omega^2 = -I) swaps the roles of the old
+    generators: the old F become symmetric and the old E skew.
+    """
+    omega = volume_element(block)
+    old_e = tuple(np.kron(m, omega) for m in rep.E)
+    old_f = tuple(np.kron(m, omega) for m in rep.F)
+    if volume_square_sign(block.r, block.s) < 0:
+        old_e, old_f = old_f, old_e
+    eye = np.eye(rep.n)
+    e_new = old_e + tuple(np.kron(eye, y) for y in block.E)
+    f_new = old_f + tuple(np.kron(eye, y) for y in block.F)
+    return CliffordRep(len(e_new), len(f_new), rep.n * block.n, E=e_new, F=f_new)
+
+
 def cl11_tensor(rep: CliffordRep) -> CliffordRep:
     """Tensor with the rank-(1,1) block: the mod-8 periodicity carrier.
 
-    Old generators go to X (x) omega_{1,1}; the new pair is I (x) K1 and
+    The graded tensor step with the block E = (K1,), F = (L1,): old
+    generators go to X (x) omega_{1,1}; the new pair is I (x) K1 and
     I (x) L1, appended last.
     """
-    e_new = tuple(np.kron(m, OMEGA_11) for m in rep.E) + (np.kron(np.eye(rep.n), K1),)
-    f_new = tuple(np.kron(m, OMEGA_11) for m in rep.F) + (np.kron(np.eye(rep.n), L1),)
-    return CliffordRep(rep.r + 1, rep.s + 1, 2 * rep.n, E=e_new, F=f_new)
+    return _graded_tensor(rep, CliffordRep(1, 1, 2, E=(K1,), F=(L1,)))
 
 
 def signature_swap(rep: CliffordRep) -> CliffordRep:
@@ -336,49 +354,15 @@ def _pure_skew_base(s: int) -> CliffordRep:
     raise ValueError(f"no octonion base for s = {s}")
 
 
-def _tensor_cl20(src: CliffordRep) -> CliffordRep:
-    """Cl_{r+2,s} module from a Cl_{s,r} module: tensor with the rank-(2,0)
-    block (a plain 2x2 real matrix algebra, so irreducibility survives)."""
-    s_new, r_new = src.r, src.s  # swapped roles
-    eye = np.eye(src.n)
-    e_new = tuple(np.kron(f, OMEGA_20) for f in src.F) \
-        + (np.kron(eye, K1), np.kron(eye, K2))
-    f_new = tuple(np.kron(e, OMEGA_20) for e in src.E)
-    return CliffordRep(r_new + 2, s_new, 2 * src.n, E=e_new, F=f_new)
-
-
-_LAM1 = np.kron(K1, L1)
-_LAM2 = np.kron(K2, L1)
-_OMEGA_02 = _LAM1 @ _LAM2  # = kron(L1, I2)
-
-
-def _tensor_cl02(src: CliffordRep) -> CliffordRep:
-    """Cl_{r,s+2} module from a Cl_{s,r} module: tensor with the
-    quaternionic rank-(0,2) block on R^4.
-
-    Only applied when the source algebra is of real type (pure-E source
-    with s = 0, 1, 2 generators); otherwise the result is reducible.
-    """
-    s_new, r_new = src.r, src.s
-    eye = np.eye(src.n)
-    e_new = tuple(np.kron(f, _OMEGA_02) for f in src.F)
-    f_new = tuple(np.kron(e, _OMEGA_02) for e in src.E) \
-        + (np.kron(eye, _LAM1), np.kron(eye, _LAM2))
-    return CliffordRep(r_new, s_new + 2, 4 * src.n, E=e_new, F=f_new)
-
-
-def _mod8_tensor(src: CliffordRep) -> CliffordRep:
-    """Cl_{0,s+8} module from a Cl_{0,s} module via the 16-dimensional
-    irreducible of Cl_{0,8} (a full real matrix algebra)."""
-    oct8 = _pure_skew_base(8)
-    omega8 = volume_element(oct8)  # symmetric, squares to +I, odd wrt generators
-    eye = np.eye(src.n)
-    f_new = tuple(np.kron(f, omega8) for f in src.F) \
-        + tuple(np.kron(eye, g) for g in oct8.F)
-    return CliffordRep(0, src.s + 8, 16 * src.n, F=f_new)
-
-
 def _irreducible_recursive(r: int, s: int) -> CliffordRep:
+    """The canonical Cl_{r,s} irreducible before any chirality fix.
+
+    Each step is one graded tensor product: Cl_{1,1} strips a rank-(1,1)
+    pair; Cl_{2,0} and Cl_{0,2} build a pure signature from the swapped
+    smaller one, Cl_{0,8} from the same one, down to the explicit 2 x 2
+    and octonion base cases.  Cl_{1,1}, Cl_{2,0} and Cl_{0,8} are full
+    real matrix algebras, so irreducibility survives them.
+    """
     if r >= 1 and s >= 1:
         return cl11_tensor(_irreducible_recursive(r - 1, s - 1))
     if s == 0:
@@ -388,15 +372,20 @@ def _irreducible_recursive(r: int, s: int) -> CliffordRep:
             return CliffordRep(1, 0, 1, E=(np.array([[1.0]]),))
         if r == 2:
             return CliffordRep(2, 0, 2, E=(K1, K2))
-        return _tensor_cl20(_irreducible_recursive(0, r - 2))
+        return _graded_tensor(_irreducible_recursive(0, r - 2),
+                              CliffordRep(2, 0, 2, E=(K1, K2)))
     # r == 0
     if s == 1:
         return CliffordRep(0, 1, 2, F=(L1,))
     if s <= 4:
-        return _tensor_cl02(_irreducible_recursive(s - 2, 0))
+        # the quaternionic block on R^4 keeps irreducibility only because
+        # its source Cl_{s-2,0} (s - 2 = 0, 1, 2) is of real type; on any
+        # other source the product is reducible
+        return _graded_tensor(_irreducible_recursive(s - 2, 0),
+                              CliffordRep(0, 2, 4, F=(np.kron(K1, L1), np.kron(K2, L1))))
     if s <= 8:
         return _pure_skew_base(s)
-    return _mod8_tensor(_irreducible_recursive(0, s - 8))
+    return _graded_tensor(_irreducible_recursive(0, s - 8), _pure_skew_base(8))
 
 
 def _parse_chirality(chirality) -> int:

@@ -71,6 +71,33 @@ CAYLEY_COND_LIMIT = 1e12
 # A kernel completion follows its alignment hint when the hint's
 # compression to the kernel has no singular value below this.
 HINT_SMIN = 0.3
+# n x n arrays that one step of the dense flow walk holds at its peak,
+# measured with tracemalloc: 6.0 on the ungraded Kitaev flow at N = 63, 64
+# and 128, and on the graded Cl_{0,7} flux flow at N = 48.  They are the
+# node of T(1), the left phase and, inside a node, the sample with its
+# split and the phase being built and checked (its J^T J - I is formed in
+# place).  Each bisection level in progress holds one more phase on top of
+# this count; LAPACK's own SVD workspace, allocated outside Python, is not
+# in it.
+NODE_ARRAYS = 8
+# n x n arrays of LAPACK workspace that a dense n x n SVD (gesdd) takes
+# outside Python's allocator, on top of NODE_ARRAYS: one np.linalg.svd of
+# a 2048 x 2048 skew matrix raised ru_maxrss by 6.6 n^2 doubles, of which
+# the returned u and vt are 2 (numpy 2.4, OpenBLAS, 2 threads); 4.6,
+# rounded up.
+SVD_WORKSPACE_ARRAYS = 5
+# The same two counts, still in n x n arrays, for the block route
+# (`block_route`: even Kitaev rings, Cl_{0,1} cells),
+# where phases, node SVDs and pair kernels are n/2 x n/2 blocks.  The walk
+# peaks while a node is sampled: the sample and its skewness residual are
+# two whole arrays, the held phases and the node's SVD a quarter each;
+# tracemalloc measured 3.0 on the Kitaev flow at N = 64, 2.6 at N = 128
+# and 2.5 at N = 256, and 3.1 on the Cl_{0,1} flux flow at N = 64.  One
+# np.linalg.svd of an h x h block raised ru_maxrss by 7.9 to 9.1 h^2
+# doubles at h = 2048 to 512, u and vt included: at most 7.1 (n/2)^2, or
+# 1.8 n^2, of workspace.
+BLOCK_NODE_ARRAYS = 4
+BLOCK_SVD_WORKSPACE_ARRAYS = 2
 
 
 @dataclass(frozen=True)
@@ -197,6 +224,15 @@ def block_route(r: int, s: int, graded: bool) -> bool:
     """Whether a path over a Cl_{r,s} context, with a grading or not,
     takes the block route: it does when it is graded and r = s = 0."""
     return graded and r == s == 0
+
+
+def walk_bytes(n: int, r: int, s: int, graded: bool) -> int:
+    """Bytes of one step of the flow walk on R^n, with its SVD workspace,
+    for a path over a Cl_{r,s} context, with a grading or not."""
+    block = block_route(r, s, graded)
+    arrays = (BLOCK_NODE_ARRAYS + BLOCK_SVD_WORKSPACE_ARRAYS if block
+              else NODE_ARRAYS + SVD_WORKSPACE_ARRAYS)
+    return 8 * arrays * n * n
 
 
 def _complete_block(p: np.ndarray, left: np.ndarray, right: np.ndarray,

@@ -31,44 +31,10 @@ import numpy as np
 
 from .clifford import K1, K2, L1, CliffordRep
 from .errors import ValidationError
-from .flow import SkewPath, block_route
+from .flow import SkewPath, walk_bytes
 from .numerics import Grading, check_memory, op_norm, residual_norm, sym_eigh
 
 REALIFY_TOL = 1e-10
-# n x n arrays that one step of the dense flow walk holds at its peak,
-# measured with tracemalloc: 6.0 on the ungraded Kitaev flow at N = 63, 64
-# and 128, and on the graded Cl_{0,7} flux flow at N = 48.  They are the
-# node of T(1), the left phase and, inside a node, the sample with its
-# split and the phase being built and checked (its J^T J - I is formed in
-# place).  Each bisection level in progress holds one more phase on top of
-# this count; LAPACK's own SVD workspace, allocated outside Python, is not
-# in it.
-NODE_ARRAYS = 8
-# n x n arrays of LAPACK workspace that a dense n x n SVD (gesdd) takes
-# outside Python's allocator, on top of NODE_ARRAYS: one np.linalg.svd of
-# a 2048 x 2048 skew matrix raised ru_maxrss by 6.6 n^2 doubles, of which
-# the returned u and vt are 2 (numpy 2.4, OpenBLAS, 2 threads); 4.6,
-# rounded up.
-SVD_WORKSPACE_ARRAYS = 5
-# The same two counts, still in n x n arrays, for the block route
-# (`flow.block_route`: even Kitaev rings, Cl_{0,1} cells),
-# where phases, node SVDs and pair kernels are n/2 x n/2 blocks.  The walk
-# peaks while a node is sampled: the sample and its skewness residual are
-# two whole arrays, the held phases and the node's SVD a quarter each;
-# tracemalloc measured 3.0 on the Kitaev flow at N = 64, 2.6 at N = 128
-# and 2.5 at N = 256, and 3.1 on the Cl_{0,1} flux flow at N = 64.  One
-# np.linalg.svd of an h x h block raised ru_maxrss by 7.9 to 9.1 h^2
-# doubles at h = 2048 to 512, u and vt included: at most 7.1 (n/2)^2, or
-# 1.8 n^2, of workspace.
-BLOCK_NODE_ARRAYS = 4
-BLOCK_SVD_WORKSPACE_ARRAYS = 2
-
-
-def _walk_bytes(n: int, block: bool) -> int:
-    """Bytes of one step of the flow walk on R^n with its SVD workspace."""
-    arrays = (BLOCK_NODE_ARRAYS + BLOCK_SVD_WORKSPACE_ARRAYS if block
-              else NODE_ARRAYS + SVD_WORKSPACE_ARRAYS)
-    return 8 * arrays * n * n
 
 
 @dataclass(frozen=True)
@@ -202,7 +168,7 @@ def kitaev_path(N: int) -> SkewPath:
     # the flux-free matrix and one step of the flow walk with its SVD
     # workspace, counted before any of them is allocated
     check_memory(f"the Kitaev chain at N={N}",
-                 8 * (2 * N) ** 2 + _walk_bytes(2 * N, block_route(0, 0, graded)))
+                 8 * (2 * N) ** 2 + walk_bytes(2 * N, 0, 0, graded))
     sites = np.arange(N)
     flux_free = np.zeros((2 * N, 2 * N))
     blocks = flux_free.reshape(N, 2, N, 2)  # [site, row, site, column]
@@ -260,7 +226,7 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     # signature (r, s - 1)
     check_memory(f"the flux path at N={N}",
                  8 * (3 * N * N + (module.r + module.s - 1) * dim * dim)
-                 + _walk_bytes(dim, block_route(module.r, module.s - 1, True)))
+                 + walk_bytes(dim, module.r, module.s - 1, True))
     module.validate(1e-10)
     shift = _ring_shift(N)
     ring = (shift + shift.T) / 2.0

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abs_index import KOClass, abs_class
-from .clifford import (K1, K2, L1, CliffordRep, restrict_images,
-                       restrict_to_subspace)
+from .clifford import (K1, K2, L1, RESTRICTION_TOL, CliffordRep,
+                       restrict_images, restrict_to_subspace)
 from .errors import AmbiguousKernelError, ValidationError
 from .numerics import (Grading, doubled, op_norm, residual_norm, skew_phase,
                        split_zero_cluster, svd_split)
@@ -134,7 +134,7 @@ def kernel_module(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
     ctx = _same_context(j0, j1)
     *_, basis = svd_split(j0.J + j1.J, _split("pair kernel"))
     try:
-        return restrict_to_subspace(ctx, basis, 1e-9, extra_F=(j0.J,))
+        return restrict_to_subspace(ctx, basis, RESTRICTION_TOL, extra_F=(j0.J,))
     except ValidationError as exc:
         raise AmbiguousKernelError(f"pair kernel module: {exc}") from exc
 
@@ -156,7 +156,7 @@ def _odd_kernel_module(j0: OddStructure, j1: OddStructure) -> CliffordRep:
     image[:half, k:] = j0.P @ right
     image[half:, :k] = -j0.P.T @ left
     try:
-        return restrict_images(0, basis, [image], 1e-9)
+        return restrict_images(0, basis, [image], RESTRICTION_TOL)
     except ValidationError as exc:
         raise AmbiguousKernelError(f"pair kernel module: {exc}") from exc
 
@@ -230,7 +230,7 @@ def spectral_submodule(j0: ComplexStructure, j1: ComplexStructure,
     x = basis.T @ (j0.J @ mid.T1 @ mid.T0) @ basis
     x = (x - x.T) / 2.0
     phase = skew_phase((x + f1 @ x @ f1) / 2.0)
-    return restrict_to_subspace(ctx, basis, 1e-9,
+    return restrict_to_subspace(ctx, basis, RESTRICTION_TOL,
                                 extra_F=(j0.J, basis @ phase @ basis.T))
 
 

@@ -50,7 +50,8 @@ from typing import Callable
 import numpy as np
 
 from .abs_index import KOClass, abs_class
-from .clifford import K1, K2, L1, OMEGA_11, CliffordRep, restrict_images
+from .clifford import (K1, K2, L1, OMEGA_11, RESTRICTION_TOL, CliffordRep,
+                       restrict_images)
 from .errors import AmbiguousKernelError, ValidationError
 from .flow import SkewPath, spectral_flow
 from .numerics import check_memory, residual_norm, split_zero_cluster
@@ -494,11 +495,14 @@ def hermite_values(m: int, points: np.ndarray) -> np.ndarray:
 
 def analytic_profiles(problem: RSProblem, op: DiscreteOperator) -> np.ndarray:
     """Columns: sector coordinates of the analytic kernel vectors
-    eta -> u(t) (eta - F eta, eta + F eta)/sqrt(2), u = exp(int_0^t f)."""
+    u_hat (x) e_j on the full sector (the one with the extra level) and
+    zero on the cut sector, with u_hat the unit Hermite coefficients of
+    u = exp(int_0^t f).  This tests the shape of the level null vector;
+    the sector that holds the bound states is tested by kernel class =
+    flow class."""
     if switching_direction(problem) != 1:
         raise ValidationError(
             "analytic profiles are defined for the descending switch")
-    module = problem.module
     ell = problem.scale
     reach = min(ell * np.sqrt(2.0 * problem.m) + 5.0, 60.0)
     y = np.linspace(-reach, reach, 4001)
@@ -519,11 +523,9 @@ def analytic_profiles(problem: RSProblem, op: DiscreteOperator) -> np.ndarray:
     for lo in range(0, y.size, PROFILE_BLOCK):
         block = slice(lo, lo + PROFILE_BLOCK)
         u_coef += hermite_values(problem.m, y[block]).T @ wu[block]
-    cells = np.sqrt(2.0) * _sector_bases(np.array(module.F[-1]))[0]
-    rows = op.matrix.shape[0]
-    profiles = np.concatenate([np.kron(u_coef[:, None], op.keep_full.T @ cells),
-                               np.kron(u_coef[:rows, None], op.keep_cut.T @ cells)])
-    return profiles / np.linalg.norm(profiles, axis=0)
+    n, rows = op.cell.shape[0], op.matrix.shape[0]
+    return np.concatenate([np.kron((u_coef / np.linalg.norm(u_coef))[:, None], np.eye(n)),
+                           np.zeros((rows * n, n))])
 
 
 @dataclass(frozen=True)
@@ -593,7 +595,7 @@ def verify_rs(problem: RSProblem, assemble=None) -> RSReport:
     kdim = report["kernel_dim"]
     kernel_rep = restrict_images(
         problem.module.r, basis,
-        [op.lift(g, basis) for g in op.lifted_E + op.lifted_F], 1e-7)
+        [op.lift(g, basis) for g in op.lifted_E + op.lifted_F], RESTRICTION_TOL)
     kernel_class = abs_class(kernel_rep)
     flow_class = spectral_flow(coefficient_path(problem))
     if kdim and switching_direction(problem) == 1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -131,6 +132,29 @@ def test_cl11_tensor():
     w = cl.cl11_tensor(v)
     assert (w.r, w.s, w.n) == (2, 2, 4)
     assert cl.check_relations(w, tol=0.0).ok
+
+
+# sha256 of every canonical irreducible with r + s <= 12 (both chiralities
+# where there are two): the signature, chirality and dimension, then each
+# generator's bytes in `generators()` order.  Every printed class rests on
+# these matrices, so a change to any tensor step must leave them bit-equal.
+CANONICAL_DIGEST = "3eebe65c8463a2ec490f551c50a8bc2dba037056e256bb89cd97c5d349dadabf"
+
+
+def test_canonical_irreducibles_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for total in range(13):
+        for r in range(total + 1):
+            s = total - r
+            for ch in ["+", "-"] if cl.has_two_irreducibles(r, s) else [None]:
+                rep = cl.irreducible_rep(r, s, ch)
+                digest.update(f"{r},{s},{ch},{rep.n};".encode())
+                for g in rep.generators():
+                    digest.update(g.tobytes())
+                count += 1
+    assert count == 112
+    assert digest.hexdigest() == CANONICAL_DIGEST
 
 
 def test_decompose():

@@ -9,12 +9,12 @@ from koflow import clifford as cl
 from koflow import flow, models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
-from koflow.flow import (SkewPath, classical_sf, complete_phase, endpoint_flow,
+from koflow.flow import (BLOCK_NODE_ARRAYS, BLOCK_SVD_WORKSPACE_ARRAYS,
+                         NODE_ARRAYS, SVD_WORKSPACE_ARRAYS, SkewPath,
+                         classical_sf, complete_phase, endpoint_flow,
                          spectral_flow)
-from koflow.models import (BLOCK_NODE_ARRAYS, BLOCK_SVD_WORKSPACE_ARRAYS,
-                           NODE_ARRAYS, SVD_WORKSPACE_ARRAYS, RealStructure,
-                           aii_path, flux_path, hermitian_double, kitaev_path,
-                           realify, standard_quaternionic)
+from koflow.models import (RealStructure, aii_path, flux_path, hermitian_double,
+                           kitaev_path, realify, standard_quaternionic)
 from koflow.numerics import op_norm, random_orthogonal
 from koflow.pairs import ComplexStructure, OddStructure
 

@@ -337,11 +337,10 @@ def test_odd_basis_size():
     assert report.kernel_dim == 2
     assert report.agrees
     assert report.profile_error < 1e-2
-    # analytic_profiles builds the cells of the main normalization only, so
-    # the alternative one is checked on its kernel and class
     alt = verify_rs(problem, assemble=assemble_rs_operator_alt)
     assert alt.kernel_dim == 2
     assert alt.agrees
+    assert alt.profile_error < 1e-2
 
 
 def test_doubled_module_kernel():
