@@ -14,7 +14,7 @@ from .flow import (SkewPath, cayley, clamp_phase, classical_sf, complete_phase,
 from .models import (RealStructure, aii_path, flux_path, hermitian_double,
                      kitaev_path, realify, standard_quaternionic)
 from .pairs import (ComplexStructure, MidpointPair, OddStructure, ProjectionPair,
-                    midpoint_operators, orthogonal_pair_parity, pair_index,
+                    ReducedStructure, Reduction, midpoint_operators, orthogonal_pair_parity, pair_index,
                     projection_pair_index, projections_to_structures,
                     spectral_submodule)
 from .rs_verify import (DiscreteOperator, RSProblem, RSReport,

@@ -92,7 +92,11 @@ def _solve(path: SkewPath, args):
     if args.tracks:
         rows = []
         for t in np.linspace(0.0, 1.0, TRACK_SAMPLES):
-            svals = np.linalg.svd(path.at(t), compute_uv=False)
+            if path.reduction is None:
+                svals = np.linalg.svd(path.at(t), compute_uv=False)
+            else:  # those of A (x) b, b orthogonal of size c: A's, each c times
+                svals = np.repeat(np.linalg.svd(path.coefficient(t), compute_uv=False),
+                                  path.reduction.b.shape[0])
             rows.append([t] + sorted(svals)[:args.tracks])
         _write_csv(args.out, ["t"] + [f"sigma{i + 1}" for i in range(args.tracks)], rows)
     return value

@@ -19,9 +19,11 @@ the kernel class.
 
 Every sample is checked once, where it is taken (`SkewPath.at`):
 skewness, anticommutation with the context and, on a graded path, the
-grading.  Each node is then one `complete_phase` call, which takes one
-`numerics.svd_split`: of T itself, or on a graded path of its n/2 x n/2
-sector block (see the graded convention of `numerics`).
+grading; on a reduced path its N x N coefficient is checked instead
+(`SkewPath.coefficient`).  Each node is then one `complete_phase` call,
+which takes one `numerics.svd_split`: of T itself, on a graded path of
+its n/2 x n/2 sector block (see the graded convention of `numerics`), on
+a reduced path of its coefficient.
 
 Endpoint rule: an endpoint is invertible exactly when the default
 `numerics.split_zero_cluster` finds an empty zero cluster on the
@@ -29,12 +31,26 @@ singular values of its node SVD, a rule relative to ||T||; a nonempty
 or ambiguous cluster is a ValidationError.  Both endpoint phases are
 completed, T(0) first, before the walk starts.
 
-Block route: a path with a `grading` and an empty context (r = s = 0)
-keeps every node phase as its n/2 x n/2 block P (`pairs.OddStructure`).
-Its nodes are completed with a k x k orthogonal block on the balanced
-kernel, compared by sqrt(2) ||Pa - Pb||_F, and paired by one SVD of
-P0 + P1.  Every other path takes the dense n x n route; a graded one
-scatters its node's block and kernel columns back to n x n.
+Routes: the walk, the endpoint rule and the partition control are the
+same on each; what a node holds differs.
+
+- Reduced route: a path that declares a `pairs.Reduction` of its tiled
+  context (samples A (x) b, A an N x N symmetric coefficient, b a fixed
+  complex structure on the c x c cell, N c = n) keeps every node phase as
+  the N x N symmetric involution S of S (x) b (`pairs.ReducedStructure`).
+  Its nodes are one SVD of A, completed by Q (x) b on the kernel, Q = I_k
+  or the involution nearest the hint, so no intertwiner is sought and no
+  obstruction arises; they are compared by sqrt(c) ||Sa - Sb||_F and
+  paired by one SVD of S0 + S1, whose kernel is lifted to ker (x) R^c
+  only to build its module.  `models.flux_path` declares it when the
+  cell's anticommutant is one-dimensional (`reduced_route`).
+- Block route: a path with a `grading` and an empty context (r = s = 0)
+  keeps every node phase as its n/2 x n/2 block P (`pairs.OddStructure`).
+  Its nodes are completed with a k x k orthogonal block on the balanced
+  kernel, compared by sqrt(2) ||Pa - Pb||_F, and paired by one SVD of
+  P0 + P1.
+- Every other path takes the dense n x n route; a graded one scatters its
+  node's block and kernel columns back to n x n.
 """
 from __future__ import annotations
 
@@ -44,13 +60,15 @@ from typing import Callable
 import numpy as np
 
 from .abs_index import KOClass, abs_class
-from .clifford import (CliffordRep, intertwiner, irreducible_rep,
-                       restrict_to_subspace)
+from .clifford import (CliffordRep, intertwiner, irreducible_dimension,
+                       irreducible_rep, restrict_to_subspace)
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
-from .numerics import (SAMPLE_TOL, Grading, doubled, min_singular_value,
-                       residual_norm, skew_phase, split_zero_cluster, svd_split)
-from .pairs import ComplexStructure, OddStructure, pair_index
+from .numerics import (SAMPLE_TOL, Grading, doubled, min_singular_value, op_norm,
+                       repeated, residual_norm, skew_phase, split_zero_cluster,
+                       svd_split)
+from .pairs import (ComplexStructure, OddStructure, ReducedStructure, Reduction,
+                    pair_index)
 
 # Node phases this close in Frobenius norm, hence in operator norm, have an
 # empty pair kernel.  Closer than this only in operator norm, they go to
@@ -98,6 +116,16 @@ SVD_WORKSPACE_ARRAYS = 5
 # 1.8 n^2, of workspace.
 BLOCK_NODE_ARRAYS = 4
 BLOCK_SVD_WORKSPACE_ARRAYS = 2
+# N x N arrays that one step of the walk holds at its peak on the reduced
+# route (`reduced_route`), N = copies: tracemalloc measured 6.0 to 6.1 on
+# the Cl_{2,1} flux flow at N = 256 and 512 and (less the lifted kernel
+# below) on the Cl_{0,7} and Cl_{1,8} flux flows at N = 128 to 256.  On
+# top of them a pair kernel with one column in K is lifted to r + s + 4
+# arrays of n x c: its basis, the images of the r + s context generators
+# and of J0, and two transients of the invariance check (measured within
+# 1 N^2 on Cl_{0,7} and Cl_{1,8} at N = 96).  The node SVD is N x N, with
+# the LAPACK workspace of SVD_WORKSPACE_ARRAYS N x N arrays.
+REDUCED_NODE_ARRAYS = 7
 
 
 @dataclass(frozen=True)
@@ -110,20 +138,66 @@ class SkewPath:
     its `grading`: every sample is checked against it too, its nodes are
     split by the half-size SVD of their sector block, and with an empty
     context the whole walk takes the block route.
+
+    A path over a tiled context whose samples are all A (x) b, with one
+    fixed cell factor b, may declare a `Reduction` of b built over its
+    context and grading: `fn` then returns the N x N symmetric coefficient
+    A, which `coefficient` checks, and the whole walk takes the reduced
+    route.  `at` still returns the n x n sample.
     """
 
     context: CliffordRep
     fn: Callable[[float], np.ndarray]
     label: str = ""
     grading: Grading | None = None
+    reduction: Reduction | None = None
 
     def __post_init__(self):
         if self.grading is not None and self.grading.n != self.context.n:
             raise ValidationError(
                 f"grading of dimension {self.grading.n} on a path "
                 f"of dimension {self.context.n}")
+        if self.reduction is not None and (self.reduction.context is not self.context
+                                           or self.reduction.grading is not self.grading):
+            raise ValidationError("a reduction must be built over the path's own "
+                                  "context and grading")
+
+    def coefficient(self, t: float) -> np.ndarray:
+        """The N x N coefficient A(t) of a reduced path's sample A(t) (x) b,
+        checked.
+
+        With eps b's residual (`Reduction`), ||T + T^T|| <= ||A - A^T|| ||b||
+        + ||A|| ||b + b^T||, and T (I (x) g) + (I (x) g) T = A (x) (b g + g b)
+        for each cell generator g and the grading's cell; with ||b|| <=
+        1 + eps, every sample with ||A - A^T|| (1 + eps) + ||A|| eps <=
+        SAMPLE_TOL passes the dense check of `at`, so this check is never
+        looser than that one.  ||A|| is read as ||A||_F, and exactly only
+        when that bound fails.
+        """
+        if self.reduction is None:
+            raise ValidationError("only a reduced path has coefficients")
+        mat = np.asarray(self.fn(t), dtype=float)
+        size = self.context.copies
+        if mat.shape != (size, size):
+            raise ValidationError(f"path coefficient at t={t} has shape {mat.shape}, "
+                                  f"expected ({size}, {size})")
+        eps = self.reduction.eps
+        asym = residual_norm(SAMPLE_TOL, [mat - mat.T])
+        norm = float(np.linalg.norm(mat))
+        if asym * (1.0 + eps) + norm * eps > SAMPLE_TOL and np.isfinite(norm):
+            norm = op_norm(mat)
+        worst = asym * (1.0 + eps) + norm * eps
+        if not worst <= SAMPLE_TOL:
+            raise ValidationError(
+                f"path coefficient at t={t} is not symmetric to the sample "
+                f"tolerance (residual {worst:.3e})")
+        return mat
 
     def at(self, t: float) -> np.ndarray:
+        """The n x n sample T(t), checked; on a reduced path the checked
+        coefficient, lifted to A(t) (x) b."""
+        if self.reduction is not None:
+            return self.reduction.lift(self.coefficient(t))
         mat = np.asarray(self.fn(t), dtype=float)
         n = self.context.n
         if mat.shape != (n, n):
@@ -226,13 +300,38 @@ def block_route(r: int, s: int, graded: bool) -> bool:
     return graded and r == s == 0
 
 
-def walk_bytes(n: int, r: int, s: int, graded: bool) -> int:
+def reduced_route(r: int, s: int, c: int) -> bool:
+    """Whether a path over a context tiled by a Cl_{r,s} cell of size c,
+    whose samples are A (x) b, declares its `Reduction`: it does when the
+    cell's anticommutant is one-dimensional, so that b spans it.  That is
+    when the cell is the irreducible of a real-type algebra, r - s = 2
+    mod 8 and c = irreducible_dimension(r, s): its commutant is R, and
+    X -> b X maps the commutant onto the anticommutant."""
+    return (r - s) % 8 == 2 and c == irreducible_dimension(r, s)
+
+
+def walk_bytes(n: int, r: int, s: int, graded: bool, copies: int = 1) -> int:
     """Bytes of one step of the flow walk on R^n, with its SVD workspace,
-    for a path over a Cl_{r,s} context, with a grading or not."""
+    for a path over a Cl_{r,s} context tiled `copies` times, with a
+    grading or not."""
+    if reduced_route(r, s, n // copies):
+        return 8 * ((REDUCED_NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * copies ** 2
+                    + (r + s + 4) * n * (n // copies))
     block = block_route(r, s, graded)
     arrays = (BLOCK_NODE_ARRAYS + BLOCK_SVD_WORKSPACE_ARRAYS if block
               else NODE_ARRAYS + SVD_WORKSPACE_ARRAYS)
     return 8 * arrays * n * n
+
+
+def _hint_rotation(left: np.ndarray, align_hint: np.ndarray | None,
+                   right: np.ndarray) -> np.ndarray:
+    """The k x k polar factor of the hint's compression left^T hint right
+    when its smallest singular value clears HINT_SMIN, else I_k."""
+    if align_hint is not None:
+        u, svals, vt = np.linalg.svd(left.T @ align_hint @ right)
+        if svals[-1] > HINT_SMIN:
+            return u @ vt
+    return np.eye(left.shape[1])
 
 
 def _complete_block(p: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -248,35 +347,64 @@ def _complete_block(p: np.ndarray, left: np.ndarray, right: np.ndarray,
     kernel for every orthogonal Q, so no obstruction arises.  The result
     U diag(I, Q) W^T is orthogonal up to the rounding of the SVD.
     """
-    k = left.shape[1]
-    if k > 0:
-        q = np.eye(k)
-        if align_hint is not None:
-            u, svals, vt = np.linalg.svd(left.T @ align_hint @ right)
-            if svals[-1] > HINT_SMIN:
-                q = u @ vt
-        p = p + left @ q @ right.T
+    if left.shape[1] > 0:
+        p = p + left @ _hint_rotation(left, align_hint, right) @ right.T
     return OddStructure(p, grading)
+
+
+def _complete_reduced(coef: np.ndarray, reduction: Reduction,
+                      align_hint: np.ndarray | None, split) -> ReducedStructure:
+    """The phase S (x) b of a sample A (x) b on the reduced route, from one
+    SVD of the N x N coefficient A, split by `repeated(split, c)`.
+
+    A is symmetric, so its range phase U_r V_r^T is the involution sign(A)
+    on the range.  The kernel columns K are completed by K Q K^T, with Q
+    the polar factor of the hint's compression K^T S_hint K (symmetric, so
+    Q is an involution) when its smallest singular value clears HINT_SMIN,
+    else Q = I_k; Q (x) b is a complex structure on the kernel that
+    anticommutes with the restricted context for every such Q, so no
+    obstruction arises.  S is re-imposed as a symmetric involution: its
+    symmetric part, then one Newton-Schulz step S (3I - S^2) / 2.
+    """
+    u_r, vt_r, _, kernel = svd_split(coef, repeated(split, reduction.b.shape[0]))
+    s = u_r @ vt_r
+    del u_r, vt_r
+    if kernel.shape[1] > 0:
+        s += kernel @ _hint_rotation(kernel, align_hint, kernel) @ kernel.T
+    s = (s + s.T) / 2.0
+    s = s @ (3.0 * np.eye(s.shape[0]) - s @ s) / 2.0
+    return ReducedStructure(s, reduction)
 
 
 def complete_phase(tmat: np.ndarray, context: CliffordRep,
                    grading: Grading | None = None,
                    align_hint: np.ndarray | None = None, seed: int = 0,
-                   split=_split_phase_kernel):
+                   split=_split_phase_kernel, reduction: Reduction | None = None):
     """The phase of a skew `tmat` over `context`, completed to a complex
     structure: one SVD, split by `split`.
 
     Equal to T|T|^-1 on the complement of the kernel cluster; on the
     kernel, any complex structure anticommuting with the restricted
     generators, chosen canonically (or following `align_hint`, the
-    neighbouring phase as the walk holds it: J, or P on the block route).
-    Without a grading the SVD is that of tmat.  With one (a sample that
-    `SkewPath.at` checked against it) it is the SVD of the sector block
-    B = tmat[minus, plus], split by `doubled(split)`; on the block route
-    the phase stays an `OddStructure`, on the dense one it is scattered
-    back to n x n.  Raises ObstructionError when the kernel module does
-    not extend (for example an odd-dimensional kernel with empty context).
+    neighbouring phase as the walk holds it: J, P on the block route, S on
+    the reduced one).  Without a grading the SVD is that of tmat.  With
+    one (a sample that `SkewPath.at` checked against it) it is the SVD of
+    the sector block B = tmat[minus, plus], split by `doubled(split)`; on
+    the block route the phase stays an `OddStructure`, on the dense one it
+    is scattered back to n x n.  With a `reduction` of `context`, tmat is
+    the N x N coefficient A of the sample A (x) b (`SkewPath.coefficient`)
+    and the phase is a `ReducedStructure` (`_complete_reduced`).  Raises
+    ObstructionError when the kernel module does not extend (for example
+    an odd-dimensional kernel with empty context).
     """
+    if reduction is not None:
+        if reduction.context is not context:
+            raise ValidationError("the reduction is not over this context")
+        coef = np.asarray(tmat, dtype=float)
+        if coef.shape != (context.copies, context.copies):
+            raise ValidationError(f"coefficient shape {coef.shape} does not match "
+                                  f"the context's {context.copies} copies")
+        return _complete_reduced(coef, reduction, align_hint, split)
     n = context.n
     tmat = np.asarray(tmat, dtype=float)
     if tmat.shape != (n, n):
@@ -348,21 +476,40 @@ def _endpoint_phases(path: SkewPath, seed: int):
                     f"in the zero cluster, smallest {svals[0]:.3e}, largest {svals[-1]:.3e})")
             return 0
 
-        phases.append(complete_phase(path.at(t_end), path.context, path.grading,
-                                     seed=seed, split=invertible))
+        phases.append(_node(path, t_end, seed=seed, split=invertible))
     return tuple(phases)
 
 
+def _node(path: SkewPath, t: float, **kwargs):
+    """The completed phase of the path at t: one checked sample, one
+    `complete_phase` call; on a reduced path both are N x N."""
+    if path.reduction is not None:
+        return complete_phase(path.coefficient(t), path.context,
+                              reduction=path.reduction, **kwargs)
+    return complete_phase(path.at(t), path.context, path.grading, **kwargs)
+
+
 def _stored(j) -> np.ndarray:
-    """A phase as the walk compares and aligns it: P on the block route."""
-    return j.P if isinstance(j, OddStructure) else j.J
+    """A phase as the walk compares and aligns it: P on the block route,
+    S on the reduced route."""
+    if isinstance(j, OddStructure):
+        return j.P
+    if isinstance(j, ReducedStructure):
+        return j.S
+    return j.J
 
 
 def _phase_distance(ja, jb) -> float:
     """||Ja - Jb||_F; on the block route J holds P and -P^T, so it is
-    sqrt(2) ||Pa - Pb||_F."""
-    scale = np.sqrt(2.0) if isinstance(ja, OddStructure) else 1.0
-    return scale * float(np.linalg.norm(_stored(ja) - _stored(jb)))
+    sqrt(2) ||Pa - Pb||_F, and on the reduced route (Sa - Sb) (x) b with b
+    orthogonal of size c, so it is sqrt(c) ||Sa - Sb||_F."""
+    if isinstance(ja, OddStructure):
+        scale = 2.0
+    elif isinstance(ja, ReducedStructure):
+        scale = float(ja.reduction.b.shape[0])
+    else:
+        scale = 1.0
+    return np.sqrt(scale) * float(np.linalg.norm(_stored(ja) - _stored(jb)))
 
 
 def spectral_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
@@ -384,8 +531,7 @@ def spectral_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     while pending:
         b, depth, jb = pending.pop()
         if jb is None:
-            jb = complete_phase(path.at(b), path.context, path.grading,
-                                align_hint=_stored(ja), seed=seed)
+            jb = _node(path, b, align_hint=_stored(ja), seed=seed)
         if _phase_distance(ja, jb) > PHASE_BOUND:
             # phases not 0.9-close: the pair kernel may be nonempty
             try:

@@ -31,8 +31,9 @@ import numpy as np
 
 from .clifford import K1, K2, L1, CliffordRep
 from .errors import ValidationError
-from .flow import SkewPath, walk_bytes
+from .flow import SkewPath, reduced_route, walk_bytes
 from .numerics import Grading, check_memory, op_norm, residual_norm, sym_eigh
+from .pairs import Reduction
 
 REALIFY_TOL = 1e-10
 
@@ -213,6 +214,14 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     is the diagonal sign vector (1, -1) tiled dim/2 times.  The context
     generators are I_N (x) g for the conjugated cell generators g and
     carry copies = N, so products with them run cell by cell.
+
+    When the context cell's anticommutant is one-dimensional
+    (`flow.reduced_route`: the module is the irreducible of a Cl_{r,s}
+    with s - r = 7 mod 8, Cl_{2,1}, Cl_{0,7}, Cl_{3,2}, ...), the
+    conjugated F_{s+1} spans it and every sample is h_alpha (x) F_{s+1}:
+    the path declares that `Reduction`, its samples are the N x N ring
+    Hamiltonians h_alpha, and the flow walks N x N matrices only.  Other
+    cells keep the dense samples.
     """
     from scipy.linalg import schur  # here, to keep `import koflow` light
 
@@ -223,11 +232,12 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     dim = N * module.n
     # three ring arrays, the context generators and one step of the flow
     # walk with its SVD workspace; the path is graded, over a context of
-    # signature (r, s - 1)
+    # signature (r, s - 1) tiled N times
     check_memory(f"the flux path at N={N}",
                  8 * (3 * N * N + (module.r + module.s - 1) * dim * dim)
-                 + walk_bytes(dim, module.r, module.s - 1, True))
+                 + walk_bytes(dim, module.r, module.s - 1, True, copies=N))
     module.validate(1e-10)
+    reduced = reduced_route(module.r, module.s - 1, module.n)
     shift = _ring_shift(N)
     ring = (shift + shift.T) / 2.0
     _, z = schur(module.F[-1], output="real")
@@ -239,16 +249,18 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
                       F=tuple(np.kron(np.eye(N), g) for g in f_cells),
                       copies=N)
     grading = Grading(np.tile([1, -1], dim // 2))
+    reduction = Reduction(ctx, f_last, grading) if reduced else None
 
     def sample(alpha: float) -> np.ndarray:
         pot = 2.0 * np.ones(N)
         pot[0] = 2.0 - 4.0 * alpha
         h_alpha = ring + np.diag(pot)
-        return np.kron(h_alpha, f_last)
+        return h_alpha if reduced else np.kron(h_alpha, f_last)
 
     return SkewPath(ctx, sample,
                     label=f"single-cell gap inversion, N={N}, "
-                          f"cell ({module.r},{module.s})", grading=grading)
+                          f"cell ({module.r},{module.s})", grading=grading,
+                    reduction=reduction)
 
 
 # ---------------------------------------------------------------------------

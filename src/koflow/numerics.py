@@ -27,7 +27,10 @@ alone: a phase J of T, completed on its kernel with no other generator,
 is the same form of an orthogonal block P (`Grading.odd`), and J0 + J1
 is the form of P0 + P1, so phases and pair kernels can be kept and
 decomposed as their n/2 x n/2 blocks.  Whether a sample does anticommute with its grading
-is checked where it is sampled (`flow.SkewPath.at`).
+is checked where it is sampled (`flow.SkewPath.at`).  In the same way
+A (x) b, b orthogonal of size c, has each singular value of A c times, so
+it is split through A with `repeated(split, c)` (the reduced route of
+`flow`).
 """
 from __future__ import annotations
 
@@ -134,12 +137,20 @@ class Grading:
         return mat
 
 
+def repeated(split, times: int):
+    """`split` read on the singular values of a factor A, for a matrix
+    that has each of them `times` times (A (x) b with b orthogonal of size
+    `times`): `split` runs on the repeated values and A's zero cluster is
+    the one it finds divided by `times`."""
+    return lambda values: split(np.repeat(values, times)) // times
+
+
 def doubled(split):
     """`split` read on the singular values of a block B, for the G-odd
     matrix [[0, B], [-B^T, 0]]: each singular value of B appears there
     twice, so `split` runs on the doubled values and B's zero cluster is
     half of the one it finds."""
-    return lambda values: split(np.repeat(values, 2)) // 2
+    return repeated(split, 2)
 
 
 def split_zero_cluster(values: np.ndarray, rel_tol: float = ZERO_CLUSTER_REL_TOL,

@@ -14,15 +14,22 @@ is stored as P (`OddStructure`).  J0 + J1 is then the same form of
 P0 + P1, whose SVD U S W^T gives that of J0 + J1 with each singular value
 twice and the kernel basis U_k on the minus sector, W_k on the plus one.
 
-Every kernel here, of a pair sum J0 + J1 or P0 + P1, of P + Q - I or of
-I + U0^T U1, is split off one `numerics.svd_split`, guarded by
-`split_zero_cluster` under its own label; a pair kernel of two
+Reduced convention: over a context tiled by the generators I_N (x) g, a
+complex structure S (x) b, b a complex structure on the cell that
+anticommutes with every g and S an N x N symmetric involution, is stored
+as S (`ReducedStructure`, over a `Reduction` that holds b).  J0 + J1 is
+(S0 + S1) (x) b, whose kernel is ker(S0 + S1) (x) R^c.
+
+Every kernel here, of a pair sum J0 + J1, P0 + P1 or S0 + S1, of
+P + Q - I or of I + U0^T U1, is split off one `numerics.svd_split`,
+guarded by `split_zero_cluster` under its own label; a pair kernel of two
 `OddStructure`s is split with `numerics.doubled` on the half-size SVD,
+one of two `ReducedStructure`s with `numerics.repeated` on the N x N SVD,
 under the same label as a dense one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +37,8 @@ from .abs_index import KOClass, abs_class
 from .clifford import (K1, K2, L1, RESTRICTION_TOL, CliffordRep,
                        restrict_images, restrict_to_subspace)
 from .errors import AmbiguousKernelError, ValidationError
-from .numerics import (Grading, doubled, op_norm, residual_norm, skew_phase,
-                       split_zero_cluster, svd_split)
+from .numerics import (SAMPLE_TOL, Grading, doubled, op_norm, repeated,
+                       residual_norm, skew_phase, split_zero_cluster, svd_split)
 
 STRUCTURE_TOL = 1e-10
 # Bound on the residuals of the six midpoint identities.
@@ -112,6 +119,98 @@ class OddStructure:
         return CliffordRep(0, 0, self.grading.n)
 
 
+@dataclass(frozen=True)
+class Reduction:
+    """The cell factor b of a path over a tiled context whose samples are
+    all A (x) b, A an N x N symmetric coefficient (N = context.copies).
+
+    b is a c x c complex structure on the context's cell that anticommutes
+    with every cell generator g and, on a graded path, with the
+    grading's cell (the grading must repeat with period c).  Then A (x) b
+    is skew and anticommutes with every I_N (x) g for every symmetric A,
+    and so does S (x) b, a complex structure, for every symmetric
+    orthogonal S.  `eps` is b's measured residual, an upper bound on the
+    2-norms of b + b^T, b^T b - I, b g + g b and the grading's; b is
+    rejected when it exceeds SAMPLE_TOL.
+    """
+
+    context: CliffordRep
+    b: np.ndarray
+    grading: Grading | None = None
+    eps: float = field(init=False, compare=False)
+
+    def __post_init__(self):
+        b = np.array(self.b, dtype=float)
+        b.setflags(write=False)
+        object.__setattr__(self, "b", b)
+        c = self.context.n // self.context.copies
+        if b.shape != (c, c):
+            raise ValidationError(
+                f"cell factor b has shape {b.shape}, the context's cell is {c} x {c}")
+        cells = list(self.context.cells)
+        if self.grading is not None:
+            signs = self.grading.signs.reshape(-1, c)
+            if not np.all(signs == signs[0]):
+                raise ValidationError(
+                    f"the grading does not repeat with the context's cell of size {c}")
+            cells.append(np.diag(signs[0]))
+        eps = residual_norm(SAMPLE_TOL, [b + b.T, _gram_residual(b)]
+                            + [b @ g + g @ b for g in cells])
+        if not eps <= SAMPLE_TOL:
+            raise ValidationError(
+                "cell factor b is not a complex structure anticommuting with "
+                f"the context's cell (residual {eps:.3e})")
+        object.__setattr__(self, "eps", eps)
+
+    def lift(self, coefficient: np.ndarray) -> np.ndarray:
+        """The n x n matrix coefficient (x) b."""
+        return np.kron(coefficient, self.b)
+
+
+@dataclass(frozen=True)
+class ReducedStructure:
+    """A complex structure J = S (x) b over a reduced path's tiled context
+    (`Reduction`), stored as its N x N symmetric orthogonal factor S.
+
+    J anticommutes with every I_N (x) g as b does, and J^2 = S^2 (x) b^2
+    is -I exactly when S is an involution.  The check bounds the dense
+    check of a `ComplexStructure` from above, through b's residual eps:
+    ||J^T J - I|| <= ||S^T S - I|| (1 + eps) + eps, ||J + J^T|| <=
+    ||S - S^T|| (1 + eps) + ||S|| eps and ||J (I (x) g) + (I (x) g) J|| <=
+    ||S|| eps, with ||S|| <= 1 + ||S^T S - I||; so no S passes that the
+    dense check of S (x) b at STRUCTURE_TOL would reject.  `J` and
+    `context` lift it to the dense form, so every function of a
+    `ComplexStructure` also takes it.
+    """
+
+    S: np.ndarray
+    reduction: Reduction
+
+    def __post_init__(self):
+        s = np.array(self.S, dtype=float)
+        s.setflags(write=False)
+        object.__setattr__(self, "S", s)
+        size = self.reduction.context.copies
+        if s.shape != (size, size):
+            raise ValidationError(
+                f"S has shape {s.shape}, the reduction's coefficients are {size} x {size}")
+        eps = self.reduction.eps
+        orth = residual_norm(STRUCTURE_TOL, [_gram_residual(s)])
+        sym = residual_norm(STRUCTURE_TOL, [s - s.T])
+        worst = max(orth * (1.0 + eps) + eps, sym * (1.0 + eps) + (1.0 + orth) * eps)
+        if not worst <= STRUCTURE_TOL:
+            raise ValidationError(
+                f"not a reduced complex structure (residual {worst:.3e})")
+
+    @property
+    def J(self) -> np.ndarray:
+        return self.reduction.lift(self.S)
+
+    @property
+    def context(self) -> CliffordRep:
+        return self.reduction.context
+
+
 def _same_context(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
     c0, c1 = j0.context, j1.context
     diffs = (a - b for a, b in zip(c0.generators(), c1.generators()))
@@ -126,11 +225,15 @@ def kernel_module(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
 
     The kernel is the right kernel columns of `numerics.svd_split`; the
     zero cluster must be separated from the rest by the gap-ratio guard.
-    Two `OddStructure`s over one grading take the half-size route instead.
+    Two `OddStructure`s over one grading take the half-size route instead,
+    two `ReducedStructure`s over one reduction the N x N route.
     """
     if isinstance(j0, OddStructure) and isinstance(j1, OddStructure) \
             and np.array_equal(j0.grading.signs, j1.grading.signs):
         return _odd_kernel_module(j0, j1)
+    if isinstance(j0, ReducedStructure) and isinstance(j1, ReducedStructure) \
+            and j0.reduction is j1.reduction:
+        return _reduced_kernel_module(j0, j1)
     ctx = _same_context(j0, j1)
     *_, basis = svd_split(j0.J + j1.J, _split("pair kernel"))
     try:
@@ -157,6 +260,27 @@ def _odd_kernel_module(j0: OddStructure, j1: OddStructure) -> CliffordRep:
     image[half:, :k] = -j0.P.T @ left
     try:
         return restrict_images(0, basis, [image], RESTRICTION_TOL)
+    except ValidationError as exc:
+        raise AmbiguousKernelError(f"pair kernel module: {exc}") from exc
+
+
+def _reduced_kernel_module(j0: ReducedStructure, j1: ReducedStructure) -> CliffordRep:
+    """ker(J0 + J1) = ker(S0 + S1) (x) R^c with F = J0, from one SVD of
+    S0 + S1, split with `numerics.repeated` (each singular value of
+    S0 + S1 appears c times in J0 + J1).
+
+    Only here is the kernel lifted to R^n: its columns K give the basis
+    K (x) I_c, which I_N (x) g and J0 map to K (x) g and S0 K (x) b; both go
+    through the invariance and relation checks of `restrict_images`.
+    """
+    red = j0.reduction
+    c = red.b.shape[0]
+    *_, kernel = svd_split(j0.S + j1.S, repeated(_split("pair kernel"), c))
+    images = [np.kron(kernel, g) for g in red.context.cells]
+    images.append(np.kron(j0.S @ kernel, red.b))
+    try:
+        return restrict_images(red.context.r, np.kron(kernel, np.eye(c)), images,
+                               RESTRICTION_TOL)
     except ValidationError as exc:
         raise AmbiguousKernelError(f"pair kernel module: {exc}") from exc
 

@@ -131,6 +131,34 @@ def test_kitaev_tracks_match_complex_reference(tmp_path, capsys, monkeypatch):
     assert np.allclose(printed, rows, rtol=1e-11, atol=0.0)
 
 
+def test_reduced_flux_tracks_match_dense_svd(tmp_path, capsys, monkeypatch):
+    # a reduced path reads its singular values from the N x N coefficient
+    # A, each repeated c times; they are those of the dense sample A (x) b
+    written = []
+    write_csv = cli_mod._write_csv
+
+    def recorded(path, header, rows):
+        written.append(np.array(rows))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli_mod, "_write_csv", recorded)
+    module = rotated_irrep(0, 7, seed=7)
+    module_file = tmp_path / "cl07.json"
+    module_file.write_text(json.dumps(cl.rep_to_json(module)))
+    code, _, _ = run_cli(capsys, "flux", "--module", str(module_file), "--N", "6",
+                         "--tracks", "20", "--out", str(tmp_path / "f.csv"))
+    assert code == 0
+    (rows,) = written
+    path = models.flux_path(module, 6)
+    assert path.reduction is not None
+    cell = np.array(path.reduction.b)
+    times = np.linspace(0.0, 1.0, 101)
+    reference = [np.sort(np.linalg.svd(np.kron(path.fn(t), cell), compute_uv=False))[:20]
+                 for t in times]
+    assert np.array_equal(rows[:, 0], times)
+    assert np.abs(rows[:, 1:] - reference).max() <= 1e-12
+
+
 def test_sf_sampled_path(tmp_path, capsys):
     module = cl.irreducible_rep(0, 1)
     ctx = cl.CliffordRep(0, 0, 2)

@@ -283,3 +283,30 @@ def test_tiled_rep_rejects_untiled_generators():
     for copies in (0, 4):
         with pytest.raises(ValidationError):
             cl.CliffordRep(0, 1, 6, F=(tiled,), copies=copies)
+
+
+def test_irreducible_rep_is_cached_read_only(monkeypatch):
+    # one rep per (r, s, resolved chirality), shared by every caller, so
+    # its arrays must be read-only
+    rep = cl.irreducible_rep(0, 7)
+    assert cl.irreducible_rep(0, 7, "+") is rep and cl.irreducible_rep(0, 7, 1) is rep
+    assert cl.irreducible_rep(0, 7, "-") is not rep
+    assert cl.irreducible_rep(2, 2) is cl.irreducible_rep(2, 2)
+    # larger reps are rebuilt, so that a run does not keep their bytes
+    assert cl.irreducible_rep(0, 9).n > cl.IRREDUCIBLE_CACHE_DIM
+    assert cl.irreducible_rep(0, 9) is not cl.irreducible_rep(0, 9)
+    for g in rep.generators() + list(rep.cells):
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 2.0
+    # the memory check and the chirality check still run on every call
+    planned = []
+    monkeypatch.setattr(cl, "check_memory", lambda what, nbytes: planned.append(nbytes))
+    cl.irreducible_rep(0, 7)
+    cl.irreducible_rep(0, 7)
+    assert planned == [8 * 9 * 64] * 2
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="chirality"):
+            cl.irreducible_rep(2, 2, "+")
+        with pytest.raises(ValidationError, match="chirality"):
+            cl.irreducible_rep(0, 7, "up")

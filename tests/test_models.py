@@ -10,13 +10,13 @@ from koflow import flow, models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
 from koflow.flow import (BLOCK_NODE_ARRAYS, BLOCK_SVD_WORKSPACE_ARRAYS,
-                         NODE_ARRAYS, SVD_WORKSPACE_ARRAYS, SkewPath,
-                         classical_sf, complete_phase, endpoint_flow,
+                         NODE_ARRAYS, REDUCED_NODE_ARRAYS, SVD_WORKSPACE_ARRAYS,
+                         SkewPath, classical_sf, complete_phase, endpoint_flow,
                          spectral_flow)
 from koflow.models import (RealStructure, aii_path, flux_path, hermitian_double,
                            kitaev_path, realify, standard_quaternionic)
-from koflow.numerics import op_norm, random_orthogonal
-from koflow.pairs import ComplexStructure, OddStructure
+from koflow.numerics import Grading, op_norm, random_orthogonal
+from koflow.pairs import ComplexStructure, OddStructure, ReducedStructure, Reduction
 
 from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev,
                       kitaev_seam_correction, pf_sign, rotated_irrep)
@@ -241,6 +241,14 @@ def test_lattice_memory_guard_counts_the_route(monkeypatch):
     assert planned.pop() == 8 * (3 * 36 + block * 12 ** 2)
     flux_path(cl.irreducible_rep(0, 2), 6)
     assert planned.pop() == 8 * (3 * 36 + (1 + dense) * 24 ** 2)
+    # real-type cells take the reduced route: N x N arrays for the walk and
+    # one lifted pair kernel column, on top of the dense tiled context
+    reduced = REDUCED_NODE_ARRAYS + SVD_WORKSPACE_ARRAYS
+    assert reduced < dense
+    flux_path(cl.irreducible_rep(0, 7), 6)  # Cl_{0,6} context, c = 8, n = 48
+    assert planned.pop() == 8 * (3 * 36 + 6 * 48 ** 2 + reduced * 36 + 10 * 48 * 8)
+    flux_path(cl.irreducible_rep(2, 1), 6)  # Cl_{2,0} context, c = 2, n = 12
+    assert planned.pop() == 8 * (3 * 36 + 2 * 12 ** 2 + reduced * 36 + 6 * 12 * 2)
 
 
 def _lattice_path(name):
@@ -257,7 +265,7 @@ def test_graded_flow_matches_ungraded_and_endpoint(name):
     # half-size node SVD leaves the class where the dense route puts it
     path = _lattice_path(name)
     assert (path.grading is None) == (name == "kitaev-N9")
-    ungraded = SkewPath(path.context, path.fn)
+    ungraded = SkewPath(path.context, _dense_fn(path))
     assert spectral_flow(path) == spectral_flow(ungraded) == endpoint_flow(path)
 
 
@@ -293,13 +301,8 @@ def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
         assert set(nodes) == set(pairs) == {size}
 
 
-@pytest.mark.parametrize("s,n_ring", [(3, 4), (7, 3)])
-def test_flux_paths_with_a_context_keep_dense_phases(monkeypatch, s, n_ring):
-    # the rotated Cl_{0,3} and Cl_{0,7} cells leave a nonempty context:
-    # their graded paths split nodes by the half-size SVD but complete and
-    # pair n x n phases
-    path = flux_path(rotated_irrep(0, s, seed=s), n_ring)
-    assert path.grading is not None and path.context.s > 0
+def _recorded_phases(monkeypatch):
+    """Record every phase that flow.complete_phase returns."""
     phases = []
     complete = flow.complete_phase
 
@@ -308,10 +311,33 @@ def test_flux_paths_with_a_context_keep_dense_phases(monkeypatch, s, n_ring):
         return phases[-1]
 
     monkeypatch.setattr(flow, "complete_phase", recorded)
+    return phases
+
+
+@pytest.mark.parametrize("s,n_ring", [(3, 4)])
+def test_flux_paths_with_a_context_keep_dense_phases(monkeypatch, s, n_ring):
+    # the rotated Cl_{0,3} cell leaves a nonempty context: its graded path
+    # splits nodes by the half-size SVD but completes and pairs n x n phases
+    path = flux_path(rotated_irrep(0, s, seed=s), n_ring)
+    assert path.grading is not None and path.context.s > 0
+    phases = _recorded_phases(monkeypatch)
     spectral_flow(path)
     n = path.context.n
     assert len(phases) >= 17
     assert all(type(j) is ComplexStructure and j.J.shape == (n, n) for j in phases)
+
+
+def test_reduced_flux_paths_keep_reduced_phases(monkeypatch):
+    # the rotated Cl_{0,7} cell leaves a context whose anticommutant is
+    # one-dimensional: its graded path is reduced, and every phase is
+    # held as the N x N involution S of S (x) b
+    path = flux_path(rotated_irrep(0, 7, seed=7), 3)
+    assert path.grading is not None and path.context.s > 0
+    assert path.reduction is not None
+    phases = _recorded_phases(monkeypatch)
+    spectral_flow(path)
+    assert len(phases) >= 17
+    assert all(type(j) is ReducedStructure and j.S.shape == (3, 3) for j in phases)
 
 
 def test_kitaev_rejects_other_couplings():
@@ -355,10 +381,20 @@ def test_flux_independent_of_ring_length():
     assert set(values.values()) == {1}
 
 
+def _dense_fn(path):
+    """The path's n x n samples: on a reduced path each coefficient A of
+    its `fn`, lifted here to A (x) b."""
+    if path.reduction is None:
+        return path.fn
+    cell = np.array(path.reduction.b)
+    return lambda t: np.kron(path.fn(t), cell)
+
+
 def _dense_copy(path):
-    """The same samples over a copy of the context with copies = 1."""
+    """The same samples over a copy of the context with copies = 1, each
+    coefficient of a reduced path lifted to A (x) b."""
     ctx = path.context
-    return SkewPath(cl.CliffordRep(ctx.r, ctx.s, ctx.n, E=ctx.E, F=ctx.F), path.fn)
+    return SkewPath(cl.CliffordRep(ctx.r, ctx.s, ctx.n, E=ctx.E, F=ctx.F), _dense_fn(path))
 
 
 def _count_generator_products(ctx):
@@ -396,6 +432,200 @@ def test_tiled_flux_class_matches_dense_context(s, chirality):
     path = flux_path(module, 5)
     assert path.context.copies == 5
     assert spectral_flow(path) == spectral_flow(_dense_copy(path)) == abs_class(module)
+
+
+# modules whose context cell has a one-dimensional anticommutant: s - r = 7
+# mod 8 among the canonical irreducibles with r + s <= 9
+REAL_TYPE_CELLS = [(2, 1), (3, 2), (0, 7), (4, 3), (1, 8), (5, 4)]
+
+
+def _anticommutant_dimension(gens, c):
+    """dim {X : g X + X g = 0 for every g} on R^c, by a null-space solve
+    on vec(X): vec(g X + X g) = (I (x) g + g^T (x) I) vec(X)."""
+    if not gens:
+        return c * c
+    eye = np.eye(c)
+    system = np.vstack([np.kron(eye, g) + np.kron(g.T, eye) for g in gens])
+    svals = np.linalg.svd(system, compute_uv=False)
+    return int(np.sum(svals < 1e-9 * svals[0])) + c * c - svals.size
+
+
+def test_reduced_route_is_the_one_dimensional_anticommutant():
+    # a null-space solve on the context cell of every canonical module with
+    # r + s <= 9 and a cell of size at most 16 (every real-type cell, both
+    # chiralities): flux_path declares its reduction exactly when the
+    # anticommutant is one-dimensional, and those are the s - r = 7 cells
+    seen = set()
+    for total in range(1, 10):
+        for r in range(total):
+            s = total - r
+            chis = ["+", "-"] if cl.has_two_irreducibles(r, s) else [None]
+            for ch in chis:
+                module = cl.irreducible_rep(r, s, ch)
+                reduced = flux_path(module, 3).reduction is not None
+                assert reduced == ((r, s) in REAL_TYPE_CELLS)
+                if module.n > 16:
+                    continue
+                dim = _anticommutant_dimension(list(module.E) + list(module.F[:-1]),
+                                               module.n)
+                assert dim >= 1 and reduced == (dim == 1), (r, s, ch, dim)
+                seen.add((r, s, ch))
+    assert {(r, s) for r, s, _ in seen} >= set(REAL_TYPE_CELLS)
+    assert len([cell for cell in seen if cell[:2] in REAL_TYPE_CELLS]) == 12
+
+
+@pytest.mark.parametrize("r,s", REAL_TYPE_CELLS)
+@pytest.mark.parametrize("chirality", ["+", "-"])
+def test_reduced_flux_flow_matches_dense_endpoint_and_class(r, s, chirality):
+    # in a rotated frame the reduced flow equals the dense flow of the
+    # lifted samples, the endpoint flow and the class of the cell
+    module = rotated_irrep(r, s, seed=r + 10 * s, chirality=chirality)
+    for n_ring in (3, 4, 5, 12):
+        path = flux_path(module, n_ring)
+        assert path.reduction is not None
+        value = spectral_flow(path)
+        assert value == spectral_flow(_dense_copy(path)) == endpoint_flow(path) \
+            == abs_class(module), (n_ring, value)
+
+
+def test_dense_route_keeps_cl03_and_reducible_cells():
+    cl07 = rotated_irrep(0, 7, seed=7)
+    for module in (rotated_irrep(0, 3, seed=3), cl.direct_sum(cl07, cl07)):
+        path = flux_path(module, 3)
+        assert path.reduction is None
+        phase = complete_phase(path.at(0.5), path.context, path.grading)
+        assert type(phase) is ComplexStructure
+        assert spectral_flow(path) == abs_class(module)
+
+
+def test_reduced_nodes_decompose_to_coefficient_blocks(monkeypatch):
+    # Cl_{0,7} at N = 12 acts on R^96: every node SVD and every pair kernel
+    # SVD of the reduced walk is of a 12 x 12 coefficient, and nothing in
+    # the walk is n x n: no sample (SkewPath.at is never called), no phase,
+    # no SVD, no product with a context generator, no Kronecker lift
+    path = flux_path(rotated_irrep(0, 7, seed=7), 12)
+    n = path.context.n
+    svd, kron = np.linalg.svd, np.kron
+    shapes, pair_shapes, in_pair, lifts = [], [], [], []
+
+    def counted(mat, *args, **kwargs):
+        (pair_shapes if in_pair else shapes).append(mat.shape)
+        return svd(mat, *args, **kwargs)
+
+    def counted_kron(a, b):
+        out = kron(a, b)
+        lifts.append(out.shape)
+        return out
+
+    def tracked_pair(j0, j1):
+        in_pair.append(True)
+        try:
+            return pair_index(j0, j1)
+        finally:
+            in_pair.pop()
+
+    def no_dense_sample(self, t):
+        raise AssertionError(f"an n x n sample was taken at t={t}")
+
+    pair_index = flow.pair_index
+    phases = _recorded_phases(monkeypatch)
+    products = _count_generator_products(path.context)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np, "kron", counted_kron)
+    monkeypatch.setattr(flow, "pair_index", tracked_pair)
+    monkeypatch.setattr(SkewPath, "at", no_dense_sample)
+    assert spectral_flow(path) == abs_class(rotated_irrep(0, 7, seed=7))
+    assert len(shapes) >= 17 and len(pair_shapes) >= 1
+    assert set(shapes) == set(pair_shapes) == {(12, 12)}
+    assert len(phases) >= 17
+    assert all(type(j) is ReducedStructure and j.S.shape == (12, 12) for j in phases)
+    assert products == []
+    assert lifts and all(shape[1] < n for shape in lifts)
+
+
+def test_reduced_coefficient_must_be_symmetric():
+    path = flux_path(rotated_irrep(0, 7, seed=7), 4)
+    skew_part = 1e-9 * np.triu(np.ones((4, 4)), 1)
+    bad = SkewPath(path.context, lambda t: path.fn(t) + skew_part,
+                   grading=path.grading, reduction=path.reduction)
+    path.coefficient(0.5)
+    with pytest.raises(ValidationError, match="not symmetric"):
+        bad.coefficient(0.5)
+    with pytest.raises(ValidationError):
+        spectral_flow(bad)
+    with pytest.raises(ValidationError, match="shape"):
+        SkewPath(path.context, _dense_fn(path), grading=path.grading,
+                 reduction=path.reduction).coefficient(0.5)
+    nan = SkewPath(path.context, lambda t: np.full((4, 4), np.nan),
+                   grading=path.grading, reduction=path.reduction)
+    with pytest.raises(ValidationError, match="not symmetric"):
+        nan.coefficient(0.5)
+    with pytest.raises(ValidationError, match="only a reduced path"):
+        SkewPath(path.context, path.fn, grading=path.grading).coefficient(0.5)
+
+
+def test_reduction_rejects_a_cell_factor_off_by_1e_9():
+    path = flux_path(rotated_irrep(0, 7, seed=7), 4)
+    ctx, grading, b = path.context, path.grading, path.reduction.b
+    Reduction(ctx, b, grading)
+    # b + 1e-9 g stays skew and orthogonal to first order, but b g + g b
+    # is -2e-9 I for a skew cell generator g
+    with pytest.raises(ValidationError, match="anticommuting"):
+        Reduction(ctx, b + 1e-9 * ctx.cells[0], grading)
+    with pytest.raises(ValidationError, match="shape"):
+        Reduction(ctx, np.eye(4), grading)
+    # a reduction belongs to the path built over its context and grading
+    with pytest.raises(ValidationError, match="reduction"):
+        SkewPath(ctx, path.fn, reduction=path.reduction)
+    # on an empty cell context of size 4, b = I_2 (x) L1 must anticommute
+    # with the grading's cell too, and the grading must repeat with the cell
+    empty = cl.CliffordRep(0, 0, 12, copies=3)
+    b = np.kron(np.eye(2), cl.L1)
+    Reduction(empty, b, Grading(np.tile([1.0, -1.0], 6)))
+    with pytest.raises(ValidationError, match="anticommuting"):
+        Reduction(empty, b, Grading(np.tile([1.0, 1.0, -1.0, -1.0], 3)))
+    with pytest.raises(ValidationError, match="does not repeat"):
+        Reduction(empty, b, Grading(np.tile([1.0, -1.0], 6) * np.repeat([1, -1, 1], 4)))
+
+
+def test_reduced_sample_check_is_never_looser():
+    # a coefficient A that the reduced check accepts gives a sample A (x) b
+    # that the dense check of today's route accepts too, for cell factors
+    # and coefficients carrying errors around the sample tolerance
+    path = flux_path(rotated_irrep(0, 7, seed=7), 4)
+    ctx, grading, b0 = path.context, path.grading, path.reduction.b
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for _ in range(200):
+        b = b0 + 10.0 ** rng.uniform(-14, -10) * rng.standard_normal(b0.shape)
+        try:
+            red = Reduction(ctx, b, grading)
+        except ValidationError:
+            outcomes.add("cell factor rejected")
+            continue
+        coef = path.fn(rng.uniform()) + 10.0 ** rng.uniform(-13, -9.5) \
+            * rng.standard_normal((4, 4))
+        reduced = SkewPath(ctx, lambda t: coef, grading=grading, reduction=red)
+        try:
+            reduced.coefficient(0.0)
+        except ValidationError:
+            outcomes.add("coefficient rejected")
+            continue
+        SkewPath(ctx, lambda t: np.kron(coef, b), grading=grading).at(0.0)
+        outcomes.add("both accepted")
+    assert outcomes == {"cell factor rejected", "coefficient rejected", "both accepted"}
+
+
+def test_reduced_flux_flow_peak_within_reduced_arrays():
+    # the guard counts REDUCED_NODE_ARRAYS N x N arrays and one lifted pair
+    # kernel column, r + s + 4 arrays of n x c; the walk must not hold more
+    for (r, s), n_ring in (((2, 1), 256), ((0, 7), 128)):
+        path = flux_path(cl.irreducible_rep(r, s), n_ring)
+        n, c = path.context.n, path.context.n // n_ring
+        ctx_gens = path.context.r + path.context.s
+        planned = 8 * (REDUCED_NODE_ARRAYS * n_ring ** 2 + (ctx_gens + 4) * n * c)
+        peak = _walk_peak_arrays(path) * 8 * n ** 2
+        assert peak <= planned, (r, s, peak / planned)
 
 
 def test_aii_quarter_relation():

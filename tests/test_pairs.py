@@ -10,10 +10,12 @@ from koflow.flow import complete_phase
 from koflow.numerics import (Grading, doubled, random_orthogonal, random_skew,
                              split_zero_cluster, svd_split)
 from koflow.pairs import (ComplexStructure, OddStructure, ProjectionPair,
-                          kernel_module,
+                          ReducedStructure, kernel_module,
                           midpoint_operators, orthogonal_pair_parity,
                           pair_index, projection_pair_index,
                           projections_to_structures, spectral_submodule)
+
+from conftest import rotated_irrep
 
 
 def standard_pair(r, s, module, copies_h0=2):
@@ -346,3 +348,51 @@ def test_odd_structure_checks_its_block():
     value, module = pair_index(j, ComplexStructure(flipped.J, j.context))
     assert (module.n, value.value) == (4, 0)
     assert pair_index(j, flipped)[0] == value
+
+
+def _reduced_pair(rng, n_coef, k):
+    """Two reduced structures over a rotated Cl_{0,7} flux context whose
+    involutions S0, S1 agree but for a sign flip on k common directions,
+    so that ker(S0 + S1) has dimension k."""
+    path = models.flux_path(rotated_irrep(0, 7, seed=7), n_coef)
+    q = random_orthogonal(rng, n_coef)
+    signs = rng.choice([-1.0, 1.0], n_coef)
+    s0 = (q * signs) @ q.T
+    signs[:k] *= -1.0
+    s1 = (q * signs) @ q.T
+    return (ReducedStructure(s0, path.reduction), ReducedStructure(s1, path.reduction))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_reduced_pair_kernel_matches_dense(monkeypatch, seed, k):
+    # the reduced pair index takes one N x N SVD of S0 + S1; its class and
+    # kernel module dimension are those of the lifted dense pair
+    j0, j1 = _reduced_pair(np.random.default_rng(seed), 5, k)
+    dense = [ComplexStructure(j.J, j.context) for j in (j0, j1)]
+    want, want_module = pair_index(*dense)
+    svd, shapes = np.linalg.svd, []
+
+    def counted(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    got, module = pair_index(j0, j1)
+    assert shapes == [(5, 5)]
+    assert got == want and module.n == want_module.n == 8 * k
+    assert (module.r, module.s) == (want_module.r, want_module.s) == (0, 7)
+
+
+def test_reduced_structure_checks_its_involution():
+    path = models.flux_path(rotated_irrep(0, 7, seed=7), 3)
+    red = path.reduction
+    j = ReducedStructure(np.diag([1.0, -1.0, 1.0]), red)
+    np.testing.assert_allclose(j.J, np.kron(np.diag([1.0, -1.0, 1.0]), red.b), atol=0.0)
+    assert j.context is path.context
+    ComplexStructure(j.J, j.context)  # the dense form is a complex structure
+    for bad in (2.0 * np.eye(3), np.eye(3) + 1e-9 * np.triu(np.ones((3, 3)), 1)):
+        with pytest.raises(ValidationError, match="not a reduced complex structure"):
+            ReducedStructure(bad, red)
+    with pytest.raises(ValidationError, match="coefficients are 3 x 3"):
+        ReducedStructure(np.eye(4), red)
