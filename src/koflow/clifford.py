@@ -16,7 +16,7 @@ signed permutations, so the anticommutator cancellations are exact).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -57,65 +57,59 @@ def _freeze(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CliffordRep:
     """A finite real inner-product space with Clifford generator matrices.
 
-    The generators tile `copies` copies of one cell of size c = n / copies:
-    each is exactly I_copies (x) cell, checked on construction.  `cells`
-    holds those c x c blocks in generator order (the generators themselves
-    when copies = 1).  `skew_residuals` and `project_skew` apply them to an
-    n x n matrix through reshapes, mat (I (x) cell) as
-    mat.reshape(n copies, c) @ cell and (I (x) cell) mat as
-    cell @ mat.reshape(copies, c, n), at n^2 c instead of n^3 flops; with
+    The module is `copies` copies of one cell of size c = n / copies, and
+    holds only the cell's generators, given as E and F: `cells`, the c x c
+    blocks in generator order (with copies = 1, the generators).  With
+    copies > 1 each request for the n x n generators I_copies (x) cell
+    (`generators()`, `E`, `F`) builds them anew; no flow, pair or model
+    code makes one.  Products run on the cells through reshapes,
+    x (I (x) cell) as x.reshape(k copies, c) @ cell and (I (x) cell) x as
+    cell @ x.reshape(copies, c, k), at n c k instead of n^2 k flops; with
     copies = 1 these are the dense products, operation for operation.
     """
 
     r: int
     s: int
     n: int
-    E: tuple = field(default=())
-    F: tuple = field(default=())
-    copies: int = 1
-    cells: tuple = field(init=False, repr=False, compare=False)
+    cells: tuple
+    copies: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "E", tuple(_freeze(m) for m in self.E))
-        object.__setattr__(self, "F", tuple(_freeze(m) for m in self.F))
-        if len(self.E) != self.r or len(self.F) != self.s:
+    def __init__(self, r: int, s: int, n: int, E=(), F=(), copies: int = 1):
+        E, F = tuple(E), tuple(F)
+        for name, value in (("r", r), ("s", s), ("n", n), ("copies", copies),
+                            ("cells", tuple(_freeze(m) for m in E + F))):
+            object.__setattr__(self, name, value)
+        if len(E) != r or len(F) != s:
             raise ValidationError(
-                f"expected {self.r} E and {self.s} F generators, "
-                f"got {len(self.E)} and {len(self.F)}")
-        for m in self.generators():
-            if m.shape != (self.n, self.n):
+                f"expected {r} E and {s} F generators, got {len(E)} and {len(F)}")
+        if copies < 1 or n % copies:
+            raise ValidationError(f"{copies} copies do not tile dimension {n}")
+        for m in self.cells:
+            if m.shape != (n // copies, n // copies):
                 raise ValidationError(
-                    f"generator shape {m.shape} does not match dimension {self.n}")
-        if self.copies < 1 or self.n % self.copies:
-            raise ValidationError(
-                f"{self.copies} copies do not tile dimension {self.n}")
-        cells = self.generators()
-        if self.copies > 1:
-            copies, c = self.copies, self.n // self.copies
-            cells = [_freeze(m[:c, :c]) for m in cells]
-            diagonal = np.arange(copies)
-            for m, cell in zip(self.generators(), cells):
-                # [copy, row, copy, column]: the diagonal blocks equal the
-                # cell and hold every nonzero entry, so the off-diagonal
-                # ones are zero; no second n x n array is built
-                blocks = m.reshape(copies, c, copies, c)[diagonal, :, diagonal, :]
-                if not (np.array_equal(blocks, np.broadcast_to(cell, blocks.shape))
-                        and np.count_nonzero(m) == np.count_nonzero(blocks)):
-                    raise ValidationError(
-                        f"a generator is not I_{self.copies} (x) a {c} x {c} cell")
-        object.__setattr__(self, "cells", tuple(cells))
+                    f"generator shape {m.shape} does not match dimension {n // copies}")
 
-    def generators(self):
-        return list(self.E) + list(self.F)
+    E = property(lambda self: tuple(self.generators()[:self.r]))
+    F = property(lambda self: tuple(self.generators()[self.r:]))
+
+    def generators(self) -> list:
+        if self.copies == 1:
+            return list(self.cells)
+        eye = np.eye(self.copies)
+        return [_freeze(np.kron(eye, cell)) for cell in self.cells]
 
     def skew_residuals(self, mat: np.ndarray):
         """Residuals mat + mat^T and mat g + g mat of an n x n skew matrix
         anticommuting with the module, built one at a time."""
         yield mat + mat.T
+        yield from self.anticommutators(mat)
+
+    def anticommutators(self, mat: np.ndarray):
+        """The residuals mat g + g mat alone."""
         n, copies = self.n, self.copies
         c = n // copies
         rows, blocks = mat.reshape(n * copies, c), mat.reshape(copies, c, n)
@@ -161,11 +155,11 @@ class ValidationReport:
 
 
 def check_relations(rep: CliffordRep, tol: float = CONSTRUCTION_TOL) -> ValidationReport:
-    """Check symmetry type, orthogonality and the anticommutation relations."""
-    for m in rep.generators():
-        if m.shape != (rep.n, rep.n):
-            raise ValidationError("generator dimensions do not match the module")
-    eye = np.eye(rep.n)
+    """Check symmetry type, orthogonality and the anticommutation relations
+    on the cells: a residual of the generators I (x) cell is I (x) the
+    cell's, with the same max-abs entry."""
+    e_cells, f_cells = rep.cells[:rep.r], rep.cells[rep.r:]
+    eye = np.eye(rep.n // rep.copies)
     entries = []
     sizes = []
 
@@ -175,29 +169,29 @@ def check_relations(rep: CliffordRep, tol: float = CONSTRUCTION_TOL) -> Validati
             entries.append((name, res))
         sizes.append(res)
 
-    for i, m in enumerate(rep.E):
+    for i, m in enumerate(e_cells):
         probe(f"E{i + 1}^T = E{i + 1}", m.T - m)
         probe(f"E{i + 1} orthogonal", m.T @ m - eye)
-    for k, m in enumerate(rep.F):
+    for k, m in enumerate(f_cells):
         probe(f"F{k + 1}^T = -F{k + 1}", m.T + m)
         probe(f"F{k + 1} orthogonal", m.T @ m - eye)
     for i in range(rep.r):
-        probe(f"E{i + 1}^2 = I", rep.E[i] @ rep.E[i] - eye)
+        probe(f"E{i + 1}^2 = I", e_cells[i] @ e_cells[i] - eye)
         for j in range(i + 1, rep.r):
             probe(
                 f"E{i + 1}E{j + 1} + E{j + 1}E{i + 1} = 0",
-                rep.E[i] @ rep.E[j] + rep.E[j] @ rep.E[i])
+                e_cells[i] @ e_cells[j] + e_cells[j] @ e_cells[i])
     for k in range(rep.s):
-        probe(f"F{k + 1}^2 = -I", rep.F[k] @ rep.F[k] + eye)
+        probe(f"F{k + 1}^2 = -I", f_cells[k] @ f_cells[k] + eye)
         for l in range(k + 1, rep.s):
             probe(
                 f"F{k + 1}F{l + 1} + F{l + 1}F{k + 1} = 0",
-                rep.F[k] @ rep.F[l] + rep.F[l] @ rep.F[k])
+                f_cells[k] @ f_cells[l] + f_cells[l] @ f_cells[k])
     for i in range(rep.r):
         for k in range(rep.s):
             probe(
                 f"E{i + 1}F{k + 1} + F{k + 1}E{i + 1} = 0",
-                rep.E[i] @ rep.F[k] + rep.F[k] @ rep.E[i])
+                e_cells[i] @ f_cells[k] + f_cells[k] @ e_cells[i])
     return ValidationReport(violations=tuple(entries),
                             max_residual=float(np.max(sizes, initial=0.0)))
 
@@ -509,13 +503,15 @@ def restrict_to_subspace(rep: CliffordRep, basis: np.ndarray,
     `extra_F` as further skew generators, to an invariant subspace.
 
     `basis` holds orthonormal columns spanning the subspace; each image
-    g @ basis is computed once and handed to `restrict_images`.
+    g @ basis is computed once, from the cells, and handed to
+    `restrict_images`.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != rep.n:
         raise ValidationError(f"basis shape {basis.shape} does not match dimension {rep.n}")
-    images = [g @ basis for g in rep.generators() + list(extra_F)]
-    return restrict_images(rep.r, basis, images, tol)
+    blocks = basis.reshape(rep.copies, rep.n // rep.copies, basis.shape[1])
+    images = [(cell @ blocks).reshape(basis.shape) for cell in rep.cells]
+    return restrict_images(rep.r, basis, images + [g @ basis for g in extra_F], tol)
 
 
 def restrict_images(r: int, basis: np.ndarray, images, tol: float) -> CliffordRep:

@@ -212,8 +212,9 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     Z^T g Z once, which leaves the class unchanged.  There F_{s+1} is a
     sum of 2 x 2 blocks that K1 anticommutes with, so the path's grading
     is the diagonal sign vector (1, -1) tiled dim/2 times.  The context
-    generators are I_N (x) g for the conjugated cell generators g and
-    carry copies = N, so products with them run cell by cell.
+    is the conjugated cell generators g tiled N times (copies = N): it
+    holds the c x c cells g alone, and its generators I_N (x) g are never
+    built.
 
     When the context cell's anticommutant is one-dimensional
     (`flow.reduced_route`: the module is the irreducible of a Cl_{r,s}
@@ -230,12 +231,11 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     if N < 3:
         raise ValidationError(f"ring length must be at least 3, got {N}")
     dim = N * module.n
-    # three ring arrays, the context generators and one step of the flow
-    # walk with its SVD workspace; the path is graded, over a context of
-    # signature (r, s - 1) tiled N times
+    # three ring arrays and one step of the flow walk with its SVD
+    # workspace; the path is graded, over a context of signature
+    # (r, s - 1) tiled N times, which holds only its cells
     check_memory(f"the flux path at N={N}",
-                 8 * (3 * N * N + (module.r + module.s - 1) * dim * dim)
-                 + walk_bytes(dim, module.r, module.s - 1, True, copies=N))
+                 8 * 3 * N * N + walk_bytes(dim, module.r, module.s - 1, True, copies=N))
     module.validate(1e-10)
     reduced = reduced_route(module.r, module.s - 1, module.n)
     shift = _ring_shift(N)
@@ -244,10 +244,7 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     e_cells = [z.T @ g @ z for g in module.E]
     f_cells = [z.T @ g @ z for g in module.F]
     f_last = f_cells.pop()
-    ctx = CliffordRep(module.r, module.s - 1, dim,
-                      E=tuple(np.kron(np.eye(N), g) for g in e_cells),
-                      F=tuple(np.kron(np.eye(N), g) for g in f_cells),
-                      copies=N)
+    ctx = CliffordRep(module.r, module.s - 1, dim, E=e_cells, F=f_cells, copies=N)
     grading = Grading(np.tile([1, -1], dim // 2))
     reduction = Reduction(ctx, f_last, grading) if reduced else None
 

@@ -212,9 +212,12 @@ class ReducedStructure:
 
 
 def _same_context(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
+    """The context of both: one object, or two tiled alike whose cells agree."""
     c0, c1 = j0.context, j1.context
-    diffs = (a - b for a, b in zip(c0.generators(), c1.generators()))
-    if (c0.r, c0.s, c0.n) != (c1.r, c1.s, c1.n) \
+    if c0 is c1:
+        return c0
+    diffs = (a - b for a, b in zip(c0.cells, c1.cells))
+    if (c0.r, c0.s, c0.n, c0.copies) != (c1.r, c1.s, c1.n, c1.copies) \
             or residual_norm(STRUCTURE_TOL, diffs) > STRUCTURE_TOL:
         raise ValidationError("complex structures live over different contexts")
     return c0

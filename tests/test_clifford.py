@@ -9,6 +9,7 @@ from scipy.linalg import block_diag
 
 from koflow import clifford as cl
 from koflow.errors import InvalidModuleError, ValidationError
+from koflow.numerics import random_orthogonal
 
 from conftest import rotated_irrep
 
@@ -250,39 +251,78 @@ def _dense_project(mat, gens, sign):
     return (out - out.T) / 2.0
 
 
+def _invariant_basis(rep, seed):
+    """An orthonormal basis, rotated within its span, of q (x) R^c for a
+    random q of orthonormal columns on R^copies: an invariant subspace."""
+    rng = np.random.default_rng(seed)
+    c = rep.n // rep.copies
+    q = random_orthogonal(rng, rep.copies)[:, :int(rng.integers(1, rep.copies + 1))]
+    basis = np.kron(q, np.eye(c))
+    return basis @ random_orthogonal(rng, basis.shape[1])
+
+
 @settings(max_examples=30)
 @given(sig=st.sampled_from(TILED_SIGS), copies=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
 def test_tiled_products_match_dense(sig, copies, seed):
+    # a tiled rep holds its cells alone: its products, restrictions and
+    # relation checks through them match the same calls on the dense copy
+    # of its generators, exactly when copies = 1
     cell = rotated_irrep(*sig, seed)
-    eye = np.eye(copies)
-    rep = cl.CliffordRep(cell.r, cell.s, copies * cell.n,
-                         E=tuple(np.kron(eye, g) for g in cell.E),
-                         F=tuple(np.kron(eye, g) for g in cell.F), copies=copies)
+    rep = cl.CliffordRep(cell.r, cell.s, copies * cell.n, E=cell.E, F=cell.F, copies=copies)
     gens = rep.generators()
+    dense = cl.CliffordRep(rep.r, rep.s, rep.n, E=rep.E, F=rep.F)
     mat = np.random.default_rng(seed).standard_normal((rep.n, rep.n))
     pairs = list(zip(rep.skew_residuals(mat),
                      [mat + mat.T] + [mat @ g + g @ mat for g in gens]))
     pairs += [(rep.project_skew(mat, sign), _dense_project(mat, gens, sign))
               for sign in (-1, 1)]
+    basis = _invariant_basis(rep, seed)
+    restricted = cl.restrict_to_subspace(rep, basis).generators()
+    pairs += list(zip(restricted, cl.restrict_to_subspace(dense, basis).generators()))
+    # and the module restricted from the dense images g @ basis
+    pairs += list(zip(restricted, cl.restrict_images(
+        rep.r, basis, [g @ basis for g in gens], cl.RESTRICTION_TOL).generators()))
+    # a cell off by 1e-6 breaks the same relations on both, by as much
+    scale = np.ones(rep.r + rep.s)
+    scale[0] += 1e-6
+    for tiled, full in ((rep, dense), (_scaled(rep, scale), _scaled(dense, scale))):
+        reports = [cl.check_relations(x, 1e-9) for x in (tiled, full)]
+        assert [name for name, _ in reports[0].violations] \
+            == [name for name, _ in reports[1].violations]
+        pairs.append((np.array([reports[0].max_residual]), np.array([reports[1].max_residual])))
     if copies == 1:
-        assert all(np.array_equal(tiled, dense) for tiled, dense in pairs)
+        assert all(np.array_equal(tiled, full) for tiled, full in pairs)
     else:
-        assert max(np.max(np.abs(tiled - dense)) for tiled, dense in pairs) <= 1e-13
+        assert max(np.max(np.abs(tiled - full)) for tiled, full in pairs) <= 1e-13
+
+
+def _scaled(rep, scale):
+    """rep with its i-th cell scaled by scale[i]."""
+    cells = [x * g for x, g in zip(scale, rep.cells)]
+    return cl.CliffordRep(rep.r, rep.s, rep.n, E=cells[:rep.r], F=cells[rep.r:],
+                          copies=rep.copies)
 
 
 def test_tiled_rep_rejects_untiled_generators():
-    tiled = np.kron(np.eye(3), cl.L1)
-    rep = cl.CliffordRep(0, 1, 6, F=(tiled,), copies=3)
+    # a tiled rep is built from its cells, so it is tiled by construction:
+    # it keeps the cells and nothing else, builds I (x) cell anew on each
+    # request, and takes no n x n generator, coupled or not
+    rep = cl.CliffordRep(0, 1, 6, F=(cl.L1,), copies=3)
+    assert set(vars(rep)) == {"r", "s", "n", "cells", "copies"}
     assert np.array_equal(rep.cells[0], cl.L1)
+    assert np.array_equal(rep.F[0], np.kron(np.eye(3), cl.L1))
+    assert rep.generators()[0] is not rep.generators()[0]
+    assert not rep.F[0].flags.writeable
+    tiled = np.kron(np.eye(3), cl.L1)
     coupled = tiled.copy()
     coupled[0, 3] = 1e-300
-    for bad in (coupled, block_diag(cl.L1, -cl.L1, cl.L1)):
-        with pytest.raises(ValidationError):
+    for bad in (tiled, coupled, block_diag(cl.L1, -cl.L1, cl.L1)):
+        with pytest.raises(ValidationError, match="does not match dimension 2"):
             cl.CliffordRep(0, 1, 6, F=(bad,), copies=3)
     for copies in (0, 4):
-        with pytest.raises(ValidationError):
-            cl.CliffordRep(0, 1, 6, F=(tiled,), copies=copies)
+        with pytest.raises(ValidationError, match="do not tile"):
+            cl.CliffordRep(0, 1, 6, F=(cl.L1,), copies=copies)
 
 
 def test_irreducible_rep_is_cached_read_only(monkeypatch):

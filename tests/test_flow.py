@@ -163,6 +163,51 @@ def test_skew_path_rejects_sample_off_its_grading():
     SkewPath(ctx, lambda t: bad).at(0.5)
 
 
+def test_graded_skew_check_on_sector_blocks_agrees_with_dense():
+    # a skew defect split between a diagonal sector block (2a S, S
+    # symmetric) and an off-diagonal one (b Y): where max(2a, b) exceeds
+    # the tolerance, or 2a + b stays within it, the sector-block check of
+    # SkewPath.at rejects exactly when the dense check (||T + T^T||_2 and
+    # the grading) does; on a shuffled grading, with 2a on either sector
+    tol = numerics.SAMPLE_TOL
+    rng = np.random.default_rng(5)
+    grading = Grading(rng.permutation(np.repeat([-1.0, 1.0], 6)))
+    ctx = cl.CliffordRep(0, 0, 12)
+    good = grading.odd(random_orthogonal(rng, 6))
+    minus, plus = grading.sectors()
+    op_norm = numerics.op_norm
+    outcomes = set()
+    for total in (0.5, 0.95, 3.0, 10.0):
+        for share in (0.0, 0.3, 0.5, 0.7, 1.0):
+            for diag_idx in (minus, plus):
+                two_a, b = share * total * tol, (1.0 - share) * total * tol
+                sym = rng.standard_normal((6, 6))
+                sym += sym.T
+                off = rng.standard_normal((6, 6))
+                mat = good.copy()
+                mat[np.ix_(diag_idx, diag_idx)] += two_a / 2.0 * sym / op_norm(sym)
+                mat[np.ix_(minus, plus)] += b * off / op_norm(off)
+                dense = max(op_norm(mat + mat.T), two_a)
+                try:
+                    SkewPath(ctx, lambda t, mat=mat: mat, grading=grading).at(0.5)
+                    rejected = False
+                except ValidationError as err:
+                    rejected = True
+                    expected = "breaks its grading" if two_a > tol else "violates skewness"
+                    assert expected in str(err)
+                assert rejected == (dense > tol), (total, share)
+                outcomes.add(rejected)
+    assert outcomes == {True, False}
+    # rank-one defects on one row, 2a = b = 0.8 tol: each block within the
+    # tolerance, but ||T + T^T||_2 = (0.4 + sqrt(0.8)) tol, so both reject
+    mat = good.copy()
+    mat[minus[0], minus[0]] += 0.4 * tol
+    mat[minus[0], plus[0]] += 0.8 * tol
+    assert op_norm(mat + mat.T) > tol
+    with pytest.raises(ValidationError, match="violates skewness"):
+        SkewPath(ctx, lambda t: mat, grading=grading).at(0.5)
+
+
 @pytest.mark.parametrize("r,sp", [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2),
                                   (0, 3), (2, 2), (3, 1), (1, 3), (0, 4)])
 def test_normalization(r, sp):

@@ -239,16 +239,17 @@ def test_lattice_memory_guard_counts_the_route(monkeypatch):
         assert planned.pop() == 8 * (1 + arrays) * (2 * n_ring) ** 2
     flux_path(cl.irreducible_rep(0, 1), 6)
     assert planned.pop() == 8 * (3 * 36 + block * 12 ** 2)
+    # the tiled context holds its c x c cells alone: no n x n term for it
     flux_path(cl.irreducible_rep(0, 2), 6)
-    assert planned.pop() == 8 * (3 * 36 + (1 + dense) * 24 ** 2)
+    assert planned.pop() == 8 * (3 * 36 + dense * 24 ** 2)
     # real-type cells take the reduced route: N x N arrays for the walk and
-    # one lifted pair kernel column, on top of the dense tiled context
+    # one lifted pair kernel column
     reduced = REDUCED_NODE_ARRAYS + SVD_WORKSPACE_ARRAYS
     assert reduced < dense
     flux_path(cl.irreducible_rep(0, 7), 6)  # Cl_{0,6} context, c = 8, n = 48
-    assert planned.pop() == 8 * (3 * 36 + 6 * 48 ** 2 + reduced * 36 + 10 * 48 * 8)
+    assert planned.pop() == 8 * (3 * 36 + reduced * 36 + 10 * 48 * 8)
     flux_path(cl.irreducible_rep(2, 1), 6)  # Cl_{2,0} context, c = 2, n = 12
-    assert planned.pop() == 8 * (3 * 36 + 2 * 12 ** 2 + reduced * 36 + 6 * 12 * 2)
+    assert planned.pop() == 8 * (3 * 36 + reduced * 36 + 6 * 12 * 2)
 
 
 def _lattice_path(name):
@@ -398,8 +399,9 @@ def _dense_copy(path):
 
 
 def _count_generator_products(ctx):
-    """Swap the generators and cells of `ctx` for views that record every
-    matmul taking an n x n one as an operand; returns the record."""
+    """Swap the cells of `ctx`, and so the generators built from them, for
+    views that record every matmul taking an n x n one as an operand;
+    returns the record."""
     calls = []
 
     class Counted(np.ndarray):
@@ -409,8 +411,7 @@ def _count_generator_products(ctx):
                 calls.append(ufunc)
             return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
-    for name in ("E", "F", "cells"):
-        object.__setattr__(ctx, name, tuple(g.view(Counted) for g in getattr(ctx, name)))
+    object.__setattr__(ctx, "cells", tuple(g.view(Counted) for g in ctx.cells))
     return calls
 
 
@@ -424,6 +425,60 @@ def test_flux_node_makes_no_dense_generator_product():
         complete_phase(p.at(0.25), p.context)
         counts.append(len(calls))
     assert counts[0] == 0 and counts[1] > 0
+
+
+def test_flux_path_builds_no_n_by_n_array(monkeypatch):
+    # the Cl_{0,7} flux path at N = 48 acts on R^384: building it (the
+    # memory guard, the module check, the Schur frame, the tiled context,
+    # the grading and the reduction) takes no Kronecker product and peaks
+    # below one 384 x 384 array
+    module = rotated_irrep(0, 7, seed=0)
+    flux_path(module, 3)  # loads scipy.linalg before tracing
+    kron = np.kron
+    lifts = []
+
+    def counted_kron(a, b):
+        lifts.append(np.shape(a))
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", counted_kron)
+    tracemalloc.start()
+    try:
+        path = flux_path(module, 48)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.context.n == 384 and path.context.copies == 48
+    assert lifts == []
+    assert peak < 8 * 384 ** 2, peak
+
+
+def _forbid_tiled_generators(monkeypatch):
+    """Make every request for the n x n generators of a rep with copies > 1
+    fail; requests on copies = 1 reps go through."""
+    build = cl.CliffordRep.generators
+
+    def guarded(rep):
+        if rep.copies > 1:
+            raise AssertionError(f"n x n generators of a context tiled {rep.copies} times")
+        return build(rep)
+
+    monkeypatch.setattr(cl.CliffordRep, "generators", guarded)
+
+
+def test_flows_over_tiled_contexts_build_no_generator(monkeypatch):
+    # the reduced route (Cl_{0,7}) and the dense tiled route (Cl_{0,3} and
+    # a reducible cell), whose node kernels and pair kernels are restricted
+    # through the cells, never ask for I_N (x) g; flux_path does not either
+    cl07 = rotated_irrep(0, 7, seed=7)
+    modules = (cl07, rotated_irrep(0, 3, seed=3), cl.direct_sum(cl07, cl07))
+    _forbid_tiled_generators(monkeypatch)
+    for module in modules:
+        path = flux_path(module, 4)
+        assert path.context.copies == 4
+        with pytest.raises(AssertionError, match="tiled 4 times"):
+            path.context.F
+        assert spectral_flow(path) == endpoint_flow(path) == abs_class(module)
 
 
 @pytest.mark.parametrize("s,chirality", [(1, None), (3, "+"), (3, "-"), (7, None)])

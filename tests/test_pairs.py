@@ -396,3 +396,23 @@ def test_reduced_structure_checks_its_involution():
             ReducedStructure(bad, red)
     with pytest.raises(ValidationError, match="coefficients are 3 x 3"):
         ReducedStructure(np.eye(4), red)
+
+
+def test_pair_contexts_are_compared_by_their_cells():
+    # structures over one tiled context, or over two tiled alike with equal
+    # cells, pair; a negated cell (J anticommutes with it too), or the same
+    # generators tiled otherwise, is a different context
+    path = models.flux_path(rotated_irrep(0, 3, seed=3), 3)
+    ctx = path.context
+    j0 = complete_phase(path.at(0.0), ctx, path.grading)
+
+    def over(cells, copies):
+        return ComplexStructure(j0.J, cl.CliffordRep(ctx.r, ctx.s, ctx.n, E=cells[:ctx.r],
+                                                     F=cells[ctx.r:], copies=copies))
+
+    value, kernel = pair_index(j0, over(ctx.cells, ctx.copies))
+    assert value == pair_index(j0, j0)[0] and kernel.n == 0
+    negated = [-g if k == 0 else g for k, g in enumerate(ctx.cells)]
+    for other in (over(negated, ctx.copies), over(ctx.generators(), 1)):
+        with pytest.raises(ValidationError, match="different contexts"):
+            pair_index(j0, other)

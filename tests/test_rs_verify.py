@@ -434,3 +434,15 @@ def test_hermite_values_match_column_recurrence(m):
     phi = rs_verify.hermite_values(m, points)
     assert phi.shape == (points.size, m) and phi.flags.c_contiguous
     assert np.array_equal(phi, _column_hermite_reference(m, points))
+
+
+@pytest.mark.parametrize("m", [300, 1200])
+def test_hermite_projection_matches_the_table(m):
+    # the streamed projection of analytic_profiles equals the product with
+    # the whole (points, m) table of hermite_values, to rounding
+    points = np.linspace(-60.0, 60.0, 4001)
+    weights = (points[1] - points[0]) * np.exp(-np.abs(points - 1.0)) \
+        * (1.5 + np.sin(points))
+    streamed = rs_verify.hermite_projection(m, points, weights)
+    table = rs_verify.hermite_values(m, points).T @ weights
+    assert np.linalg.norm(streamed - table) <= 1e-14 * np.linalg.norm(table)
