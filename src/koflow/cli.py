@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical-guard error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -243,18 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--chirality", choices=["+", "-"], default=None)
-    p.set_defaults(fn=cmd_irrep)
 
     p = sub.add_parser("check", help="validate a representation JSON")
     p.add_argument("--module", required=True)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("pair-index", help="index of a pair of complex structures")
     p.add_argument("--j0", required=True)
     p.add_argument("--j1", required=True)
     p.add_argument("--module", required=True, help="context representation JSON")
-    p.set_defaults(fn=cmd_pair_index)
 
     p = sub.add_parser("sf", parents=[solve],
                        help="spectral flow of a model or sampled path")
@@ -262,43 +260,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", default=None, help="JSON file with t and T samples")
     p.add_argument("--module", default=None, help="module JSON (flux model)")
     p.add_argument("--N", type=int, default=8)
-    p.set_defaults(fn=cmd_sf)
 
     p = sub.add_parser("kitaev", parents=[solve], help="Kitaev chain flux insertion")
     p.add_argument("--N", type=int, required=True)
-    p.set_defaults(fn=cmd_kitaev)
 
     p = sub.add_parser("flux", parents=[solve],
                        help="flux insertion with a module unit cell")
     p.add_argument("--module", required=True)
     p.add_argument("--N", type=int, default=3)
-    p.set_defaults(fn=cmd_flux)
 
     p = sub.add_parser("aii", parents=[solve], help="class AII demonstration path")
     p.add_argument("--demo", action="store_true")
-    p.set_defaults(fn=cmd_aii)
 
     p = sub.add_parser("rs-check", help="Robbin-Salamon verification")
     p.add_argument("--module", default=None)
     p.add_argument("--L", type=float, default=12.0)
     p.add_argument("--m", type=int, default=1200)
     p.add_argument("--out", default=None, help="CSV of kernel profiles")
-    p.set_defaults(fn=cmd_rs_check)
 
     p = sub.add_parser("props", help="run all invariant suites")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_props)
 
     return parser
 
 
+# The parser is built on the first `main` call, not at import, and kept:
+# building its nine subcommands costs about 1 ms, paid once per process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # the command is looked up when it runs, not when the parser was built
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         if getattr(args, "seed", 0) < 0:  # default_rng takes no negative seed
             raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
-        return args.fn(args)
+        return command(args)
     except (ValidationError, InvalidModuleError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -22,13 +22,14 @@ skewness and anticommutation with the context; on a graded path the
 grading first, and skewness then on the sector blocks alone; on a
 reduced path its N x N coefficient is checked instead
 (`SkewPath.coefficient`).  Each node is then one `complete_phase` call,
-which takes one `numerics.svd_split`: of T itself, on a graded path of
-its n/2 x n/2 sector block (see the graded convention of `numerics`), on
-a reduced path of its coefficient.
+which takes one decomposition of a matrix itself: one `numerics.svd_split`
+of T, on a graded path of its n/2 x n/2 sector block (see the graded
+convention of `numerics`), and on a reduced path one `numerics.sym_split`
+of its symmetric coefficient.
 
 Endpoint rule: an endpoint is invertible exactly when the default
 `numerics.split_zero_cluster` finds an empty zero cluster on the
-singular values of its node SVD, a rule relative to ||T||; a nonempty
+singular values of its node split, a rule relative to ||T||; a nonempty
 or ambiguous cluster is a ValidationError.  Both endpoint phases are
 completed, T(0) first, before the walk starts.
 
@@ -39,11 +40,12 @@ same on each; what a node holds differs.
   context (samples A (x) b, A an N x N symmetric coefficient, b a fixed
   complex structure on the c x c cell, N c = n) keeps every node phase as
   the N x N symmetric involution S of S (x) b (`pairs.ReducedStructure`).
-  Its nodes are one SVD of A, completed by Q (x) b on the kernel, Q = I_k
-  or the involution nearest the hint, so no intertwiner is sought and no
-  obstruction arises; they are compared by sqrt(c) ||Sa - Sb||_F and
-  paired by one SVD of S0 + S1, whose kernel is lifted to ker (x) R^c
-  only to build its module.  `models.flux_path` declares it when the
+  Its nodes are one symmetric eigendecomposition of A, completed by
+  Q (x) b on the kernel, Q = I_k or the involution nearest the hint, so
+  no intertwiner is sought and no obstruction arises; they are compared
+  by sqrt(c) ||Sa - Sb||_F and paired by one eigendecomposition of
+  S0 + S1, whose kernel is lifted to ker (x) R^c only to build its
+  module.  `models.flux_path` declares it when the
   cell's anticommutant is one-dimensional (`reduced_route`).
 - Block route: a path with a `grading` and an empty context (r = s = 0)
   keeps every node phase as its n/2 x n/2 block P (`pairs.OddStructure`).
@@ -67,7 +69,7 @@ from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
 from .numerics import (SAMPLE_TOL, Grading, doubled, min_singular_value, op_norm,
                        repeated, residual_norm, skew_phase, split_zero_cluster,
-                       svd_split)
+                       svd_split, sym_split)
 from .pairs import (ComplexStructure, OddStructure, ReducedStructure, Reduction,
                     pair_index)
 
@@ -118,15 +120,21 @@ SVD_WORKSPACE_ARRAYS = 5
 BLOCK_NODE_ARRAYS = 4
 BLOCK_SVD_WORKSPACE_ARRAYS = 2
 # N x N arrays that one step of the walk holds at its peak on the reduced
-# route (`reduced_route`), N = copies: tracemalloc measured 6.0 to 6.1 on
-# the Cl_{2,1} flux flow at N = 256 and 512 and (less the lifted kernel
-# below) on the Cl_{0,7} and Cl_{1,8} flux flows at N = 128 to 256.  On
-# top of them a pair kernel with one column in K is lifted to r + s + 4
-# arrays of n x c: its basis, the images of the r + s context generators
-# and of J0, and two transients of the invariance check (measured within
-# 1 N^2 on Cl_{0,7} and Cl_{1,8} at N = 96).  The node SVD is N x N, with
-# the LAPACK workspace of SVD_WORKSPACE_ARRAYS N x N arrays.
+# route (`reduced_route`), N = copies: tracemalloc measured 6.3 and 6.1 on
+# the Cl_{2,1} flux flow at N = 256 and 512, and 5.0 to 5.1 (less the
+# lifted kernel below) on the Cl_{0,7} and Cl_{1,8} flux flows at N = 128
+# and 256.  On top of them a pair kernel with one column in K is lifted to
+# r + s + 4 arrays of n x c: its basis, the images of the r + s context
+# generators and of J0, and two transients of the invariance check
+# (measured within 1 N^2 on Cl_{0,7} and Cl_{1,8} at N = 96).  Nodes and
+# pair kernels are split by one N x N symmetric eigendecomposition, with
+# the LAPACK workspace of EIGH_WORKSPACE_ARRAYS N x N arrays.
 REDUCED_NODE_ARRAYS = 7
+# N x N arrays of workspace that one np.linalg.eigh (syevd) of an N x N
+# symmetric matrix takes outside Python's allocator: at N = 2048 it raised
+# ru_maxrss by 4.2 N^2 doubles, of which the returned eigenvectors are 1
+# (numpy 2.4, OpenBLAS, 1 and 2 threads); 3.2, rounded up.
+EIGH_WORKSPACE_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -330,11 +338,11 @@ def reduced_route(r: int, s: int, c: int) -> bool:
 
 
 def walk_bytes(n: int, r: int, s: int, graded: bool, copies: int = 1) -> int:
-    """Bytes of one step of the flow walk on R^n, with its SVD workspace,
+    """Bytes of one step of the flow walk on R^n, with its LAPACK workspace,
     for a path over a Cl_{r,s} context tiled `copies` times, with a
     grading or not."""
     if reduced_route(r, s, n // copies):
-        return 8 * ((REDUCED_NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * copies ** 2
+        return 8 * ((REDUCED_NODE_ARRAYS + EIGH_WORKSPACE_ARRAYS) * copies ** 2
                     + (r + s + 4) * n * (n // copies))
     block = block_route(r, s, graded)
     arrays = (BLOCK_NODE_ARRAYS + BLOCK_SVD_WORKSPACE_ARRAYS if block
@@ -374,18 +382,19 @@ def _complete_block(p: np.ndarray, left: np.ndarray, right: np.ndarray,
 def _complete_reduced(coef: np.ndarray, reduction: Reduction,
                       align_hint: np.ndarray | None, split) -> ReducedStructure:
     """The phase S (x) b of a sample A (x) b on the reduced route, from one
-    SVD of the N x N coefficient A, split by `repeated(split, c)`.
+    eigendecomposition of the symmetric N x N coefficient A (`sym_split`),
+    split by `repeated(split, c)`.
 
-    A is symmetric, so its range phase U_r V_r^T is the involution sign(A)
-    on the range.  The kernel columns K are completed by K Q K^T, with Q
-    the polar factor of the hint's compression K^T S_hint K (symmetric, so
-    Q is an involution) when its smallest singular value clears HINT_SMIN,
-    else Q = I_k; Q (x) b is a complex structure on the kernel that
+    Its range phase U_r V_r^T is the involution sign(A) on the range.
+    The kernel columns K are completed by K Q K^T, with Q the polar factor
+    of the hint's compression K^T S_hint K (symmetric, so Q is an
+    involution) when its smallest singular value clears HINT_SMIN, else
+    Q = I_k; Q (x) b is a complex structure on the kernel that
     anticommutes with the restricted context for every such Q, so no
     obstruction arises.  S is re-imposed as a symmetric involution: its
     symmetric part, then one Newton-Schulz step S (3I - S^2) / 2.
     """
-    u_r, vt_r, _, kernel = svd_split(coef, repeated(split, reduction.b.shape[0]))
+    u_r, vt_r, _, kernel = sym_split(coef, repeated(split, reduction.b.shape[0]))
     s = u_r @ vt_r
     del u_r, vt_r
     if kernel.shape[1] > 0:
@@ -400,7 +409,8 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
                    align_hint: np.ndarray | None = None, seed: int = 0,
                    split=_split_phase_kernel, reduction: Reduction | None = None):
     """The phase of a skew `tmat` over `context`, completed to a complex
-    structure: one SVD, split by `split`.
+    structure: one SVD (on the reduced route one symmetric
+    eigendecomposition), split by `split`.
 
     Equal to T|T|^-1 on the complement of the kernel cluster; on the
     kernel, any complex structure anticommuting with the restricted

@@ -4,11 +4,14 @@ Everything here is plain numpy on real matrices; the conventions
 (zero-cluster split with a gap-ratio guard, phase of a skew matrix) are
 used consistently by the index and flow modules.
 
-Spectral convention: every kernel is split off one SVD of the matrix
-itself, by `svd_split`, the only function here that does so; it returns
-the range factors and the left and right kernel columns.  Kernels are not
-read from a squared matrix such as M^T M or -T^2, whose eigenvalues put
-every singular value below sqrt(eps) ||M|| into noise.
+Spectral convention: every kernel is split off one decomposition of the
+matrix itself: one SVD of a general matrix, by `svd_split`, or one
+symmetric eigendecomposition of a symmetric one, by `sym_split`, whose
+singular values are its eigenvalue magnitudes; these are the only two
+functions here that do so, and both return the range factors and the
+left and right kernel columns.  Kernels are not read from a squared
+matrix such as M^T M or -T^2, whose eigenvalues put every singular value
+below sqrt(eps) ||M|| into noise.
 
 Residual convention: every structural check goes through
 `residual_norm`, which tries the Frobenius bound ||R||_2 <= ||R||_F first
@@ -30,7 +33,7 @@ decomposed as their n/2 x n/2 blocks.  Whether a sample does anticommute with it
 is checked where it is sampled (`flow.SkewPath.at`).  In the same way
 A (x) b, b orthogonal of size c, has each singular value of A c times, so
 it is split through A with `repeated(split, c)` (the reduced route of
-`flow`).
+`flow`, where A is symmetric and split by `sym_split`).
 """
 from __future__ import annotations
 
@@ -212,6 +215,37 @@ def svd_split(mat: np.ndarray, split):
     u, s, vt = np.linalg.svd(mat)
     rank = s.size - split(s[::-1])
     return u[:, :rank], vt[:rank], u[:, rank:].copy(), vt[rank:].T.copy()
+
+
+def sym_split(mat: np.ndarray, split):
+    """`svd_split` of a symmetric matrix, from one eigendecomposition.
+
+    With mat = V diag(lam) V^T (`sym_eigh`), its singular values are the
+    magnitudes |lam|, and `split` finds the size k of the zero cluster on
+    them, ascending.  Returns (U_r, V_r^T, K, K): U_r = V_r sign(lam_r),
+    with sign(0) = +1, and V_r^T a view of V, whose product is the range
+    phase, and the k kernel columns K, copied, as both the left and the
+    right ones (one array).  Only the k kernel columns are copied out of
+    V, and at most k range columns moved inside it, so the range columns
+    are the first r of V.
+    """
+    vals, vecs = sym_eigh(mat)
+    mags = np.abs(vals)
+    order = np.argsort(mags, kind="stable")
+    k = split(mags[order])
+    rank = vals.size - k
+    ker = np.sort(order[:k])
+    kernel = vecs[:, ker]
+    # range columns among the last k fill the places of kernel columns
+    # among the first r
+    in_range = np.ones(vals.size, dtype=bool)
+    in_range[ker] = False
+    holes = ker[ker < rank]
+    tail = rank + np.flatnonzero(in_range[rank:])
+    vecs[:, holes] = vecs[:, tail]
+    vals[holes] = vals[tail]
+    v_r = vecs[:, :rank]
+    return v_r * np.where(vals[:rank] < 0.0, -1.0, 1.0), v_r.T, kernel, kernel
 
 
 def skew_phase(tmat: np.ndarray) -> np.ndarray:

@@ -20,12 +20,14 @@ anticommutes with every g and S an N x N symmetric involution, is stored
 as S (`ReducedStructure`, over a `Reduction` that holds b).  J0 + J1 is
 (S0 + S1) (x) b, whose kernel is ker(S0 + S1) (x) R^c.
 
-Every kernel here, of a pair sum J0 + J1, P0 + P1 or S0 + S1, of
-P + Q - I or of I + U0^T U1, is split off one `numerics.svd_split`,
-guarded by `split_zero_cluster` under its own label; a pair kernel of two
-`OddStructure`s is split with `numerics.doubled` on the half-size SVD,
-one of two `ReducedStructure`s with `numerics.repeated` on the N x N SVD,
-under the same label as a dense one.
+Every kernel here is split off one decomposition of the matrix itself,
+guarded by `split_zero_cluster` under its own label: one
+`numerics.svd_split` of a general matrix (J0 + J1, P0 + P1, I + U0^T U1)
+and one `numerics.sym_split` of a symmetric one (S0 + S1, P + Q - I); a
+pair kernel of two `OddStructure`s is split with `numerics.doubled` on
+the half-size SVD, one of two `ReducedStructure`s with
+`numerics.repeated` on the N x N eigendecomposition, under the same
+label as a dense one.
 """
 from __future__ import annotations
 
@@ -38,7 +40,8 @@ from .clifford import (K1, K2, L1, RESTRICTION_TOL, CliffordRep,
                        restrict_images, restrict_to_subspace)
 from .errors import AmbiguousKernelError, ValidationError
 from .numerics import (SAMPLE_TOL, Grading, doubled, op_norm, repeated,
-                       residual_norm, skew_phase, split_zero_cluster, svd_split)
+                       residual_norm, skew_phase, split_zero_cluster, svd_split,
+                       sym_split)
 
 STRUCTURE_TOL = 1e-10
 # Bound on the residuals of the six midpoint identities.
@@ -268,9 +271,10 @@ def _odd_kernel_module(j0: OddStructure, j1: OddStructure) -> CliffordRep:
 
 
 def _reduced_kernel_module(j0: ReducedStructure, j1: ReducedStructure) -> CliffordRep:
-    """ker(J0 + J1) = ker(S0 + S1) (x) R^c with F = J0, from one SVD of
-    S0 + S1, split with `numerics.repeated` (each singular value of
-    S0 + S1 appears c times in J0 + J1).
+    """ker(J0 + J1) = ker(S0 + S1) (x) R^c with F = J0, from one
+    eigendecomposition of the symmetric S0 + S1 (`numerics.sym_split`),
+    split with `numerics.repeated` (each singular value of S0 + S1
+    appears c times in J0 + J1).
 
     Only here is the kernel lifted to R^n: its columns K give the basis
     K (x) I_c, which I_N (x) g and J0 map to K (x) g and S0 K (x) b; both go
@@ -278,7 +282,7 @@ def _reduced_kernel_module(j0: ReducedStructure, j1: ReducedStructure) -> Cliffo
     """
     red = j0.reduction
     c = red.b.shape[0]
-    *_, kernel = svd_split(j0.S + j1.S, repeated(_split("pair kernel"), c))
+    *_, kernel = sym_split(j0.S + j1.S, repeated(_split("pair kernel"), c))
     images = [np.kron(kernel, g) for g in red.context.cells]
     images.append(np.kron(j0.S @ kernel, red.b))
     try:
@@ -397,7 +401,7 @@ def projection_pair_index(pp: ProjectionPair) -> int:
     """
     p, q = pp.P, pp.Q
     n = p.shape[0]
-    *_, basis = svd_split(p + q - np.eye(n), _split("kernel of P+Q-I"))
+    *_, basis = sym_split(p + q - np.eye(n), _split("kernel of P+Q-I"))
     k = basis.shape[1]
     if k == 0:
         return 0

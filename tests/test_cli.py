@@ -648,3 +648,47 @@ def test_light_commands_load_no_scipy(tmp_path):
     assert report["after_light"] == []
     assert report["flux_loads_linalg"] is True
     assert report["sparse_loaded"] == []
+
+
+_PARSER_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from koflow import cli
+
+    runs = json.loads(sys.argv[1])
+    built_at_import = cli._parser.cache_info().currsize
+    outs = []
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        outs.append([code, out.getvalue()])
+    print(json.dumps({"outs": outs, "built_at_import": built_at_import,
+                      "builds": cli._parser.cache_info().misses}))
+""")
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    # one process parses a bad command line, then solves flux, kitaev and
+    # props with the one parser built by its first main call; each stdout
+    # matches that of the same command in a fresh process, byte for byte
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = [["flux", "--N", "3"],  # no --module: a usage error, exit 2
+            ["flux", "--N", "12", "--seed", "7",
+             "--module", _golden_rotated_cl07_file(tmp_path)],
+            ["kitaev", "--N", "8"],
+            ["props", "--seed", "0"]]
+    proc = subprocess.run([sys.executable, "-c", _PARSER_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["built_at_import"] == 0 and report["builds"] == 1
+    for argv, (code, out) in zip(runs, report["outs"]):
+        fresh = subprocess.run([sys.executable, "-m", "koflow.cli", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert [code for code, _ in report["outs"]] == [2, 0, 0, 0]

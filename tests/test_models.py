@@ -10,9 +10,9 @@ from koflow import flow, models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
 from koflow.flow import (BLOCK_NODE_ARRAYS, BLOCK_SVD_WORKSPACE_ARRAYS,
-                         NODE_ARRAYS, REDUCED_NODE_ARRAYS, SVD_WORKSPACE_ARRAYS,
-                         SkewPath, classical_sf, complete_phase, endpoint_flow,
-                         spectral_flow)
+                         EIGH_WORKSPACE_ARRAYS, NODE_ARRAYS, REDUCED_NODE_ARRAYS,
+                         SVD_WORKSPACE_ARRAYS, SkewPath, classical_sf,
+                         complete_phase, endpoint_flow, spectral_flow)
 from koflow.models import (RealStructure, aii_path, flux_path, hermitian_double,
                            kitaev_path, realify, standard_quaternionic)
 from koflow.numerics import Grading, op_norm, random_orthogonal
@@ -243,8 +243,8 @@ def test_lattice_memory_guard_counts_the_route(monkeypatch):
     flux_path(cl.irreducible_rep(0, 2), 6)
     assert planned.pop() == 8 * (3 * 36 + dense * 24 ** 2)
     # real-type cells take the reduced route: N x N arrays for the walk and
-    # one lifted pair kernel column
-    reduced = REDUCED_NODE_ARRAYS + SVD_WORKSPACE_ARRAYS
+    # its eigendecomposition workspace, and one lifted pair kernel column
+    reduced = REDUCED_NODE_ARRAYS + EIGH_WORKSPACE_ARRAYS
     assert reduced < dense
     flux_path(cl.irreducible_rep(0, 7), 6)  # Cl_{0,6} context, c = 8, n = 48
     assert planned.pop() == 8 * (3 * 36 + reduced * 36 + 10 * 48 * 8)
@@ -554,17 +554,22 @@ def test_dense_route_keeps_cl03_and_reducible_cells():
 
 
 def test_reduced_nodes_decompose_to_coefficient_blocks(monkeypatch):
-    # Cl_{0,7} at N = 12 acts on R^96: every node SVD and every pair kernel
-    # SVD of the reduced walk is of a 12 x 12 coefficient, and nothing in
-    # the walk is n x n: no sample (SkewPath.at is never called), no phase,
-    # no SVD, no product with a context generator, no Kronecker lift
+    # Cl_{0,7} at N = 12 acts on R^96: every node and every pair kernel of
+    # the reduced walk is one eigendecomposition of a 12 x 12 symmetric
+    # matrix, and nothing in the walk is n x n: no sample (SkewPath.at is
+    # never called), no phase, no decomposition, no product with a context
+    # generator, no Kronecker lift; and no SVD is taken of an N x N matrix
     path = flux_path(rotated_irrep(0, 7, seed=7), 12)
     n = path.context.n
-    svd, kron = np.linalg.svd, np.kron
-    shapes, pair_shapes, in_pair, lifts = [], [], [], []
+    eigh, svd, kron = np.linalg.eigh, np.linalg.svd, np.kron
+    shapes, pair_shapes, in_pair, lifts, svd_shapes = [], [], [], [], []
 
     def counted(mat, *args, **kwargs):
         (pair_shapes if in_pair else shapes).append(mat.shape)
+        return eigh(mat, *args, **kwargs)
+
+    def counted_svd(mat, *args, **kwargs):
+        svd_shapes.append(mat.shape)
         return svd(mat, *args, **kwargs)
 
     def counted_kron(a, b):
@@ -585,13 +590,15 @@ def test_reduced_nodes_decompose_to_coefficient_blocks(monkeypatch):
     pair_index = flow.pair_index
     phases = _recorded_phases(monkeypatch)
     products = _count_generator_products(path.context)
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np, "kron", counted_kron)
     monkeypatch.setattr(flow, "pair_index", tracked_pair)
     monkeypatch.setattr(SkewPath, "at", no_dense_sample)
     assert spectral_flow(path) == abs_class(rotated_irrep(0, 7, seed=7))
     assert len(shapes) >= 17 and len(pair_shapes) >= 1
     assert set(shapes) == set(pair_shapes) == {(12, 12)}
+    assert all(shape[0] < 12 for shape in svd_shapes)
     assert len(phases) >= 17
     assert all(type(j) is ReducedStructure and j.S.shape == (12, 12) for j in phases)
     assert products == []

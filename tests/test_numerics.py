@@ -7,7 +7,7 @@ from koflow.flow import complete_phase
 from koflow.models import kitaev_path
 from koflow.numerics import (Grading, doubled, min_singular_value, op_norm,
                              random_orthogonal, random_skew, residual_norm,
-                             skew_phase, split_zero_cluster, svd_split)
+                             skew_phase, split_zero_cluster, svd_split, sym_split)
 
 
 def test_split_zero_cluster_basics():
@@ -269,3 +269,57 @@ def test_grading_checks_its_involution(signs, message):
     with pytest.raises(ValidationError, match=message):
         Grading(signs)
     np.testing.assert_array_equal(Grading([-1, 1, 1, -1]).signs, [-1.0, 1.0, 1.0, -1.0])
+
+
+def _symmetric(rng, n, small=()):
+    """Q diag(lam) Q^T with ||A|| = 2: the first len(small) magnitudes are
+    small * 2, the others lie in [0.5, 2], every sign random."""
+    mags = rng.uniform(0.5, 2.0, n)
+    mags[-1] = 2.0
+    mags[:len(small)] = 2.0 * np.asarray(small)
+    q = random_orthogonal(rng, n)
+    return (q * (mags * rng.choice([-1.0, 1.0], n))) @ q.T
+
+
+def _involution_sum(rng, n, k):
+    """S0 + S1 for involutions that agree but for k flipped signs: its
+    eigenvalues are exactly 0 (k times) and +-2, each many times."""
+    q = random_orthogonal(rng, n)
+    signs = rng.choice([-1.0, 1.0], n)
+    s0 = (q * signs) @ q.T
+    signs[:k] *= -1.0
+    return s0 + (q * signs) @ q.T
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 48])
+@pytest.mark.parametrize("case", ["planted", "involutions", "invertible"])
+def test_sym_split_agrees_with_svd_split(n, case):
+    # one eigendecomposition of a symmetric matrix splits it as one SVD
+    # does: the same zero cluster, the same range phase, the same kernel
+    rng = np.random.default_rng(n)
+    if case == "planted":  # a kernel planted at 1e-9 ||A||
+        mat = _symmetric(rng, n, small=[1e-9] * min(2, n - 1))
+    elif case == "involutions":  # at n = 1, S0 + S1 = 0: all kernel
+        mat = _involution_sum(rng, n, min(3, n))
+    else:
+        mat = _symmetric(rng, n)
+    u_r, vt_r, left, right = sym_split(mat, split_zero_cluster)
+    su_r, svt_r, _, sright = svd_split(mat, split_zero_cluster)
+    k = sright.shape[1]
+    assert k == {"planted": min(2, n - 1), "involutions": min(3, n), "invertible": 0}[case]
+    assert left is right and right.shape == (n, k)
+    assert u_r.shape == (n, n - k) and vt_r.shape == (n - k, n)
+    assert op_norm(u_r @ vt_r - su_r @ svt_r) <= 1e-12
+    # the largest principal angle between the kernels, by its sine
+    assert op_norm(sright - right @ (right.T @ sright)) <= 1e-10
+    assert op_norm(right.T @ right - np.eye(k)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 12, 48])
+def test_sym_split_ambiguous_cluster_raises_as_svd_split(n):
+    # 1e-9 and 5e-7 of ||A|| are closer than the gap-ratio guard: both
+    # splits refuse (a 1 x 1 matrix has no second value to be near)
+    mat = _symmetric(np.random.default_rng(n), n, small=[1e-9, 5e-7])
+    for split in (sym_split, svd_split):
+        with pytest.raises(AmbiguousKernelError, match="gap-ratio"):
+            split(mat, split_zero_cluster)

@@ -366,18 +366,23 @@ def _reduced_pair(rng, n_coef, k):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_reduced_pair_kernel_matches_dense(monkeypatch, seed, k):
-    # the reduced pair index takes one N x N SVD of S0 + S1; its class and
-    # kernel module dimension are those of the lifted dense pair
+    # the reduced pair index takes one N x N eigendecomposition of the
+    # symmetric S0 + S1 and no SVD; its class and kernel module dimension
+    # are those of the lifted dense pair
     j0, j1 = _reduced_pair(np.random.default_rng(seed), 5, k)
     dense = [ComplexStructure(j.J, j.context) for j in (j0, j1)]
     want, want_module = pair_index(*dense)
-    svd, shapes = np.linalg.svd, []
+    eigh, shapes = np.linalg.eigh, []
 
     def counted(mat, *args, **kwargs):
         shapes.append(mat.shape)
-        return svd(mat, *args, **kwargs)
+        return eigh(mat, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    def no_svd(mat, *args, **kwargs):
+        raise AssertionError("the reduced pair kernel took an SVD")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     got, module = pair_index(j0, j1)
     assert shapes == [(5, 5)]
     assert got == want and module.n == want_module.n == 8 * k
