@@ -525,10 +525,13 @@ def _golden_cl01_file(tmp_path):
     return str(module_file)
 
 
-def _golden_rotated_cl07_file(tmp_path):
-    module_file = tmp_path / "cl07.json"
-    module_file.write_text(json.dumps(cl.rep_to_json(rotated_irrep(0, 7, seed=7))))
-    return str(module_file)
+def _golden_rotated(r, s, seed):
+    """A maker of the module file of the Cl_{r,s} irreducible in a seeded frame."""
+    def make(tmp_path):
+        module_file = tmp_path / f"cl{r}{s}.json"
+        module_file.write_text(json.dumps(cl.rep_to_json(rotated_irrep(r, s, seed=seed))))
+        return str(module_file)
+    return make
 
 
 GOLDEN = {
@@ -545,14 +548,23 @@ GOLDEN = {
                      '{"class": {"degree": 4, "group": "Z", "value": 1}, '
                      '"module_class": {"degree": 4, "group": "Z", "value": 1}}\n'),
     "flux-rotated-cl07-N12": (["flux", "--N", "12", "--seed", "7"],
-                              {"--module": _golden_rotated_cl07_file},
+                              {"--module": _golden_rotated(0, 7, 7)},
                               '{"class": {"degree": 0, "group": "Z", "value": 1}, '
                               '"module_class": {"degree": 0, "group": "Z", "value": 1}}\n'),
+    # split-type cells: the module's volume element grades every sample
+    "flux-rotated-cl11-N12": (["flux", "--N", "12", "--seed", "11"],
+                              {"--module": _golden_rotated(1, 1, 11)},
+                              '{"class": {"degree": 1, "group": "Z2", "value": 1}, '
+                              '"module_class": {"degree": 1, "group": "Z2", "value": 1}}\n'),
+    "flux-rotated-cl08-N12": (["flux", "--N", "12", "--seed", "8"],
+                              {"--module": _golden_rotated(0, 8, 8)},
+                              '{"class": {"degree": 1, "group": "Z2", "value": 1}, '
+                              '"module_class": {"degree": 1, "group": "Z2", "value": 1}}\n'),
     # the benchmark's two graded workloads, at their sizes
     "kitaev-N256": (["kitaev", "--N", "256", "--seed", "0"], {},
                     '{"degree": 2, "group": "Z2", "value": 1}\n'),
     "flux-rotated-cl07-N48": (["flux", "--N", "48", "--seed", "0"],
-                              {"--module": _golden_rotated_cl07_file},
+                              {"--module": _golden_rotated(0, 7, 7)},
                               '{"class": {"degree": 0, "group": "Z", "value": 1}, '
                               '"module_class": {"degree": 0, "group": "Z", "value": 1}}\n'),
     "sf-path": (["sf"], {"--path": _golden_path_file},
@@ -679,7 +691,7 @@ def test_parser_is_built_once_and_reused(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     runs = [["flux", "--N", "3"],  # no --module: a usage error, exit 2
             ["flux", "--N", "12", "--seed", "7",
-             "--module", _golden_rotated_cl07_file(tmp_path)],
+             "--module", _golden_rotated(0, 7, 7)(tmp_path)],
             ["kitaev", "--N", "8"],
             ["props", "--seed", "0"]]
     proc = subprocess.run([sys.executable, "-c", _PARSER_PROBE, json.dumps(runs)],
