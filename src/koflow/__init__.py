@@ -13,7 +13,7 @@ from .flow import (SkewPath, cayley, clamp_phase, classical_sf, complete_phase,
                    endpoint_flow, spectral_flow)
 from .models import (RealStructure, aii_path, flux_path, hermitian_double,
                      kitaev_path, realify, standard_quaternionic)
-from .pairs import (ComplexStructure, MidpointPair, OddStructure, ProjectionPair,
+from .pairs import (ComplexStructure, MidpointPair, ProjectionPair,
                     ReducedStructure, Reduction, midpoint_operators, orthogonal_pair_parity, pair_index,
                     projection_pair_index, projections_to_structures,
                     spectral_submodule)

@@ -24,36 +24,41 @@ reduced path its N x N coefficient is checked instead
 (`SkewPath.coefficient`).  Each node is then one `complete_phase` call,
 which takes one decomposition of a matrix itself: one `numerics.svd_split`
 of T, on a graded path of its n/2 x n/2 sector block (see the graded
-convention of `numerics`), and on a reduced path one `numerics.sym_split`
-of its symmetric coefficient.
+convention of `numerics`), and on a reduced path one
+`Reduction.decompose` of its N x N coefficient.
 
 Endpoint rule: an endpoint is invertible exactly when the default
 `numerics.split_zero_cluster` finds an empty zero cluster on the
 singular values of its node split, a rule relative to ||T||; a nonempty
 or ambiguous cluster is a ValidationError.  Both endpoint phases are
-completed, T(0) first, before the walk starts.
+completed, T(0) first, before the walk starts.  `classical_sf` applies
+the same rule to the eigenvalue magnitudes of its endpoints.
 
 Routes: the walk, the endpoint rule and the partition control are the
-same on each; what a node holds differs.
+same on each; what a node holds differs.  A path over a context tiled by
+c x c cells takes the reduced route when it declares a `pairs.Reduction`,
+of the kind that `reduced_route` reads off the cell's type:
 
-- Reduced route: a path that declares a `pairs.Reduction` of its tiled
-  context (samples A (x) b, A an N x N symmetric coefficient, b a fixed
-  complex structure on the c x c cell, N c = n) keeps every node phase as
-  the N x N symmetric involution S of S (x) b (`pairs.ReducedStructure`).
-  Its nodes are one symmetric eigendecomposition of A, completed by
-  Q (x) b on the kernel, Q = I_k or the involution nearest the hint, so
-  no intertwiner is sought and no obstruction arises; they are compared
-  by sqrt(c) ||Sa - Sb||_F and paired by one eigendecomposition of
-  S0 + S1, whose kernel is lifted to ker (x) R^c only to build its
-  module.  `models.flux_path` declares it when the
-  cell's anticommutant is one-dimensional (`reduced_route`).
-- Block route: a path with a `grading` and an empty context (r = s = 0)
-  keeps every node phase as its n/2 x n/2 block P (`pairs.OddStructure`).
-  Its nodes are completed with a k x k orthogonal block on the balanced
-  kernel, compared by sqrt(2) ||Pa - Pb||_F, and paired by one SVD of
-  P0 + P1.
-- Every other path takes the dense n x n route; a graded one scatters its
-  node's block and kernel columns back to n x n.
+    cell type       cells (module)                        route
+    real R          Cl_{2,1}, Cl_{0,7}, Cl_{3,2}, ...     reduced, real kind
+    split R + R     Cl_{0,1}, Cl_{1,1}, Cl_{2,2}, Cl_{0,8}  reduced, split kind
+    complex C       Cl_{0,6}, ...                         dense
+    quaternionic H  Cl_{0,3}, Cl_{1,2}, Cl_{0,5}, ...     dense
+
+- Reduced route: every node phase is kept as an N x N factor S
+  (`pairs.ReducedStructure`): the symmetric involution of S (x) b on the
+  real kind, the orthogonal S of [[0, S (x) beta], [-(S (x) beta)^T, 0]]
+  on the split kind (even Kitaev rings too, whose empty context is split
+  by the sublattice grading).  A node is one `Reduction.decompose` of the
+  coefficient (a symmetric eigendecomposition of A, an SVD of P), split
+  by `repeated(split, c)`, completed by U_k Q W_k^T on the kernel, Q = I_k
+  or the polar factor of the hint's compression, so no intertwiner is
+  sought and no obstruction arises; nodes are compared by
+  sqrt(c) ||Sa - Sb||_F and paired by one decomposition of S0 + S1, whose
+  kernel is lifted to R^n only to build its module.
+- Dense route: every other path; a graded one splits its node by the SVD
+  of its sector block and scatters the range block and kernel columns
+  back to n x n.
 """
 from __future__ import annotations
 
@@ -63,24 +68,20 @@ from typing import Callable
 import numpy as np
 
 from .abs_index import KOClass, abs_class
-from .clifford import (CliffordRep, intertwiner, irreducible_dimension,
-                       irreducible_rep, restrict_to_subspace)
+from .clifford import CliffordRep, intertwiner, irreducible_rep, restrict_to_subspace
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
 from .numerics import (SAMPLE_TOL, Grading, doubled, min_singular_value, op_norm,
                        repeated, residual_norm, skew_phase, split_zero_cluster,
-                       svd_split, sym_split)
-from .pairs import (ComplexStructure, OddStructure, ReducedStructure, Reduction,
-                    pair_index)
+                       svd_split)
+from .pairs import (ComplexStructure, ReducedStructure, Reduction, pair_index,
+                    reduced_route)
 
 # Node phases this close in Frobenius norm, hence in operator norm, have an
 # empty pair kernel.  Closer than this only in operator norm, they go to
 # `pair_index`, which finds it empty too: ||J0 - J1||_2 <= 0.9 keeps every
 # singular value of J0 + J1 above sqrt(4 - 0.81) > 1.78.
 PHASE_BOUND = 0.9
-# An endpoint of a classical flow whose smallest eigenvalue magnitude
-# falls below this is singular.
-INV_TOL = 1e-8
 # Uniform segments of the initial partition.
 INITIAL_SEGMENTS = 16
 # Bisection levels below the initial partition before a segment whose
@@ -107,34 +108,31 @@ NODE_ARRAYS = 8
 # the returned u and vt are 2 (numpy 2.4, OpenBLAS, 2 threads); 4.6,
 # rounded up.
 SVD_WORKSPACE_ARRAYS = 5
-# The same two counts, still in n x n arrays, for the block route
-# (`block_route`: even Kitaev rings, Cl_{0,1} cells),
-# where phases, node SVDs and pair kernels are n/2 x n/2 blocks.  The
-# sample is the one whole array; it is checked on its sector blocks, and
-# the held phases and the node's SVD are a quarter each.  tracemalloc
-# measured 2.9 on the Kitaev flow at N = 64 and 2.8 at N = 128 and 256,
-# and 2.9 on the Cl_{0,1} flux flow at N = 64.  One
-# np.linalg.svd of an h x h block raised ru_maxrss by 7.9 to 9.1 h^2
-# doubles at h = 2048 to 512, u and vt included: at most 7.1 (n/2)^2, or
-# 1.8 n^2, of workspace.
-BLOCK_NODE_ARRAYS = 4
-BLOCK_SVD_WORKSPACE_ARRAYS = 2
 # N x N arrays that one step of the walk holds at its peak on the reduced
-# route (`reduced_route`), N = copies: tracemalloc measured 6.3 and 6.1 on
-# the Cl_{2,1} flux flow at N = 256 and 512, and 5.0 to 5.1 (less the
-# lifted kernel below) on the Cl_{0,7} and Cl_{1,8} flux flows at N = 128
-# and 256.  On top of them a pair kernel with one column in K is lifted to
+# route (`reduced_route`), N = copies: tracemalloc measured, less the
+# lifted kernel below, 6.2 and 6.0 on the real Cl_{2,1} flux flow at
+# N = 256 and 512, 5.0 on the real Cl_{0,7} flux flow at N = 128 and 256,
+# 6.1 to 6.0 on the split Kitaev flow at N = 64 to 512 and on the split
+# Cl_{0,1} and Cl_{1,1} flux flows at N = 64 to 512, and 5.4 to 5.1 on the
+# split Cl_{0,8} flux flow at N = 48 to 128.  On top of them a pair kernel
+# with one column in K (a pair U_k, W_k on the split kind) is lifted to
 # r + s + 4 arrays of n x c: its basis, the images of the r + s context
 # generators and of J0, and two transients of the invariance check
-# (measured within 1 N^2 on Cl_{0,7} and Cl_{1,8} at N = 96).  Nodes and
-# pair kernels are split by one N x N symmetric eigendecomposition, with
-# the LAPACK workspace of EIGH_WORKSPACE_ARRAYS N x N arrays.
+# (measured within 1 N^2 on Cl_{0,7}, Cl_{1,8} and Cl_{0,8}).  Nodes and
+# pair kernels are split by one N x N decomposition, with the LAPACK
+# workspace of EIGH_WORKSPACE_ARRAYS or SPLIT_SVD_WORKSPACE_ARRAYS N x N
+# arrays.
 REDUCED_NODE_ARRAYS = 7
 # N x N arrays of workspace that one np.linalg.eigh (syevd) of an N x N
 # symmetric matrix takes outside Python's allocator: at N = 2048 it raised
 # ru_maxrss by 4.2 N^2 doubles, of which the returned eigenvectors are 1
 # (numpy 2.4, OpenBLAS, 1 and 2 threads); 3.2, rounded up.
 EIGH_WORKSPACE_ARRAYS = 4
+# The same for one np.linalg.svd (gesdd) of a general N x N coefficient,
+# on the split kind: at N = 512, 1024 and 2048 it raised ru_maxrss by 8.9,
+# 8.2 and 7.9 N^2 doubles at 1 BLAS thread (9.1, 8.3 and 7.9 at 2), of
+# which the returned u and vt are 2; 7.1, rounded up.
+SPLIT_SVD_WORKSPACE_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -144,15 +142,16 @@ class SkewPath:
     Continuity is the caller's contract; every sample is validated for
     skewness and anticommutation.  A path whose samples all anticommute
     with a diagonal sign matrix of trace 0 may declare its sign vector as
-    its `grading`: every sample is checked against it too, its nodes are
-    split by the half-size SVD of their sector block, and with an empty
-    context the whole walk takes the block route.
+    its `grading`: every sample is checked against it too, and its nodes
+    are split by the half-size SVD of their sector block.
 
-    A path over a tiled context whose samples are all A (x) b, with one
-    fixed cell factor b, may declare a `Reduction` of b built over its
-    context and grading: `fn` then returns the N x N symmetric coefficient
-    A, which `coefficient` checks, and the whole walk takes the reduced
-    route.  `at` still returns the n x n sample.
+    A path over a tiled context whose samples all reduce to an N x N
+    coefficient through one fixed cell factor b may declare a `Reduction`
+    of b built over its context and grading: `fn` then returns the
+    coefficient, symmetric A of A (x) b (real kind) or general P of the
+    grading-odd form of P (x) beta (split kind), which `coefficient`
+    checks, and the whole walk takes the reduced route.  `at` still
+    returns the n x n sample.
     """
 
     context: CliffordRep
@@ -172,35 +171,45 @@ class SkewPath:
                                   "context and grading")
 
     def coefficient(self, t: float) -> np.ndarray:
-        """The N x N coefficient A(t) of a reduced path's sample A(t) (x) b,
-        checked.
+        """The N x N coefficient of a reduced path's sample, checked.
 
-        With eps b's residual (`Reduction`), ||T + T^T|| <= ||A - A^T|| ||b||
-        + ||A|| ||b + b^T||, and T (I (x) g) + (I (x) g) T = A (x) (b g + g b)
-        for each cell generator g and the grading's cell G_c, so the grade
-        ||G T + T G|| of `at` is at most ||A|| eps; with ||b|| <= 1 + eps,
-        every sample with ||A - A^T|| (1 + eps) + 2 ||A|| eps <= SAMPLE_TOL
-        passes the check of `at`, whose skewness bound adds the grade, so
-        this check is never looser than that one.  ||A|| is read as ||A||_F,
-        and exactly only when that bound fails.
+        With eps the reduction's residual (`Reduction`), the check of `at`
+        accepts the lifted sample when its skewness bound (which adds the
+        grade) and its anticommutators lie within SAMPLE_TOL.
+        Real kind, T = A (x) b: ||T + T^T|| <= ||A - A^T|| ||b|| + ||A||
+        ||b + b^T||, and T (I (x) g) + (I (x) g) T = A (x) (b g + g b) for
+        each cell generator g and the grading's cell G_c, so the grade is
+        at most ||A|| eps; with ||b|| <= 1 + eps, every A with
+        ||A - A^T|| (1 + eps) + 2 ||A|| eps <= SAMPLE_TOL passes.
+        Split kind: the lift has exact zero diagonal blocks and -P^T (x)
+        beta^T under P (x) beta, so its grade and skewness residuals are 0,
+        and with A and B the symmetric and skew parts of P it is
+        A (x) b' + B (x) b' omega, whose anticommutator with I (x) g is at
+        most (||A|| + ||B||) eps <= 2 ||P|| eps; every P with 2 ||P|| eps <=
+        SAMPLE_TOL passes.  So this check, the same bound with
+        ||A - A^T|| read as 0 on the split kind, is never looser than that
+        one.  ||A|| is read as ||A||_F, and exactly only when that bound
+        fails; a non-finite coefficient fails either way.
         """
-        if self.reduction is None:
+        red = self.reduction
+        if red is None:
             raise ValidationError("only a reduced path has coefficients")
         mat = np.asarray(self.fn(t), dtype=float)
         size = self.context.copies
         if mat.shape != (size, size):
             raise ValidationError(f"path coefficient at t={t} has shape {mat.shape}, "
                                   f"expected ({size}, {size})")
-        eps = self.reduction.eps
-        asym = residual_norm(SAMPLE_TOL, [mat - mat.T])
+        eps = red.eps
+        real = red.kind == "real"
+        asym = residual_norm(SAMPLE_TOL, [mat - mat.T]) if real else 0.0
         norm = float(np.linalg.norm(mat))
         if asym * (1.0 + eps) + 2.0 * norm * eps > SAMPLE_TOL and np.isfinite(norm):
             norm = op_norm(mat)
         worst = asym * (1.0 + eps) + 2.0 * norm * eps
         if not worst <= SAMPLE_TOL:
             raise ValidationError(
-                f"path coefficient at t={t} is not symmetric to the sample "
-                f"tolerance (residual {worst:.3e})")
+                f"path coefficient at t={t} {'is not symmetric to' if real else 'breaks'} "
+                f"the sample tolerance (residual {worst:.3e})")
         return mat
 
     def at(self, t: float) -> np.ndarray:
@@ -321,33 +330,16 @@ def _split_phase_kernel(svals: np.ndarray) -> int:
                                   label="phase kernel (regularized)")
 
 
-def block_route(r: int, s: int, graded: bool) -> bool:
-    """Whether a path over a Cl_{r,s} context, with a grading or not,
-    takes the block route: it does when it is graded and r = s = 0."""
-    return graded and r == s == 0
-
-
-def reduced_route(r: int, s: int, c: int) -> bool:
-    """Whether a path over a context tiled by a Cl_{r,s} cell of size c,
-    whose samples are A (x) b, declares its `Reduction`: it does when the
-    cell's anticommutant is one-dimensional, so that b spans it.  That is
-    when the cell is the irreducible of a real-type algebra, r - s = 2
-    mod 8 and c = irreducible_dimension(r, s): its commutant is R, and
-    X -> b X maps the commutant onto the anticommutant."""
-    return (r - s) % 8 == 2 and c == irreducible_dimension(r, s)
-
-
-def walk_bytes(n: int, r: int, s: int, graded: bool, copies: int = 1) -> int:
+def walk_bytes(n: int, r: int, s: int, copies: int = 1) -> int:
     """Bytes of one step of the flow walk on R^n, with its LAPACK workspace,
-    for a path over a Cl_{r,s} context tiled `copies` times, with a
-    grading or not."""
-    if reduced_route(r, s, n // copies):
-        return 8 * ((REDUCED_NODE_ARRAYS + EIGH_WORKSPACE_ARRAYS) * copies ** 2
-                    + (r + s + 4) * n * (n // copies))
-    block = block_route(r, s, graded)
-    arrays = (BLOCK_NODE_ARRAYS + BLOCK_SVD_WORKSPACE_ARRAYS if block
-              else NODE_ARRAYS + SVD_WORKSPACE_ARRAYS)
-    return 8 * arrays * n * n
+    for a path over a Cl_{r,s} context tiled `copies` times: on the route
+    that `reduced_route` gives its cell, N = copies."""
+    kind = reduced_route(r, s, n // copies)
+    if kind is None:
+        return 8 * (NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * n * n
+    workspace = EIGH_WORKSPACE_ARRAYS if kind == "real" else SPLIT_SVD_WORKSPACE_ARRAYS
+    return 8 * ((REDUCED_NODE_ARRAYS + workspace) * copies ** 2
+                + (r + s + 4) * n * (n // copies))
 
 
 def _hint_rotation(left: np.ndarray, align_hint: np.ndarray | None,
@@ -361,46 +353,34 @@ def _hint_rotation(left: np.ndarray, align_hint: np.ndarray | None,
     return np.eye(left.shape[1])
 
 
-def _complete_block(p: np.ndarray, left: np.ndarray, right: np.ndarray,
-                    grading: Grading, align_hint: np.ndarray | None) -> OddStructure:
-    """The block P of a completed node on the block route, from its range
-    block p = U_r W_r^T and its kernel columns U_k (`left`) and W_k
-    (`right`) on G's minus and plus sectors.
-
-    The balanced kernel (k columns on each side) is completed by
-    U_k Q W_k^T, with Q the polar factor of the hint's compression
-    U_k^T P_hint W_k when its smallest singular value clears HINT_SMIN,
-    else Q = I_k.  [[0, Q], [-Q^T, 0]] is a complex structure on the
-    kernel for every orthogonal Q, so no obstruction arises.  The result
-    U diag(I, Q) W^T is orthogonal up to the rounding of the SVD.
-    """
-    if left.shape[1] > 0:
-        p = p + left @ _hint_rotation(left, align_hint, right) @ right.T
-    return OddStructure(p, grading)
-
-
 def _complete_reduced(coef: np.ndarray, reduction: Reduction,
                       align_hint: np.ndarray | None, split) -> ReducedStructure:
-    """The phase S (x) b of a sample A (x) b on the reduced route, from one
-    eigendecomposition of the symmetric N x N coefficient A (`sym_split`),
-    split by `repeated(split, c)`.
+    """The N x N factor S of the phase of a reduced sample, from one
+    `Reduction.decompose` of its coefficient (a symmetric eigendecomposition
+    of A on the real kind, an SVD of P on the split kind), split by
+    `repeated(split, c)`.
 
-    Its range phase U_r V_r^T is the involution sign(A) on the range.
-    The kernel columns K are completed by K Q K^T, with Q the polar factor
-    of the hint's compression K^T S_hint K (symmetric, so Q is an
-    involution) when its smallest singular value clears HINT_SMIN, else
-    Q = I_k; Q (x) b is a complex structure on the kernel that
-    anticommutes with the restricted context for every such Q, so no
-    obstruction arises.  S is re-imposed as a symmetric involution: its
-    symmetric part, then one Newton-Schulz step S (3I - S^2) / 2.
+    Its range phase is U_r V_r^T: sign(A) on the range, or the orthogonal
+    polar factor of P there.  The kernel columns U_k, W_k (one array K on
+    the real kind) are completed by U_k Q W_k^T, with Q the polar factor of
+    the hint's compression U_k^T S_hint W_k when its smallest singular
+    value clears HINT_SMIN, else Q = I_k; the lifted phase is a complex
+    structure on the kernel that anticommutes with the restricted context
+    for every such Q (an involution, on the real kind, where the
+    compression is symmetric), so no obstruction arises.  On the real kind
+    S is re-imposed as a symmetric involution: its symmetric part, then one
+    Newton-Schulz step S (3I - S^2) / 2; on the split kind U diag(I, Q) W^T
+    is orthogonal up to the rounding of the SVD, which `ReducedStructure`
+    checks.
     """
-    u_r, vt_r, _, kernel = sym_split(coef, repeated(split, reduction.b.shape[0]))
+    u_r, vt_r, left, right = reduction.decompose(coef, repeated(split, reduction.b.shape[0]))
     s = u_r @ vt_r
     del u_r, vt_r
-    if kernel.shape[1] > 0:
-        s += kernel @ _hint_rotation(kernel, align_hint, kernel) @ kernel.T
-    s = (s + s.T) / 2.0
-    s = s @ (3.0 * np.eye(s.shape[0]) - s @ s) / 2.0
+    if left.shape[1] > 0:
+        s += left @ _hint_rotation(left, align_hint, right) @ right.T
+    if reduction.kind == "real":
+        s = (s + s.T) / 2.0
+        s = s @ (3.0 * np.eye(s.shape[0]) - s @ s) / 2.0
     return ReducedStructure(s, reduction)
 
 
@@ -409,19 +389,18 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
                    align_hint: np.ndarray | None = None, seed: int = 0,
                    split=_split_phase_kernel, reduction: Reduction | None = None):
     """The phase of a skew `tmat` over `context`, completed to a complex
-    structure: one SVD (on the reduced route one symmetric
-    eigendecomposition), split by `split`.
+    structure: one SVD (on the reduced route one `Reduction.decompose`),
+    split by `split`.
 
     Equal to T|T|^-1 on the complement of the kernel cluster; on the
     kernel, any complex structure anticommuting with the restricted
     generators, chosen canonically (or following `align_hint`, the
-    neighbouring phase as the walk holds it: J, P on the block route, S on
-    the reduced one).  Without a grading the SVD is that of tmat.  With
-    one (a sample that `SkewPath.at` checked against it) it is the SVD of
-    the sector block B = tmat[minus, plus], split by `doubled(split)`; on
-    the block route the phase stays an `OddStructure`, on the dense one it
-    is scattered back to n x n.  With a `reduction` of `context`, tmat is
-    the N x N coefficient A of the sample A (x) b (`SkewPath.coefficient`)
+    neighbouring phase as the walk holds it: J, or S on the reduced
+    route).  Without a grading the SVD is that of tmat.  With one (a
+    sample that `SkewPath.at` checked against it) it is the SVD of the
+    sector block B = tmat[minus, plus], split by `doubled(split)`, and the
+    phase is scattered back to n x n.  With a `reduction` of `context`,
+    tmat is the N x N coefficient of the sample (`SkewPath.coefficient`)
     and the phase is a `ReducedStructure` (`_complete_reduced`).  Raises
     ObstructionError when the kernel module does not extend (for example
     an odd-dimensional kernel with empty context).
@@ -445,8 +424,6 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
         minus, plus = grading.sectors()
         u_r, vt_r, left, right = svd_split(tmat.take(minus, 0).take(plus, 1),
                                            doubled(split))
-        if block_route(context.r, context.s, True):
-            return _complete_block(u_r @ vt_r, left, right, grading, align_hint)
         k = left.shape[1]
         basis = np.zeros((n, 2 * k))
         basis[minus, :k] = left
@@ -519,25 +496,15 @@ def _node(path: SkewPath, t: float, **kwargs):
 
 
 def _stored(j) -> np.ndarray:
-    """A phase as the walk compares and aligns it: P on the block route,
-    S on the reduced route."""
-    if isinstance(j, OddStructure):
-        return j.P
-    if isinstance(j, ReducedStructure):
-        return j.S
-    return j.J
+    """A phase as the walk compares and aligns it: S on the reduced route."""
+    return j.S if isinstance(j, ReducedStructure) else j.J
 
 
 def _phase_distance(ja, jb) -> float:
-    """||Ja - Jb||_F; on the block route J holds P and -P^T, so it is
-    sqrt(2) ||Pa - Pb||_F, and on the reduced route (Sa - Sb) (x) b with b
-    orthogonal of size c, so it is sqrt(c) ||Sa - Sb||_F."""
-    if isinstance(ja, OddStructure):
-        scale = 2.0
-    elif isinstance(ja, ReducedStructure):
-        scale = float(ja.reduction.b.shape[0])
-    else:
-        scale = 1.0
+    """||Ja - Jb||_F; on the reduced route Ja - Jb is (Sa - Sb) (x) b, or
+    the grading-odd form of (Sa - Sb) (x) beta, with b orthogonal of size
+    c and beta of size c/2, so it is sqrt(c) ||Sa - Sb||_F."""
+    scale = ja.reduction.b.shape[0] if isinstance(ja, ReducedStructure) else 1.0
     return np.sqrt(scale) * float(np.linalg.norm(_stored(ja) - _stored(jb)))
 
 
@@ -622,15 +589,23 @@ def clamp_phase(tmat: np.ndarray) -> np.ndarray:
 
 def classical_sf(path_fn: Callable[[float], np.ndarray]) -> int:
     """Classical spectral flow of a path of symmetric matrices:
-    n_minus(start) - n_minus(end), endpoints required invertible."""
+    n_minus(start) - n_minus(end), endpoints required invertible by the
+    endpoint rule of `spectral_flow`: the default `split_zero_cluster` on
+    the ascending eigenvalue magnitudes (the singular values) must find an
+    empty zero cluster."""
 
     def n_minus(t):
         mat = np.asarray(path_fn(t), dtype=float)
         if residual_norm(SAMPLE_TOL, [mat - mat.T]) > SAMPLE_TOL:
             raise ValidationError(f"sample at t={t} is not symmetric")
         vals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
-        if vals.size and np.min(np.abs(vals)) < INV_TOL:
-            raise ValidationError(f"endpoint t={t} is singular")
+        try:
+            k = split_zero_cluster(np.sort(np.abs(vals)))
+        except AmbiguousKernelError as exc:
+            raise ValidationError(f"endpoint t={t} is not invertible ({exc})") from exc
+        if k:
+            raise ValidationError(f"endpoint t={t} is not invertible ({k} eigenvalues "
+                                  f"in the zero cluster)")
         return int(np.sum(vals < 0.0))
 
     return n_minus(0.0) - n_minus(1.0)

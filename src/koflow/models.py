@@ -16,7 +16,7 @@ The Kitaev chain needs no realification: its C = I_N (x) K2 conj acts
 site by site, and `kitaev_path` writes each sample straight in a
 site-ordered Majorana basis, a real skew matrix with closed-form 2 x 2
 blocks, graded (for even N) by the sign vector (1, 1, -1, -1) tiled N/2
-times.
+times, and then reduced to its N x N sector block.
 
 scipy is imported only inside `flux_path` (the real Schur form of the
 cell), so importing this module, and the Kitaev and AII builders, load
@@ -25,6 +25,7 @@ numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -153,40 +154,54 @@ def kitaev_path(N: int) -> SkewPath:
     Each sample is written straight in the site-ordered Majorana basis
     I_N (x) W, W the real basis of one site's fixed space of C = K2 conj:
     i H_alpha is a real skew matrix with closed-form 2 x 2 blocks
-    (`_BOND` on every bond, `_seam_block(alpha)` on the seam).  The
-    flux-free matrix is built once; a sample copies it and patches the
-    two seam blocks.
+    (`_BOND` from site j to site j + 1, `_seam_block(alpha)` on the seam).
+    The flux-free matrix is built once; a sample copies it and patches the
+    seam.
 
     For even N every bond joins the two sublattices, so the sublattice
     parity diag((-1)^j) (x) I_2 anticommutes with each H_alpha and
     commutes with C.  W is site-local, so in the Majorana basis the parity
     is the diagonal sign vector (1, 1, -1, -1) tiled N/2 times: the path's
-    grading, taken by index with no basis change.
+    grading, taken by index with no basis change.  The path then declares
+    the split `Reduction` of its empty context on cells of size 2, with
+    b = [[0, 1], [-1, 0]] (beta = 1): its coefficient is the N x N sector
+    block P = T[minus, plus], odd sites by even sites, with `_BOND` on the
+    block diagonal (site 2i + 1 from 2i), -`_BOND`^T beside it (site
+    2i + 1 from 2i + 2, cyclically) and the seam block in the corner; no
+    2N x 2N sample is made by the walk.
     """
     if N < 3:
         raise ValidationError(f"ring length must be at least 3, got {N}")
     graded = N % 2 == 0
-    # the flux-free matrix and one step of the flow walk with its SVD
+    size = N if graded else 2 * N
+    # the flux-free matrix and one step of the flow walk with its
     # workspace, counted before any of them is allocated
     check_memory(f"the Kitaev chain at N={N}",
-                 8 * (2 * N) ** 2 + walk_bytes(2 * N, 0, 0, graded))
-    sites = np.arange(N)
-    flux_free = np.zeros((2 * N, 2 * N))
-    blocks = flux_free.reshape(N, 2, N, 2)  # [site, row, site, column]
-    blocks[(sites + 1) % N, :, sites, :] = _BOND
-    blocks[sites, :, (sites + 1) % N, :] = -_BOND.T
-    ctx = CliffordRep(0, 0, 2 * N)
+                 8 * size ** 2 + walk_bytes(2 * N, 0, 0, copies=N if graded else 1))
+    ctx = CliffordRep(0, 0, 2 * N, copies=N if graded else 1)
     grading = Grading(np.tile([1, 1, -1, -1], N // 2)) if graded else None
+    reduction = Reduction(ctx, -L1, grading) if graded else None
+    # _BOND from site j to j + 1 and -_BOND^T back; on the sector block
+    # (graded), whose block row i is site 2i + 1 and block column l site
+    # 2l, the bond from 2i sits on the diagonal, and the seam from site 0
+    # to site 1 is block (0, 0) of the block, block (1, 0) of the matrix
+    h, step, seam_row = (N // 2, 0, 0) if graded else (N, 1, 2)
+    sites = np.arange(h)
+    flux_free = np.zeros((size, size))
+    blocks = flux_free.reshape(h, 2, h, 2)  # [site, row, site, column]
+    blocks[(sites + step) % h, :, sites, :] = _BOND
+    blocks[sites, :, (sites + 1) % h, :] = -_BOND.T
 
     def sample(alpha: float) -> np.ndarray:
         seam = _seam_block(alpha)
         mat = flux_free.copy()
-        mat[2:4, 0:2] = seam
-        mat[0:2, 2:4] = -seam.T
+        mat[seam_row:seam_row + 2, 0:2] = seam
+        if not graded:
+            mat[0:2, 2:4] = -seam.T
         return mat
 
     return SkewPath(ctx, sample, label=f"kitaev flux insertion, N={N}",
-                    grading=grading)
+                    grading=grading, reduction=reduction)
 
 
 def flux_path(module: CliffordRep, N: int) -> SkewPath:
@@ -207,22 +222,28 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     termination of the same flux idea and pins the crossing kernel to one
     copy of the module.
 
-    The path is written in the frame of the real Schur vectors Z of
-    F_{s+1} = Z (+) [[0, b], [-b, 0]] Z^T: every cell generator g becomes
-    Z^T g Z once, which leaves the class unchanged.  There F_{s+1} is a
-    sum of 2 x 2 blocks that K1 anticommutes with, so the path's grading
-    is the diagonal sign vector (1, -1) tiled dim/2 times.  The context
+    The path is written in a frame Z of the cell: every cell generator g
+    becomes Z^T g Z once, which leaves the class unchanged, and the
+    path's grading is a diagonal sign vector tiled N times.  The context
     is the conjugated cell generators g tiled N times (copies = N): it
     holds the c x c cells g alone, and its generators I_N (x) g are never
-    built.
+    built.  Every sample is h_alpha (x) F_{s+1}, and the path declares the
+    `Reduction` of the kind that `flow.reduced_route` gives the context
+    cell, with b the conjugated F_{s+1}; its samples are then the N x N
+    ring Hamiltonians h_alpha, and the flow walks N x N matrices only.
 
-    When the context cell's anticommutant is one-dimensional
-    (`flow.reduced_route`: the module is the irreducible of a Cl_{r,s}
-    with s - r = 7 mod 8, Cl_{2,1}, Cl_{0,7}, Cl_{3,2}, ...), the
-    conjugated F_{s+1} spans it and every sample is h_alpha (x) F_{s+1}:
-    the path declares that `Reduction`, its samples are the N x N ring
-    Hamiltonians h_alpha, and the flow walks N x N matrices only.  Other
-    cells keep the dense samples.
+    - Split cells (the module is the irreducible of a Cl_{r,s+1} with
+      r - s - 1 = 0 mod 8, Cl_{1,1}, Cl_{2,2}, Cl_{0,8}, ..., or Cl_{0,1}):
+      Z = (V, F_{s+1}^T V), with V the -1 eigenvectors of omega, the
+      volume element of the context cell (K1 on the empty context's 2 x 2
+      cell).  omega commutes with the context and anticommutes with
+      F_{s+1}, so there omega = diag(-I, I), the grading, and F_{s+1} =
+      [[0, I], [-I, 0]].
+    - Other cells: Z holds the real Schur vectors of F_{s+1} =
+      Z (+) [[0, b], [-b, 0]] Z^T, a sum of 2 x 2 blocks that K1
+      anticommutes with, so the grading is (1, -1) tiled.  Real cells (a
+      one-dimensional anticommutant, spanned by F_{s+1}: Cl_{2,1},
+      Cl_{0,7}, Cl_{3,2}, ...) reduce; the others keep the dense samples.
     """
     from scipy.linalg import schur  # here, to keep `import koflow` light
 
@@ -235,24 +256,32 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
     # workspace; the path is graded, over a context of signature
     # (r, s - 1) tiled N times, which holds only its cells
     check_memory(f"the flux path at N={N}",
-                 8 * 3 * N * N + walk_bytes(dim, module.r, module.s - 1, True, copies=N))
+                 8 * 3 * N * N + walk_bytes(dim, module.r, module.s - 1, copies=N))
     module.validate(1e-10)
-    reduced = reduced_route(module.r, module.s - 1, module.n)
+    kind = reduced_route(module.r, module.s - 1, module.n)
     shift = _ring_shift(N)
     ring = (shift + shift.T) / 2.0
-    _, z = schur(module.F[-1], output="real")
+    half = module.n // 2
+    if kind == "split":
+        cells = module.E + module.F[:-1]
+        v = sym_eigh(reduce(np.matmul, cells) if cells else K1)[1][:, :half]
+        z = np.hstack([v, module.F[-1].T @ v])
+        signs = np.repeat([-1, 1], half)
+    else:
+        _, z = schur(module.F[-1], output="real")
+        signs = np.tile([1, -1], half)
     e_cells = [z.T @ g @ z for g in module.E]
     f_cells = [z.T @ g @ z for g in module.F]
     f_last = f_cells.pop()
     ctx = CliffordRep(module.r, module.s - 1, dim, E=e_cells, F=f_cells, copies=N)
-    grading = Grading(np.tile([1, -1], dim // 2))
-    reduction = Reduction(ctx, f_last, grading) if reduced else None
+    grading = Grading(np.tile(signs, N))
+    reduction = Reduction(ctx, f_last, grading) if kind else None
 
     def sample(alpha: float) -> np.ndarray:
         pot = 2.0 * np.ones(N)
         pot[0] = 2.0 - 4.0 * alpha
         h_alpha = ring + np.diag(pot)
-        return h_alpha if reduced else np.kron(h_alpha, f_last)
+        return h_alpha if kind else np.kron(h_alpha, f_last)
 
     return SkewPath(ctx, sample,
                     label=f"single-cell gap inversion, N={N}, "

@@ -25,15 +25,15 @@ A skew T that anticommutes with G is [[0, B], [-B^T, 0]] in G's
 B = U S W^T gives that of T with each singular value twice: `svd_split`
 of B with the split `doubled` gives the factors of the range block
 U_r W_r^T and the kernel columns U_k (on the minus sector) and W_k (on
-the plus one).  The same holds for every matrix built from such T
-alone: a phase J of T, completed on its kernel with no other generator,
-is the same form of an orthogonal block P (`Grading.odd`), and J0 + J1
-is the form of P0 + P1, so phases and pair kernels can be kept and
-decomposed as their n/2 x n/2 blocks.  Whether a sample does anticommute with its grading
-is checked where it is sampled (`flow.SkewPath.at`).  In the same way
-A (x) b, b orthogonal of size c, has each singular value of A c times, so
-it is split through A with `repeated(split, c)` (the reduced route of
-`flow`, where A is symmetric and split by `sym_split`).
+the plus one).  Whether a sample does anticommute with its grading is
+checked where it is sampled (`flow.SkewPath.at`).  In the same way
+A (x) b, b orthogonal of size c, has each singular value of A c times, and
+so does the G-odd form of P (x) beta, beta orthogonal of size c/2, each
+of P's: both are split through their N x N factor with
+`repeated(split, c)`.  That is the reduced route of `flow`, whose two
+kinds (`pairs.Reduction`) decompose a symmetric A by `sym_split` and a
+general P by `svd_split`; phases and pair kernels there are kept and
+decomposed as N x N matrices.
 """
 from __future__ import annotations
 
@@ -143,8 +143,9 @@ class Grading:
 def repeated(split, times: int):
     """`split` read on the singular values of a factor A, for a matrix
     that has each of them `times` times (A (x) b with b orthogonal of size
-    `times`): `split` runs on the repeated values and A's zero cluster is
-    the one it finds divided by `times`."""
+    `times`, or the G-odd form of A (x) beta with beta orthogonal of size
+    `times` / 2): `split` runs on the repeated values and A's zero cluster
+    is the one it finds divided by `times`."""
     return lambda values: split(np.repeat(values, times)) // times
 
 

@@ -7,27 +7,38 @@ namely J0 restricted to the kernel.  At finite dimension every pair is
 Fredholm; the operator-norm smallness conditions appear only as the
 hypotheses under which additivity is guaranteed.
 
-Graded convention (see `numerics`): with an empty context, a complex
-structure that anticommutes with a grading G is J = [[0, P], [-P^T, 0]]
-in G's (minus, plus) coordinates, P an orthogonal n/2 x n/2 block, and
-is stored as P (`OddStructure`).  J0 + J1 is then the same form of
-P0 + P1, whose SVD U S W^T gives that of J0 + J1 with each singular value
-twice and the kernel basis U_k on the minus sector, W_k on the plus one.
+Two routes: a complex structure is held dense, as its n x n matrix J
+(`ComplexStructure`), or reduced.  Over a context tiled by the
+generators I_N (x) g of its c x c cells g, a path may declare a
+`Reduction`, whose kind `reduced_route` reads off the commutant type of
+the cell:
 
-Reduced convention: over a context tiled by the generators I_N (x) g, a
-complex structure S (x) b, b a complex structure on the cell that
-anticommutes with every g and S an N x N symmetric involution, is stored
-as S (`ReducedStructure`, over a `Reduction` that holds b).  J0 + J1 is
-(S0 + S1) (x) b, whose kernel is ker(S0 + S1) (x) R^c.
+    cell type       commutant   route
+    real            R           reduced, real kind
+    split           R + R       reduced, split kind
+    complex         C           dense
+    quaternionic    H           dense
+
+A complex structure over a reduction is stored as its N x N factor S
+(`ReducedStructure`), of one of two kinds:
+
+- real: J = S (x) b, b a complex structure on the cell that anticommutes
+  with every g and S an N x N symmetric involution; J0 + J1 is
+  (S0 + S1) (x) b, whose kernel is ker(S0 + S1) (x) R^c;
+- split: the cell carries a symmetric involution omega that commutes with
+  every g, the path's grading (diag(-I, I) on each cell), and J =
+  [[0, S (x) beta], [-(S (x) beta)^T, 0]] in the grading's (minus, plus)
+  sectors, beta = b[minus, plus], S an orthogonal N x N matrix; J0 + J1
+  is the same form of S0 + S1, whose kernel is U_k (x) R^{c/2} on the
+  minus sector and W_k (x) R^{c/2} on the plus one.
 
 Every kernel here is split off one decomposition of the matrix itself,
 guarded by `split_zero_cluster` under its own label: one
-`numerics.svd_split` of a general matrix (J0 + J1, P0 + P1, I + U0^T U1)
-and one `numerics.sym_split` of a symmetric one (S0 + S1, P + Q - I); a
-pair kernel of two `OddStructure`s is split with `numerics.doubled` on
-the half-size SVD, one of two `ReducedStructure`s with
-`numerics.repeated` on the N x N eigendecomposition, under the same
-label as a dense one.
+`numerics.svd_split` of a general matrix (J0 + J1, S0 + S1 of the split
+kind, I + U0^T U1) and one `numerics.sym_split` of a symmetric one
+(S0 + S1 of the real kind, P + Q - I); a pair kernel of two
+`ReducedStructure`s is split with `numerics.repeated(split, c)` on the
+N x N decomposition, under the same label as a dense one.
 """
 from __future__ import annotations
 
@@ -36,10 +47,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abs_index import KOClass, abs_class
-from .clifford import (K1, K2, L1, RESTRICTION_TOL, CliffordRep,
+from .clifford import (K1, K2, L1, RESTRICTION_TOL, CliffordRep, irreducible_dimension,
                        restrict_images, restrict_to_subspace)
 from .errors import AmbiguousKernelError, ValidationError
-from .numerics import (SAMPLE_TOL, Grading, doubled, op_norm, repeated,
+from .numerics import (SAMPLE_TOL, Grading, op_norm, repeated,
                        residual_norm, skew_phase, split_zero_cluster, svd_split,
                        sym_split)
 
@@ -85,105 +96,156 @@ class ComplexStructure:
                 f"not a context-anticommuting complex structure (residual {worst:.3e})")
 
 
-@dataclass(frozen=True)
-class OddStructure:
-    """A complex structure on an empty context that anticommutes with a
-    grading: J = [[0, P], [-P^T, 0]] in the grading's (minus, plus)
-    coordinates, stored as its n/2 x n/2 block P.
+def reduced_route(r: int, s: int, c: int) -> str | None:
+    """The kind of `Reduction` that a path over a context tiled by a
+    Cl_{r,s} cell of size c declares, or None for the dense route.
 
-    J is skew by construction, and J^2 = -I exactly when P is orthogonal:
-    the check is ||P^T P - I||_2 <= STRUCTURE_TOL, the same 2-norm as
-    ||J^T J - I||_2.  `J` and `context` scatter it to the dense form, so
-    every function of a `ComplexStructure` also takes it.
+    - "real" when the cell's anticommutant is one-dimensional, spanned by
+      b: the cell is the irreducible of a real-type algebra, r - s = 2
+      mod 8 and c = irreducible_dimension(r, s), whose commutant is R;
+      X -> b X maps it onto the anticommutant.
+    - "split" when r - s = 1 mod 8 and c = 2 irreducible_dimension(r, s):
+      the cell is the irreducible of a Cl_{r,s+1} with r - s - 1 = 0
+      mod 8, the sum of the two irreducibles of Cl_{r,s}, and its
+      commutant is R + R, spanned by I and the volume element omega, a
+      central symmetric involution that anticommutes with b; the
+      anticommutant is spanned by b and b omega.  The same holds for an
+      empty context on cells of size 2 with a declared grading, which is
+      omega there.
     """
-
-    P: np.ndarray
-    grading: Grading
-
-    def __post_init__(self):
-        p = np.array(self.P, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "P", p)
-        half = self.grading.n // 2
-        if p.shape != (half, half):
-            raise ValidationError(
-                f"P has shape {p.shape}, the grading's sectors have dimension {half}")
-        worst = residual_norm(STRUCTURE_TOL, [_gram_residual(p)])
-        if worst > STRUCTURE_TOL:
-            raise ValidationError(
-                f"not a grading-odd complex structure (residual {worst:.3e})")
-
-    @property
-    def J(self) -> np.ndarray:
-        return self.grading.odd(self.P)
-
-    @property
-    def context(self) -> CliffordRep:
-        return CliffordRep(0, 0, self.grading.n)
+    if (r - s) % 8 == 2 and c == irreducible_dimension(r, s):
+        return "real"
+    if ((r - s) % 8 == 1 or r == s == 0) and c == 2 * irreducible_dimension(r, s):
+        return "split"
+    return None
 
 
 @dataclass(frozen=True)
 class Reduction:
-    """The cell factor b of a path over a tiled context whose samples are
-    all A (x) b, A an N x N symmetric coefficient (N = context.copies).
+    """The cell factor b of a path over a tiled context (N = context.copies
+    cells of size c) whose samples all reduce to an N x N coefficient, of
+    the kind that `reduced_route` gives the context's signature and c
+    ("real" for every signature that is not split).
 
-    b is a c x c complex structure on the context's cell that anticommutes
-    with every cell generator g and, on a graded path, with the
-    grading's cell (the grading must repeat with period c).  Then A (x) b
-    is skew and anticommutes with every I_N (x) g for every symmetric A,
-    and so does S (x) b, a complex structure, for every symmetric
-    orthogonal S.  `eps` is b's measured residual, an upper bound on the
-    2-norms of b + b^T, b^T b - I, b g + g b and the grading's; b is
-    rejected when it exceeds SAMPLE_TOL.
+    - real: samples A (x) b, A symmetric.  b is a complex structure on the
+      cell that anticommutes with every cell generator g and, on a graded
+      path, with the grading's cell (the grading must repeat with period
+      c).  A (x) b is then skew and anticommutes with every I_N (x) g for
+      every symmetric A, and so does S (x) b, a complex structure, for
+      every symmetric orthogonal S.  `eps` bounds the 2-norms of b + b^T,
+      b^T b - I, b g + g b and the grading's.
+    - split: the grading is omega = diag(-I, I) on each cell (with a
+      nonempty context it must be that, tiled; with an empty one any
+      grading will do, whose i-th minus and plus indices then form the
+      i-th cell), and b is kept as b' = [[0, beta], [-beta^T, 0]], the
+      skew part of the given b on omega's off-diagonal blocks.  Samples
+      are [[0, P (x) beta], [-(P (x) beta)^T, 0]] in the grading's
+      (minus, plus) sectors, P a general N x N coefficient: that is
+      A (x) b' + B (x) b' omega in the cells' coordinates, A and B the
+      symmetric and skew parts of P, so it is skew and graded by
+      construction and anticommutes with every I_N (x) g when b' and
+      b' omega do.  `eps` bounds the 2-norms of the given b - b',
+      b'^T b' - I, b' g + g b' and b' omega g + g b' omega.
+
+    b is rejected when eps exceeds SAMPLE_TOL.
     """
 
     context: CliffordRep
     b: np.ndarray
     grading: Grading | None = None
+    kind: str = field(init=False)
     eps: float = field(init=False, compare=False)
 
     def __post_init__(self):
         b = np.array(self.b, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "b", b)
-        c = self.context.n // self.context.copies
+        ctx = self.context
+        c = ctx.n // ctx.copies
         if b.shape != (c, c):
             raise ValidationError(
                 f"cell factor b has shape {b.shape}, the context's cell is {c} x {c}")
-        cells = list(self.context.cells)
-        if self.grading is not None:
-            signs = self.grading.signs.reshape(-1, c)
-            if not np.all(signs == signs[0]):
+        kind = "split" if reduced_route(ctx.r, ctx.s, c) == "split" else "real"
+        object.__setattr__(self, "kind", kind)
+        cells = list(ctx.cells)
+        if kind == "split":
+            if self.grading is None:
+                raise ValidationError("a split reduction needs the path's grading")
+            half = c // 2
+            omega = np.repeat([-1.0, 1.0], half)
+            if cells and not np.array_equal(self.grading.signs, np.tile(omega, ctx.copies)):
                 raise ValidationError(
-                    f"the grading does not repeat with the context's cell of size {c}")
-            cells.append(np.diag(signs[0]))
-        eps = residual_norm(SAMPLE_TOL, [b + b.T, _gram_residual(b)]
-                            + [b @ g + g @ b for g in cells])
+                    f"the grading does not repeat diag(-I, I) with the context's cell of size {c}")
+            odd = (b - b.T) / 2.0 * (omega[:, None] != omega)
+            residuals = [b - odd, _gram_residual(odd)] + [
+                f @ g + g @ f for f in (odd, odd * omega) for g in cells]
+            b = odd
+        else:
+            if self.grading is not None:
+                signs = self.grading.signs.reshape(-1, c)
+                if not np.all(signs == signs[0]):
+                    raise ValidationError(
+                        f"the grading does not repeat with the context's cell of size {c}")
+                cells.append(np.diag(signs[0]))
+            residuals = [b + b.T, _gram_residual(b)] + [b @ g + g @ b for g in cells]
+        eps = residual_norm(SAMPLE_TOL, residuals)
         if not eps <= SAMPLE_TOL:
             raise ValidationError(
                 "cell factor b is not a complex structure anticommuting with "
                 f"the context's cell (residual {eps:.3e})")
+        b.setflags(write=False)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "eps", eps)
 
+    def decompose(self, mat: np.ndarray, split):
+        """`numerics.sym_split` of a symmetric N x N matrix for the real
+        kind, `numerics.svd_split` of a general one for the split kind."""
+        return (sym_split if self.kind == "real" else svd_split)(mat, split)
+
     def lift(self, coefficient: np.ndarray) -> np.ndarray:
-        """The n x n matrix coefficient (x) b."""
-        return np.kron(coefficient, self.b)
+        """The n x n matrix of an N x N coefficient: coefficient (x) b, or
+        the grading-odd form of coefficient (x) beta."""
+        if self.kind == "real":
+            return np.kron(coefficient, self.b)
+        half = self.b.shape[0] // 2
+        return self.grading.odd(np.kron(coefficient, self.b[:half, half:]))
+
+    def lift_kernel(self, coefficient: np.ndarray, left: np.ndarray, right: np.ndarray):
+        """The n x kc basis of a lifted kernel and its image under the lift
+        of `coefficient`, from the k left and right kernel columns of an
+        N x N decomposition, in the cells' coordinates: K (x) I_c and
+        S K (x) b on the real kind (left is right); U_k (x) I on the minus
+        half of each cell and W_k (x) I on the plus half on the split kind,
+        which the lift of S maps to S^T U_k (x) b'[:, minus] and
+        S W_k (x) b'[:, plus].  With a nonempty context these are the
+        path's coordinates; on an empty one, whose grading need not repeat,
+        they permute them, which no generator sees."""
+        c = self.b.shape[0]
+        half = c // 2 if self.kind == "split" else 0
+        eye = np.eye(c)
+        return (np.hstack([np.kron(left, eye[:, :half]), np.kron(right, eye[:, half:])]),
+                np.hstack([np.kron(coefficient.T @ left, self.b[:, :half]),
+                           np.kron(coefficient @ right, self.b[:, half:])]))
 
 
 @dataclass(frozen=True)
 class ReducedStructure:
-    """A complex structure J = S (x) b over a reduced path's tiled context
-    (`Reduction`), stored as its N x N symmetric orthogonal factor S.
+    """A complex structure over a reduced path's tiled context
+    (`Reduction`), stored as its N x N factor S: a symmetric involution
+    with J = S (x) b (real kind), or an orthogonal matrix with J the
+    grading-odd form of S (x) beta (split kind).
 
-    J anticommutes with every I_N (x) g as b does, and J^2 = S^2 (x) b^2
-    is -I exactly when S is an involution.  The check bounds the dense
-    check of a `ComplexStructure` from above, through b's residual eps:
-    ||J^T J - I|| <= ||S^T S - I|| (1 + eps) + eps, ||J + J^T|| <=
-    ||S - S^T|| (1 + eps) + ||S|| eps and ||J (I (x) g) + (I (x) g) J|| <=
-    ||S|| eps, with ||S|| <= 1 + ||S^T S - I||; so no S passes that the
-    dense check of S (x) b at STRUCTURE_TOL would reject.  `J` and
-    `context` lift it to the dense form, so every function of a
-    `ComplexStructure` also takes it.
+    J anticommutes with every I_N (x) g as the cell factor does, and J^2 is
+    -I exactly when S is an involution (real kind) or orthogonal (split
+    kind).  The check bounds the dense check of a `ComplexStructure` from
+    above, through the reduction's eps: ||J^T J - I|| <= ||S^T S - I||
+    (1 + eps) + eps, and ||S|| <= 1 + ||S^T S - I||.  Real kind: ||J +
+    J^T|| <= ||S - S^T|| (1 + eps) + ||S|| eps and ||J (I (x) g) +
+    (I (x) g) J|| <= ||S|| eps.  Split kind: J is skew by construction
+    (||S - S^T|| is read as 0) and, with S = A + B its symmetric and skew
+    parts, the anticommutator is A (x) (b' g + g b') + B (x) (b' omega g +
+    g b' omega), at most 2 ||S|| eps.  The check takes the larger bound,
+    2 ||S|| eps, on both kinds, so no S passes that the dense check of J
+    at STRUCTURE_TOL would reject.  `J` and `context` lift it to the
+    dense form, so every function of a `ComplexStructure` also takes it.
     """
 
     S: np.ndarray
@@ -199,8 +261,8 @@ class ReducedStructure:
                 f"S has shape {s.shape}, the reduction's coefficients are {size} x {size}")
         eps = self.reduction.eps
         orth = residual_norm(STRUCTURE_TOL, [_gram_residual(s)])
-        sym = residual_norm(STRUCTURE_TOL, [s - s.T])
-        worst = max(orth * (1.0 + eps) + eps, sym * (1.0 + eps) + (1.0 + orth) * eps)
+        sym = residual_norm(STRUCTURE_TOL, [s - s.T]) if self.reduction.kind == "real" else 0.0
+        worst = max(orth * (1.0 + eps) + eps, sym * (1.0 + eps) + 2.0 * (1.0 + orth) * eps)
         if not worst <= STRUCTURE_TOL:
             raise ValidationError(
                 f"not a reduced complex structure (residual {worst:.3e})")
@@ -231,12 +293,9 @@ def kernel_module(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
 
     The kernel is the right kernel columns of `numerics.svd_split`; the
     zero cluster must be separated from the rest by the gap-ratio guard.
-    Two `OddStructure`s over one grading take the half-size route instead,
-    two `ReducedStructure`s over one reduction the N x N route.
+    Two `ReducedStructure`s over one reduction take the N x N route
+    instead.
     """
-    if isinstance(j0, OddStructure) and isinstance(j1, OddStructure) \
-            and np.array_equal(j0.grading.signs, j1.grading.signs):
-        return _odd_kernel_module(j0, j1)
     if isinstance(j0, ReducedStructure) and isinstance(j1, ReducedStructure) \
             and j0.reduction is j1.reduction:
         return _reduced_kernel_module(j0, j1)
@@ -248,46 +307,25 @@ def kernel_module(j0: ComplexStructure, j1: ComplexStructure) -> CliffordRep:
         raise AmbiguousKernelError(f"pair kernel module: {exc}") from exc
 
 
-def _odd_kernel_module(j0: OddStructure, j1: OddStructure) -> CliffordRep:
-    """ker(J0 + J1) with F_1 = J0, from one SVD of P0 + P1, split with
-    `numerics.doubled`.
+def _reduced_kernel_module(j0: ReducedStructure, j1: ReducedStructure) -> CliffordRep:
+    """ker(J0 + J1) with F = J0, from one decomposition of the N x N
+    S0 + S1 (`Reduction.decompose`), split with `numerics.repeated` (each
+    singular value of S0 + S1 appears c times in J0 + J1).
 
-    In (minus, plus) coordinates the kernel basis is diag(U_k, W_k), and
-    J0 maps it to [[0, P0 W_k], [-P0^T U_k, 0]]; both go through the
+    Only here is the kernel lifted to R^n (`Reduction.lift_kernel`), with
+    its image under J0; the cells map it through reshapes, as
+    `clifford.restrict_to_subspace` does, and all of them go through the
     invariance and relation checks of `restrict_images`.
     """
-    _, _, left, right = svd_split(j0.P + j1.P, doubled(_split("pair kernel")))
-    half, k = left.shape
-    basis = np.zeros((2 * half, 2 * k))
-    basis[:half, :k] = left
-    basis[half:, k:] = right
-    image = np.zeros((2 * half, 2 * k))
-    image[:half, k:] = j0.P @ right
-    image[half:, :k] = -j0.P.T @ left
-    try:
-        return restrict_images(0, basis, [image], RESTRICTION_TOL)
-    except ValidationError as exc:
-        raise AmbiguousKernelError(f"pair kernel module: {exc}") from exc
-
-
-def _reduced_kernel_module(j0: ReducedStructure, j1: ReducedStructure) -> CliffordRep:
-    """ker(J0 + J1) = ker(S0 + S1) (x) R^c with F = J0, from one
-    eigendecomposition of the symmetric S0 + S1 (`numerics.sym_split`),
-    split with `numerics.repeated` (each singular value of S0 + S1
-    appears c times in J0 + J1).
-
-    Only here is the kernel lifted to R^n: its columns K give the basis
-    K (x) I_c, which I_N (x) g and J0 map to K (x) g and S0 K (x) b; both go
-    through the invariance and relation checks of `restrict_images`.
-    """
     red = j0.reduction
+    ctx = red.context
     c = red.b.shape[0]
-    *_, kernel = sym_split(j0.S + j1.S, repeated(_split("pair kernel"), c))
-    images = [np.kron(kernel, g) for g in red.context.cells]
-    images.append(np.kron(j0.S @ kernel, red.b))
+    *_, left, right = red.decompose(j0.S + j1.S, repeated(_split("pair kernel"), c))
+    basis, image = red.lift_kernel(j0.S, left, right)
+    blocks = basis.reshape(ctx.copies, c, basis.shape[1])
+    images = [(g @ blocks).reshape(basis.shape) for g in ctx.cells] + [image]
     try:
-        return restrict_images(red.context.r, np.kron(kernel, np.eye(c)), images,
-                               RESTRICTION_TOL)
+        return restrict_images(ctx.r, basis, images, RESTRICTION_TOL)
     except ValidationError as exc:
         raise AmbiguousKernelError(f"pair kernel module: {exc}") from exc
 

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import settings
 
 from koflow.clifford import CliffordRep, irreducible_rep
+from koflow.flow import SkewPath
 from koflow.numerics import random_orthogonal
 
 settings.register_profile("koflow", derandomize=True, database=None, deadline=None)
@@ -21,6 +22,14 @@ def rotated_irrep(r, s, seed, chirality=None):
     q = random_orthogonal(np.random.default_rng(seed), rep.n)
     return CliffordRep(r, s, rep.n, E=tuple(q @ g @ q.T for g in rep.E),
                        F=tuple(q @ g @ q.T for g in rep.F))
+
+
+def undeclared(path, graded=True):
+    """The same samples as `path` with no reduction declared, lifted by its
+    reduction when it has one, with its grading or none: the dense
+    reference of a reduced path."""
+    fn = path.fn if path.reduction is None else (lambda t: path.reduction.lift(path.fn(t)))
+    return SkewPath(path.context, fn, grading=path.grading if graded else None)
 
 
 # Complex reference of the Kitaev flux insertion, written apart from

@@ -19,7 +19,7 @@ from koflow.numerics import (Grading, doubled, min_singular_value,
 from koflow.pairs import ComplexStructure
 from koflow.props import SIG_POOL, padded_context, random_admissible_path
 
-from conftest import pf_sign, rotated_irrep
+from conftest import pf_sign, rotated_irrep, undeclared
 
 
 def normalization_path(module):
@@ -536,6 +536,12 @@ def test_classical_sf():
     assert classical_sf(lambda t: np.diag([2 * t - 1.0, 1.0 - 2 * t])) == 0
     with pytest.raises(ValidationError):
         classical_sf(lambda t: np.array([[t]]))
+    # the endpoint rule of spectral_flow, relative to the largest magnitude:
+    # a path scaled by 1e-9 keeps its flow, and an eigenvalue 1e-10 of the
+    # largest one is in the zero cluster
+    assert classical_sf(lambda t: 1e-9 * np.diag([2.0 * t - 1.0, 1.0])) == 1
+    with pytest.raises(ValidationError, match="endpoint t=0.0 is not invertible"):
+        classical_sf(lambda t: np.diag([-1.0, 1e-7, 1e3]))
 
 
 def test_complete_phase_one_svd(monkeypatch):
@@ -682,11 +688,13 @@ def test_near_singular_endpoint_is_rejected_or_matches_the_pfaffian_flip(a0, sig
 @pytest.mark.parametrize("n_ring", [7, 8])
 def test_kitaev_flow_is_scale_invariant(n_ring):
     # the endpoint rule and every kernel split are relative to ||T||: the
-    # scaled path has the class of the path, on the dense and block routes
+    # scaled path has the class of the path, on the dense and the split
+    # reduced routes
     base = kitaev_path(n_ring)
+    assert (base.reduction is None) == (n_ring % 2 == 1)
     for exponent in range(-11, 10):
         path = SkewPath(base.context, lambda t, c=10.0 ** exponent: c * base.fn(t),
-                        grading=base.grading)
+                        grading=base.grading, reduction=base.reduction)
         assert spectral_flow(path).value == endpoint_flow(path).value == 1, exponent
 
 
@@ -703,18 +711,21 @@ def test_pfaffian_oracle_random_paths():
 
 
 # ---------------------------------------------------------------------------
-# Block route: graded paths with an empty context
+# Split reduced route on an empty context: graded paths of sector blocks
 # ---------------------------------------------------------------------------
 
 # the right factor of B(t) turns by this angle per initial segment, so that
 # the hint of the crossing node's left phase compresses to cos = -0.2
 TURN = np.arccos(-0.2)
+# the cell factor of the split reduction of an empty context: beta = 1
+SPLIT_CELL = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _odd_path(rng, half, crossings):
     """T(t) = G-odd form of B(t) = Q1 D(t) R(t) Q2 over a shuffled
-    grading G: D(t) = diag(1 - 2t (`crossings` times), 1, ...), and R(t)
-    the rotation by 16 t TURN in the plane of coordinates 0 and
+    grading G, declared as the split reduction of its empty context, whose
+    coefficient is B(t): D(t) = diag(1 - 2t (`crossings` times), 1, ...),
+    and R(t) the rotation by 16 t TURN in the plane of coordinates 0 and
     `crossings`.  T has an exact kernel of 2 * crossings at the node
     t = 1/2, where the left phase's hint compresses to the kernel with
     smallest singular value 0.2, below HINT_SMIN."""
@@ -729,23 +740,27 @@ def _odd_path(rng, half, crossings):
         rot[np.ix_([0, crossings], [0, crossings])] = [[c, -s], [s, c]]
         return q1 @ (d[:, None] * rot) @ q2
 
-    ctx = cl.CliffordRep(0, 0, 2 * half)
-    return SkewPath(ctx, lambda t: grading.odd(block(t)), grading=grading)
+    ctx = cl.CliffordRep(0, 0, 2 * half, copies=half)
+    return SkewPath(ctx, block, grading=grading,
+                    reduction=pairs.Reduction(ctx, SPLIT_CELL, grading))
 
 
 @pytest.mark.parametrize("crossings", [1, 2])
 @pytest.mark.parametrize("seed", range(3))
 def test_block_route_matches_dense_with_exact_node_kernels(seed, crossings):
-    # node kernels of 2 and 4 at t = 1/2: the block route's class is the
-    # dense route's, the endpoint formula's and the Pfaffian oracle's
+    # node kernels of 2 and 4 at t = 1/2: the split route's class is the
+    # dense route's, graded and not, the endpoint formula's and the
+    # Pfaffian oracle's
     path = _odd_path(np.random.default_rng(seed), 5, crossings)
-    ctx = path.context
+    assert path.reduction.kind == "split"
     minus, plus = path.grading.sectors()
-    *_, u_k, w_k = svd_split(path.at(0.5)[np.ix_(minus, plus)], doubled(_split_phase_kernel))
+    np.testing.assert_array_equal(path.at(0.5)[np.ix_(minus, plus)], path.fn(0.5))
+    *_, u_k, w_k = svd_split(path.coefficient(0.5), doubled(_split_phase_kernel))
     assert u_k.shape[1] == w_k.shape[1] == crossings
     flips = pf_sign(path.at(0.0)) != pf_sign(path.at(1.0))
     value = spectral_flow(path)
-    assert value == spectral_flow(SkewPath(ctx, path.fn)) == endpoint_flow(path)
+    assert value == spectral_flow(undeclared(path)) == spectral_flow(undeclared(path, False)) \
+        == endpoint_flow(path)
     assert value.value == int(flips) == crossings % 2
 
 
@@ -755,39 +770,46 @@ def test_block_completion_follows_a_hint_or_takes_the_identity(crossings):
     # the left phase's hint compresses below HINT_SMIN, the hint's polar
     # factor when it does not
     path = _odd_path(np.random.default_rng(5), 5, crossings)
-    ctx, grading = path.context, path.grading
-    left = complete_phase(path.at(7 / 16), ctx, grading)
-    t_mat = path.at(0.5)
-    minus, plus = grading.sectors()
-    u_r, wt_r, u_k, w_k = svd_split(t_mat[np.ix_(minus, plus)], doubled(_split_phase_kernel))
+    ctx, red = path.context, path.reduction
+    left = complete_phase(path.coefficient(7 / 16), ctx, reduction=red)
+    coef = path.coefficient(0.5)
+    u_r, wt_r, u_k, w_k = svd_split(coef, doubled(_split_phase_kernel))
     phase = u_r @ wt_r
-    smin = np.linalg.svd(u_k.T @ left.P @ w_k, compute_uv=False)[-1]
+    smin = np.linalg.svd(u_k.T @ left.S @ w_k, compute_uv=False)[-1]
     assert smin == pytest.approx(0.2, abs=1e-12) and smin < flow.HINT_SMIN
-    plain = complete_phase(t_mat, ctx, grading, align_hint=left.P)
-    np.testing.assert_allclose(plain.P, phase + u_k @ w_k.T, rtol=0.0, atol=1e-12)
-    np.testing.assert_array_equal(plain.P, complete_phase(t_mat, ctx, grading).P)  # no hint
-    flipped = complete_phase(t_mat, ctx, grading, align_hint=-plain.P)  # compresses to -I
-    np.testing.assert_allclose(flipped.P, phase - u_k @ w_k.T, rtol=0.0, atol=1e-12)
+    plain = complete_phase(coef, ctx, align_hint=left.S, reduction=red)
+    np.testing.assert_allclose(plain.S, phase + u_k @ w_k.T, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(plain.S, complete_phase(coef, ctx, reduction=red).S)
+    flipped = complete_phase(coef, ctx, align_hint=-plain.S, reduction=red)  # -I
+    np.testing.assert_allclose(flipped.S, phase - u_k @ w_k.T, rtol=0.0, atol=1e-12)
 
 
-def test_block_completion_rejects_a_non_orthogonal_node():
-    # a block-route completion U diag(I, Q) W^T is orthogonal up to the
-    # SVD's rounding, and nothing re-imposes it: a hand-built range block
-    # off orthogonality by 1e-7 fails the 1e-10 structure check
+def test_block_completion_rejects_a_non_orthogonal_node(monkeypatch):
+    # a split completion U diag(I, Q) W^T is orthogonal up to the SVD's
+    # rounding, and nothing re-imposes it: a range block off orthogonality
+    # by 1e-7 fails the 1e-10 structure check
     rng = np.random.default_rng(2)
     grading = Grading(rng.permutation(np.repeat([-1.0, 1.0], 6)))
-    noisy = random_orthogonal(rng, 6) + 1e-7 * rng.standard_normal((6, 6))
-    empty = np.zeros((6, 0))
-    with pytest.raises(ValidationError, match="not a grading-odd complex structure"):
-        flow._complete_block(noisy, empty, empty, grading, None)
-    # the same with a kernel: the range block of rank 4 plus U_k W_k^T
+    ctx = cl.CliffordRep(0, 0, 12, copies=6)
+    red = pairs.Reduction(ctx, SPLIT_CELL, grading)
     u, w = random_orthogonal(rng, 6), random_orthogonal(rng, 6)
-    exact = u[:, :4] @ w[:, :4].T
-    j = flow._complete_block(exact, u[:, 4:], w[:, 4:], grading, None)
-    np.testing.assert_allclose(j.P, u @ w.T, rtol=0.0, atol=1e-14)
-    off = exact + 1e-7 * rng.standard_normal((6, 6))
-    with pytest.raises(ValidationError, match="not a grading-odd complex structure"):
-        flow._complete_block(off, u[:, 4:], w[:, 4:], grading, None)
+    noise = 1e-7 * rng.standard_normal((6, 6))
+    cases = {"noisy": (random_orthogonal(rng, 6) + noise, np.eye(6), 6),
+             "exact": (u[:, :4], w[:, :4].T, 4),
+             "off": (u[:, :4] + noise[:, :4], w[:, :4].T, 4)}
+
+    def node(case):
+        u_r, vt_r, rank = cases[case]
+        monkeypatch.setattr(pairs, "svd_split", lambda mat, split: (u_r, vt_r, u[:, rank:],
+                                                                    w[:, rank:]))
+        return complete_phase(np.zeros((6, 6)), ctx, reduction=red)
+
+    with pytest.raises(ValidationError, match="not a reduced complex structure"):
+        node("noisy")
+    # the range block of rank 4 plus U_k W_k^T
+    np.testing.assert_allclose(node("exact").S, u @ w.T, rtol=0.0, atol=1e-14)
+    with pytest.raises(ValidationError, match="not a reduced complex structure"):
+        node("off")
 
 
 def _counted_svd_splits(monkeypatch, path):
@@ -811,22 +833,26 @@ def _counted_svd_splits(monkeypatch, path):
     for module in (flow, pairs):
         monkeypatch.setattr(module, "svd_split", counted)
     monkeypatch.setattr(flow, "pair_index", counted_pairs)
-    value = spectral_flow(SkewPath(path.context, sampled, grading=path.grading))
+    value = spectral_flow(SkewPath(path.context, sampled, grading=path.grading,
+                                   reduction=path.reduction))
     return value, shapes, len(times), len(pair_calls)
 
 
 def test_one_svd_per_node_and_per_pair_kernel(monkeypatch):
     # every node and every pair kernel is one svd_split and nothing else
-    # is; a graded path splits its nodes at half size, and its pair
-    # kernels too on the block route
-    cases = [(kitaev_path(8), "block"), (kitaev_path(9), "dense"),
+    # is; a graded path splits its nodes at half size, and the split
+    # reduced route its pair kernels too, at N x N
+    cases = [(kitaev_path(8), "split"), (kitaev_path(9), "dense"),
+             (models.flux_path(rotated_irrep(0, 8, 8), 3), "split"),
              (models.flux_path(rotated_irrep(0, 3, 5), 3), "dense graded")]
     for path, route in cases:
         value, shapes, nodes, pair_calls = _counted_svd_splits(monkeypatch, path)
         n = path.context.n
         assert pair_calls >= 1 and len(shapes) == nodes + pair_calls, route
-        if route == "block":
-            assert shapes == [(n // 2, n // 2)] * len(shapes)
+        if route == "split":
+            size = path.context.copies
+            assert path.reduction.kind == "split" and size == n // path.reduction.b.shape[0]
+            assert shapes == [(size, size)] * len(shapes)
         elif route == "dense":
             assert path.grading is None
             assert shapes == [(n, n)] * len(shapes)
@@ -839,10 +865,11 @@ def test_one_svd_per_node_and_per_pair_kernel(monkeypatch):
 
 
 def test_block_phase_distance_is_the_dense_frobenius_distance():
-    path = kitaev_path(6)
-    ctx, grading = path.context, path.grading
-    ja, jb = (complete_phase(path.at(t), ctx, grading) for t in (0.0, 1.0))
-    assert flow._phase_distance(ja, jb) == pytest.approx(np.linalg.norm(ja.J - jb.J), rel=1e-14)
+    for path in (kitaev_path(6), models.flux_path(rotated_irrep(0, 8, 8), 3)):
+        ctx, red = path.context, path.reduction
+        ja, jb = (complete_phase(path.coefficient(t), ctx, reduction=red) for t in (0.0, 1.0))
+        assert flow._phase_distance(ja, jb) == pytest.approx(np.linalg.norm(ja.J - jb.J),
+                                                             rel=1e-14)
 
 
 def test_complete_phase_checks_the_shape():

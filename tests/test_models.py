@@ -9,17 +9,16 @@ from koflow import clifford as cl
 from koflow import flow, models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
-from koflow.flow import (BLOCK_NODE_ARRAYS, BLOCK_SVD_WORKSPACE_ARRAYS,
-                         EIGH_WORKSPACE_ARRAYS, NODE_ARRAYS, REDUCED_NODE_ARRAYS,
-                         SVD_WORKSPACE_ARRAYS, SkewPath, classical_sf,
-                         complete_phase, endpoint_flow, spectral_flow)
+from koflow.flow import (EIGH_WORKSPACE_ARRAYS, NODE_ARRAYS, REDUCED_NODE_ARRAYS,
+                         SPLIT_SVD_WORKSPACE_ARRAYS, SVD_WORKSPACE_ARRAYS, SkewPath,
+                         classical_sf, complete_phase, endpoint_flow, spectral_flow)
 from koflow.models import (RealStructure, aii_path, flux_path, hermitian_double,
                            kitaev_path, realify, standard_quaternionic)
 from koflow.numerics import Grading, op_norm, random_orthogonal
-from koflow.pairs import ComplexStructure, OddStructure, ReducedStructure, Reduction
+from koflow.pairs import ComplexStructure, ReducedStructure, Reduction
 
 from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev,
-                      kitaev_seam_correction, pf_sign, rotated_irrep)
+                      kitaev_seam_correction, pf_sign, rotated_irrep, undeclared)
 
 
 def test_realify_examples():
@@ -127,8 +126,8 @@ def test_realify_rejects_a_wrong_shape():
 
 def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
     # building the N = 256 ring and sampling and splitting the 17 nodes of
-    # the default flow makes only float64 samples, calls no realify and
-    # takes no eigh: the grading is a sign vector, taken by index
+    # the default flow makes only float64 coefficients, calls no realify
+    # and takes no eigh: the grading is a sign vector, taken by index
     eighs = []
     eigh = np.linalg.eigh
 
@@ -145,7 +144,7 @@ def test_kitaev_node_runs_no_complex_matmul(monkeypatch):
     for t in np.linspace(0.0, 1.0, flow.INITIAL_SEGMENTS + 1):
         # the 17 nodes of the default flow, all accepted for Kitaev
         assert path.fn(t).dtype == np.float64
-        complete_phase(path.at(t), path.context, path.grading)
+        complete_phase(path.coefficient(t), path.context, reduction=path.reduction)
     assert eighs == []
     np.testing.assert_array_equal(path.grading.signs, np.tile([1, 1, -1, -1], 128))
 
@@ -187,15 +186,34 @@ def test_kitaev_alpha_one_is_flipped_bond():
 
 @pytest.mark.parametrize("n_ring", list(range(3, 17)) + list(range(18, 65, 2)))
 def test_kitaev_flow_is_one(n_ring):
-    """Even rings take the block route; the dense route on the ungraded
-    copy, the endpoint flow and the Pfaffian signs must agree with it."""
+    """Even rings take the split reduced route; the dense route on the
+    same samples with no reduction declared, graded and not, the endpoint
+    flow and the Pfaffian signs must agree with it."""
     path = kitaev_path(n_ring)
-    kind = OddStructure if n_ring % 2 == 0 else ComplexStructure
-    assert type(complete_phase(path.at(0.5), path.context, path.grading)) is kind
+    phase = flow._node(path, 0.5)
+    if n_ring % 2 == 0:
+        assert type(phase) is ReducedStructure and path.reduction.kind == "split"
+        assert phase.S.shape == (n_ring, n_ring)
+        assert spectral_flow(undeclared(path)) == spectral_flow(path)
+    else:
+        assert type(phase) is ComplexStructure and path.reduction is None
     value = spectral_flow(path)
     assert (value.degree, value.value) == (2, 1)
-    assert endpoint_flow(path) == spectral_flow(SkewPath(path.context, path.fn)) == value
+    assert endpoint_flow(path) == spectral_flow(undeclared(path, graded=False)) == value
     assert pf_sign(path.at(0.0)) == -pf_sign(path.at(1.0)) != 0
+
+
+def test_kitaev_coefficient_is_the_sector_block():
+    # the closed-form coefficient of an even ring is the block T[minus, plus]
+    # of the site-ordered sample, odd sites by even sites, bit for bit
+    for n_ring in (4, 6, 64):
+        path = kitaev_path(n_ring)
+        minus, plus = path.grading.sectors()
+        assert np.array_equal(minus % 4 >= 2, np.ones(n_ring, dtype=bool))
+        for alpha in (0.0, 0.3, 1.0):
+            sample = path.at(alpha)
+            np.testing.assert_array_equal(sample[np.ix_(minus, plus)], path.fn(alpha))
+            np.testing.assert_array_equal(sample, -sample.T)
 
 
 def _walk_peak_arrays(path):
@@ -211,41 +229,63 @@ def _walk_peak_arrays(path):
     return peak / (8 * path.context.n ** 2)
 
 
+def _planned_reduced_bytes(path):
+    """The guard's plan of a reduced walk, less its LAPACK workspace:
+    REDUCED_NODE_ARRAYS N x N arrays and one lifted pair kernel column,
+    r + s + 4 arrays of n x c."""
+    n, n_coef = path.context.n, path.context.copies
+    ctx_gens = path.context.r + path.context.s
+    return 8 * (REDUCED_NODE_ARRAYS * n_coef ** 2 + (ctx_gens + 4) * n * (n // n_coef))
+
+
 def test_kitaev_flow_peak_within_node_arrays():
     # the lattice memory guard counts NODE_ARRAYS n x n arrays for the
-    # dense walk (odd rings) and BLOCK_NODE_ARRAYS for the block route
-    # (even rings); the walk must not hold more
+    # dense walk (odd rings) and the reduced route's N x N arrays for the
+    # split walk (even rings); the walk must not hold more
     assert kitaev_path(63).grading is None
     assert _walk_peak_arrays(kitaev_path(63)) <= NODE_ARRAYS
-    assert _walk_peak_arrays(kitaev_path(64)) <= BLOCK_NODE_ARRAYS
+    for n_ring in (64, 256):
+        path = kitaev_path(n_ring)
+        peak = _walk_peak_arrays(path) * 8 * path.context.n ** 2
+        assert peak <= _planned_reduced_bytes(path), (n_ring, peak)
 
 
-def test_flux_cl01_flow_peak_within_block_node_arrays():
-    path = flux_path(cl.irreducible_rep(0, 1), 64)
-    assert path.grading is not None and (path.context.r, path.context.s) == (0, 0)
-    assert _walk_peak_arrays(path) <= BLOCK_NODE_ARRAYS
+def test_flux_cl01_flow_peak_within_reduced_node_arrays():
+    for module, n_ring in ((cl.irreducible_rep(0, 1), 64), (cl.irreducible_rep(1, 1), 256),
+                           (cl.irreducible_rep(0, 8), 48)):
+        path = flux_path(module, n_ring)
+        assert path.reduction.kind == "split"
+        peak = _walk_peak_arrays(path) * 8 * path.context.n ** 2
+        assert peak <= _planned_reduced_bytes(path), (module.r, module.s, peak)
 
 
 def test_lattice_memory_guard_counts_the_route(monkeypatch):
-    # even rings and Cl_{0,1} cells are counted at the block route's
-    # arrays, odd rings and larger cells at the dense walk's
+    # even rings and split cells are counted at the split route's N x N
+    # arrays, odd rings and dense cells at the dense walk's
     planned = []
     monkeypatch.setattr(models, "check_memory", lambda what, nbytes: planned.append(nbytes))
     dense = NODE_ARRAYS + SVD_WORKSPACE_ARRAYS
-    block = BLOCK_NODE_ARRAYS + BLOCK_SVD_WORKSPACE_ARRAYS
-    assert block < dense
-    for n_ring, arrays in ((4, block), (5, dense), (64, block), (63, dense)):
+    split = REDUCED_NODE_ARRAYS + SPLIT_SVD_WORKSPACE_ARRAYS
+    # the even ring: its N x N flux-free block, the walk's N x N arrays and
+    # SVD workspace, and one lifted pair kernel column, 4 arrays of 2N x 2
+    for n_ring in (4, 64):
         kitaev_path(n_ring)
-        assert planned.pop() == 8 * (1 + arrays) * (2 * n_ring) ** 2
-    flux_path(cl.irreducible_rep(0, 1), 6)
-    assert planned.pop() == 8 * (3 * 36 + block * 12 ** 2)
+        assert planned.pop() == 8 * ((1 + split) * n_ring ** 2 + 4 * 2 * n_ring * 2)
+    for n_ring in (5, 63):
+        kitaev_path(n_ring)
+        assert planned.pop() == 8 * (1 + dense) * (2 * n_ring) ** 2
+    assert 8 * (1 + split) * 64 ** 2 < 8 * (1 + dense) * 128 ** 2 / 3
+    flux_path(cl.irreducible_rep(0, 1), 6)  # empty context, c = 2, n = 12
+    assert planned.pop() == 8 * (3 * 36 + split * 36 + 4 * 12 * 2)
+    flux_path(cl.irreducible_rep(0, 8), 6)  # Cl_{0,7} context, c = 16, n = 96
+    assert planned.pop() == 8 * (3 * 36 + split * 36 + 11 * 96 * 16)
     # the tiled context holds its c x c cells alone: no n x n term for it
     flux_path(cl.irreducible_rep(0, 2), 6)
     assert planned.pop() == 8 * (3 * 36 + dense * 24 ** 2)
     # real-type cells take the reduced route: N x N arrays for the walk and
     # its eigendecomposition workspace, and one lifted pair kernel column
     reduced = REDUCED_NODE_ARRAYS + EIGH_WORKSPACE_ARRAYS
-    assert reduced < dense
+    assert reduced < split
     flux_path(cl.irreducible_rep(0, 7), 6)  # Cl_{0,6} context, c = 8, n = 48
     assert planned.pop() == 8 * (3 * 36 + reduced * 36 + 10 * 48 * 8)
     flux_path(cl.irreducible_rep(2, 1), 6)  # Cl_{2,0} context, c = 2, n = 12
@@ -263,7 +303,8 @@ def _lattice_path(name):
                                   "flux-cl01", "flux-cl03", "flux-cl07"])
 def test_graded_flow_matches_ungraded_and_endpoint(name):
     # even rings and every flux cell carry a grading, odd rings none; the
-    # half-size node SVD leaves the class where the dense route puts it
+    # half-size node SVD and the reduced routes leave the class where the
+    # dense route puts it
     path = _lattice_path(name)
     assert (path.grading is None) == (name == "kitaev-N9")
     ungraded = SkewPath(path.context, _dense_fn(path))
@@ -271,8 +312,9 @@ def test_graded_flow_matches_ungraded_and_endpoint(name):
 
 
 def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
-    # Kitaev N = 8 acts on R^16; graded, every node SVD and every pair
-    # kernel SVD is of an 8 x 8 block, ungraded every one is 16 x 16
+    # Kitaev N = 8 acts on R^16; reduced, every node SVD and every pair
+    # kernel SVD is of an 8 x 8 block, undeclared and ungraded every one is
+    # 16 x 16
     svd = np.linalg.svd
     shapes, pair_shapes, in_pair = [], [], []
 
@@ -291,7 +333,7 @@ def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setattr(flow, "pair_index", tracked_pair)
     path = kitaev_path(8)
-    for p in (path, SkewPath(path.context, path.fn)):
+    for p in (path, undeclared(path, graded=False)):
         shapes.clear()
         pair_shapes.clear()
         assert spectral_flow(p).value == 1
@@ -360,10 +402,13 @@ def test_flux_path_reproduces_class(r, sp):
 @pytest.mark.parametrize("r,sp,seed", [(0, 1, 0), (1, 2, 1), (0, 3, 2), (2, 3, 3),
                                        (0, 7, 7)])
 def test_flux_samples_anticommute_with_sign_grading(r, sp, seed):
-    # in the Schur frame of F_{s+1} the grading is diag(1, -1, 1, -1, ...)
+    # in the Schur frame of F_{s+1} the grading is diag(1, -1, 1, -1, ...);
+    # on a split cell (Cl_{0,1}) it is omega's diag(-I, I) on each cell
     path = flux_path(rotated_irrep(r, sp, seed=seed), 4)
     signs = path.grading.signs
-    np.testing.assert_array_equal(signs, np.tile([1, -1], path.context.n // 2))
+    half = path.context.n // 8
+    cell = np.repeat([-1, 1], half) if (r, sp) == (0, 1) else np.tile([1, -1], half)
+    np.testing.assert_array_equal(signs, np.tile(cell, 4))
     for t in (0.0, 0.3, 0.5, 1.0):
         t_mat = path.at(t)
         assert op_norm(signs[:, None] * t_mat + t_mat * signs) <= 1e-12
@@ -383,12 +428,11 @@ def test_flux_independent_of_ring_length():
 
 
 def _dense_fn(path):
-    """The path's n x n samples: on a reduced path each coefficient A of
-    its `fn`, lifted here to A (x) b."""
+    """The path's n x n samples: on a reduced path each coefficient of its
+    `fn`, lifted by its reduction."""
     if path.reduction is None:
         return path.fn
-    cell = np.array(path.reduction.b)
-    return lambda t: np.kron(path.fn(t), cell)
+    return lambda t: path.reduction.lift(path.fn(t))
 
 
 def _dense_copy(path):
@@ -492,24 +536,53 @@ def test_tiled_flux_class_matches_dense_context(s, chirality):
 # modules whose context cell has a one-dimensional anticommutant: s - r = 7
 # mod 8 among the canonical irreducibles with r + s <= 9
 REAL_TYPE_CELLS = [(2, 1), (3, 2), (0, 7), (4, 3), (1, 8), (5, 4)]
+# modules whose context cell has the commutant R + R: r - s = 0 mod 8 among
+# them, and Cl_{0,1}, whose empty context is split by the path's grading
+SPLIT_TYPE_CELLS = [(0, 1), (1, 1), (2, 2), (3, 3), (4, 4), (0, 8)]
+
+
+def _null_space_dimension(blocks, c):
+    """dim {X : B(X) = 0 for every map B} on R^{c x c}, each B given as its
+    c^2 x c^2 matrix on vec(X), by one SVD of the triangular factor of the
+    stacked system (same singular values and right vectors); with its null
+    vectors as c x c matrices."""
+    if not blocks:
+        return c * c, np.eye(c * c).reshape(-1, c, c)
+    _, svals, vt = np.linalg.svd(np.linalg.qr(np.vstack(blocks), mode="r"))
+    svals = np.concatenate([svals, np.zeros(c * c - svals.size)])
+    null = svals < 1e-9 * svals[0]
+    return int(np.sum(null)), vt[null].reshape(-1, c, c)
 
 
 def _anticommutant_dimension(gens, c):
     """dim {X : g X + X g = 0 for every g} on R^c, by a null-space solve
     on vec(X): vec(g X + X g) = (I (x) g + g^T (x) I) vec(X)."""
-    if not gens:
-        return c * c
     eye = np.eye(c)
-    system = np.vstack([np.kron(eye, g) + np.kron(g.T, eye) for g in gens])
-    svals = np.linalg.svd(system, compute_uv=False)
-    return int(np.sum(svals < 1e-9 * svals[0])) + c * c - svals.size
+    return _null_space_dimension([np.kron(eye, g) + np.kron(g.T, eye) for g in gens], c)[0]
+
+
+def _split_commutant(gens, c):
+    """Whether the commutant {X : g X = X g} is R + R: two-dimensional,
+    spanned by I and a symmetric element of trace 0 (a multiple of an
+    involution), not a skew one (the complex type)."""
+    eye = np.eye(c)
+    dim, null = _null_space_dimension([np.kron(eye, g) - np.kron(g.T, eye) for g in gens], c)
+    if dim != 2:
+        return False
+    traceless = [x - np.trace(x) / c * eye for x in null]
+    x = max(traceless, key=np.linalg.norm)
+    return np.linalg.norm(x - x.T) < 1e-9 * np.linalg.norm(x)
 
 
 def test_reduced_route_is_the_one_dimensional_anticommutant():
     # a null-space solve on the context cell of every canonical module with
     # r + s <= 9 and a cell of size at most 16 (every real-type cell, both
-    # chiralities): flux_path declares its reduction exactly when the
-    # anticommutant is one-dimensional, and those are the s - r = 7 cells
+    # chiralities, and every split one): flux_path declares a real
+    # reduction exactly when the anticommutant is one-dimensional, those
+    # are the s - r = 7 cells, and a split one exactly when the commutant
+    # is R + R (or the context is empty on a cell of size 2), those are the
+    # r - s = 0 cells; there the grading's cell commutes with the context
+    # and, with it, the anticommutant is two-dimensional
     seen = set()
     for total in range(1, 10):
         for r in range(total):
@@ -517,16 +590,27 @@ def test_reduced_route_is_the_one_dimensional_anticommutant():
             chis = ["+", "-"] if cl.has_two_irreducibles(r, s) else [None]
             for ch in chis:
                 module = cl.irreducible_rep(r, s, ch)
-                reduced = flux_path(module, 3).reduction is not None
-                assert reduced == ((r, s) in REAL_TYPE_CELLS)
+                path = flux_path(module, 3)
+                kind = None if path.reduction is None else path.reduction.kind
+                assert (kind == "real") == ((r, s) in REAL_TYPE_CELLS)
+                assert (kind == "split") == ((r, s) in SPLIT_TYPE_CELLS)
                 if module.n > 16:
                     continue
-                dim = _anticommutant_dimension(list(module.E) + list(module.F[:-1]),
-                                               module.n)
-                assert dim >= 1 and reduced == (dim == 1), (r, s, ch, dim)
+                c = module.n
+                gens = list(module.E) + list(module.F[:-1])
+                dim = _anticommutant_dimension(gens, c)
+                assert dim >= 1 and (kind == "real") == (dim == 1), (r, s, ch, dim)
+                split = _split_commutant(gens, c) if gens else c == 2
+                assert (kind == "split") == split, (r, s, ch)
+                if kind == "split":
+                    cells = path.context.cells
+                    omega = np.diag(path.grading.signs[:c])
+                    assert all(np.abs(omega @ g - g @ omega).max() < 1e-12 for g in cells)
+                    assert _anticommutant_dimension(list(cells) + [omega], c) == 2
                 seen.add((r, s, ch))
-    assert {(r, s) for r, s, _ in seen} >= set(REAL_TYPE_CELLS)
+    assert {(r, s) for r, s, _ in seen} >= set(REAL_TYPE_CELLS) | set(SPLIT_TYPE_CELLS)
     assert len([cell for cell in seen if cell[:2] in REAL_TYPE_CELLS]) == 12
+    assert len([cell for cell in seen if cell[:2] in SPLIT_TYPE_CELLS]) == 6
 
 
 @pytest.mark.parametrize("r,s", REAL_TYPE_CELLS)
@@ -541,6 +625,61 @@ def test_reduced_flux_flow_matches_dense_endpoint_and_class(r, s, chirality):
         value = spectral_flow(path)
         assert value == spectral_flow(_dense_copy(path)) == endpoint_flow(path) \
             == abs_class(module), (n_ring, value)
+
+
+@pytest.mark.parametrize("r,s", [cell for cell in SPLIT_TYPE_CELLS if cell != (4, 4)])
+def test_split_flux_flow_matches_dense_endpoint_and_class(r, s):
+    # in a rotated frame the split reduced flow equals the flow of the same
+    # path declared without its reduction, graded and not, the endpoint
+    # flow and the class of the cell
+    module = rotated_irrep(r, s, seed=r + 10 * s)
+    for n_ring in (3, 4, 5, 12):
+        path = flux_path(module, n_ring)
+        assert path.reduction.kind == "split"
+        value = spectral_flow(path)
+        assert value == spectral_flow(undeclared(path)) \
+            == spectral_flow(undeclared(path, graded=False)) == endpoint_flow(path) \
+            == abs_class(module), (n_ring, value)
+
+
+def test_split_cells_up_to_twelve_generators_reduce():
+    # every irreducible with r - s = 0 mod 8, s >= 1 and r + s <= 12: the
+    # volume element of its context cell is a central symmetric involution
+    # that anticommutes with F_{s+1}, so flux_path declares the split
+    # reduction, and its flow is the cell's class
+    cells = [(r, s) for s in range(1, 13) for r in range(13 - s) if (r - s) % 8 == 0]
+    assert len(cells) == 11
+    for r, s in cells:
+        module = cl.irreducible_rep(r, s)
+        path = flux_path(module, 3)
+        assert path.reduction.kind == "split" and path.reduction.eps < 1e-13, (r, s)
+        assert spectral_flow(path) == endpoint_flow(path) == abs_class(module), (r, s)
+
+
+def test_split_nodes_decompose_to_coefficient_blocks(monkeypatch):
+    # Cl_{0,8} at N = 12 acts on R^192: every node and every pair kernel of
+    # the split walk is one SVD of a 12 x 12 coefficient, no n x n or
+    # n/2 x n/2 SVD is taken, no sample is lifted and no phase is n x n
+    path = flux_path(rotated_irrep(0, 8, seed=8), 12)
+    svd, shapes = np.linalg.svd, []
+
+    def counted_svd(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return svd(mat, *args, **kwargs)
+
+    def no_dense_sample(self, t):
+        raise AssertionError(f"an n x n sample was taken at t={t}")
+
+    phases = _recorded_phases(monkeypatch)
+    products = _count_generator_products(path.context)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(SkewPath, "at", no_dense_sample)
+    assert spectral_flow(path) == abs_class(rotated_irrep(0, 8, seed=8))
+    nodes = shapes.count((12, 12))
+    assert nodes >= 17 + 1 and all(shape[0] <= 12 for shape in shapes), shapes
+    assert len(phases) >= 17
+    assert all(type(j) is ReducedStructure and j.S.shape == (12, 12) for j in phases)
+    assert products == []
 
 
 def test_dense_route_keeps_cl03_and_reducible_cells():
@@ -648,14 +787,42 @@ def test_reduction_rejects_a_cell_factor_off_by_1e_9():
         Reduction(empty, b, Grading(np.tile([1.0, 1.0, -1.0, -1.0], 3)))
     with pytest.raises(ValidationError, match="does not repeat"):
         Reduction(empty, b, Grading(np.tile([1.0, -1.0], 6) * np.repeat([1, -1, 1], 4)))
+    # a split cell (Cl_{2,2}): the grading must be omega = diag(-I, I) tiled,
+    # and b off its skew omega-odd part by 1e-9 is rejected
+    split = flux_path(rotated_irrep(2, 2, seed=2), 4)
+    ctx, grading, b = split.context, split.grading, split.reduction.b
+    assert Reduction(ctx, b, grading).kind == "split"
+    with pytest.raises(ValidationError, match="anticommuting"):
+        Reduction(ctx, b + 1e-9 * np.eye(4), grading)
+    with pytest.raises(ValidationError, match="does not repeat"):
+        Reduction(ctx, b, Grading(np.tile([1.0, -1.0], 8)))
+    with pytest.raises(ValidationError, match="needs the path's grading"):
+        Reduction(ctx, b)
+    # on a Cl_{1,0} context b' = L1^T anticommutes with both K1 and K2, but
+    # only K1 commutes with omega = diag(-1, 1): with K2, b' omega does not
+    # anticommute with the cell, and the skew part of a coefficient would
+    # break the sample's anticommutation
+    cell = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    grading = Grading(np.tile([-1.0, 1.0], 3))
+    Reduction(cl.CliffordRep(1, 0, 6, E=(cl.K1,), copies=3), cell, grading)
+    with pytest.raises(ValidationError, match="anticommuting"):
+        Reduction(cl.CliffordRep(1, 0, 6, E=(cl.K2,), copies=3), cell, grading)
 
 
 def test_reduced_sample_check_is_never_looser():
-    # a coefficient A that the reduced check accepts gives a sample A (x) b
-    # that the dense check of today's route accepts too, for cell factors
-    # and coefficients carrying errors around the sample tolerance
-    path = flux_path(rotated_irrep(0, 7, seed=7), 4)
+    # a coefficient that the reduced check accepts gives a sample that the
+    # dense check of `at` accepts too, for cell factors and coefficients
+    # carrying errors around the sample tolerance: on the real kind
+    # (Cl_{0,7}) A (x) b with A near-symmetric, on the split kind
+    # (Cl_{2,2}, Cl_{0,8}) the grading-odd form of P (x) beta with a
+    # general P of norm up to 1e4
+    for r, s in ((0, 7), (2, 2), (0, 8)):
+        _check_never_looser(flux_path(rotated_irrep(r, s, seed=s), 4))
+
+
+def _check_never_looser(path):
     ctx, grading, b0 = path.context, path.grading, path.reduction.b
+    split = path.reduction.kind == "split"
     rng = np.random.default_rng(0)
     outcomes = set()
     for _ in range(200):
@@ -665,15 +832,18 @@ def test_reduced_sample_check_is_never_looser():
         except ValidationError:
             outcomes.add("cell factor rejected")
             continue
-        coef = path.fn(rng.uniform()) + 10.0 ** rng.uniform(-13, -9.5) \
-            * rng.standard_normal((4, 4))
+        if split:
+            coef = 10.0 ** rng.uniform(-1, 4) * rng.standard_normal((4, 4))
+        else:
+            coef = path.fn(rng.uniform()) + 10.0 ** rng.uniform(-13, -9.5) \
+                * rng.standard_normal((4, 4))
         reduced = SkewPath(ctx, lambda t: coef, grading=grading, reduction=red)
         try:
             reduced.coefficient(0.0)
         except ValidationError:
             outcomes.add("coefficient rejected")
             continue
-        SkewPath(ctx, lambda t: np.kron(coef, b), grading=grading).at(0.0)
+        SkewPath(ctx, lambda t: red.lift(coef), grading=grading).at(0.0)
         outcomes.add("both accepted")
     assert outcomes == {"cell factor rejected", "coefficient rejected", "both accepted"}
 

@@ -124,8 +124,9 @@ def test_valid_kitaev_nodes_run_no_svd(monkeypatch):
             monkeypatch.setattr(module, "op_norm", counted)
     path = kitaev_path(8)
     for t in (0.0, 0.25, 0.75, 1.0):
-        for grading in (None, path.grading):  # the dense and the block route
+        for grading in (None, path.grading):  # the dense route, ungraded and graded
             complete_phase(path.at(t), path.context, grading)
+        complete_phase(path.coefficient(t), path.context, reduction=path.reduction)  # split
     assert calls == []
 
 
@@ -211,10 +212,9 @@ def _shuffled_signs(rng, n):
 @pytest.mark.parametrize("seed", range(6))
 def test_graded_svd_split_matches_dense(monkeypatch, seed):
     # svd_split of the sector block, taken by index and split with
-    # `doubled`, scattered back by the dense graded route, gives the range
-    # phase and the kernel projector of the dense SVD, for tiled and
-    # shuffled sign patterns alike
-    monkeypatch.setattr(flow, "block_route", lambda r, s, graded: False)
+    # `doubled`, scattered back by the dense graded route (an empty context
+    # with no reduction declared), gives the range phase and the kernel
+    # projector of the dense SVD, for tiled and shuffled sign patterns alike
     rng = np.random.default_rng(seed)
     # near-singular: B has singular values 1e-9, 5e-7, 1, 1, so T has each
     # twice and the regularized split takes the four sub-gap ones as kernel

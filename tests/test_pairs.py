@@ -9,8 +9,8 @@ from koflow.errors import ValidationError
 from koflow.flow import complete_phase
 from koflow.numerics import (Grading, doubled, random_orthogonal, random_skew,
                              split_zero_cluster, svd_split)
-from koflow.pairs import (ComplexStructure, OddStructure, ProjectionPair,
-                          ReducedStructure, kernel_module,
+from koflow.pairs import (ComplexStructure, ProjectionPair, ReducedStructure,
+                          Reduction, kernel_module,
                           midpoint_operators, orthogonal_pair_parity,
                           pair_index, projection_pair_index,
                           projections_to_structures, spectral_submodule)
@@ -261,12 +261,18 @@ def test_local_constancy():
         assert value == base
 
 
+def _split_reduction(grading):
+    """The split reduction of an empty context, cells of size 2, beta = 1."""
+    ctx = cl.CliffordRep(0, 0, grading.n, copies=grading.n // 2)
+    return Reduction(ctx, np.array([[0.0, 1.0], [-1.0, 0.0]]), grading)
+
+
 def _odd_pair(rng, half, k):
-    """Orthogonal blocks P0 and P1 = P0 R over a shuffled grading, R with
-    eigenvalue -1 exactly k times: ker(P0 + P1) = ker(I + R) has
-    dimension k.  The rest of R is a Cayley transform (I - A)(I + A)^-1
-    of a skew A, with no eigenvalue near -1."""
-    grading = Grading(rng.permutation(np.repeat([-1.0, 1.0], half)))
+    """Orthogonal blocks P0 and P1 = P0 R over a shuffled grading, as
+    split reduced structures, R with eigenvalue -1 exactly k times:
+    ker(P0 + P1) = ker(I + R) has dimension k.  The rest of R is a Cayley
+    transform (I - A)(I + A)^-1 of a skew A, with no eigenvalue near -1."""
+    red = _split_reduction(Grading(rng.permutation(np.repeat([-1.0, 1.0], half))))
     a = 2.0 * random_skew(rng, half - k)
     cayley = (np.eye(half - k) - a) @ np.linalg.inv(np.eye(half - k) + a)
     rot = np.zeros((half, half))
@@ -274,7 +280,7 @@ def _odd_pair(rng, half, k):
     rot[k:, k:] = cayley
     v = random_orthogonal(rng, half)
     p0 = random_orthogonal(rng, half)
-    return OddStructure(p0, grading), OddStructure(p0 @ v @ rot @ v.T, grading)
+    return ReducedStructure(p0, red), ReducedStructure(p0 @ v @ rot @ v.T, red)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -286,8 +292,9 @@ def test_block_pair_kernel_matches_dense(monkeypatch, seed, k):
     rng = np.random.default_rng(seed)
     half = 7
     j0, j1 = _odd_pair(rng, half, k)
-    minus, plus = j0.grading.sectors()
-    _, _, left, right = svd_split(j0.P + j1.P, doubled(split_zero_cluster))
+    assert j0.reduction.kind == "split"
+    minus, plus = j0.reduction.grading.sectors()
+    _, _, left, right = svd_split(j0.S + j1.S, doubled(split_zero_cluster))
     assert left.shape == right.shape == (half, k)
     basis = np.zeros((2 * half, 2 * k))
     basis[minus, :k] = left
@@ -312,8 +319,8 @@ def test_block_pair_kernel_matches_dense(monkeypatch, seed, k):
 
 def _kitaev_endpoint_phases(n_ring):
     path = models.kitaev_path(n_ring)
-    ctx, grading = path.context, path.grading
-    return [complete_phase(path.at(t), ctx, grading) for t in (0.0, 1.0)]
+    return [complete_phase(path.coefficient(t), path.context, reduction=path.reduction)
+            for t in (0.0, 1.0)]
 
 
 def test_block_pair_index_is_the_orthogonal_parity_and_the_determinant_sign():
@@ -324,27 +331,27 @@ def test_block_pair_index_is_the_orthogonal_parity_and_the_determinant_sign():
              for seed in range(4) for k in (0, 1, 2)]
     pairs += [_kitaev_endpoint_phases(n_ring) for n_ring in (4, 8, 64, 256)]
     for j0, j1 in pairs:
-        assert isinstance(j0, OddStructure) and isinstance(j1, OddStructure)
+        assert isinstance(j0, ReducedStructure) and isinstance(j1, ReducedStructure)
+        assert j0.reduction.kind == "split"
         value = pair_index(j0, j1)[0].value
-        assert value == orthogonal_pair_parity(j0.P, j1.P)
-        assert (-1) ** value == np.sign(np.linalg.det(j0.P) * np.linalg.det(j1.P))
+        assert value == orthogonal_pair_parity(j0.S, j1.S)
+        assert (-1) ** value == np.sign(np.linalg.det(j0.S) * np.linalg.det(j1.S))
     # the Kitaev flux insertion: one crossing, determinants of opposite signs
     assert [pair_index(j0, j1)[0].value for j0, j1 in pairs[-4:]] == [1] * 4
 
 
 def test_odd_structure_checks_its_block():
-    grading = Grading([1.0, -1.0, -1.0, 1.0])
-    j = OddStructure(cl.L1, grading)
+    j = ReducedStructure(cl.L1, _split_reduction(Grading([1.0, -1.0, -1.0, 1.0])))
     # minus = (1, 2), plus = (0, 3): J[minus, plus] = P, J[plus, minus] = -P^T
     np.testing.assert_array_equal(j.J, [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
                                         [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     ComplexStructure(j.J, j.context)  # the dense form is a complex structure
-    with pytest.raises(ValidationError, match="not a grading-odd complex structure"):
-        OddStructure(2.0 * cl.L1, grading)
-    with pytest.raises(ValidationError, match="sectors have dimension 2"):
-        OddStructure(np.eye(3), grading)
+    with pytest.raises(ValidationError, match="not a reduced complex structure"):
+        ReducedStructure(2.0 * cl.L1, j.reduction)
+    with pytest.raises(ValidationError, match="coefficients are 2 x 2"):
+        ReducedStructure(np.eye(3), j.reduction)
     # a block and a dense structure pair through the dense route
-    flipped = OddStructure(-cl.L1, grading)
+    flipped = ReducedStructure(-cl.L1, j.reduction)
     value, module = pair_index(j, ComplexStructure(flipped.J, j.context))
     assert (module.n, value.value) == (4, 0)
     assert pair_index(j, flipped)[0] == value
