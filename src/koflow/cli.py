@@ -95,7 +95,7 @@ def _solve(path: SkewPath, args):
         for t in np.linspace(0.0, 1.0, TRACK_SAMPLES):
             if path.reduction is None:
                 svals = np.linalg.svd(path.at(t), compute_uv=False)
-            else:  # those of A (x) b, b orthogonal of size c: A's, each c times
+            else:  # those of the lifted sample: the coefficient's, each c times
                 svals = np.repeat(np.linalg.svd(path.coefficient(t), compute_uv=False),
                                   path.reduction.b.shape[0])
             rows.append([t] + sorted(svals)[:args.tracks])

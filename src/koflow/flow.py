@@ -39,11 +39,11 @@ same on each; what a node holds differs.  A path over a context tiled by
 c x c cells takes the reduced route when it declares a `pairs.Reduction`,
 of the kind that `reduced_route` reads off the cell's type:
 
-    cell type       cells (module)                        route
-    real R          Cl_{2,1}, Cl_{0,7}, Cl_{3,2}, ...     reduced, real kind
+    cell type       cells (module)                          route
+    real R          Cl_{2,1}, Cl_{0,7}, Cl_{3,2}, ...       reduced, real kind
     split R + R     Cl_{0,1}, Cl_{1,1}, Cl_{2,2}, Cl_{0,8}  reduced, split kind
-    complex C       Cl_{0,6}, ...                         dense
-    quaternionic H  Cl_{0,3}, Cl_{1,2}, Cl_{0,5}, ...     dense
+    complex C       Cl_{0,6}, ...                           dense
+    quaternionic H  Cl_{0,3}, Cl_{1,2}, Cl_{0,5}, ...       dense
 
 - Reduced route: every node phase is kept as an N x N factor S
   (`pairs.ReducedStructure`): the symmetric involution of S (x) b on the

@@ -406,7 +406,7 @@ def test_flux_samples_anticommute_with_sign_grading(r, sp, seed):
     # on a split cell (Cl_{0,1}) it is omega's diag(-I, I) on each cell
     path = flux_path(rotated_irrep(r, sp, seed=seed), 4)
     signs = path.grading.signs
-    half = path.context.n // 8
+    half = path.context.n // path.context.copies // 2
     cell = np.repeat([-1, 1], half) if (r, sp) == (0, 1) else np.tile([1, -1], half)
     np.testing.assert_array_equal(signs, np.tile(cell, 4))
     for t in (0.0, 0.3, 0.5, 1.0):
