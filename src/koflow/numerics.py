@@ -16,7 +16,12 @@ below sqrt(eps) ||M|| into noise.
 Residual convention: every structural check goes through
 `residual_norm`, which tries the Frobenius bound ||R||_2 <= ||R||_F first
 and takes the exact 2-norm (`op_norm`, an SVD) only when that bound fails.
-A non-finite residual fails every check: it counts as inf, with no SVD.
+The bound of a real R is sqrt(r . r) for r = R.ravel(order="K"), the
+computation of `np.linalg.norm` to the bit, formed without its wrappers
+(`_frobenius`); a complex R takes the hypot of its two parts' bounds.
+A residual with a non-finite entry fails every check: it counts as inf,
+with no SVD.  One whose entries are all finite but whose sum of squares
+overflows has an inf bound too, silently, and is then measured exactly.
 
 Graded convention: a grading is a diagonal G = diag(signs) with n/2
 entries -1 and n/2 entries +1 (a `Grading`, stored as its sign vector).
@@ -37,6 +42,7 @@ decomposed as N x N matrices.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,21 +73,36 @@ def op_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
+def _frobenius(res: np.ndarray) -> float:
+    """||res||_F of a real array, bit for bit as `np.linalg.norm` forms it
+    (the square root of the dot product of `ravel(order="K")` with itself),
+    without that function's per-call argument handling.  `np.vdot` runs
+    the same dot product but skips numpy's floating-point status check, so
+    a sum of squares that overflows reads inf with no warning."""
+    flat = res.ravel(order="K")
+    return math.sqrt(np.vdot(flat, flat))
+
+
 def residual_norm(tol: float, residuals) -> float:
     """Largest 2-norm among `residuals`, exact whenever it exceeds tol;
     a complex residual R is measured as hypot(||Re R||_2, ||Im R||_2).
 
     A residual whose Frobenius bound is within tol counts as that bound,
     so the accepted inputs and the residuals reported on failure are those
-    of the exact norm.  A residual with a non-finite entry counts as inf.
-    Consumed lazily: a generator keeps one alive."""
+    of the exact norm.  A residual with a non-finite entry counts as inf;
+    one whose entries are finite but whose bound overflows is measured
+    exactly.  Consumed lazily: a generator keeps one alive."""
     def size(res) -> float:
-        parts = (res.real, res.imag) if np.iscomplexobj(res) else (res,)
-        bound = float(np.hypot.reduce([np.linalg.norm(p) for p in parts]))
+        if res.dtype.kind == "c":
+            parts = (res.real, res.imag)
+            bound = float(np.hypot.reduce([_frobenius(p) for p in parts]))
+        else:
+            parts = (res,)
+            bound = _frobenius(res)
         if bound <= tol:
             return bound
-        if not np.isfinite(bound):
-            return np.inf  # the SVD of a NaN residual would not converge
+        if not math.isfinite(bound) and not all(np.isfinite(p).all() for p in parts):
+            return math.inf  # the SVD of a NaN residual would not converge
         return float(np.hypot.reduce([op_norm(p) for p in parts]))
 
     # map drops each residual before the next one is built

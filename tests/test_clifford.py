@@ -158,6 +158,17 @@ def test_canonical_irreducibles_pinned():
     assert digest.hexdigest() == CANONICAL_DIGEST
 
 
+def test_tensor_step_product_is_np_kron_to_the_bit():
+    # signed zeros included: 0 * -1 is -0.0 in both
+    rng = np.random.default_rng(3)
+    pairs = [(cl.K1, cl.L1), (cl.K2, cl.L1), (np.eye(3), cl.OMEGA_11),
+             (-np.eye(2), np.zeros((2, 2))),
+             (rng.standard_normal((3, 5)), rng.standard_normal((4, 2)))]
+    for a, b in pairs:
+        assert cl._kron(a, b).tobytes() == np.kron(a, b).tobytes()
+        assert cl._kron(a, b).shape == np.kron(a, b).shape
+
+
 def test_decompose():
     assert cl.decompose(cl.irreducible_rep(1, 0, "+")) == (1, 0)
     two_sided = cl.CliffordRep(1, 0, 2, E=(cl.K1,))

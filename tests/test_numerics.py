@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,58 @@ def test_residual_norm_non_finite_is_inf(monkeypatch):
     # NaN in the imaginary part alone: 1j * nan would put NaN in both parts
     assert residual_norm(1e-10, [np.full((3, 3), complex(0.0, np.nan))]) == np.inf
     assert residual_norm(1e-10, [np.diag([np.inf, 0.0, 0.0])]) == np.inf
+
+
+def test_residual_norm_overflow_is_exact():
+    # finite entries whose sum of squares overflows: the bound reads inf
+    # with no warning, and the exact norm decides
+    res = np.diag([1e200, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert residual_norm(1e-10, [res]) == op_norm(res) == 1e200
+        full = 1e200 * np.ones((3, 3))
+        assert residual_norm(1e-10, [full]) == op_norm(full) == pytest.approx(3e200)
+        assert residual_norm(1e-10, [res + 1j * res]) == float(np.hypot(1e200, 1e200))
+
+
+def test_frobenius_bound_matches_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(7)
+    arrays = []
+    for n in (1, 3, 8, 17, 32, 64):
+        scale = 10.0 ** rng.integers(-14, 3)
+        mat = scale * rng.standard_normal((n, n))
+        idx = np.sort(rng.permutation(n)[:max(1, n // 2)])
+        both = mat + 1j * scale * rng.standard_normal((n, n))
+        arrays += [mat,                          # C-contiguous
+                   mat.T,                        # F-ordered
+                   mat.take(idx, 0).take(idx, 1),  # a sector block by index
+                   both.real, both.imag]         # strided views
+    assert arrays[-4].flags.f_contiguous and not arrays[-4].flags.c_contiguous
+    assert not (arrays[-2].flags.c_contiguous or arrays[-2].flags.f_contiguous)
+    for mat in arrays:
+        assert numerics._frobenius(mat) == float(np.linalg.norm(mat))
+        assert residual_norm(np.inf, [mat]) == float(np.linalg.norm(mat))
+    for mat in arrays[::5]:
+        both = mat + 2.0j * mat
+        assert residual_norm(np.inf, [both]) == float(
+            np.hypot(np.linalg.norm(both.real), np.linalg.norm(both.imag)))
+
+
+def test_real_residual_within_tol_calls_no_numpy_norm(monkeypatch):
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    res = 1e-12 * random_skew(np.random.default_rng(0), 8)
+    assert residual_norm(1e-10, [res, res.T]) == norm(res)
+    assert calls == []
+    # the exact fallback still takes its 2-norm through np.linalg.norm
+    residual_norm(1e-14, [res])
+    assert calls == [(8, 8)]
 
 
 def _nan_sample_at():
