@@ -106,34 +106,37 @@ class CliffordRep:
 
     def skew_residuals(self, mat: np.ndarray):
         """Residuals mat + mat^T and mat g + g mat of an n x n skew matrix
-        anticommuting with the module, built one at a time."""
-        yield mat + mat.T
+        anticommuting with the module, built one at a time; of a (B, n, n)
+        stack, each residual a stack too."""
+        yield mat + mat.swapaxes(-1, -2)
         yield from self.anticommutators(mat)
 
     def anticommutators(self, mat: np.ndarray):
-        """The residuals mat g + g mat alone."""
-        n, copies = self.n, self.copies
-        c = n // copies
-        rows, blocks = mat.reshape(n * copies, c), mat.reshape(copies, c, n)
+        """The residuals mat g + g mat alone.  A (B, n, n) stack runs
+        through the same reshapes, B copies of each cell product at once;
+        each item's residual is the one of that item alone, to the bit."""
+        c = self.n // self.copies
+        rows, blocks = mat.reshape(-1, c), mat.reshape(-1, c, self.n)
         for cell in self.cells:
-            res = (rows @ cell).reshape(n, n)
-            res += (cell @ blocks).reshape(n, n)  # in place: no third n x n array
+            res = (rows @ cell).reshape(mat.shape)
+            res += (cell @ blocks).reshape(mat.shape)  # in place: no third n x n array
             yield res
 
     def project_skew(self, mat: np.ndarray, sign: int) -> np.ndarray:
         """Skew part of an n x n `mat` with g mat g^T = sign mat for every
         generator g: the part anticommuting with the module for sign = -1,
         commuting with it for sign = +1.  Averages mat with sign g mat g^T
-        one generator at a time."""
+        one generator at a time; a (B, n, n) stack item by item, in the
+        same products."""
         out = np.asarray(mat, dtype=float)
         n, copies = self.n, self.copies
         c = n // copies
         combine = np.add if sign > 0 else np.subtract
         for cell in self.cells:
             # one expression: no named temporary outlives the step
-            out = combine(out, ((cell @ out.reshape(copies, c, n)).reshape(n * copies, c)
-                                @ cell.T).reshape(n, n)) / 2.0
-        return (out - out.T) / 2.0
+            out = combine(out, ((cell @ out.reshape(-1, c, n)).reshape(-1, c)
+                                @ cell.T).reshape(out.shape)) / 2.0
+        return (out - out.swapaxes(-1, -2)) / 2.0
 
     def validate(self, tol: float = CONSTRUCTION_TOL) -> "CliffordRep":
         report = check_relations(self, tol)

@@ -21,11 +21,24 @@ Every sample is checked once, where it is taken (`SkewPath.at`):
 skewness and anticommutation with the context; on a graded path the
 grading first, and skewness then on the sector blocks alone; on a
 reduced path its N x N coefficient is checked instead
-(`SkewPath.coefficient`).  Each node is then one `complete_phase` call,
-which takes one decomposition of a matrix itself: one `numerics.svd_split`
-of T, on a graded path of its n/2 x n/2 sector block (see the graded
-convention of `numerics`), and on a reduced path one
-`Reduction.decompose` of its N x N coefficient.
+(`SkewPath.coefficient`).  Each node is completed from one decomposition
+of a matrix itself: one `numerics.svd_split` of T, on a graded path of
+its n/2 x n/2 sector block (see the graded convention of `numerics`),
+and on a reduced path one `Reduction.decompose` of its N x N
+coefficient.
+
+Stacks: nodes are sampled, checked, decomposed and completed together
+as one (B, ., .) stack (`SkewPath.samples`, `complete_phases`): the two
+endpoints, then the 15 interior nodes of the initial partition, at most
+`stacked_nodes` of them at a time (STACK_BYTES caps a stack's arrays).
+Every item passes the bounds of a node taken alone, to the bit, and a
+failing item holds its exception until the walk reaches it.  A node
+whose kernel cluster is empty never reads its alignment hint, so those
+are completed as one stack; the others follow one at a time, in order,
+each with its left neighbour's phase as the hint.  `SkewPath.at`,
+`SkewPath.coefficient` and `complete_phase` are the stack of one, which
+also completes every bisection midpoint and, on paths too large to
+stack, every node.
 
 Endpoint rule: an endpoint is invertible exactly when the default
 `numerics.split_zero_cluster` finds an empty zero cluster on the
@@ -71,8 +84,8 @@ from .abs_index import KOClass, abs_class
 from .clifford import CliffordRep, intertwiner, irreducible_rep, restrict_to_subspace
 from .errors import (AmbiguousKernelError, IllConditionedError,
                      ObstructionError, ValidationError)
-from .numerics import (SAMPLE_TOL, Grading, doubled, min_singular_value, op_norm,
-                       repeated, residual_norm, skew_phase, split_zero_cluster,
+from .numerics import (SAMPLE_TOL, Grading, doubled, frobenius_norms, held, op_norm,
+                       repeated, residual_norm, residual_norms, split_zero_cluster,
                        svd_split)
 from .pairs import (ComplexStructure, ReducedStructure, Reduction, pair_index,
                     reduced_route)
@@ -133,6 +146,29 @@ EIGH_WORKSPACE_ARRAYS = 4
 # 8.2 and 7.9 N^2 doubles at 1 BLAS thread (9.1, 8.3 and 7.9 at 2), of
 # which the returned u and vt are 2; 7.1, rounded up.
 SPLIT_SVD_WORKSPACE_ARRAYS = 8
+# size x size arrays that each node of a stack of the initial partition
+# (`stacked_nodes`) adds to the walk's peak when a stack holds more than
+# one, with size = n on the dense route and N on the reduced one; the walk
+# one node at a time adds nothing.  tracemalloc measured, as (peak of the
+# stacked walk - peak of the walk one node at a time) / nodes per stack:
+# 3.7 to 5.6 on dense props paths at n = 8 and 16 and on the graded
+# Cl_{0,3} flux flow at N = 8 (15 per stack), 3.0 to 5.8 on the dense
+# Kitaev flow at N = 31 and 63 (2 to 15), 2.5 to 4.7 on the split Kitaev
+# flow at N = 32 and 64 and on the split Cl_{0,1} flux flow at N = 48
+# and 64, and 1.0 to 3.9 on the real Cl_{0,7} and Cl_{2,1} flux flows at
+# N = 48 and 128; 5.8, rounded up.  They are the sample, U and V^T, the
+# range phase and the transients of its repair and check.
+STACK_NODE_ARRAYS = 6
+# Bytes that the nodes of one stack may take together.  A stack saves
+# about 40 us of per-call overhead per node, against an n x n SVD of
+# 124 us at n = 32, 577 us at 64 and 4 ms at 128 (2 BLAS threads), and
+# costs its arrays in peak RSS: the flux flow at N = 48 (real kind) raised
+# ru_maxrss by 0.2, 0.6 and 1.6 MB, against 60.2 MB one node at a time,
+# with 4, 9 and 15 nodes per stack.  1 MiB stacks all 15 interior nodes
+# up to size 38 (every props path), 9 at size 48 (the flux flow), 5 at
+# size 64, and one, the walk one node at a time, from size 105 (the Kitaev
+# flow at N = 256).
+STACK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -191,68 +227,124 @@ class SkewPath:
         one.  ||A|| is read as ||A||_F, and exactly only when that bound
         fails; a non-finite coefficient fails either way.
         """
-        red = self.reduction
-        if red is None:
+        if self.reduction is None:
             raise ValidationError("only a reduced path has coefficients")
-        mat = np.asarray(self.fn(t), dtype=float)
-        size = self.context.copies
-        if mat.shape != (size, size):
-            raise ValidationError(f"path coefficient at t={t} has shape {mat.shape}, "
-                                  f"expected ({size}, {size})")
-        eps = red.eps
-        real = red.kind == "real"
-        asym = residual_norm(SAMPLE_TOL, [mat - mat.T]) if real else 0.0
-        norm = float(np.linalg.norm(mat))
-        if asym * (1.0 + eps) + 2.0 * norm * eps > SAMPLE_TOL and np.isfinite(norm):
-            norm = op_norm(mat)
-        worst = asym * (1.0 + eps) + 2.0 * norm * eps
-        if not worst <= SAMPLE_TOL:
-            raise ValidationError(
-                f"path coefficient at t={t} {'is not symmetric to' if real else 'breaks'} "
-                f"the sample tolerance (residual {worst:.3e})")
-        return mat
+        return _one(self.samples([t]))
 
     def at(self, t: float) -> np.ndarray:
         """The n x n sample T(t), checked; on a reduced path the checked
         coefficient, lifted to A(t) (x) b."""
         if self.reduction is not None:
             return self.reduction.lift(self.coefficient(t))
-        mat = np.asarray(self.fn(t), dtype=float)
-        n = self.context.n
-        if mat.shape != (n, n):
-            raise ValidationError(
-                f"path sample at t={t} has shape {mat.shape}, expected ({n}, {n})")
+        return _one(self.samples([t]))
+
+    def samples(self, ts):
+        """The samples at the times ts, in order, checked as one stack (on
+        a reduced path their N x N coefficients, checked as `coefficient`
+        checks one): (stack, failure), the stack of the leading samples
+        that pass and the exception of the first that does not, or None.
+        A sample fails when `fn` raises, by its shape or by its check; fn
+        is not called past a failure.  Each item gets the check, the
+        bounds and the message of a sample checked alone: `at` and
+        `coefficient` are the stack of one."""
+        red = self.reduction
+        size = self.context.n if red is None else self.context.copies
+        mats, failure = [], None
+        for t in ts:
+            try:
+                mat = np.asarray(self.fn(t), dtype=float)
+            except Exception as exc:
+                failure = exc
+                break
+            if mat.shape != (size, size):
+                kind = "sample" if red is None else "coefficient"
+                failure = ValidationError(f"path {kind} at t={t} has shape {mat.shape}, "
+                                          f"expected ({size}, {size})")
+                break
+            mats.append(mat)
+        if not mats:
+            return np.zeros((0, size, size)), failure
+        stack = mats[0][None] if len(mats) == 1 else np.stack(mats)
+        del mats
+        errors = (self._check_coefficients if red is not None
+                  else self._check_samples)(stack, ts[:len(stack)])
+        bad = next((i for i, err in enumerate(errors) if err is not None), None)
+        if bad is None:
+            return stack, failure
+        return stack[:bad], errors[bad]
+
+    def _check_coefficients(self, stack, ts) -> list:
+        """The ValidationError of each coefficient of a stack that breaks
+        the bound of `coefficient`, or None."""
+        red = self.reduction
+        eps = red.eps
+        real = red.kind == "real"
+        asym = residual_norms(SAMPLE_TOL, [stack - stack.swapaxes(1, 2)]) if real else 0.0
+        norm = frobenius_norms(stack)
+        for i in np.flatnonzero(asym * (1.0 + eps) + 2.0 * norm * eps > SAMPLE_TOL):
+            if np.isfinite(norm[i]):
+                norm[i] = op_norm(stack[i])
+        worst = asym * (1.0 + eps) + 2.0 * norm * eps
+        return [None if res <= SAMPLE_TOL else ValidationError(
+            f"path coefficient at t={t} {'is not symmetric to' if real else 'breaks'} "
+            f"the sample tolerance (residual {res:.3e})") for t, res in zip(ts, worst)]
+
+    def _check_samples(self, stack, ts) -> list:
+        """The ValidationError of each n x n sample of a stack that breaks
+        skewness, anticommutation or its grading, or None."""
         if self.grading is None:
-            worst = residual_norm(SAMPLE_TOL, self.context.skew_residuals(mat))
-        else:
-            # with m and p the indices of G's -1 and +1 entries, G T + T G
-            # is -2 T[m, m] on the first sector and 2 T[p, p] on the second
-            minus, plus = self.grading.sectors()
+            worst = residual_norms(SAMPLE_TOL, self.context.skew_residuals(stack))
+            return [None if res <= SAMPLE_TOL else _violation(t, res)
+                    for t, res in zip(ts, worst)]
+        # with m and p the indices of G's -1 and +1 entries, G T + T G
+        # is -2 T[m, m] on the first sector and 2 T[p, p] on the second
+        minus, plus = self.grading.sectors()
 
-            def diagonal():
-                return (2.0 * mat.take(idx, 0).take(idx, 1) for idx in (minus, plus))
+        def diagonal(mats, axis):
+            return (2.0 * mats.take(idx, axis).take(idx, axis + 1) for idx in (minus, plus))
 
-            grade = residual_norm(SAMPLE_TOL, diagonal())
-            if grade > SAMPLE_TOL:
-                raise ValidationError(
-                    f"path sample at t={t} breaks its grading (residual {grade:.3e})")
-            # T + T^T is [[D_m, X], [X^T, D_p]] with X = T[m, p] + T[p, m]^T
-            # and D_i = T[i, i] + T[i, i]^T, so ||T + T^T||_2 <= ||X||_2 +
-            # max(||2 T[m, m]||_2, ||2 T[p, p]||_2): skewness is accepted when
-            # that bound is within SAMPLE_TOL, the grade exact if its
-            # Frobenius bound does not do
-            off = mat.take(minus, 0).take(plus, 1) + mat.take(plus, 0).take(minus, 1).T
-            skew = residual_norm(SAMPLE_TOL - grade, [off]) + grade
-            if skew > SAMPLE_TOL:
-                grade = residual_norm(0.0, diagonal())
-                skew = residual_norm(SAMPLE_TOL - grade, [off]) + grade
-            del off
-            worst = max(skew, residual_norm(SAMPLE_TOL, self.context.anticommutators(mat)))
-        if worst > SAMPLE_TOL:
-            raise ValidationError(
-                f"path sample at t={t} violates skewness/anticommutation "
-                f"(residual {worst:.3e})")
-        return mat
+        grade = residual_norms(SAMPLE_TOL, diagonal(stack, 1))
+        # a sample off its grading fails there: the ones after it are not
+        # checked further
+        graded = next((i for i, res in enumerate(grade) if res > SAMPLE_TOL), len(ts))
+        errors = [None] * len(ts)
+        if graded < len(ts):
+            errors[graded] = ValidationError(
+                f"path sample at t={ts[graded]} breaks its grading "
+                f"(residual {grade[graded]:.3e})")
+        stack, grade = stack[:graded], grade[:graded]
+        if not graded:
+            return errors
+        # T + T^T is [[D_m, X], [X^T, D_p]] with X = T[m, p] + T[p, m]^T
+        # and D_i = T[i, i] + T[i, i]^T, so ||T + T^T||_2 <= ||X||_2 +
+        # max(||2 T[m, m]||_2, ||2 T[p, p]||_2): skewness is accepted when
+        # that bound is within SAMPLE_TOL, the grade exact if its
+        # Frobenius bound does not do
+        off = stack.take(minus, 1).take(plus, 2) \
+            + stack.take(plus, 1).take(minus, 2).swapaxes(1, 2)
+        skew = residual_norms(SAMPLE_TOL - grade, [off]) + grade
+        for i in np.flatnonzero(skew > SAMPLE_TOL):
+            exact = residual_norm(0.0, diagonal(stack[i], 0))
+            skew[i] = residual_norm(SAMPLE_TOL - exact, [off[i]]) + exact
+        del off
+        worst = np.maximum(skew, residual_norms(SAMPLE_TOL, self.context.anticommutators(stack)))
+        for i, (t, res) in enumerate(zip(ts, worst)):
+            if res > SAMPLE_TOL:
+                errors[i] = _violation(t, res)
+        return errors
+
+
+def _violation(t: float, worst: float) -> ValidationError:
+    return ValidationError(f"path sample at t={t} violates skewness/anticommutation "
+                           f"(residual {worst:.3e})")
+
+
+def _one(checked):
+    """The single item of a stack of one, or its failure raised."""
+    stack, failure = checked
+    if failure is not None:
+        raise failure
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +378,10 @@ def _kernel_completion(kernel_rep: CliffordRep, seed: int,
                 and residual_norm(1e-9, kernel_rep.skew_residuals(j)) <= 1e-9)
 
     if hint is not None:
-        skew = (hint - hint.T) / 2.0
-        if min_singular_value(skew) > HINT_SMIN:
-            j = skew_phase(skew)
+        # one SVD gives both the smallest singular value and the phase
+        u, svals, vt = np.linalg.svd((hint - hint.T) / 2.0)
+        if svals[-1] > HINT_SMIN:
+            j = u @ vt
             if _valid(j):
                 return j
 
@@ -333,13 +426,31 @@ def _split_phase_kernel(svals: np.ndarray) -> int:
 def walk_bytes(n: int, r: int, s: int, copies: int = 1) -> int:
     """Bytes of one step of the flow walk on R^n, with its LAPACK workspace,
     for a path over a Cl_{r,s} context tiled `copies` times: on the route
-    that `reduced_route` gives its cell, N = copies."""
+    that `reduced_route` gives its cell, N = copies; and the nodes of a
+    stack of the initial partition (`stacked_nodes`), when it holds more
+    than one."""
     kind = reduced_route(r, s, n // copies)
+    size = n if kind is None else copies
+    nodes = stacked_nodes(size)
+    stack = 8 * STACK_NODE_ARRAYS * nodes * size * size if nodes > 1 else 0
     if kind is None:
-        return 8 * (NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * n * n
+        return 8 * (NODE_ARRAYS + SVD_WORKSPACE_ARRAYS) * n * n + stack
     workspace = EIGH_WORKSPACE_ARRAYS if kind == "real" else SPLIT_SVD_WORKSPACE_ARRAYS
     return 8 * ((REDUCED_NODE_ARRAYS + workspace) * copies ** 2
-                + (r + s + 4) * n * (n // copies))
+                + (r + s + 4) * n * (n // copies)) + stack
+
+
+def _range_stack(splits: list, items: list) -> np.ndarray:
+    """The range phases U_r V_r^T of the given items of a split stack, as
+    one new stack; each item's split is dropped once its product is
+    formed, and with it the views that keep U and V^T alive."""
+    u_r, vt_r, *_ = splits[items[0]]
+    ranges = np.empty((len(items), u_r.shape[0], vt_r.shape[1]))
+    for row, i in zip(ranges, items):
+        u_r, vt_r, *_ = splits[i]
+        splits[i] = None
+        np.matmul(u_r, vt_r, out=row)
+    return ranges
 
 
 def _hint_rotation(left: np.ndarray, align_hint: np.ndarray | None,
@@ -353,35 +464,142 @@ def _hint_rotation(left: np.ndarray, align_hint: np.ndarray | None,
     return np.eye(left.shape[1])
 
 
-def _complete_reduced(coef: np.ndarray, reduction: Reduction,
-                      align_hint: np.ndarray | None, split) -> ReducedStructure:
-    """The N x N factor S of the phase of a reduced sample, from one
-    `Reduction.decompose` of its coefficient (a symmetric eigendecomposition
-    of A on the real kind, an SVD of P on the split kind), split by
-    `repeated(split, c)`.
+def _projected(phases: np.ndarray, context: CliffordRep, grading: Grading | None,
+               reduction: Reduction | None) -> np.ndarray:
+    """A (B, ., .) stack of completed phases (range phases with their
+    kernel completion added, if any) with their symmetry re-imposed, one
+    step of the structure's repair before `_finish`.
 
-    Its range phase is U_r V_r^T: sign(A) on the range, or the orthogonal
-    polar factor of P there.  The kernel columns U_k, W_k (one array K on
-    the real kind) are completed by U_k Q W_k^T, with Q the polar factor of
-    the hint's compression U_k^T S_hint W_k when its smallest singular
-    value clears HINT_SMIN, else Q = I_k; the lifted phase is a complex
+    Singular vectors of near-zero singular values carry rounding into the
+    phase.  Dense route: the phase, scattered back to n x n from its
+    sector block on a graded path, is projected onto the skew
+    anticommutant.  Real kind: S is replaced by its symmetric part.  Split
+    kind: U diag(I, Q) W^T is orthogonal up to the rounding of the SVD,
+    which `ReducedStructure` checks; it is kept as it is.
+    """
+    if reduction is None:
+        if grading is not None:
+            phases = grading.odd(phases)
+        return context.project_skew(phases, -1)
+    if reduction.kind == "real":
+        return (phases + phases.swapaxes(1, 2)) / 2.0
+    return phases
+
+
+def _finish(phases: np.ndarray, context: CliffordRep, reduction: Reduction | None) -> list:
+    """The checked phases of a `_projected` stack, item by item, after
+    one Newton-Schulz step: J (3I + J^2) / 2 towards J^2 = -I on the dense
+    route (an odd polynomial in J, so skewness and anticommutation
+    survive), S (3I - S^2) / 2 towards a symmetric involution on the real
+    kind; an item that fails its check holds the ValidationError."""
+    if reduction is None:
+        phases = phases @ (3.0 * np.eye(context.n) + phases @ phases) / 2.0
+        return ComplexStructure.stack(phases, context)
+    if reduction.kind == "real":
+        phases = phases @ (3.0 * np.eye(phases.shape[-1]) - phases @ phases) / 2.0
+    return ReducedStructure.stack(phases, reduction)
+
+
+def _complete_kernel(splits: list, i: int, context: CliffordRep, grading: Grading | None,
+                     reduction: Reduction | None, align_hint: np.ndarray | None,
+                     seed: int):
+    """The checked phase of node i of a split stack, one with a nonempty
+    kernel cluster, from its split (U_r, V_r^T, left and right kernel
+    columns), which is dropped from the stack here.
+
+    Reduced route: the kernel columns U_k, W_k (one array K on the real
+    kind) are completed by U_k Q W_k^T, with Q the polar factor of the
+    hint's compression U_k^T S_hint W_k when its smallest singular value
+    clears HINT_SMIN, else Q = I_k; the lifted phase is a complex
     structure on the kernel that anticommutes with the restricted context
     for every such Q (an involution, on the real kind, where the
-    compression is symmetric), so no obstruction arises.  On the real kind
-    S is re-imposed as a symmetric involution: its symmetric part, then one
-    Newton-Schulz step S (3I - S^2) / 2; on the split kind U diag(I, Q) W^T
-    is orthogonal up to the rounding of the SVD, which `ReducedStructure`
-    checks.
+    compression is symmetric), so no obstruction arises.  Dense route: the
+    context restricted to the kernel, on a graded path the U_k on the
+    minus sector and W_k on the plus one, is completed by
+    `_kernel_completion`, following the hint's compression.
     """
-    u_r, vt_r, left, right = reduction.decompose(coef, repeated(split, reduction.b.shape[0]))
-    s = u_r @ vt_r
-    del u_r, vt_r
-    if left.shape[1] > 0:
+    u_r, vt_r, left, right = splits[i]
+    splits[i] = None
+    if reduction is not None:
+        s = u_r @ vt_r
+        del u_r, vt_r
         s += left @ _hint_rotation(left, align_hint, right) @ right.T
-    if reduction.kind == "real":
-        s = (s + s.T) / 2.0
-        s = s @ (3.0 * np.eye(s.shape[0]) - s @ s) / 2.0
-    return ReducedStructure(s, reduction)
+        s = _projected(s[None], context, grading, reduction)
+        return _finish(s, context, reduction)[0]
+    if grading is None:
+        j, basis = u_r @ vt_r, right
+    else:
+        minus, plus = grading.sectors()
+        k = left.shape[1]
+        basis = np.zeros((context.n, 2 * k))
+        basis[minus, :k] = left
+        basis[plus, k:] = right
+        j = grading.odd(u_r @ vt_r)
+    # the views keep all of U and V^T alive; drop them before the kernel
+    # completion and the Newton-Schulz step allocate n x n arrays
+    del u_r, vt_r
+    try:
+        kernel_rep = restrict_to_subspace(context, basis, 1e-8)
+    except ValidationError as exc:
+        raise AmbiguousKernelError(f"kernel cluster: {exc}") from exc
+    hint = None
+    if align_hint is not None:
+        hint = basis.T @ align_hint @ basis
+    j_ker = _kernel_completion(kernel_rep, seed=seed, hint=hint)
+    j = j + basis @ j_ker @ basis.T
+    j = _projected(j[None], context, None, None)
+    return _finish(j, context, None)[0]
+
+
+def complete_phases(tmats: np.ndarray, context: CliffordRep,
+                    grading: Grading | None = None,
+                    align_hint: np.ndarray | None = None, seed: int = 0,
+                    split=_split_phase_kernel, reduction: Reduction | None = None) -> list:
+    """`complete_phase` of each item of a (B, ., .) stack of checked
+    samples, as one stack, with item i - 1's phase as item i's alignment
+    hint (`align_hint` for item 0).
+
+    One stacked decomposition (SVD, or on the real kind a symmetric
+    eigendecomposition) is split item by item.  Items with an empty kernel
+    cluster never read their hint: they are completed and checked as one
+    stack.  The others then follow one at a time, in order, each with its
+    left neighbour's finished phase as its hint.  Returns the phases in
+    order up to the first item that fails (its split, its kernel
+    completion or its check), which holds its exception instead; the
+    items after it are not returned.
+    """
+    if reduction is not None:
+        if reduction.context is not context:
+            raise ValidationError("the reduction is not over this context")
+        if tmats.shape[1:] != (context.copies, context.copies):
+            raise ValidationError(f"coefficient shape {tmats.shape[1:]} does not match "
+                                  f"the context's {context.copies} copies")
+        splits = reduction.decompose(tmats, repeated(split, reduction.b.shape[0]))
+    elif tmats.shape[1:] != (context.n, context.n):
+        raise ValidationError(f"matrix shape {tmats.shape[1:]} does not match "
+                              f"context ({context.n})")
+    elif grading is None:
+        splits = svd_split(tmats, split)
+    else:
+        minus, plus = grading.sectors()
+        splits = svd_split(tmats.take(minus, 1).take(plus, 2), doubled(split))
+    last = next((i for i, item in enumerate(splits) if isinstance(item, Exception)),
+                len(splits))
+    phases = splits
+    del splits, phases[last + 1:]
+    gapped = [i for i in range(last) if phases[i][2].shape[1] == 0]
+    if gapped:
+        ranges = _projected(_range_stack(phases, gapped), context, grading, reduction)
+        for i, phase in zip(gapped, _finish(ranges, context, reduction)):
+            phases[i] = phase
+    for i in range(len(phases)):
+        if isinstance(phases[i], tuple):
+            hint = align_hint if i == 0 else _stored(phases[i - 1])
+            phases[i] = held(_complete_kernel, phases, i, context, grading,
+                             reduction, hint, seed)
+        if isinstance(phases[i], Exception):
+            return phases[:i + 1]
+    return phases
 
 
 def complete_phase(tmat: np.ndarray, context: CliffordRep,
@@ -390,7 +608,7 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
                    split=_split_phase_kernel, reduction: Reduction | None = None):
     """The phase of a skew `tmat` over `context`, completed to a complex
     structure: one SVD (on the reduced route one `Reduction.decompose`),
-    split by `split`.
+    split by `split`; `complete_phases` of the stack of one.
 
     Equal to T|T|^-1 on the complement of the kernel cluster; on the
     kernel, any complex structure anticommuting with the restricted
@@ -401,55 +619,20 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
     sector block B = tmat[minus, plus], split by `doubled(split)`, and the
     phase is scattered back to n x n.  With a `reduction` of `context`,
     tmat is the N x N coefficient of the sample (`SkewPath.coefficient`)
-    and the phase is a `ReducedStructure` (`_complete_reduced`).  Raises
-    ObstructionError when the kernel module does not extend (for example
-    an odd-dimensional kernel with empty context).
+    and the phase is a `ReducedStructure`, the N x N factor S of a
+    `Reduction.decompose` of it (a symmetric eigendecomposition of A on
+    the real kind, an SVD of P on the split kind), split by
+    `repeated(split, c)`: U_r V_r^T on the range, completed on the kernel
+    as `_complete_kernel` says.  Raises ObstructionError when the kernel
+    module does not extend (for example an odd-dimensional kernel with
+    empty context).
     """
-    if reduction is not None:
-        if reduction.context is not context:
-            raise ValidationError("the reduction is not over this context")
-        coef = np.asarray(tmat, dtype=float)
-        if coef.shape != (context.copies, context.copies):
-            raise ValidationError(f"coefficient shape {coef.shape} does not match "
-                                  f"the context's {context.copies} copies")
-        return _complete_reduced(coef, reduction, align_hint, split)
-    n = context.n
     tmat = np.asarray(tmat, dtype=float)
-    if tmat.shape != (n, n):
-        raise ValidationError(f"matrix shape {tmat.shape} does not match context ({n})")
-    if grading is None:
-        u_r, vt_r, _, basis = svd_split(tmat, split)
-        j = u_r @ vt_r
-    else:
-        minus, plus = grading.sectors()
-        u_r, vt_r, left, right = svd_split(tmat.take(minus, 0).take(plus, 1),
-                                           doubled(split))
-        k = left.shape[1]
-        basis = np.zeros((n, 2 * k))
-        basis[minus, :k] = left
-        basis[plus, k:] = right
-        j = grading.odd(u_r @ vt_r)
-    # the views keep all of U and V^T alive; drop them before the kernel
-    # completion and the Newton-Schulz step allocate n x n arrays
-    del u_r, vt_r
-    k = basis.shape[1]
-    if k > 0:
-        try:
-            kernel_rep = restrict_to_subspace(context, basis, 1e-8)
-        except ValidationError as exc:
-            raise AmbiguousKernelError(f"kernel cluster: {exc}") from exc
-        hint = None
-        if align_hint is not None:
-            hint = basis.T @ align_hint @ basis
-        j_ker = _kernel_completion(kernel_rep, seed=seed, hint=hint)
-        j = j + basis @ j_ker @ basis.T
-    # Singular vectors of near-zero singular values carry rounding into the
-    # phase; re-impose the structure: project onto the skew anticommutant,
-    # then one Newton-Schulz step J (3I + J^2) / 2 towards J^2 = -I (an odd
-    # polynomial in J, so skewness and anticommutation survive).
-    j = context.project_skew(j, -1)
-    j = j @ (3.0 * np.eye(context.n) + j @ j) / 2.0
-    return ComplexStructure(j, context)
+    (phase,) = complete_phases(tmat[None], context, grading, align_hint, seed, split,
+                               reduction)
+    if isinstance(phase, Exception):
+        raise phase
+    return phase
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +643,46 @@ def _flow_degree(context: CliffordRep) -> int:
     return (context.s + 2 - context.r) % 8
 
 
+class _Singular(ValidationError):
+    """A nonempty or ambiguous zero cluster on the singular values of an
+    endpoint, whose message `_endpoint_phases` completes with its t."""
+
+
+def _invertible(svals: np.ndarray) -> int:
+    """The endpoint rule as a split: an empty zero cluster under the
+    default guards of `split_zero_cluster`, else _Singular."""
+    try:
+        k = split_zero_cluster(svals)
+    except AmbiguousKernelError as exc:
+        raise _Singular(f"({exc})") from exc
+    if k:
+        raise _Singular(f"({k} singular values in the zero cluster, "
+                        f"smallest {svals[0]:.3e}, largest {svals[-1]:.3e})")
+    return 0
+
+
 def _endpoint_phases(path: SkewPath, seed: int):
     """The phases of T(0) and T(1), each sampled, checked and completed
-    once, T(0) first.
+    once, T(0) first: as one stack of two (`_nodes`) when a stack holds
+    two nodes, else one at a time.
 
     An endpoint is invertible exactly when `split_zero_cluster`, with its
     default guards, finds an empty zero cluster on its singular values;
     a nonempty or ambiguous cluster raises ValidationError before any
     completion.  An endpoint phase so has no kernel and needs no hint.
     """
+    ends = [0.0, 1.0]
     phases = []
-    for t_end in (0.0, 1.0):
-        def invertible(svals, t_end=t_end):
-            try:
-                k = split_zero_cluster(svals)
-            except AmbiguousKernelError as exc:
-                raise ValidationError(f"endpoint t={t_end} is not invertible ({exc})") from exc
-            if k:
-                raise ValidationError(
-                    f"endpoint t={t_end} is not invertible ({k} singular values "
-                    f"in the zero cluster, smallest {svals[0]:.3e}, largest {svals[-1]:.3e})")
-            return 0
-
-        phases.append(_node(path, t_end, seed=seed, split=invertible))
+    for chunk in [ends] if _stack_size(path) > 1 else [[t] for t in ends]:
+        phases += _nodes(path, chunk, None, seed, split=_invertible)
+        if isinstance(phases[-1], Exception):
+            break
+    for t, phase in zip(ends, phases):
+        if isinstance(phase, _Singular):
+            raise ValidationError(f"endpoint t={t} is not invertible {phase}") \
+                from phase.__cause__
+        if isinstance(phase, Exception):
+            raise phase
     return tuple(phases)
 
 
@@ -493,6 +693,36 @@ def _node(path: SkewPath, t: float, **kwargs):
         return complete_phase(path.coefficient(t), path.context,
                               reduction=path.reduction, **kwargs)
     return complete_phase(path.at(t), path.context, path.grading, **kwargs)
+
+
+def _nodes(path: SkewPath, ts, align_hint: np.ndarray | None, seed: int,
+           split=_split_phase_kernel) -> list:
+    """The completed phases at the times ts, in order, up to the first
+    node that fails, which holds its exception instead: from one checked
+    sample stack (`SkewPath.samples`) and one `complete_phases` call, or
+    for one time from `_node`."""
+    if len(ts) == 1:
+        return [held(_node, path, ts[0], align_hint=align_hint, seed=seed, split=split)]
+    mats, failure = path.samples(ts)
+    phases = complete_phases(mats, path.context, path.grading, align_hint, seed, split,
+                             path.reduction) if len(mats) else []
+    if failure is not None and len(phases) == len(mats):
+        phases.append(failure)
+    return phases
+
+
+def stacked_nodes(size: int) -> int:
+    """How many nodes the walk completes as one stack when a node holds
+    size x size matrices: as many as fit in STACK_BYTES at
+    STACK_NODE_ARRAYS arrays each, one at least, and at most the
+    INITIAL_SEGMENTS - 1 interior nodes of the initial partition."""
+    fit = STACK_BYTES // (8 * STACK_NODE_ARRAYS * size * size)
+    return int(max(1, min(INITIAL_SEGMENTS - 1, fit)))
+
+
+def _stack_size(path: SkewPath) -> int:
+    """`stacked_nodes` of the path's nodes: n x n, or N x N when reduced."""
+    return stacked_nodes(path.context.n if path.reduction is None else path.context.copies)
 
 
 def _stored(j) -> np.ndarray:
@@ -518,15 +748,34 @@ def spectral_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     endpoint phases are completed first; every other node is completed
     once, with the left phase as its alignment hint.  `seed` drives the
     random candidates of a kernel completion's intertwiner.
+
+    The interior nodes of the initial partition (depth 0) are completed
+    `stacked_nodes` at a time (`_nodes`), when the walk first reaches one:
+    bisection inserts nodes only to the left of a computed right end, so
+    node i/16's hint is always node (i-1)/16's phase, which the stack
+    hands on.  A node that failed there raises when the walk reaches it,
+    so the walk meets the same error first as with one node at a time.
+    With one node per stack every node is one `_node`, as is every
+    bisection midpoint.
     """
     ja, j1 = _endpoint_phases(path, seed)
     total = KOClass.of(_flow_degree(path.context), 0)
     a, m = 0.0, INITIAL_SEGMENTS
+    batch = _stack_size(path)
+    ready = []  # completed initial nodes not yet reached, nearest last
     # the right end t = 1 holds J(1) from the start
     pending = [(1.0, 0, j1)] + [(i / m, 0, None) for i in range(m - 1, 0, -1)]
     while pending:
         b, depth, jb = pending.pop()
-        if jb is None:
+        if jb is None and depth == 0:
+            if not ready:
+                first = round(b * m)
+                ts = [i / m for i in range(first, min(first + batch, m))]
+                ready = _nodes(path, ts, _stored(ja), seed)[::-1]
+            jb = ready.pop()
+            if isinstance(jb, Exception):
+                raise jb
+        elif jb is None:
             jb = _node(path, b, align_hint=_stored(ja), seed=seed)
         if _phase_distance(ja, jb) > PHASE_BOUND:
             # phases not 0.9-close: the pair kernel may be nonempty

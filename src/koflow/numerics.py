@@ -9,9 +9,11 @@ matrix itself: one SVD of a general matrix, by `svd_split`, or one
 symmetric eigendecomposition of a symmetric one, by `sym_split`, whose
 singular values are its eigenvalue magnitudes; these are the only two
 functions here that do so, and both return the range factors and the
-left and right kernel columns.  Kernels are not read from a squared
-matrix such as M^T M or -T^2, whose eigenvalues put every singular value
-below sqrt(eps) ||M|| into noise.
+left and right kernel columns.  Given a (B, m, m) stack, both decompose
+it by one stacked call and split it item by item, each item to the bit
+as it would be alone.  Kernels are not read from a squared matrix such
+as M^T M or -T^2, whose eigenvalues put every singular value below
+sqrt(eps) ||M|| into noise.
 
 Residual convention: every structural check goes through
 `residual_norm`, which tries the Frobenius bound ||R||_2 <= ||R||_F first
@@ -22,6 +24,8 @@ computation of `np.linalg.norm` to the bit, formed without its wrappers
 A residual with a non-finite entry fails every check: it counts as inf,
 with no SVD.  One whose entries are all finite but whose sum of squares
 overflows has an inf bound too, silently, and is then measured exactly.
+`residual_norms` measures each item of a stack of residuals so, to the
+bit, with the dot products of all items taken by one call.
 
 Graded convention: a grading is a diagonal G = diag(signs) with n/2
 entries -1 and n/2 entries +1 (a `Grading`, stored as its sign vector).
@@ -83,6 +87,22 @@ def _frobenius(res: np.ndarray) -> float:
     return math.sqrt(np.vdot(flat, flat))
 
 
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """||item||_F of each item of a real (B, ...) stack, each bit for bit
+    as `_frobenius` forms it: a stacked (1 x m) (m x 1) product runs the
+    same dot product once per item, in one call."""
+    flat = stack.reshape(stack.shape[0], -1)
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None]).reshape(-1))
+
+
+def _exact_size(parts, bound: float) -> float:
+    """The size of a residual (its real parts) whose Frobenius bound
+    exceeds the tolerance: inf with a non-finite entry, else exact."""
+    if not math.isfinite(bound) and not all(np.isfinite(p).all() for p in parts):
+        return math.inf  # the SVD of a NaN residual would not converge
+    return float(np.hypot.reduce([op_norm(p) for p in parts]))
+
+
 def residual_norm(tol: float, residuals) -> float:
     """Largest 2-norm among `residuals`, exact whenever it exceeds tol;
     a complex residual R is measured as hypot(||Re R||_2, ||Im R||_2).
@@ -99,21 +119,51 @@ def residual_norm(tol: float, residuals) -> float:
         else:
             parts = (res,)
             bound = _frobenius(res)
-        if bound <= tol:
-            return bound
-        if not math.isfinite(bound) and not all(np.isfinite(p).all() for p in parts):
-            return math.inf  # the SVD of a NaN residual would not converge
-        return float(np.hypot.reduce([op_norm(p) for p in parts]))
+        return bound if bound <= tol else _exact_size(parts, bound)
 
     # map drops each residual before the next one is built
     return max(map(size, residuals), default=0.0)
 
 
+def residual_norms(tol, residuals):
+    """`residual_norm` of each item of a stack: `residuals` yields real
+    (B, ...) stacks, item i of each one a residual of item i, and `tol` is
+    one bound or an array of one per item.  Item i reads what
+    `residual_norm(tol[i], ...)` returns on its own residuals, to the bit:
+    the Frobenius bounds of a stack are taken by `frobenius_norms`, and
+    only an item whose bound exceeds its tol is measured on its own.
+    With no residuals it is 0.0."""
+    worst = None
+    for stack in residuals:
+        if len(stack) == 1:
+            # the stack of one takes residual_norm's own path, which makes
+            # a third of the stacked path's numpy calls
+            bounds = np.array([residual_norm(tol, stack)])
+        else:
+            bounds = frobenius_norms(stack)
+            within = bounds <= tol
+            if not within.all():
+                for i in np.flatnonzero(~within):
+                    bounds[i] = _exact_size((stack[i],), bounds[i])
+        worst = bounds if worst is None else np.maximum(worst, bounds)
+    return 0.0 if worst is None else worst
+
+
+def held(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the exception that it raised: the failure of
+    one item of a stack, kept until that item is reached."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return exc
+
+
 def sym_eigh(mat: np.ndarray):
-    """Eigendecomposition of a symmetric matrix, ascending eigenvalues."""
-    if mat.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    return np.linalg.eigh((mat + mat.T) / 2.0)
+    """Eigendecomposition of a symmetric matrix, ascending eigenvalues; of
+    each item of a (B, m, m) stack, by one stacked call."""
+    if mat.shape[-1] == 0:
+        return np.zeros(mat.shape[:-1]), np.zeros(mat.shape)
+    return np.linalg.eigh((mat + mat.swapaxes(-1, -2)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -153,11 +203,12 @@ class Grading:
 
     def odd(self, block: np.ndarray) -> np.ndarray:
         """The n x n matrix [[0, block], [-block^T, 0]] in (minus, plus)
-        coordinates, scattered by index: the skew G-odd matrix of `block`."""
+        coordinates, scattered by index: the skew G-odd matrix of `block`;
+        of each item of a (B, n/2, n/2) stack of blocks."""
         minus, plus = self.sectors()
-        mat = np.zeros((self.n, self.n))
-        mat[minus[:, None], plus] = block
-        mat[plus[:, None], minus] = -block.T
+        mat = np.zeros(block.shape[:-2] + (self.n, self.n))
+        mat[..., minus[:, None], plus] = block
+        mat[..., plus[:, None], minus] = -block.swapaxes(-1, -2)
         return mat
 
 
@@ -233,8 +284,23 @@ def svd_split(mat: np.ndarray, split):
     The views do: a caller that keeps the range phase forms the product
     and drops them.  A G-odd matrix [[0, B], [-B^T, 0]] is split through
     its block B with `doubled(split)`.
+
+    A (B, m, m) stack is decomposed by one stacked SVD and split item by
+    item: a list of B such tuples, in which an item whose split (or, when
+    the stacked SVD fails, whose own SVD) raised holds that exception.
     """
-    u, s, vt = np.linalg.svd(mat)
+    try:
+        u, s, vt = np.linalg.svd(mat)
+    except np.linalg.LinAlgError:
+        if mat.ndim == 2:
+            raise
+        return [held(svd_split, item, split) for item in mat]
+    if mat.ndim == 2:
+        return _svd_factors(u, s, vt, split)
+    return [held(_svd_factors, *item, split) for item in zip(u, s, vt)]
+
+
+def _svd_factors(u, s, vt, split):
     rank = s.size - split(s[::-1])
     return u[:, :rank], vt[:rank], u[:, rank:].copy(), vt[rank:].T.copy()
 
@@ -249,9 +315,21 @@ def sym_split(mat: np.ndarray, split):
     phase, and the k kernel columns K, copied, as both the left and the
     right ones (one array).  Only the k kernel columns are copied out of
     V, and at most k range columns moved inside it, so the range columns
-    are the first r of V.
+    are the first r of V.  A (B, m, m) stack is decomposed by one stacked
+    eigendecomposition and split item by item, as `svd_split` splits one.
     """
-    vals, vecs = sym_eigh(mat)
+    try:
+        vals, vecs = sym_eigh(mat)
+    except np.linalg.LinAlgError:
+        if mat.ndim == 2:
+            raise
+        return [held(sym_split, item, split) for item in mat]
+    if mat.ndim == 2:
+        return _sym_factors(vals, vecs, split)
+    return [held(_sym_factors, *item, split) for item in zip(vals, vecs)]
+
+
+def _sym_factors(vals, vecs, split):
     mags = np.abs(vals)
     order = np.argsort(mags, kind="stable")
     k = split(mags[order])

@@ -50,8 +50,8 @@ from .abs_index import KOClass, abs_class
 from .clifford import (K1, K2, L1, RESTRICTION_TOL, CliffordRep, irreducible_dimension,
                        restrict_images, restrict_to_subspace)
 from .errors import AmbiguousKernelError, ValidationError
-from .numerics import (SAMPLE_TOL, Grading, op_norm, repeated,
-                       residual_norm, skew_phase, split_zero_cluster, svd_split,
+from .numerics import (SAMPLE_TOL, Grading, op_norm, repeated, residual_norm,
+                       residual_norms, skew_phase, split_zero_cluster, svd_split,
                        sym_split)
 
 STRUCTURE_TOL = 1e-10
@@ -68,32 +68,65 @@ def _split(label: str):
 
 
 def _gram_residual(mat: np.ndarray) -> np.ndarray:
-    """mat^T mat - I, formed in place: one square array, no identity."""
-    gram = mat.T @ mat
-    gram.flat[::gram.shape[0] + 1] -= 1.0
+    """mat^T mat - I, formed in place: one square array, no identity; of
+    each item of a (B, m, m) stack."""
+    gram = mat.swapaxes(-1, -2) @ mat
+    size = gram.shape[-1]
+    gram.reshape(gram.shape[:-2] + (size * size,))[..., ::size + 1] -= 1.0
     return gram
+
+
+def _checked(cls, what: str, worst: np.ndarray, name: str, stack: np.ndarray,
+             **shared) -> list:
+    """An instance of the frozen `cls` for each item of a checked stack,
+    with the item as its field `name` and the `shared` fields, or the
+    ValidationError of an item whose residual in `worst` breaks
+    STRUCTURE_TOL.  The stack is made read-only; its check is the
+    instances' only one."""
+    stack.setflags(write=False)
+    out = []
+    for mat, res in zip(stack, worst):
+        if not res <= STRUCTURE_TOL:
+            out.append(ValidationError(f"not {what} (residual {res:.3e})"))
+            continue
+        obj = object.__new__(cls)
+        object.__setattr__(obj, name, mat)
+        for key, value in shared.items():
+            object.__setattr__(obj, key, value)
+        out.append(obj)
+    return out
 
 
 @dataclass(frozen=True)
 class ComplexStructure:
     """Skew orthogonal J with J^2 = -I anticommuting with the context
-    generators."""
+    generators.  `stack` builds one for each item of a (B, n, n) stack of
+    phases, with the same check run on the stack."""
 
     J: np.ndarray
     context: CliffordRep
 
     def __post_init__(self):
-        j = np.array(self.J, dtype=float)
-        j.setflags(write=False)
-        object.__setattr__(self, "J", j)
-        n = self.context.n
-        if j.shape != (n, n):
-            raise ValidationError(f"J has shape {j.shape}, context dimension is {n}")
-        worst = max(residual_norm(STRUCTURE_TOL, [_gram_residual(j)]),
-                    residual_norm(STRUCTURE_TOL, self.context.skew_residuals(j)))
-        if worst > STRUCTURE_TOL:
-            raise ValidationError(
-                f"not a context-anticommuting complex structure (residual {worst:.3e})")
+        (built,) = self.stack(np.array(self.J, dtype=float)[None], self.context)
+        if isinstance(built, Exception):
+            raise built
+        object.__setattr__(self, "J", built.J)
+
+    @classmethod
+    def stack(cls, js: np.ndarray, context: CliffordRep) -> list:
+        """The complex structure of each item of a (B, n, n) stack, from
+        one stacked check: its residuals J^T J - I, J + J^T and J g + g J,
+        each bounded as `residual_norm` bounds it for that item alone.  An
+        item that fails holds its ValidationError instead.  The stack, a
+        float array, is taken over, read-only: its items are the phases'
+        J."""
+        if js.shape[1:] != (context.n, context.n):
+            raise ValidationError(f"J has shape {js.shape[1:]}, context dimension is "
+                                  f"{context.n}")
+        worst = np.maximum(residual_norms(STRUCTURE_TOL, [_gram_residual(js)]),
+                           residual_norms(STRUCTURE_TOL, context.skew_residuals(js)))
+        return _checked(cls, "a context-anticommuting complex structure", worst,
+                        "J", js, context=context)
 
 
 def reduced_route(r: int, s: int, c: int) -> str | None:
@@ -252,20 +285,28 @@ class ReducedStructure:
     reduction: Reduction
 
     def __post_init__(self):
-        s = np.array(self.S, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "S", s)
-        size = self.reduction.context.copies
-        if s.shape != (size, size):
-            raise ValidationError(
-                f"S has shape {s.shape}, the reduction's coefficients are {size} x {size}")
-        eps = self.reduction.eps
-        orth = residual_norm(STRUCTURE_TOL, [_gram_residual(s)])
-        sym = residual_norm(STRUCTURE_TOL, [s - s.T]) if self.reduction.kind == "real" else 0.0
-        worst = max(orth * (1.0 + eps) + eps, sym * (1.0 + eps) + 2.0 * (1.0 + orth) * eps)
-        if not worst <= STRUCTURE_TOL:
-            raise ValidationError(
-                f"not a reduced complex structure (residual {worst:.3e})")
+        (built,) = self.stack(np.array(self.S, dtype=float)[None], self.reduction)
+        if isinstance(built, Exception):
+            raise built
+        object.__setattr__(self, "S", built.S)
+
+    @classmethod
+    def stack(cls, ss: np.ndarray, reduction: Reduction) -> list:
+        """The reduced complex structure of each item of a (B, N, N) stack,
+        from one stacked check of the bound above, or the ValidationError
+        of an item that fails it, as `ComplexStructure.stack`."""
+        size = reduction.context.copies
+        if ss.shape[1:] != (size, size):
+            raise ValidationError(f"S has shape {ss.shape[1:]}, the reduction's "
+                                  f"coefficients are {size} x {size}")
+        eps = reduction.eps
+        orth = residual_norms(STRUCTURE_TOL, [_gram_residual(ss)])
+        sym = residual_norms(STRUCTURE_TOL, [ss - ss.swapaxes(1, 2)]) \
+            if reduction.kind == "real" else 0.0
+        worst = np.maximum(orth * (1.0 + eps) + eps,
+                           sym * (1.0 + eps) + 2.0 * (1.0 + orth) * eps)
+        return _checked(cls, "a reduced complex structure", worst, "S", ss,
+                        reduction=reduction)
 
     @property
     def J(self) -> np.ndarray:

@@ -237,7 +237,7 @@ def flow_suite(seed: int = 0):
         second = random_admissible_path(ctx, f_ref, rng)
         mid_bridge = SkewPath(ctx, lambda t, p=path, q=second:
                               (1 - t) * p.fn(1.0) + t * q.fn(0.0))
-        total = spectral_flow(path) + spectral_flow(mid_bridge) + spectral_flow(second)
+        total = sf + spectral_flow(mid_bridge) + spectral_flow(second)
 
         def concat(t):
             if t <= 1 / 3:

@@ -83,3 +83,12 @@ def pf_sign(mat):
         row = a[k + 1, k + 2:].copy()
         a[k + 2:, k + 2:] += np.outer(row, tau) - np.outer(tau, row)
     return sign
+
+
+def matrix_shapes(mat):
+    """The shape of each matrix that one decomposition call takes: a
+    (B, m, m) stack, as the flow walk decomposes its initial nodes, counts
+    as B matrices of shape (m, m)."""
+    mat = np.asarray(mat)
+    return [mat.shape[-2:]] * (mat.shape[0] if mat.ndim == 3 else 1)
+

@@ -19,7 +19,7 @@ from koflow.numerics import (Grading, doubled, min_singular_value,
 from koflow.pairs import ComplexStructure
 from koflow.props import SIG_POOL, padded_context, random_admissible_path
 
-from conftest import pf_sign, rotated_irrep, undeclared
+from conftest import matrix_shapes, pf_sign, rotated_irrep, undeclared
 
 
 def normalization_path(module):
@@ -97,12 +97,14 @@ def test_singular_endpoint_errors_keep_their_order():
 
 def test_endpoint_checks_take_no_extra_svd(monkeypatch):
     # each sample is decomposed once, by its node SVD, which also gives
-    # the endpoint check: no values-only SVD, T(1) not decomposed twice
+    # the endpoint check: no values-only SVD, T(1) not decomposed twice;
+    # a stack of initial nodes counts as its matrices
     svd = np.linalg.svd
     calls, in_pair = [], []
 
     def counted(mat, *args, **kwargs):
-        calls.append((mat.shape, kwargs.get("compute_uv", True), bool(in_pair)))
+        calls.extend((shape, kwargs.get("compute_uv", True), bool(in_pair))
+                     for shape in matrix_shapes(mat))
         return svd(mat, *args, **kwargs)
 
     def tracked_pair(j0, j1):
@@ -468,34 +470,40 @@ def test_walk_samples_each_node_once_through_bisection():
 
 
 def test_walk_holds_left_phase_and_one_per_bisection_level(monkeypatch):
-    # the walk keeps the left phase, the new one and one pending right-end
-    # phase per bisection level in progress, never the whole partition
-    live, counts, held = [], [], []
-    complete = flow.complete_phase
-
-    def tracked(*args, **kwargs):
-        j = complete(*args, **kwargs)
-        live.append(weakref.ref(j))
-        # live phases other than J(1), the second one completed
-        counts.append(sum(ref() is not None for ref in live[:1] + live[2:]))
-        held.append(len(live) < 2 or live[1]() is not None)
-        return j
-
+    # the walk keeps the left phase, the new one, one pending right-end
+    # phase per bisection level in progress and the phases of the current
+    # stack of initial nodes (none beyond the new one when the walk takes
+    # one node at a time), never the whole partition
     base = _bisecting_path()
-    times = []
+    complete = flow.complete_phases
+    for stack_bytes in (0, flow.STACK_BYTES):
+        monkeypatch.setattr(flow, "STACK_BYTES", stack_bytes)
+        stack = flow.stacked_nodes(base.context.n)
+        assert (stack == 1) == (stack_bytes == 0)
+        live, counts, held, times = [], [], [], []
 
-    def sampled(t):
-        times.append(t)
-        return base.fn(t)
+        def tracked(*args, **kwargs):
+            phases = complete(*args, **kwargs)
+            # the times sampled since the last completion are this one's
+            new = times[len(live):]
+            live.extend(weakref.ref(j) for j in phases)
+            # live phases other than J(1), the second one completed
+            counts.append((sum(ref() is not None for ref in live[:1] + live[2:]),
+                           max(map(_node_depth, new))))
+            held.append(len(live) < 2 or live[1]() is not None)
+            return phases
 
-    monkeypatch.setattr(flow, "complete_phase", tracked)
-    spectral_flow(SkewPath(base.context, sampled))
-    # completion order: T(0), T(1), then the sampled nodes; J(1) is held
-    # from the start, the other phases within 2 + depth
-    depths = [0, 0] + [_node_depth(t) for t in times[2:]]
-    assert len(counts) == len(times) > 17
-    assert all(held)
-    assert all(c <= 2 + d for c, d in zip(counts, depths))
+        def sampled(t):
+            times.append(t)
+            return base.fn(t)
+
+        monkeypatch.setattr(flow, "complete_phases", tracked)
+        spectral_flow(SkewPath(base.context, sampled))
+        # completion order: T(0), T(1), then the sampled nodes; J(1) is
+        # held from the start, the other phases within 2 + depth + stack - 1
+        assert len(live) == len(times) > 17
+        assert all(held)
+        assert all(c <= 1 + stack + d for c, d in counts)
 
 
 def test_forced_kernel_parity_blocks_admissible_obstructions():
@@ -554,11 +562,11 @@ def test_complete_phase_one_svd(monkeypatch):
     svd = np.linalg.svd
 
     def counted_eigh(mat):
-        eighs.append(mat.shape)
+        eighs.extend(matrix_shapes(mat))
         return sym_eigh(mat)
 
     def counted_svd(mat, *args, **kwargs):
-        svds.append(mat.shape)
+        svds.extend(matrix_shapes(mat))
         return svd(mat, *args, **kwargs)
 
     monkeypatch.setattr(numerics, "sym_eigh", counted_eigh)
@@ -800,8 +808,8 @@ def test_block_completion_rejects_a_non_orthogonal_node(monkeypatch):
 
     def node(case):
         u_r, vt_r, rank = cases[case]
-        monkeypatch.setattr(pairs, "svd_split", lambda mat, split: (u_r, vt_r, u[:, rank:],
-                                                                    w[:, rank:]))
+        split = (u_r, vt_r, u[:, rank:], w[:, rank:])
+        monkeypatch.setattr(pairs, "svd_split", lambda mats, _: [split] * len(mats))
         return complete_phase(np.zeros((6, 6)), ctx, reduction=red)
 
     with pytest.raises(ValidationError, match="not a reduced complex structure"):
@@ -813,13 +821,14 @@ def test_block_completion_rejects_a_non_orthogonal_node(monkeypatch):
 
 
 def _counted_svd_splits(monkeypatch, path):
-    """Spectral flow of `path` with the shape of every `svd_split` input,
-    the number of nodes (each sampled once) and of `pair_index` calls."""
+    """Spectral flow of `path` with the shape of every matrix that
+    `svd_split` takes (a stack counts as its matrices), the number of
+    nodes (each sampled once) and of `pair_index` calls."""
     shapes, times, pair_calls = [], [], []
     svd_split_, pair_index_ = numerics.svd_split, flow.pair_index
 
     def counted(mat, split):
-        shapes.append(mat.shape)
+        shapes.extend(matrix_shapes(mat))
         return svd_split_(mat, split)
 
     def counted_pairs(j0, j1):
@@ -876,3 +885,163 @@ def test_complete_phase_checks_the_shape():
     ctx = cl.CliffordRep(0, 0, 2)
     with pytest.raises(ValidationError, match="does not match context"):
         complete_phase(np.zeros((3, 3)), ctx)
+
+
+def _stack_routes():
+    """One path per route, each with nodes of the initial partition that
+    have a kernel: (1 - 2t) R(t) F2 R(t)^T over the Cl_{0,1} context of the
+    Cl_{0,2} irreducible, R(t) = expm(t X) with X in the commutant of F1
+    (dense; its phase turns with t, and its whole kernel at t = 1/2 is
+    completed along the hint of node 7/16), the even Kitaev ring
+    undeclared (dense graded), a Cl_{0,7} flux cell (reduced, real kind),
+    and the even Kitaev ring and a Cl_{1,1} flux cell (reduced, split)."""
+    v = rotated_irrep(0, 2, seed=2)
+    ctx = cl.CliffordRep(0, 1, v.n, F=v.F[:1])
+    f_last = np.array(v.F[-1])
+    turn = ctx.project_skew(random_skew(np.random.default_rng(3), v.n), +1)
+
+    def turning(t):
+        rot = expm(t * turn)
+        return (1 - 2 * t) * rot @ f_last @ rot.T
+
+    return {"dense": SkewPath(ctx, turning),
+            "dense graded": undeclared(kitaev_path(8)),
+            "real": models.flux_path(rotated_irrep(0, 7, seed=7), 4),
+            "split kitaev": kitaev_path(8),
+            "split cl11": models.flux_path(rotated_irrep(1, 1, seed=1), 4)}
+
+
+@pytest.mark.parametrize("route", ["dense", "dense graded", "real", "split kitaev",
+                                   "split cl11"])
+def test_stacked_nodes_match_single_nodes_bit_for_bit(route):
+    # the 15 interior nodes of the initial partition completed as one
+    # stack, each hinted by its left neighbour, are the nodes completed one
+    # at a time by complete_phase, to the bit
+    path = _stack_routes()[route]
+    m = flow.INITIAL_SEGMENTS
+    ts = [i / m for i in range(1, m)]
+    assert flow.stacked_nodes(path.context.n if path.reduction is None
+                              else path.context.copies) == len(ts)
+    left = flow._stored(flow._endpoint_phases(path, 0)[0])
+    stacked = flow._nodes(path, ts, left, 0)
+    assert len(stacked) == len(ts)
+    for t, phase in zip(ts, stacked):
+        single = flow._node(path, t, align_hint=left, seed=0)
+        assert type(phase) is type(single)
+        np.testing.assert_array_equal(flow._stored(phase), flow._stored(single))
+        left = flow._stored(single)
+    assert spectral_flow(path) == endpoint_flow(path)
+
+
+def _skew_frame(*svals):
+    """A skew 2m x 2m matrix with the singular values svals, each twice,
+    in a seeded orthogonal frame."""
+    q = random_orthogonal(np.random.default_rng(11), 2 * len(svals))
+    return q @ np.kron(np.diag(svals), cl.L1) @ q.T
+
+
+@pytest.mark.parametrize("stack_bytes", [0, flow.STACK_BYTES])
+def test_stack_raises_the_first_failing_node(monkeypatch, stack_bytes):
+    # a failure held in a stack is raised when the walk reaches its node:
+    # the walk meets the same error first as one node at a time
+    monkeypatch.setattr(flow, "STACK_BYTES", stack_bytes)
+    ctx = cl.CliffordRep(0, 0, 18)
+    good = _skew_frame(*[1.0] * 9)
+    # a cluster that creeps from 1e-8 up to 8e-2 in steps of at most 10:
+    # above the ceiling of the strict split and of the regularized one
+    ambiguous = _skew_frame(1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 9e-3, 8e-2, 1.0)
+
+    def path(samples):
+        return SkewPath(ctx, lambda t: samples.get(t, good))
+
+    invalid = {5 / 16: np.ones((18, 18)), 9 / 16: 2.0 * np.ones((18, 18))}
+    with pytest.raises(ValidationError, match=r"t=0\.3125 violates"):
+        spectral_flow(path(invalid))
+    with pytest.raises(AmbiguousKernelError, match="ambiguous phase kernel"):
+        spectral_flow(path({3 / 16: ambiguous, 9 / 16: np.ones((18, 18))}))
+
+    def raising(t):
+        if t == 9 / 16:
+            raise RuntimeError("sample failed at 9/16")
+        return ambiguous if t == 3 / 16 else good
+
+    with pytest.raises(AmbiguousKernelError, match="ambiguous phase kernel"):
+        spectral_flow(SkewPath(ctx, raising))
+    with pytest.raises(RuntimeError, match="9/16"):
+        spectral_flow(SkewPath(ctx, lambda t: raising(t) if t != 3 / 16 else good))
+    # a jump on [5/16, 6/16] whose pair kernel stays ambiguous trips the
+    # depth cap before the walk reaches the invalid sample at 7/16, which
+    # the stack already holds
+    j0_mat, rotation = _gapless_rotation()
+    j1_mat = rotation(1.0) @ j0_mat
+    monkeypatch.setattr(flow, "MAX_DEPTH", 6)
+    jump = SkewPath(cl.CliffordRep(0, 0, j0_mat.shape[0]),
+                    lambda t: j0_mat if t < 1 / 3 else np.ones_like(j1_mat) if t == 7 / 16
+                    else j1_mat)
+    with pytest.raises(AmbiguousKernelError, match="partition depth"):
+        spectral_flow(jump)
+
+
+def test_nan_sample_in_a_stack_never_reaches_the_svd(monkeypatch):
+    # a non-finite sample fails its check at its own t and is left out of
+    # the stacked SVD, which would raise LinAlgError for the whole stack
+    svd = np.linalg.svd
+
+    def finite_svd(mat, *args, **kwargs):
+        assert np.isfinite(mat).all()
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", finite_svd)
+    ctx = cl.CliffordRep(0, 0, 8)
+    good = _skew_frame(1.0, 1.0, 1.0, 1.0)
+    nan = np.full((8, 8), np.nan)
+    path = SkewPath(ctx, lambda t: nan if t == 7 / 16 else good)
+    assert flow.stacked_nodes(8) == 15
+    with pytest.raises(ValidationError, match=r"path sample at t=0\.4375 violates"):
+        spectral_flow(path)
+    phases = flow._nodes(path, [i / 16 for i in range(1, 16)], good, 0)
+    assert len(phases) == 7 and isinstance(phases[-1], ValidationError)
+
+
+def test_hinted_kernel_completion_takes_one_svd(monkeypatch):
+    # the hint's smallest singular value and its phase come from one SVD
+    svd, shapes = np.linalg.svd, []
+
+    def counted(mat, *args, **kwargs):
+        shapes.extend(matrix_shapes(mat))
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rep = cl.CliffordRep(0, 0, 4)
+    hint = _skew_frame(1.0, 0.5)
+    j = flow._kernel_completion(rep, seed=0, hint=hint)
+    assert shapes == [(4, 4)]
+    np.testing.assert_array_equal(j, numerics.skew_phase((hint - hint.T) / 2.0))
+
+
+def test_failed_stacked_decomposition_is_taken_item_by_item(monkeypatch):
+    # a stacked SVD or eigendecomposition that fails is taken again item by
+    # item, so an item that fails alone holds its LinAlgError until the
+    # walk reaches it, as the walk one node at a time raises it there
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+    routes = _stack_routes()
+    dense, real = routes["dense"], routes["real"]
+    expected = spectral_flow(real)
+    bad = dense.fn(5 / 16)
+
+    def no_stacked(decompose):
+        def decomposed(mat, *args, **kwargs):
+            if np.ndim(mat) == 3:
+                raise np.linalg.LinAlgError("the stack did not converge")
+            if np.array_equal(mat, bad):
+                raise np.linalg.LinAlgError("node 5/16 did not converge")
+            return decompose(mat, *args, **kwargs)
+        return decomposed
+
+    monkeypatch.setattr(np.linalg, "svd", no_stacked(svd))
+    monkeypatch.setattr(np.linalg, "eigh", no_stacked(eigh))
+    assert spectral_flow(real) == expected
+    for stack_bytes in (flow.STACK_BYTES, 0):
+        monkeypatch.setattr(flow, "STACK_BYTES", stack_bytes)
+        with pytest.raises(np.linalg.LinAlgError, match="node 5/16"):
+            spectral_flow(dense)

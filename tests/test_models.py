@@ -10,15 +10,16 @@ from koflow import flow, models
 from koflow.abs_index import abs_class
 from koflow.errors import ValidationError
 from koflow.flow import (EIGH_WORKSPACE_ARRAYS, NODE_ARRAYS, REDUCED_NODE_ARRAYS,
-                         SPLIT_SVD_WORKSPACE_ARRAYS, SVD_WORKSPACE_ARRAYS, SkewPath,
-                         classical_sf, complete_phase, endpoint_flow, spectral_flow)
+                         SPLIT_SVD_WORKSPACE_ARRAYS, STACK_NODE_ARRAYS, SVD_WORKSPACE_ARRAYS,
+                         SkewPath, classical_sf, complete_phase, endpoint_flow,
+                         spectral_flow, stacked_nodes)
 from koflow.models import (RealStructure, aii_path, flux_path, hermitian_double,
                            kitaev_path, realify, standard_quaternionic)
 from koflow.numerics import Grading, op_norm, random_orthogonal
 from koflow.pairs import ComplexStructure, ReducedStructure, Reduction
 
-from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev,
-                      kitaev_seam_correction, pf_sign, rotated_irrep, undeclared)
+from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev, kitaev_seam_correction,
+                      matrix_shapes, pf_sign, rotated_irrep, undeclared)
 
 
 def test_realify_examples():
@@ -229,21 +230,34 @@ def _walk_peak_arrays(path):
     return peak / (8 * path.context.n ** 2)
 
 
+def _stack_arrays(size):
+    """size x size arrays that the guard counts for a stack of initial
+    nodes: STACK_NODE_ARRAYS for each node when a stack holds more than
+    one, none for the walk one node at a time."""
+    nodes = stacked_nodes(size)
+    return STACK_NODE_ARRAYS * nodes if nodes > 1 else 0
+
+
 def _planned_reduced_bytes(path):
     """The guard's plan of a reduced walk, less its LAPACK workspace:
     REDUCED_NODE_ARRAYS N x N arrays and one lifted pair kernel column,
-    r + s + 4 arrays of n x c."""
+    r + s + 4 arrays of n x c, and the N x N arrays of a stack of initial
+    nodes."""
     n, n_coef = path.context.n, path.context.copies
     ctx_gens = path.context.r + path.context.s
-    return 8 * (REDUCED_NODE_ARRAYS * n_coef ** 2 + (ctx_gens + 4) * n * (n // n_coef))
+    return 8 * ((REDUCED_NODE_ARRAYS + _stack_arrays(n_coef)) * n_coef ** 2
+                + (ctx_gens + 4) * n * (n // n_coef))
 
 
 def test_kitaev_flow_peak_within_node_arrays():
     # the lattice memory guard counts NODE_ARRAYS n x n arrays for the
     # dense walk (odd rings) and the reduced route's N x N arrays for the
-    # split walk (even rings); the walk must not hold more
+    # split walk (even rings), each with the arrays of a stack of initial
+    # nodes (5 at N = 64; none at n = 126 and N = 256, which walk one node
+    # at a time); the walk must not hold more
     assert kitaev_path(63).grading is None
-    assert _walk_peak_arrays(kitaev_path(63)) <= NODE_ARRAYS
+    assert (stacked_nodes(126), stacked_nodes(64), stacked_nodes(256)) == (1, 5, 1)
+    assert _walk_peak_arrays(kitaev_path(63)) <= NODE_ARRAYS + _stack_arrays(126)
     for n_ring in (64, 256):
         path = kitaev_path(n_ring)
         peak = _walk_peak_arrays(path) * 8 * path.context.n ** 2
@@ -266,30 +280,37 @@ def test_lattice_memory_guard_counts_the_route(monkeypatch):
     monkeypatch.setattr(models, "check_memory", lambda what, nbytes: planned.append(nbytes))
     dense = NODE_ARRAYS + SVD_WORKSPACE_ARRAYS
     split = REDUCED_NODE_ARRAYS + SPLIT_SVD_WORKSPACE_ARRAYS
+    # a stack of all 15 interior nodes of the initial partition, of 5 of
+    # them at size 64, and none at size 126, walked one node at a time
+    full, five = STACK_NODE_ARRAYS * 15, STACK_NODE_ARRAYS * 5
     # the even ring: its N x N flux-free block, the walk's N x N arrays and
-    # SVD workspace, and one lifted pair kernel column, 4 arrays of 2N x 2
-    for n_ring in (4, 64):
+    # SVD workspace, one lifted pair kernel column, 4 arrays of 2N x 2, and
+    # the N x N arrays of a stack
+    for n_ring, stack in ((4, full), (64, five)):
         kitaev_path(n_ring)
-        assert planned.pop() == 8 * ((1 + split) * n_ring ** 2 + 4 * 2 * n_ring * 2)
-    for n_ring in (5, 63):
+        assert planned.pop() == 8 * ((1 + split + stack) * n_ring ** 2 + 4 * 2 * n_ring * 2)
+    for n_ring, stack in ((5, full), (63, 0)):
         kitaev_path(n_ring)
-        assert planned.pop() == 8 * (1 + dense) * (2 * n_ring) ** 2
+        assert planned.pop() == 8 * (1 + dense + stack) * (2 * n_ring) ** 2
     assert 8 * (1 + split) * 64 ** 2 < 8 * (1 + dense) * 128 ** 2 / 3
     flux_path(cl.irreducible_rep(0, 1), 6)  # empty context, c = 2, n = 12
-    assert planned.pop() == 8 * (3 * 36 + split * 36 + 4 * 12 * 2)
+    assert planned.pop() == 8 * (3 * 36 + (split + full) * 36 + 4 * 12 * 2)
     flux_path(cl.irreducible_rep(0, 8), 6)  # Cl_{0,7} context, c = 16, n = 96
-    assert planned.pop() == 8 * (3 * 36 + split * 36 + 11 * 96 * 16)
+    assert planned.pop() == 8 * (3 * 36 + (split + full) * 36 + 11 * 96 * 16)
     # the tiled context holds its c x c cells alone: no n x n term for it
     flux_path(cl.irreducible_rep(0, 2), 6)
-    assert planned.pop() == 8 * (3 * 36 + dense * 24 ** 2)
+    assert planned.pop() == 8 * (3 * 36 + (dense + full) * 24 ** 2)
     # real-type cells take the reduced route: N x N arrays for the walk and
     # its eigendecomposition workspace, and one lifted pair kernel column
     reduced = REDUCED_NODE_ARRAYS + EIGH_WORKSPACE_ARRAYS
     assert reduced < split
     flux_path(cl.irreducible_rep(0, 7), 6)  # Cl_{0,6} context, c = 8, n = 48
-    assert planned.pop() == 8 * (3 * 36 + reduced * 36 + 10 * 48 * 8)
+    assert planned.pop() == 8 * (3 * 36 + (reduced + full) * 36 + 10 * 48 * 8)
     flux_path(cl.irreducible_rep(2, 1), 6)  # Cl_{2,0} context, c = 2, n = 12
-    assert planned.pop() == 8 * (3 * 36 + reduced * 36 + 6 * 12 * 2)
+    assert planned.pop() == 8 * (3 * 36 + (reduced + full) * 36 + 6 * 12 * 2)
+    # N = 256 walks one node at a time: no stack is counted
+    kitaev_path(256)
+    assert planned.pop() == 8 * ((1 + split) * 256 ** 2 + 4 * 2 * 256 * 2)
 
 
 def _lattice_path(name):
@@ -319,7 +340,7 @@ def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
     shapes, pair_shapes, in_pair = [], [], []
 
     def counted(mat, *args, **kwargs):
-        (pair_shapes if in_pair else shapes).append(mat.shape)
+        (pair_shapes if in_pair else shapes).extend(matrix_shapes(mat))
         return svd(mat, *args, **kwargs)
 
     def tracked_pair(j0, j1):
@@ -345,15 +366,17 @@ def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
 
 
 def _recorded_phases(monkeypatch):
-    """Record every phase that flow.complete_phase returns."""
+    """Record every phase that flow.complete_phases returns (the walk's
+    stacks of initial nodes, and complete_phase as the stack of one)."""
     phases = []
-    complete = flow.complete_phase
+    complete = flow.complete_phases
 
     def recorded(*args, **kwargs):
-        phases.append(complete(*args, **kwargs))
-        return phases[-1]
+        out = complete(*args, **kwargs)
+        phases.extend(out)
+        return out
 
-    monkeypatch.setattr(flow, "complete_phase", recorded)
+    monkeypatch.setattr(flow, "complete_phases", recorded)
     return phases
 
 
@@ -664,7 +687,7 @@ def test_split_nodes_decompose_to_coefficient_blocks(monkeypatch):
     svd, shapes = np.linalg.svd, []
 
     def counted_svd(mat, *args, **kwargs):
-        shapes.append(mat.shape)
+        shapes.extend(matrix_shapes(mat))
         return svd(mat, *args, **kwargs)
 
     def no_dense_sample(self, t):
@@ -704,11 +727,11 @@ def test_reduced_nodes_decompose_to_coefficient_blocks(monkeypatch):
     shapes, pair_shapes, in_pair, lifts, svd_shapes = [], [], [], [], []
 
     def counted(mat, *args, **kwargs):
-        (pair_shapes if in_pair else shapes).append(mat.shape)
+        (pair_shapes if in_pair else shapes).extend(matrix_shapes(mat))
         return eigh(mat, *args, **kwargs)
 
     def counted_svd(mat, *args, **kwargs):
-        svd_shapes.append(mat.shape)
+        svd_shapes.extend(matrix_shapes(mat))
         return svd(mat, *args, **kwargs)
 
     def counted_kron(a, b):
@@ -849,13 +872,16 @@ def _check_never_looser(path):
 
 
 def test_reduced_flux_flow_peak_within_reduced_arrays():
-    # the guard counts REDUCED_NODE_ARRAYS N x N arrays and one lifted pair
-    # kernel column, r + s + 4 arrays of n x c; the walk must not hold more
+    # the guard counts REDUCED_NODE_ARRAYS N x N arrays, one lifted pair
+    # kernel column, r + s + 4 arrays of n x c, and the N x N arrays of a
+    # stack of initial nodes (none at N = 128 and 256, walked one node at
+    # a time); the walk must not hold more
     for (r, s), n_ring in (((2, 1), 256), ((0, 7), 128)):
         path = flux_path(cl.irreducible_rep(r, s), n_ring)
         n, c = path.context.n, path.context.n // n_ring
         ctx_gens = path.context.r + path.context.s
-        planned = 8 * (REDUCED_NODE_ARRAYS * n_ring ** 2 + (ctx_gens + 4) * n * c)
+        planned = 8 * ((REDUCED_NODE_ARRAYS + _stack_arrays(n_ring)) * n_ring ** 2
+                       + (ctx_gens + 4) * n * c)
         peak = _walk_peak_arrays(path) * 8 * n ** 2
         assert peak <= planned, (r, s, peak / planned)
 
