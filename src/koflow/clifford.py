@@ -536,8 +536,13 @@ def restrict_images(r: int, basis: np.ndarray, images, tol: float) -> CliffordRe
     Clifford relations to `tol`.  A basis whose columns are not
     orthonormal, an image that leaves the span, or restricted generators
     that break the relations raise ValidationError with the residual.
+    An empty basis gives the dimension-0 module at once: every check is
+    vacuous there.
     """
     k = basis.shape[1]
+    if k == 0:
+        empty = [np.zeros((0, 0))] * len(images)
+        return CliffordRep(r, len(images) - r, 0, E=empty[:r], F=empty[r:])
     if residual_norm(1e-10, [basis.T @ basis - np.eye(k)]) > 1e-10:
         raise ValidationError("basis columns are not orthonormal")
     worst = residual_norm(tol, (img - basis @ (basis.T @ img) for img in images))

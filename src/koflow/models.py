@@ -18,9 +18,9 @@ site-ordered Majorana basis, a real skew matrix with closed-form 2 x 2
 blocks, graded (for even N) by the sign vector (1, 1, -1, -1) tiled N/2
 times, and then reduced to its N x N sector block.
 
-scipy is imported only inside `flux_path` (the real Schur form of the
-cell), so importing this module, and the Kitaev and AII builders, load
-numpy alone.
+The module imports no scipy: the frame of a gap-inversion cell is
+built from the cell's F_{s+1} in closed form (`_complex_frame`), so
+every builder here loads numpy alone.
 """
 from __future__ import annotations
 
@@ -204,6 +204,34 @@ def kitaev_path(N: int) -> SkewPath:
                     grading=grading, reduction=reduction)
 
 
+def _complex_frame(f: np.ndarray) -> np.ndarray:
+    """Orthogonal Z with Z^T f Z = (+) [[0, -1], [1, 0]] for a complex
+    structure f (f orthogonal, f^2 = -I) on R^c.
+
+    Z orthonormalizes the columns x_1, f x_1, x_2, f x_2, ...: each x_i
+    is the identity column with the largest residual against the columns
+    already taken.  Their span is f-invariant, so the residual y of x_i
+    is orthogonal to f y, and Gram-Schmidt takes the pair to (q, f q).
+    One QR, its signs fixed by diag R, gives that Z up to rounding; the
+    blocks then hold up to f's own residual.
+    """
+    c = f.shape[0]
+    picked = []
+    q = np.zeros((c, 0))  # the span so far, for the choice of x_i alone
+    for _ in range(c // 2):
+        j = int(np.argmin(np.sum(q * q, axis=1)))  # residual^2 = 1 - |q_j|^2
+        y = -(q @ q[j])
+        y[j] += 1.0
+        y /= np.linalg.norm(y)
+        q = np.column_stack([q, y, f @ y])
+        picked.append(j)
+    x = np.eye(c)[:, picked]
+    cols = np.empty((c, c))
+    cols[:, 0::2], cols[:, 1::2] = x, f @ x
+    z, r = np.linalg.qr(cols)
+    return z * np.sign(np.diag(r))
+
+
 def flux_path(module: CliffordRep, N: int) -> SkewPath:
     """Localized gap inversion on a ring with a Clifford-module unit cell.
 
@@ -239,14 +267,13 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
       cell).  omega commutes with the context and anticommutes with
       F_{s+1}, so there omega = diag(-I, I), the grading, and F_{s+1} =
       [[0, I], [-I, 0]].
-    - Other cells: Z holds the real Schur vectors of F_{s+1} =
-      Z (+) [[0, b], [-b, 0]] Z^T, a sum of 2 x 2 blocks that K1
+    - Other cells: Z = `_complex_frame(F_{s+1})`, the frame
+      (x_1, F_{s+1} x_1, x_2, F_{s+1} x_2, ...) in which F_{s+1} =
+      Z (+) [[0, -1], [1, 0]] Z^T, a sum of 2 x 2 blocks that K1
       anticommutes with, so the grading is (1, -1) tiled.  Real cells (a
       one-dimensional anticommutant, spanned by F_{s+1}: Cl_{2,1},
       Cl_{0,7}, Cl_{3,2}, ...) reduce; the others keep the dense samples.
     """
-    from scipy.linalg import schur  # here, to keep `import koflow` light
-
     if module.s < 1:
         raise ValidationError("the unit-cell module needs at least one skew generator")
     if N < 3:
@@ -268,7 +295,7 @@ def flux_path(module: CliffordRep, N: int) -> SkewPath:
         z = np.hstack([v, module.F[-1].T @ v])
         signs = np.repeat([-1, 1], half)
     else:
-        _, z = schur(module.F[-1], output="real")
+        z = _complex_frame(module.F[-1])
         signs = np.tile([1, -1], half)
     e_cells = [z.T @ g @ z for g in module.E]
     f_cells = [z.T @ g @ z for g in module.F]

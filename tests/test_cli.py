@@ -633,20 +633,25 @@ _IMPORT_PROBE = textwrap.dedent("""
     with open(cell_file, "w") as fh:
         fh.write(cell)
     codes["flux"], _ = run("flux", "--module", cell_file, "--N", "3")
+    after_flux = scipy_loaded()
+    codes["sf-flux"], _ = run("sf", "--model", "flux", "--module", cell_file, "--N", "4")
+    after_sf_flux = scipy_loaded()
     codes["rs-check"], _ = run("rs-check", "--m", "200")
     print(json.dumps({"codes": codes, "after_import": after_import,
-                      "after_light": after_light,
-                      "flux_loads_linalg": "scipy.linalg" in sys.modules,
+                      "after_light": after_light, "after_flux": after_flux,
+                      "after_sf_flux": after_sf_flux,
+                      "rs_check_loads_linalg": "scipy.linalg" in sys.modules,
                       "sparse_loaded": [k for k in sys.modules
                                         if k.startswith("scipy.sparse")]}))
 """)
 
 
 def test_light_commands_load_no_scipy(tmp_path):
-    # one fresh interpreter: `import koflow` and the commands that call no
-    # scipy function must leave scipy unloaded, while flux (real Schur
-    # form of its cell) loads scipy.linalg, so the probe sees a load;
-    # rs-check reads sigma_max off its tridiagonal and needs no scipy.sparse
+    # one fresh interpreter: `import koflow`, the commands that call no
+    # scipy function, flux and sf --model flux (whose cell frame is built
+    # in numpy) must leave scipy unloaded, each read right after it ran;
+    # rs-check then loads scipy.linalg, so the probe sees a load, and reads
+    # sigma_max off its tridiagonal, so it needs no scipy.sparse
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -658,7 +663,9 @@ def test_light_commands_load_no_scipy(tmp_path):
     assert all(code == 0 for code in report["codes"].values()), report["codes"]
     assert report["after_import"] == []
     assert report["after_light"] == []
-    assert report["flux_loads_linalg"] is True
+    assert report["after_flux"] == []
+    assert report["after_sf_flux"] == []
+    assert report["rs_check_loads_linalg"] is True
     assert report["sparse_loaded"] == []
 
 

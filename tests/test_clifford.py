@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from koflow import clifford as cl
+from koflow.abs_index import KOClass, abs_class
 from koflow.errors import InvalidModuleError, ValidationError
 from koflow.numerics import random_orthogonal
 
@@ -220,6 +221,28 @@ def test_restrict_to_subspace_appends_extra_generators():
         # F_last (+) -F_last maps the diagonal copy onto the antidiagonal one
         cl.restrict_to_subspace(double, basis,
                                 extra_F=(block_diag(v.F[-1], -v.F[-1]),))
+
+
+@pytest.mark.parametrize("r,s", [(0, 1), (1, 1), (2, 1), (0, 3), (1, 4), (0, 7)])
+def test_empty_restriction_returns_at_once(monkeypatch, r, s):
+    # an empty basis gives the dimension-0 module of signature (r, s) with
+    # no check run, the module the checked path builds from its 0 x 0
+    # compressions, whose class is zero
+    rep = rotated_irrep(r, s, seed=r + s)
+    basis = np.zeros((rep.n, 0))
+    images = [g @ basis for g in rep.generators()]
+    full = cl.CliffordRep(r, s, 0, E=[basis.T @ img for img in images[:r]],
+                          F=[basis.T @ img for img in images[r:]])
+    assert cl.check_relations(full, cl.RESTRICTION_TOL).ok
+    checks = []
+    monkeypatch.setattr(cl, "check_relations", lambda *a: checks.append(a))
+    monkeypatch.setattr(cl, "residual_norm", lambda *a: checks.append(a))
+    sub = cl.restrict_images(r, basis, images, cl.RESTRICTION_TOL)
+    assert checks == []
+    assert (sub.r, sub.s, sub.n, sub.copies) == (full.r, full.s, 0, 1)
+    assert [g.shape for g in sub.cells] == [g.shape for g in full.cells] == [(0, 0)] * (r + s)
+    monkeypatch.undo()
+    assert abs_class(sub) == abs_class(full) == KOClass.of((s + 1 - r) % 8, 0)
 
 
 def test_signature_swap():

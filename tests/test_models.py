@@ -16,7 +16,7 @@ from koflow.flow import (EIGH_WORKSPACE_ARRAYS, NODE_ARRAYS, REDUCED_NODE_ARRAYS
 from koflow.models import (RealStructure, aii_path, flux_path, hermitian_double,
                            kitaev_path, realify, standard_quaternionic)
 from koflow.numerics import Grading, op_norm, random_orthogonal
-from koflow.pairs import ComplexStructure, ReducedStructure, Reduction
+from koflow.pairs import ComplexStructure, ReducedStructure, Reduction, reduced_route
 
 from conftest import (KITAEV_B, MAJORANA_SITE, complex_kitaev, kitaev_seam_correction,
                       matrix_shapes, pf_sign, rotated_irrep, undeclared)
@@ -422,10 +422,34 @@ def test_flux_path_reproduces_class(r, sp):
         assert spectral_flow(path) == abs_class(module)
 
 
+# every cell with r + s <= 7 that takes the non-split branch of flux_path,
+# in each chirality
+_COMPLEX_FRAME_CELLS = [
+    (r, sp, ch) for r in range(8) for sp in range(1, 8 - r)
+    if reduced_route(r, sp - 1, cl.irreducible_dimension(r, sp)) != "split"
+    for ch in (["+", "-"] if cl.has_two_irreducibles(r, sp) else [None])]
+
+
+@pytest.mark.parametrize("r,sp,ch", _COMPLEX_FRAME_CELLS)
+def test_complex_frame_puts_f_in_canonical_blocks(r, sp, ch):
+    # the (x, F x) frame is orthogonal to rounding and takes F_{s+1} to
+    # (+) [[0, -1], [1, 0]], in the canonical irreducible and in a seeded
+    # frame of it, and the flux path keeps the module's class
+    for module in (cl.irreducible_rep(r, sp, ch),
+                   rotated_irrep(r, sp, seed=8 * r + sp, chirality=ch)):
+        f = module.F[-1]
+        z = models._complex_frame(f)
+        c = module.n
+        assert op_norm(z.T @ z - np.eye(c)) <= 1e-13
+        assert op_norm(z.T @ f @ z - np.kron(np.eye(c // 2), cl.L1)) <= 1e-10
+        for n_ring in (3, 4):
+            assert spectral_flow(flux_path(module, n_ring)) == abs_class(module)
+
+
 @pytest.mark.parametrize("r,sp,seed", [(0, 1, 0), (1, 2, 1), (0, 3, 2), (2, 3, 3),
                                        (0, 7, 7)])
 def test_flux_samples_anticommute_with_sign_grading(r, sp, seed):
-    # in the Schur frame of F_{s+1} the grading is diag(1, -1, 1, -1, ...);
+    # in the (x, F x) frame of F_{s+1} the grading is diag(1, -1, 1, -1, ...);
     # on a split cell (Cl_{0,1}) it is omega's diag(-I, I) on each cell
     path = flux_path(rotated_irrep(r, sp, seed=seed), 4)
     signs = path.grading.signs
@@ -496,11 +520,11 @@ def test_flux_node_makes_no_dense_generator_product():
 
 def test_flux_path_builds_no_n_by_n_array(monkeypatch):
     # the Cl_{0,7} flux path at N = 48 acts on R^384: building it (the
-    # memory guard, the module check, the Schur frame, the tiled context,
-    # the grading and the reduction) takes no Kronecker product and peaks
-    # below one 384 x 384 array
+    # memory guard, the module check, the (x, F x) frame, the tiled
+    # context, the grading and the reduction) takes no Kronecker product
+    # and peaks below one 384 x 384 array
     module = rotated_irrep(0, 7, seed=0)
-    flux_path(module, 3)  # loads scipy.linalg before tracing
+    flux_path(module, 3)  # warms numpy's lazy imports before tracing
     kron = np.kron
     lifts = []
 
