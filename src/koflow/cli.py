@@ -6,7 +6,7 @@ identical flags and seed produce byte-identical output); eigenvalue
 tracks and kernel profiles go to CSV side files on request.
 
 Exit codes: 0 success, 2 validation error, 3 numerical-guard error
-(ambiguous kernel, obstruction, ill-conditioned resolvent).
+(ambiguous kernel, obstruction).
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from . import clifford as cliff
 from .abs_index import abs_class
-from .errors import (AmbiguousKernelError, IllConditionedError,
-                     InvalidModuleError, ObstructionError, ValidationError)
+from .errors import (AmbiguousKernelError, InvalidModuleError, ObstructionError,
+                     ValidationError)
 from .flow import SkewPath, classical_sf, spectral_flow
 from .models import aii_path, flux_path, hermitian_double, kitaev_path
 from .pairs import ComplexStructure, pair_index
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except (ValidationError, InvalidModuleError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (AmbiguousKernelError, ObstructionError, IllConditionedError) as exc:
+    except (AmbiguousKernelError, ObstructionError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
 

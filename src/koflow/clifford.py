@@ -270,20 +270,6 @@ def cl11_tensor(rep: CliffordRep) -> CliffordRep:
     return _graded_tensor(rep, CliffordRep(1, 1, 2, E=(K1,), F=(L1,)))
 
 
-def signature_swap(rep: CliffordRep) -> CliffordRep:
-    """Turn a Cl_{r+1,s} module into a Cl_{s+1,r} module on the same space.
-
-    New generators: E'_j = F_j E_{r+1} (j <= s), E'_{s+1} = E_{r+1},
-    F'_k = E_k E_{r+1} (k <= r).  Preserves irreducibility and exactness.
-    """
-    if rep.r < 1:
-        raise ValidationError("signature swap needs at least one symmetric generator")
-    last_e = rep.E[-1]
-    e_new = tuple(f @ last_e for f in rep.F) + (last_e,)
-    f_new = tuple(e @ last_e for e in rep.E[:-1])
-    return CliffordRep(rep.s + 1, rep.r - 1, rep.n, E=e_new, F=f_new)
-
-
 # ---------------------------------------------------------------------------
 # Irreducible representations
 # ---------------------------------------------------------------------------

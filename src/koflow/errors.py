@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: ValidationError and its subclasses
 exit with 2, numerical-guard failures (AmbiguousKernelError,
-ObstructionError, IllConditionedError) exit with 3.
+ObstructionError) exit with 3.
 """
 
 
@@ -35,7 +35,3 @@ class ObstructionError(RuntimeError):
     def __init__(self, message, ko_class=None):
         super().__init__(message)
         self.ko_class = ko_class
-
-
-class IllConditionedError(RuntimeError):
-    """A resolvent or solve was too ill-conditioned to trust."""

@@ -82,8 +82,7 @@ import numpy as np
 
 from .abs_index import KOClass, abs_class
 from .clifford import CliffordRep, intertwiner, irreducible_rep, restrict_to_subspace
-from .errors import (AmbiguousKernelError, IllConditionedError,
-                     ObstructionError, ValidationError)
+from .errors import AmbiguousKernelError, ObstructionError, ValidationError
 from .numerics import (SAMPLE_TOL, Grading, doubled, frobenius_norms, held, op_norm,
                        repeated, residual_norm, residual_norms, split_zero_cluster,
                        svd_split)
@@ -100,9 +99,6 @@ INITIAL_SEGMENTS = 16
 # Bisection levels below the initial partition before a segment whose
 # pair kernel stays ambiguous is an AmbiguousKernelError.
 MAX_DEPTH = 20
-# A Cayley resolvent I - T F_s of larger condition number is
-# IllConditionedError.
-CAYLEY_COND_LIMIT = 1e12
 # A kernel completion follows its alignment hint when the hint's
 # compression to the kernel has no singular value below this.
 HINT_SMIN = 0.3
@@ -378,12 +374,9 @@ def _kernel_completion(kernel_rep: CliffordRep, seed: int,
                 and residual_norm(1e-9, kernel_rep.skew_residuals(j)) <= 1e-9)
 
     if hint is not None:
-        # one SVD gives both the smallest singular value and the phase
-        u, svals, vt = np.linalg.svd((hint - hint.T) / 2.0)
-        if svals[-1] > HINT_SMIN:
-            j = u @ vt
-            if _valid(j):
-                return j
+        j = _polar_factor((hint - hint.T) / 2.0)
+        if j is not None and _valid(j):
+            return j
 
     ext = irreducible_rep(kernel_rep.r, kernel_rep.s + 1)
     copies = k // ext.n
@@ -453,15 +446,12 @@ def _range_stack(splits: list, items: list) -> np.ndarray:
     return ranges
 
 
-def _hint_rotation(left: np.ndarray, align_hint: np.ndarray | None,
-                   right: np.ndarray) -> np.ndarray:
-    """The k x k polar factor of the hint's compression left^T hint right
-    when its smallest singular value clears HINT_SMIN, else I_k."""
-    if align_hint is not None:
-        u, svals, vt = np.linalg.svd(left.T @ align_hint @ right)
-        if svals[-1] > HINT_SMIN:
-            return u @ vt
-    return np.eye(left.shape[1])
+def _polar_factor(mat: np.ndarray) -> np.ndarray | None:
+    """The polar factor U V^T of a square alignment-hint compression, from
+    one SVD, or None when its smallest singular value does not clear
+    HINT_SMIN."""
+    u, svals, vt = np.linalg.svd(mat)
+    return u @ vt if svals[-1] > HINT_SMIN else None
 
 
 def _projected(phases: np.ndarray, context: CliffordRep, grading: Grading | None,
@@ -523,7 +513,10 @@ def _complete_kernel(splits: list, i: int, context: CliffordRep, grading: Gradin
     if reduction is not None:
         s = u_r @ vt_r
         del u_r, vt_r
-        s += left @ _hint_rotation(left, align_hint, right) @ right.T
+        rotation = None if align_hint is None else _polar_factor(left.T @ align_hint @ right)
+        if rotation is None:
+            rotation = np.eye(left.shape[1])
+        s += left @ rotation @ right.T
         s = _projected(s[None], context, grading, reduction)
         return _finish(s, context, reduction)[0]
     if grading is None:
@@ -661,6 +654,11 @@ def _invertible(svals: np.ndarray) -> int:
     return 0
 
 
+def _not_invertible(t: float, singular: _Singular) -> ValidationError:
+    """The ValidationError of an endpoint t that fails the endpoint rule."""
+    return ValidationError(f"endpoint t={t} is not invertible {singular}")
+
+
 def _endpoint_phases(path: SkewPath, seed: int):
     """The phases of T(0) and T(1), each sampled, checked and completed
     once, T(0) first: as one stack of two (`_nodes`) when a stack holds
@@ -679,8 +677,7 @@ def _endpoint_phases(path: SkewPath, seed: int):
             break
     for t, phase in zip(ends, phases):
         if isinstance(phase, _Singular):
-            raise ValidationError(f"endpoint t={t} is not invertible {phase}") \
-                from phase.__cause__
+            raise _not_invertible(t, phase) from phase.__cause__
         if isinstance(phase, Exception):
             raise phase
     return tuple(phases)
@@ -801,47 +798,11 @@ def endpoint_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     return value
 
 
-# ---------------------------------------------------------------------------
-# Cayley transform and the spectral clamp
-# ---------------------------------------------------------------------------
-
-def cayley(tmat: np.ndarray, context: CliffordRep) -> np.ndarray:
-    """Cayley transform -F_s (I + T F_s)(I - T F_s)^-1.
-
-    Maps skew generator-anticommuting matrices to complex structures
-    anticommuting with all context generators except the last skew one;
-    invertible T lands strictly inside the distance-2 ball around -F_s.
-    """
-    if context.s < 1:
-        raise ValidationError("the Cayley transform needs a context with s >= 1")
-    tmat = np.asarray(tmat, dtype=float)
-    f_s = context.F[-1]
-    n = context.n
-    m = np.eye(n) - tmat @ f_s
-    if np.linalg.cond(m) > CAYLEY_COND_LIMIT:
-        raise IllConditionedError(
-            "resolvent I - T F_s is too ill-conditioned for the Cayley transform")
-    return -f_s @ (np.eye(n) + tmat @ f_s) @ np.linalg.inv(m)
-
-
-def clamp_phase(tmat: np.ndarray) -> np.ndarray:
-    """Flatten the spectrum of a skew matrix onto the closed unit ball.
-
-    Acts as the identity below norm one and as the phase above; computed
-    from one SVD T = U S V^T as U min(S, 1) V^T, which is T g(-T^2) with
-    g(x) = min(1, 1/sqrt(x)), a function of T, so it commutes with
-    everything T commutes with.
-    """
-    u, svals, vt = np.linalg.svd(np.asarray(tmat, dtype=float))
-    return (u * np.minimum(svals, 1.0)) @ vt
-
-
 def classical_sf(path_fn: Callable[[float], np.ndarray]) -> int:
     """Classical spectral flow of a path of symmetric matrices:
     n_minus(start) - n_minus(end), endpoints required invertible by the
-    endpoint rule of `spectral_flow`: the default `split_zero_cluster` on
-    the ascending eigenvalue magnitudes (the singular values) must find an
-    empty zero cluster."""
+    endpoint rule of `spectral_flow` (`_invertible`) on the ascending
+    eigenvalue magnitudes, which are the singular values."""
 
     def n_minus(t):
         mat = np.asarray(path_fn(t), dtype=float)
@@ -849,12 +810,9 @@ def classical_sf(path_fn: Callable[[float], np.ndarray]) -> int:
             raise ValidationError(f"sample at t={t} is not symmetric")
         vals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
         try:
-            k = split_zero_cluster(np.sort(np.abs(vals)))
-        except AmbiguousKernelError as exc:
-            raise ValidationError(f"endpoint t={t} is not invertible ({exc})") from exc
-        if k:
-            raise ValidationError(f"endpoint t={t} is not invertible ({k} eigenvalues "
-                                  f"in the zero cluster)")
+            _invertible(np.sort(np.abs(vals)))
+        except _Singular as exc:
+            raise _not_invertible(t, exc) from exc.__cause__
         return int(np.sum(vals < 0.0))
 
     return n_minus(0.0) - n_minus(1.0)

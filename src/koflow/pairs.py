@@ -50,16 +50,10 @@ from .abs_index import KOClass, abs_class
 from .clifford import (K1, K2, L1, RESTRICTION_TOL, CliffordRep, irreducible_dimension,
                        restrict_images, restrict_to_subspace)
 from .errors import AmbiguousKernelError, ValidationError
-from .numerics import (SAMPLE_TOL, Grading, op_norm, repeated, residual_norm,
-                       residual_norms, skew_phase, split_zero_cluster, svd_split,
-                       sym_split)
+from .numerics import (SAMPLE_TOL, Grading, repeated, residual_norm, residual_norms,
+                       split_zero_cluster, svd_split, sym_split)
 
 STRUCTURE_TOL = 1e-10
-# Bound on the residuals of the six midpoint identities.
-MIDPOINT_TOL = 1e-12
-# A spectral window whose edge lambda lies this close to a singular value
-# of T0 is a ValidationError.
-WINDOW_GUARD = 1e-10
 
 
 def _split(label: str):
@@ -375,73 +369,6 @@ def pair_index(j0: ComplexStructure, j1: ComplexStructure):
     """(KOClass of degree (s+2-r) mod 8, kernel module of signature (r, s+1))."""
     module = kernel_module(j0, j1)
     return abs_class(module), module
-
-
-@dataclass(frozen=True)
-class MidpointPair:
-    """T0 = (J0+J1)/2 and T1 = (J0-J1)/2 with their identity residuals."""
-
-    T0: np.ndarray
-    T1: np.ndarray
-    residuals: tuple  # of (name, residual)
-
-    @property
-    def max_residual(self) -> float:
-        return max((res for _, res in self.residuals), default=0.0)
-
-
-def midpoint_operators(j0: ComplexStructure, j1: ComplexStructure) -> MidpointPair:
-    """The half sum/difference, with all six algebraic identities checked."""
-    _same_context(j0, j1)
-    t0 = (j0.J + j1.J) / 2.0
-    t1 = (j0.J - j1.J) / 2.0
-    eye = np.eye(t0.shape[0])
-    checks = [
-        ("T0^2 + T1^2 = -I", t0 @ t0 + t1 @ t1 + eye),
-        ("T0 T1 = -T1 T0", t0 @ t1 + t1 @ t0),
-        ("T0 J0 = J1 T0", t0 @ j0.J - j1.J @ t0),
-        ("T0 J1 = J0 T0", t0 @ j1.J - j0.J @ t0),
-        ("T1 J0 = -J1 T1", t1 @ j0.J + j1.J @ t1),
-        ("T1 J1 = -J0 T1", t1 @ j1.J + j0.J @ t1),
-    ]
-    residuals = tuple((name, op_norm(mat)) for name, mat in checks)
-    worst = max(res for _, res in residuals)
-    if worst > MIDPOINT_TOL:
-        raise ValidationError(f"midpoint identities violated (residual {worst:.3e})")
-    return MidpointPair(T0=t0, T1=t1, residuals=residuals)
-
-
-def spectral_submodule(j0: ComplexStructure, j1: ComplexStructure,
-                       lam: float) -> CliffordRep:
-    """The rank-(r, s+2) module on the spectral subspace of -T0^2 in
-    (0, lam^2): the span of the right singular vectors of T0 whose
-    singular values lie in (0, lam), read from one SVD of T0, with its
-    kernel split off by `split_zero_cluster`.
-
-    Generators: the context ones restricted, then J0, then the phase of
-    J0 T1 T0, all restricted to the subspace.
-    """
-    ctx = _same_context(j0, j1)
-    if not 0.0 < lam < 1.0:
-        raise ValidationError(f"lambda must lie in (0, 1), got {lam}")
-    mid = midpoint_operators(j0, j1)
-    _, svals, vt = np.linalg.svd(mid.T0)
-    if np.any(np.abs(svals - lam) < WINDOW_GUARD):
-        raise ValidationError(
-            f"lambda = {lam} is within {WINDOW_GUARD} of a singular value of T0")
-    svals, vt = svals[::-1], vt[::-1]  # ascending
-    window = slice(split_zero_cluster(svals, label="kernel of T0"),
-                   np.searchsorted(svals, lam))
-    basis = vt[window].T
-    # J0 T1 T0 on the window is skew and anticommutes with J0 only up to
-    # rounding over its smallest singular value: re-impose both before
-    # taking the phase
-    f1 = basis.T @ j0.J @ basis
-    x = basis.T @ (j0.J @ mid.T1 @ mid.T0) @ basis
-    x = (x - x.T) / 2.0
-    phase = skew_phase((x + f1 @ x @ f1) / 2.0)
-    return restrict_to_subspace(ctx, basis, RESTRICTION_TOL,
-                                extra_F=(j0.J, basis @ phase @ basis.T))
 
 
 # ---------------------------------------------------------------------------

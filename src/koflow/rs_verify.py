@@ -470,40 +470,35 @@ def numeric_kernel(op: DiscreteOperator):
     return basis, report
 
 
-def hermite_values(m: int, points: np.ndarray) -> np.ndarray:
-    """Matrix of the first m normalized Hermite functions at the points
-    (stable damped recurrence), one row per point.
+def _hermite_orders(m: int, points: np.ndarray):
+    """The first m normalized Hermite functions at the points, one order
+    at a time, by the stable damped recurrence on two contiguous vectors:
+    it reads only the last two orders."""
+    prev, cur = np.zeros_like(points), np.pi ** -0.25 * np.exp(-points ** 2 / 2.0)
+    for n in range(m):
+        if n:
+            prev, cur = cur, (points * np.sqrt(2.0 / n) * cur
+                              - np.sqrt((n - 1) / n) * prev)
+        yield cur
 
-    The recurrence reads only its last two orders, so it runs on two
-    contiguous vectors and writes each new order once into its column:
-    reading strided columns back is slower, and a transposed copy of an
-    (m, points) array doubles the memory."""
+
+def hermite_values(m: int, points: np.ndarray) -> np.ndarray:
+    """Matrix of the first m normalized Hermite functions at the points,
+    one row per point: each order of `_hermite_orders` is written once
+    into its column (reading strided columns back is slower, and a
+    transposed copy of an (m, points) array doubles the memory)."""
     phi = np.empty((points.size, m))
-    prev = np.pi ** -0.25 * np.exp(-points ** 2 / 2.0)
-    phi[:, 0] = prev
-    if m > 1:
-        cur = np.sqrt(2.0) * points * prev
-        phi[:, 1] = cur
-    for n in range(1, m - 1):
-        prev, cur = cur, (points * np.sqrt(2.0 / (n + 1)) * cur
-                          - np.sqrt(n / (n + 1.0)) * prev)
-        phi[:, n + 1] = cur
+    for n, order in enumerate(_hermite_orders(m, points)):
+        phi[:, n] = order
     return phi
 
 
 def hermite_projection(m: int, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_i phi_n(points_i) weights_i for the first m normalized Hermite
-    functions phi_n, streamed: the recurrence of `hermite_values` runs
-    order by order on all the points, and each order is reduced to its
-    coefficient at once, so no (points, m) table is held (38 MB at 4001
-    points and m = 1200)."""
-    coef = np.empty(m)
-    prev, cur = np.zeros_like(points), np.pi ** -0.25 * np.exp(-points ** 2 / 2.0)
-    for n in range(m):
-        coef[n] = cur @ weights
-        prev, cur = cur, (points * np.sqrt(2.0 / (n + 1)) * cur
-                          - np.sqrt(n / (n + 1.0)) * prev)
-    return coef
+    functions phi_n, streamed: each order of `_hermite_orders` is reduced
+    to its coefficient at once, so no (points, m) table is held (38 MB at
+    4001 points and m = 1200)."""
+    return np.array([order @ weights for order in _hermite_orders(m, points)])
 
 
 def analytic_profiles(problem: RSProblem, op: DiscreteOperator) -> np.ndarray:

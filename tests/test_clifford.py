@@ -245,16 +245,6 @@ def test_empty_restriction_returns_at_once(monkeypatch, r, s):
     assert abs_class(sub) == abs_class(full) == KOClass.of((s + 1 - r) % 8, 0)
 
 
-def test_signature_swap():
-    v = cl.irreducible_rep(2, 1)
-    w = cl.signature_swap(v)
-    assert (w.r, w.s) == (2, 1)
-    assert cl.check_relations(w, tol=0.0).ok
-    u = cl.signature_swap(cl.irreducible_rep(3, 0))
-    assert (u.r, u.s) == (1, 2)
-    assert cl.check_relations(u, tol=0.0).ok
-
-
 def test_intertwiner_identity_first():
     v = cl.irreducible_rep(0, 1)
     u = cl.intertwiner(v, v)

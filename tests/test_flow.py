@@ -9,13 +9,11 @@ from koflow import clifford as cl
 from koflow import flow, models, numerics, pairs
 from koflow.abs_index import abs_class
 from koflow.errors import AmbiguousKernelError, ObstructionError, ValidationError
-from koflow.flow import (SkewPath, _split_phase_kernel, cayley, clamp_phase,
-                         classical_sf, complete_phase, endpoint_flow,
-                         spectral_flow)
+from koflow.flow import (SkewPath, _split_phase_kernel, classical_sf,
+                         complete_phase, endpoint_flow, spectral_flow)
 from koflow.models import kitaev_path
-from koflow.numerics import (Grading, doubled, min_singular_value,
-                             random_orthogonal, random_skew, split_zero_cluster,
-                             svd_split, sym_eigh)
+from koflow.numerics import (Grading, doubled, random_orthogonal, random_skew,
+                             split_zero_cluster, svd_split, sym_eigh)
 from koflow.pairs import ComplexStructure
 from koflow.props import SIG_POOL, padded_context, random_admissible_path
 
@@ -346,67 +344,6 @@ def test_relation_r1_forgets_to_r0():
     assert v1.value == v0.value
 
 
-def test_cayley():
-    big = cl.irreducible_rep(1, 3)
-    ctx = cl.CliffordRep(1, 2, big.n, E=big.E, F=big.F[:-1])
-    f_s = np.array(ctx.F[-1])
-    n = ctx.n
-    assert np.allclose(cayley(np.zeros((n, n)), ctx), -f_s)
-    j_mat = np.array(big.F[-1])
-    image = cayley(j_mat, ctx)
-    assert np.allclose(image, -j_mat, atol=1e-12)
-    assert abs(np.linalg.norm(-j_mat - f_s, 2) - np.sqrt(2.0)) < 1e-12
-    rng = np.random.default_rng(0)
-    t_mat = ctx.project_skew(random_skew(rng, n), -1)
-    image = cayley(t_mat, ctx)
-    eye = np.eye(n)
-    assert np.linalg.norm(image + image.T, 2) < 1e-12
-    assert np.linalg.norm(image.T @ image - eye, 2) < 1e-12
-    assert np.linalg.norm(image @ image + eye, 2) < 1e-12
-    for g in list(ctx.E) + list(ctx.F[:-1]):
-        assert np.linalg.norm(image @ g + g @ image, 2) < 1e-12
-    if min_singular_value(t_mat) > 1e-8:
-        assert np.linalg.norm(image - f_s, 2) < 2.0
-
-
-def test_cayley_distance_bound_fails_exactly_on_kernel():
-    # T with kernel: the image sits at distance exactly 2 from F_s and
-    # 1 lies in the spectrum of F_s Phi(T)
-    big = cl.irreducible_rep(1, 3)
-    ctx = cl.CliffordRep(1, 2, big.n, E=big.E, F=big.F[:-1])
-    f_s = np.array(ctx.F[-1])
-    image = cayley(np.zeros((ctx.n, ctx.n)), ctx)   # = -F_s
-    dist = np.linalg.norm(image - f_s, 2)
-    assert abs(dist - 2.0) < 1e-12
-    spec = np.linalg.eigvals(f_s @ image)
-    assert np.min(np.abs(spec - 1.0)) < 1e-12
-
-
-def test_cayley_needs_skew_generator():
-    with pytest.raises(ValidationError):
-        cayley(np.zeros((2, 2)), cl.CliffordRep(0, 0, 2))
-
-
-def test_cayley_ill_conditioned_resolvent():
-    from koflow.errors import IllConditionedError
-    ctx = cl.CliffordRep(0, 1, 2, F=(cl.L1,))
-    # T = -F_s makes I - T F_s = I - (-F_s)F_s = ... singular direction
-    with pytest.raises(IllConditionedError):
-        cayley(-np.array(ctx.F[-1]), ctx)
-
-
-def test_clamp_phase():
-    assert np.allclose(clamp_phase(0.5 * cl.L1), 0.5 * cl.L1)
-    assert np.allclose(clamp_phase(3.0 * cl.L1), cl.L1)
-    rng = np.random.default_rng(1)
-    t_mat = random_skew(rng, 6)
-    once = clamp_phase(t_mat)
-    assert np.allclose(clamp_phase(once), once, atol=1e-12)
-    assert np.linalg.norm(once, 2) <= 1.0 + 1e-12
-    # commutes with everything T commutes with: T itself
-    assert np.allclose(once @ t_mat, t_mat @ once, atol=1e-10)
-
-
 def _gapless_rotation(blocks=12):
     """j0 on 4 (blocks + 1) dimensions and s -> expm(2 s X), for X
     anticommuting with j0 and block diagonal: blocks 4 x 4 rotation
@@ -550,6 +487,30 @@ def test_classical_sf():
     assert classical_sf(lambda t: 1e-9 * np.diag([2.0 * t - 1.0, 1.0])) == 1
     with pytest.raises(ValidationError, match="endpoint t=0.0 is not invertible"):
         classical_sf(lambda t: np.diag([-1.0, 1e-7, 1e3]))
+
+
+def test_classical_sf_words_the_endpoint_rule_of_the_flow():
+    # classical_sf applies the endpoint rule of spectral_flow to its
+    # eigenvalue magnitudes: the symmetric D (x) I_2 and the skew D (x) L1
+    # have the same singular values, so a nonempty zero cluster (at t = 0,
+    # at t = 1) and an ambiguous one read alike on both
+    ramp = [5e-9, 2e-6, 5e-4, 5e-3, 4e-2, 1.0]
+    cases = [lambda t: [0.0, 1.0],
+             lambda t: [1.0, 2.0 * t - 1.0, 1.0 - t],
+             lambda t: ramp]
+    for diag in cases:
+        ctx = cl.CliffordRep(0, 0, 2 * len(diag(0.0)))
+        with pytest.raises(ValidationError) as skew:
+            spectral_flow(SkewPath(ctx, lambda t: np.kron(np.diag(diag(t)), cl.L1)))
+        with pytest.raises(ValidationError) as sym:
+            classical_sf(lambda t: np.kron(np.diag(diag(t)), np.eye(2)))
+        assert str(sym.value) == str(skew.value)
+        assert type(sym.value.__cause__) is type(skew.value.__cause__)
+    assert str(sym.value).startswith("endpoint t=0.0 is not invertible (ambiguous")
+    assert isinstance(sym.value.__cause__, AmbiguousKernelError)
+    with pytest.raises(ValidationError, match=r"^endpoint t=1.0 is not invertible "
+                       r"\(2 singular values in the zero cluster, smallest 0.000e\+00"):
+        classical_sf(lambda t: np.kron(np.diag(cases[1](t)), np.eye(2)))
 
 
 def test_complete_phase_one_svd(monkeypatch):

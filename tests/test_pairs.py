@@ -10,10 +10,9 @@ from koflow.flow import complete_phase
 from koflow.numerics import (Grading, doubled, random_orthogonal, random_skew,
                              split_zero_cluster, svd_split)
 from koflow.pairs import (ComplexStructure, ProjectionPair, ReducedStructure,
-                          Reduction, kernel_module,
-                          midpoint_operators, orthogonal_pair_parity,
+                          Reduction, kernel_module, orthogonal_pair_parity,
                           pair_index, projection_pair_index,
-                          projections_to_structures, spectral_submodule)
+                          projections_to_structures)
 
 from conftest import rotated_irrep
 
@@ -94,67 +93,6 @@ def test_kernel_module_is_the_compression_to_the_pair_kernel():
     explicit = [basis.T @ g @ basis for g in ctx.generators() + [j0.J]]
     for got, want in zip(sub.generators(), explicit):
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-
-
-def test_midpoint_identities():
-    module = cl.irreducible_rep(1, 2)
-    j0, j1, ctx = standard_pair(1, 1, module)
-    mid = midpoint_operators(j0, j1)
-    assert mid.max_residual <= 1e-13
-    same = midpoint_operators(j0, j0)
-    assert np.allclose(same.T0, j0.J) and np.allclose(same.T1, 0.0)
-    rng = np.random.default_rng(3)
-    rot = commuting_rotation(ctx, rng, 0.4)
-    j2 = ComplexStructure(rot @ j0.J @ rot.T, ctx)
-    assert midpoint_operators(j0, j2).max_residual <= 1e-13
-    flipped = ComplexStructure(-j0.J, ctx)
-    mid = midpoint_operators(j0, flipped)
-    assert np.allclose(mid.T0, 0.0) and np.allclose(mid.T1, j0.J)
-
-
-def test_spectral_submodule_empty_cases():
-    module = cl.irreducible_rep(0, 1)
-    j0, j1, _ = standard_pair(0, 0, module)
-    assert spectral_submodule(j0, j0, 0.5).n == 0
-    # spectrum of -T0^2 is {0, 1} for the standard pair
-    assert spectral_submodule(j0, j1, 0.5).n == 0
-
-
-def test_spectral_submodule_nonempty():
-    rng = np.random.default_rng(3)
-    module = cl.direct_sum(cl.irreducible_rep(0, 1), cl.irreducible_rep(0, 1))
-    j0, j1, ctx = standard_pair(0, 0, module)
-    gen = random_skew(rng, ctx.n)
-    rot = expm(0.15 * (gen - gen.T) / 2.0 / np.linalg.norm(gen, 2))
-    j1p = ComplexStructure(rot @ j1.J @ rot.T, ctx)
-    sub = spectral_submodule(j0, j1p, 0.5)
-    assert sub.n > 0
-    assert (sub.r, sub.s) == (0, 2)
-    assert cl.check_relations(sub, 1e-9).ok
-
-
-def test_spectral_submodule_keeps_modes_below_the_squared_floor():
-    # J1 = Q(-J0)Q^T with Q = expm(1e-6 skew): every singular value of T0
-    # lies near 1e-6, so the lambda = 0.5 window is the whole space, though
-    # an eigenvalue floor of 1e-10 on -T0^2 drops each of them
-    ctx = cl.CliffordRep(0, 0, 8)
-    j0_mat = np.kron(np.eye(4), cl.L1)
-    q = expm(1e-6 * random_skew(np.random.default_rng(0), 8))
-    j0 = ComplexStructure(j0_mat, ctx)
-    j1 = ComplexStructure(q @ -j0_mat @ q.T, ctx)
-    svals = np.linalg.svd(midpoint_operators(j0, j1).T0, compute_uv=False)
-    assert 0.0 < svals.min() and svals.max() < 1e-5
-    sub = spectral_submodule(j0, j1, 0.5)
-    assert (sub.r, sub.s, sub.n) == (0, 2, 8)
-    assert cl.check_relations(sub, 1e-9).ok
-
-
-def test_spectral_submodule_eigenvalue_guard():
-    module = cl.irreducible_rep(0, 1)
-    j0, j1, _ = standard_pair(0, 0, module)
-    with pytest.raises(ValidationError):
-        # lambda^2 = 1 hits the top eigenvalue of -T0^2... use interior hit:
-        spectral_submodule(j0, j1, 1.0)
 
 
 def test_projection_pair_index_examples():
