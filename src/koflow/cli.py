@@ -22,7 +22,7 @@ from . import clifford as cliff
 from .abs_index import abs_class
 from .errors import (AmbiguousKernelError, InvalidModuleError, ObstructionError,
                      ValidationError)
-from .flow import SkewPath, classical_sf, spectral_flow
+from .flow import SkewPath, bordered_flow, classical_sf, spectral_flow
 from .models import aii_path, flux_path, hermitian_double, kitaev_path
 from .pairs import ComplexStructure, pair_index
 from .props import run_all
@@ -76,8 +76,9 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _solve(path: SkewPath, args):
-    """The spectral flow of `path`, then the `--tracks` smallest singular
-    values along it as CSV in `--out`.  The request is checked before the
+    """The spectral flow of `path` (`bordered_flow` when it declares a
+    moving block), then the `--tracks` smallest singular values along it
+    as CSV in `--out`.  The request is checked before the
     solve: 0 <= tracks <= n, and --out given, and writable, exactly when
     tracks > 0."""
     n = path.context.n
@@ -89,7 +90,7 @@ def _solve(path: SkewPath, args):
         raise ValidationError("--out needs --tracks")
     if args.tracks:
         _check_out(args.out)
-    value = spectral_flow(path, seed=args.seed)
+    value = (spectral_flow if path.moving is None else bordered_flow)(path, seed=args.seed)
     if args.tracks:
         rows = []
         for t in np.linspace(0.0, 1.0, TRACK_SAMPLES):

@@ -72,6 +72,11 @@ of the kind that `reduced_route` reads off the cell's type:
 - Dense route: every other path; a graded one splits its node by the SVD
   of its sector block and scatters the range block and kernel columns
   back to n x n.
+
+Moving blocks: a path that moves only on a fixed k x k block W and
+declares it (`MovingBlock`) has the flow of a k x k path, its bordered
+Schur complement M(t) = C(t)^-1 + U^T R^-1 U (`bordered_flow`, which
+derives it); `spectral_flow` itself always walks the path as it stands.
 """
 from __future__ import annotations
 
@@ -165,6 +170,11 @@ STACK_NODE_ARRAYS = 6
 # size 64, and one, the walk one node at a time, from size 105 (the Kitaev
 # flow at N = 256).
 STACK_BYTES = 2 ** 20
+# lambda of `bordered_flow`, in units of the moving block's declared
+# bound: any factor above 1 keeps C(t) = T_WW(t) - lambda J invertible;
+# at 3 its smallest singular value is at least twice the bound, and the
+# Kitaev complements R read sigma_min = (sqrt(13) - 3)/2 = 0.303 at every N.
+BORDER_SHIFT = 3.0
 
 
 @dataclass(frozen=True)
@@ -184,6 +194,10 @@ class SkewPath:
     grading-odd form of P (x) beta (split kind), which `coefficient`
     checks, and the whole walk takes the reduced route.  `at` still
     returns the n x n sample.
+
+    A path whose matrices (its samples, or its coefficients when reduced)
+    move only on one fixed block may declare it as its `moving`
+    `MovingBlock`; `bordered_flow` then walks a k x k path in its place.
     """
 
     context: CliffordRep
@@ -191,6 +205,7 @@ class SkewPath:
     label: str = ""
     grading: Grading | None = None
     reduction: Reduction | None = None
+    moving: MovingBlock | None = None
 
     def __post_init__(self):
         if self.grading is not None and self.grading.n != self.context.n:
@@ -201,6 +216,8 @@ class SkewPath:
                                            or self.reduction.grading is not self.grading):
             raise ValidationError("a reduction must be built over the path's own "
                                   "context and grading")
+        if self.moving is not None:
+            self.moving.check(self)
 
     def coefficient(self, t: float) -> np.ndarray:
         """The N x N coefficient of a reduced path's sample, checked.
@@ -341,6 +358,67 @@ def _one(checked):
     if failure is not None:
         raise failure
     return stack[0]
+
+
+@dataclass(frozen=True)
+class MovingBlock:
+    """The block W of a path's matrices that alone moves along the path,
+    as its model declares it for `bordered_flow`.
+
+    `indices` are the k indices of W into the path's matrices: its N x N
+    coefficients on a reduced path, its n x n samples on a dense one; the
+    moving block is T[W, W].  `J` is a fixed orthogonal k x k matrix, skew
+    on a dense path so that replacing T[W, W] by lambda J keeps a sample
+    skew, and `bound` a closed-form bound on ||T[W, W](t)||_2 for every
+    t, from which lambda is taken.  Every matrix of the path must equal
+    the one at t = 0 off W, exactly.
+    """
+
+    indices: np.ndarray
+    J: np.ndarray
+    bound: float
+
+    def __post_init__(self):
+        idx = np.array(self.indices)
+        if idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu" \
+                or np.unique(idx).size != idx.size or idx.min() < 0:
+            raise ValidationError("a moving block's indices must be distinct "
+                                  "nonnegative integers")
+        j = np.array(self.J, dtype=float)
+        k = idx.size
+        if j.shape != (k, k):
+            raise ValidationError(f"a moving block of {k} indices needs a {k} x {k} J, "
+                                  f"got shape {j.shape}")
+        worst = residual_norm(SAMPLE_TOL, [j.T @ j - np.eye(k)])
+        if not worst <= SAMPLE_TOL:
+            raise ValidationError(f"a moving block's J must be orthogonal (residual {worst:.3e})")
+        if not (np.isfinite(self.bound) and self.bound > 0.0):
+            raise ValidationError(f"a moving block's bound must be positive, got {self.bound}")
+        idx.setflags(write=False)
+        j.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "J", j)
+        object.__setattr__(self, "bound", float(self.bound))
+
+    def check(self, path: SkewPath) -> None:
+        """Raise ValidationError unless `bordered_flow` can take this block
+        on `path`: over an empty context, on a dense ungraded path (J
+        skew) or a split reduced one, with its indices inside the path's
+        matrices."""
+        red = path.reduction
+        dense = red is None and path.grading is None
+        if path.context.r or path.context.s or not (dense or red is not None
+                                                     and red.kind == "split"):
+            raise ValidationError("a moving block is taken on an ungraded dense path or a "
+                                  "split reduced path over an empty context only")
+        size = path.context.n if red is None else path.context.copies
+        if self.indices.max() >= size:
+            raise ValidationError(f"a moving block's indices must lie below {size}")
+        if red is None:
+            worst = residual_norm(SAMPLE_TOL, [self.J + self.J.T])
+            if not worst <= SAMPLE_TOL:
+                raise ValidationError(
+                    f"a moving block's J must be skew on a dense path (residual {worst:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +874,120 @@ def endpoint_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     theorem makes this an independent oracle for spectral_flow."""
     value, _ = pair_index(*_endpoint_phases(path, seed))
     return value
+
+
+# ---------------------------------------------------------------------------
+# Moving blocks: the bordered k x k path
+# ---------------------------------------------------------------------------
+
+def bordered_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
+    """`spectral_flow` of a path that declares a `MovingBlock` W, walked
+    on its bordered k x k path; equal to the flow of the path itself.
+
+    Let U be the n x k columns of the identity at W (on a reduced path the
+    derivation runs on the lifted samples; the last item below reads it
+    off the coefficients).  T(t) moves only on W, so
+    T(t) = R + U C(t) U^T, with R = T(0) with its W block
+    replaced by lambda J, fixed, and C(t) = T_WW(t) - lambda J, lambda =
+    BORDER_SHIFT times the declared bound.  J is orthogonal, so
+    sigma_min(C(t)) >= lambda - ||T_WW(t)|| >= lambda - bound > 0 for
+    every t: a certificate read off the declaration, whose bound every
+    sample is checked against, not off a sample's spectrum.  R is checked
+    once, by the endpoint rule on its one SVD, which also gives R^-1 U.
+    The bordered matrix
+
+        B(t) = [[R, U], [-U^T, C(t)^-1]]
+
+    is skew when T is, and its two Schur complements are T(t) (pivot
+    C(t)^-1) and M(t) = C(t)^-1 + U^T R^-1 U (pivot R):
+
+        B = L^T diag(T, C^-1) L,  L = [[I, 0], [-C U^T, I]],
+        B = L'^T diag(R, M) L',   L' = [[I, R^-1 U], [0, I]].
+
+    Scaling the off-diagonal block of L or L' from 1 to 0 deforms B, at
+    every t, through congruent matrices, invertible at t = 0 and 1 when
+    B is; a path of invertible matrices has zero flow, and flow adds over
+    direct sums, so (Haynsworth's inertia additivity, Linear Algebra
+    Appl. 1 (1968))
+
+        flow(T) = flow(T (+) C^-1) = flow(B) = flow(R (+) M) = flow(M),
+
+    a path of k x k matrices.  T(t) is invertible exactly when M(t) is,
+    so the endpoint rule of the k x k walk stands for that of T.
+
+    Context and grading on the W copy: B must anticommute with them on
+    R^n (+) R^k.  When W is invariant under a generator g, g U = U g_W,
+    the block U anticommutes with g (+) h exactly for h = -g_W, and L, L'
+    then commute with g (+) h: the W copy carries the restricted
+    generators and the restricted grading, each with its sign flipped.
+    The blocks declared so far lie over an empty context (`MovingBlock`):
+
+    - dense ungraded path: M(t) is a skew k x k sample, with no context;
+    - split reduced path (cells of size 2, T the grading-odd form of
+      P (x) beta, beta = +-1): the lifted W is the k minus indices of the
+      coefficient's rows at W and the k plus indices of its columns at W,
+      and -G_W puts the plus ones first.  The inverse of the grading-odd
+      form of X is that of -X^-T, so in that order M is the grading-odd
+      form of M_P (x) beta, with M_P = C_P^-1 + (R_P^-1)_WW, C_P and R_P
+      formed from the coefficients as C and R from T: the split
+      `Reduction` of the same b on k copies, graded by
+      (1, ..., 1, -1, ..., -1).
+
+    Every sample is checked once, as the k x k path samples it: it must
+    equal R off W exactly (so T(0), checked in full where R is built,
+    checks it there), and its block T_WW(t) must meet the bound and, on a
+    dense path, be skew within SAMPLE_TOL; otherwise a ValidationError.
+    """
+    block, red = path.moving, path.reduction
+    if block is None:
+        raise ValidationError("the path declares no moving block")
+    w, k = block.indices, block.indices.size
+    where = np.ix_(w, w)
+    shift = BORDER_SHIFT * block.bound * block.J
+    kind = "sample" if red is None else "coefficient"
+    # a copy: the path's own sample is never written
+    fixed = np.array(path.at(0.0) if red is None else path.coefficient(0.0))
+    fixed[where] = shift
+    fixed.setflags(write=False)
+    u, svals, vt = np.linalg.svd(fixed)
+    try:
+        _invertible(svals[::-1])
+    except _Singular as exc:
+        raise ValidationError(f"the bordered complement R of {path.label or 'the path'} "
+                              f"is not invertible {exc}") from exc.__cause__
+    # (R^-1)_WW = V[W] diag(1/s) U[W]^T, from R = U diag(s) V^T
+    inverse = (vt[:, w].T / svals) @ u[w].T
+    del u, vt
+
+    def sample(t: float) -> np.ndarray:
+        mat = np.asarray(path.fn(t), dtype=float)
+        if mat.shape != fixed.shape:
+            raise ValidationError(f"path {kind} at t={t} has shape {mat.shape}, "
+                                  f"expected {fixed.shape}")
+        moved = mat != fixed
+        moved[where] = False
+        if moved.any():
+            raise ValidationError(f"path {kind} at t={t} moves off its declared moving block")
+        moving = mat[where]
+        if red is None:
+            worst = residual_norm(SAMPLE_TOL, [moving + moving.T])
+            if not worst <= SAMPLE_TOL:
+                raise _violation(t, worst)
+        norm = op_norm(moving) if np.all(np.isfinite(moving)) else np.inf
+        if not norm <= block.bound + SAMPLE_TOL:
+            raise ValidationError(f"path {kind} at t={t} breaks its moving block's bound "
+                                  f"{block.bound:g} (norm {norm:.3e})")
+        return np.linalg.inv(moving - shift) + inverse
+
+    label = f"{path.label}, bordered to its {k} x {k} moving block"
+    if red is None:
+        bordered = SkewPath(CliffordRep(0, 0, k), sample, label=label)
+    else:
+        ctx = CliffordRep(0, 0, 2 * k, copies=k)
+        grading = Grading(np.repeat([1.0, -1.0], k))
+        bordered = SkewPath(ctx, sample, label=label, grading=grading,
+                            reduction=Reduction(ctx, red.b, grading))
+    return spectral_flow(bordered, seed=seed)
 
 
 def classical_sf(path_fn: Callable[[float], np.ndarray]) -> int:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .clifford import K1, K2, L1, CliffordRep
 from .errors import ValidationError
-from .flow import SkewPath, reduced_route, walk_bytes
+from .flow import MovingBlock, SkewPath, reduced_route, walk_bytes
 from .numerics import Grading, check_memory, op_norm, residual_norm, sym_eigh
 from .pairs import Reduction
 
@@ -169,6 +169,11 @@ def kitaev_path(N: int) -> SkewPath:
     block diagonal (site 2i + 1 from 2i), -`_BOND`^T beside it (site
     2i + 1 from 2i + 2, cyclically) and the seam block in the corner; no
     2N x 2N sample is made by the walk.
+
+    Only the seam moves, so the path declares it as its `MovingBlock`
+    (`flow.bordered_flow` walks a k x k path in its place): the 2 x 2
+    block P[0:2, 0:2] of an even ring's coefficient, the 4 Majorana
+    coordinates of sites 0 and 1 of an odd ring's sample.
     """
     if N < 3:
         raise ValidationError(f"ring length must be at least 3, got {N}")
@@ -200,8 +205,16 @@ def kitaev_path(N: int) -> SkewPath:
             mat[0:2, 2:4] = -seam.T
         return mat
 
+    # the moving block is the seam, of norm ||_BOND||_2 = 1 at every alpha
+    # (the flux is a rotation); J completes it to an orthogonal matrix:
+    # -L1 on the coefficient's seam block, and on the 4 Majorana
+    # coordinates of sites 0 and 1 the skew kron(K2, L1), which maps site
+    # 0's (1, 1)/sqrt(2) to site 1's (-1, 1)/sqrt(2), as the flux-free seam
+    # does, and pairs the two other combinations
+    moving = MovingBlock(np.arange(2), -L1, 1.0) if graded \
+        else MovingBlock(np.arange(4), np.kron(K2, L1), 1.0)
     return SkewPath(ctx, sample, label=f"kitaev flux insertion, N={N}",
-                    grading=grading, reduction=reduction)
+                    grading=grading, reduction=reduction, moving=moving)
 
 
 def _complex_frame(f: np.ndarray) -> np.ndarray:

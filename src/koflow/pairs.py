@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abs_index import KOClass, abs_class
+from .abs_index import abs_class
 from .clifford import (K1, K2, L1, RESTRICTION_TOL, CliffordRep, irreducible_dimension,
                        restrict_images, restrict_to_subspace)
 from .errors import AmbiguousKernelError, ValidationError

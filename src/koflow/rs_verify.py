@@ -360,9 +360,13 @@ def assemble_rs_operator_alt(problem: RSProblem, square: bool = False) -> Discre
     """Alternative normalization D' = A(t) (x) K1 + d/dt (x) K2, with
     lifted generators E_i (x) K1, F_k (x) K1, F_{s+1} = I (x) L1.
 
-    Used as a sign-convention cross-check: the two assemblies carry
-    conjugate Clifford normalizations and must produce the same class.
-    Its kernel cells sit in the opposite sector of the grading.
+    A cross-check of the sign and sector convention only: it calls the
+    same `_assemble` as `assemble_rs_operator`, with the other cells,
+    derivative sign and bound sector, so the two assemblies carry
+    conjugate Clifford normalizations and must produce the same class.  A
+    fault in `_assemble` itself would show in both, so it does not check
+    the assembly.  Its kernel cells sit in the opposite sector of the
+    grading.
     """
     return _assemble(problem, cell_even=K1, deriv_sign=+1.0,
                      cell_deriv=K2, f_new_cell=L1, bound_sector=-1,

@@ -563,6 +563,12 @@ GOLDEN = {
     # the benchmark's two graded workloads, at their sizes
     "kitaev-N256": (["kitaev", "--N", "256", "--seed", "0"], {},
                     '{"degree": 2, "group": "Z2", "value": 1}\n'),
+    # lattice scale on the bordered route: an odd ring, dense, and an even
+    # ring four times the benchmark's
+    "kitaev-N255": (["kitaev", "--N", "255"], {},
+                    '{"degree": 2, "group": "Z2", "value": 1}\n'),
+    "kitaev-N1024": (["kitaev", "--N", "1024"], {},
+                     '{"degree": 2, "group": "Z2", "value": 1}\n'),
     "flux-rotated-cl07-N48": (["flux", "--N", "48", "--seed", "0"],
                               {"--module": _golden_rotated(0, 7, 7)},
                               '{"class": {"degree": 0, "group": "Z", "value": 1}, '
