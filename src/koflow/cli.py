@@ -146,8 +146,8 @@ def cmd_sf(args) -> int:
     elif args.path:
         obj = _load_json(args.path)
         try:
-            ctx = cliff.rep_from_json(obj["context"]) if "context" in obj \
-                else cliff.CliffordRep(0, 0, cliff.json_count(obj, "n"))
+            ctx = cliff.rep_from_json(obj["context"] if "context" in obj
+                                      else {"r": 0, "s": 0, "n": obj["n"]})
             times = np.asarray(obj["t"], dtype=float)
             mats = [cliff._matrix_from_json(m, ctx.n) for m in obj["T"]]
         except (KeyError, TypeError, ValueError) as exc:

@@ -655,5 +655,9 @@ def _parse_rep(obj) -> CliffordRep:
 
 
 def rep_from_json(obj) -> CliffordRep:
-    """Parse and validate a representation from the JSON schema."""
-    return _parse_rep(obj).validate()
+    """Parse and validate a representation from the JSON schema, of
+    dimension 1 at least."""
+    rep = _parse_rep(obj)
+    if not rep.n:
+        raise ValidationError("a module needs dimension n >= 1, got n = 0")
+    return rep.validate()

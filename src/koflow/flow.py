@@ -27,18 +27,18 @@ its n/2 x n/2 sector block (see the graded convention of `numerics`),
 and on a reduced path one `Reduction.decompose` of its N x N
 coefficient.
 
-Stacks: nodes are sampled, checked, decomposed and completed together
-as one (B, ., .) stack (`SkewPath.samples`, `complete_phases`): the two
-endpoints, then the 15 interior nodes of the initial partition, at most
-`stacked_nodes` of them at a time (STACK_BYTES caps a stack's arrays).
-Every item passes the bounds of a node taken alone, to the bit, and a
-failing item holds its exception until the walk reaches it.  A node
-whose kernel cluster is empty never reads its alignment hint, so those
-are completed as one stack; the others follow one at a time, in order,
-each with its left neighbour's phase as the hint.  `SkewPath.at`,
-`SkewPath.coefficient` and `complete_phase` are the stack of one, which
-also completes every bisection midpoint and, on paths too large to
-stack, every node.
+Stacks: every node is sampled, checked, decomposed and completed as
+one (B, ., .) stack (`_nodes`: `SkewPath.samples`, `complete_phases`):
+the two endpoints, then the 15 interior nodes of the initial partition,
+at most `stacked_nodes` of them at a time (STACK_BYTES caps a stack's
+arrays), and each bisection midpoint as a stack of one.  Every item
+passes the bounds of a node taken alone, to the bit, and a failing item
+holds its exception until the walk reaches it.  A node whose kernel
+cluster is empty never reads its alignment hint, so those are completed
+as one stack; the others follow one at a time, in order, each with its
+left neighbour's phase as the hint.  `SkewPath.at`,
+`SkewPath.coefficient` and `complete_phase` are the stack of one, kept
+as public adapters; the walk does not call them.
 
 Endpoint rule: an endpoint is invertible exactly when the default
 `numerics.split_zero_cluster` finds an empty zero cluster on the
@@ -167,8 +167,8 @@ STACK_NODE_ARRAYS = 6
 # ru_maxrss by 0.2, 0.6 and 1.6 MB, against 60.2 MB one node at a time,
 # with 4, 9 and 15 nodes per stack.  1 MiB stacks all 15 interior nodes
 # up to size 38 (every props path), 9 at size 48 (the flux flow), 5 at
-# size 64, and one, the walk one node at a time, from size 105 (the Kitaev
-# flow at N = 256).
+# size 64, and one, the walk one node at a time, from size 105 (the dense
+# graded Cl_{0,3} flux flow at N = 48, n = 192).
 STACK_BYTES = 2 ** 20
 # lambda of `bordered_flow`, in units of the moving block's declared
 # bound: any factor above 1 keeps C(t) = T_WW(t) - lambda J invertible;
@@ -676,10 +676,11 @@ def complete_phases(tmats: np.ndarray, context: CliffordRep,
 def complete_phase(tmat: np.ndarray, context: CliffordRep,
                    grading: Grading | None = None,
                    align_hint: np.ndarray | None = None, seed: int = 0,
-                   split=_split_phase_kernel, reduction: Reduction | None = None):
+                   reduction: Reduction | None = None):
     """The phase of a skew `tmat` over `context`, completed to a complex
     structure: one SVD (on the reduced route one `Reduction.decompose`),
-    split by `split`; `complete_phases` of the stack of one.
+    split by the phase-kernel rule (`_split_phase_kernel`);
+    `complete_phases` of the stack of one.
 
     Equal to T|T|^-1 on the complement of the kernel cluster; on the
     kernel, any complex structure anticommuting with the restricted
@@ -687,20 +688,20 @@ def complete_phase(tmat: np.ndarray, context: CliffordRep,
     neighbouring phase as the walk holds it: J, or S on the reduced
     route).  Without a grading the SVD is that of tmat.  With one (a
     sample that `SkewPath.at` checked against it) it is the SVD of the
-    sector block B = tmat[minus, plus], split by `doubled(split)`, and the
-    phase is scattered back to n x n.  With a `reduction` of `context`,
-    tmat is the N x N coefficient of the sample (`SkewPath.coefficient`)
-    and the phase is a `ReducedStructure`, the N x N factor S of a
-    `Reduction.decompose` of it (a symmetric eigendecomposition of A on
-    the real kind, an SVD of P on the split kind), split by
-    `repeated(split, c)`: U_r V_r^T on the range, completed on the kernel
-    as `_complete_kernel` says.  Raises ObstructionError when the kernel
-    module does not extend (for example an odd-dimensional kernel with
-    empty context).
+    sector block B = tmat[minus, plus], split by
+    `doubled(_split_phase_kernel)`, and the phase is scattered back to
+    n x n.  With a `reduction` of `context`, tmat is the N x N coefficient
+    of the sample (`SkewPath.coefficient`) and the phase is a
+    `ReducedStructure`, the N x N factor S of a `Reduction.decompose` of
+    it (a symmetric eigendecomposition of A on the real kind, an SVD of P
+    on the split kind), split by `repeated(_split_phase_kernel, c)`:
+    U_r V_r^T on the range, completed on the kernel as `_complete_kernel`
+    says.  Raises ObstructionError when the kernel module does not extend
+    (for example an odd-dimensional kernel with empty context).
     """
     tmat = np.asarray(tmat, dtype=float)
-    (phase,) = complete_phases(tmat[None], context, grading, align_hint, seed, split,
-                               reduction)
+    (phase,) = complete_phases(tmat[None], context, grading, align_hint, seed,
+                               reduction=reduction)
     if isinstance(phase, Exception):
         raise phase
     return phase
@@ -761,23 +762,12 @@ def _endpoint_phases(path: SkewPath, seed: int):
     return tuple(phases)
 
 
-def _node(path: SkewPath, t: float, **kwargs):
-    """The completed phase of the path at t: one checked sample, one
-    `complete_phase` call; on a reduced path both are N x N."""
-    if path.reduction is not None:
-        return complete_phase(path.coefficient(t), path.context,
-                              reduction=path.reduction, **kwargs)
-    return complete_phase(path.at(t), path.context, path.grading, **kwargs)
-
-
 def _nodes(path: SkewPath, ts, align_hint: np.ndarray | None, seed: int,
            split=_split_phase_kernel) -> list:
     """The completed phases at the times ts, in order, up to the first
     node that fails, which holds its exception instead: from one checked
-    sample stack (`SkewPath.samples`) and one `complete_phases` call, or
-    for one time from `_node`."""
-    if len(ts) == 1:
-        return [held(_node, path, ts[0], align_hint=align_hint, seed=seed, split=split)]
+    sample stack (`SkewPath.samples`) and one `complete_phases` call; on a
+    reduced path both are N x N."""
     mats, failure = path.samples(ts)
     phases = complete_phases(mats, path.context, path.grading, align_hint, seed, split,
                              path.reduction) if len(mats) else []
@@ -819,39 +809,42 @@ def spectral_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     Walks the partition from left to right.  It holds the phase at the
     left end of the current segment and a stack of pending right ends
     (t, depth, phase or None), nearest last; a phase stays on the stack
-    only for t = 1 and for the right end of a bisected segment.  The
-    endpoint phases are completed first; every other node is completed
-    once, with the left phase as its alignment hint.  `seed` drives the
-    random candidates of a kernel completion's intertwiner.
+    only for t = 1, for the right end of a bisected segment and for the
+    initial nodes completed ahead of the walk.  The endpoint phases are
+    completed first; every other node is completed once, with the left
+    phase as its alignment hint.  `seed` drives the random candidates of a
+    kernel completion's intertwiner.
 
-    The interior nodes of the initial partition (depth 0) are completed
-    `stacked_nodes` at a time (`_nodes`), when the walk first reaches one:
-    bisection inserts nodes only to the left of a computed right end, so
-    node i/16's hint is always node (i-1)/16's phase, which the stack
-    hands on.  A node that failed there raises when the walk reaches it,
-    so the walk meets the same error first as with one node at a time.
-    With one node per stack every node is one `_node`, as is every
-    bisection midpoint.
+    A right end popped without a phase is completed by one `_nodes`
+    stack: a bisection midpoint alone, an initial node (depth 0) with the
+    next `stacked_nodes` - 1 initial nodes, which lie below it, and whose
+    phases go back to their entries.  Bisection inserts nodes only to the
+    left of a computed right end, so node i/16's hint is always node
+    (i-1)/16's phase, which the stack hands on.  A node that failed in a
+    stack holds its exception on its entry and raises when the walk
+    reaches it, so the walk meets the same error first as with one node
+    at a time.
     """
     ja, j1 = _endpoint_phases(path, seed)
     total = KOClass.of(_flow_degree(path.context), 0)
     a, m = 0.0, INITIAL_SEGMENTS
     batch = _stack_size(path)
-    ready = []  # completed initial nodes not yet reached, nearest last
     # the right end t = 1 holds J(1) from the start
     pending = [(1.0, 0, j1)] + [(i / m, 0, None) for i in range(m - 1, 0, -1)]
     while pending:
         b, depth, jb = pending.pop()
-        if jb is None and depth == 0:
-            if not ready:
-                first = round(b * m)
-                ts = [i / m for i in range(first, min(first + batch, m))]
-                ready = _nodes(path, ts, _stored(ja), seed)[::-1]
-            jb = ready.pop()
-            if isinstance(jb, Exception):
-                raise jb
-        elif jb is None:
-            jb = _node(path, b, align_hint=_stored(ja), seed=seed)
+        if jb is None:
+            # at depth 0 the initial nodes next below join the stack; the
+            # last entry, t = 1, holds its phase already
+            ahead = min(batch, len(pending)) - 1 if depth == 0 else 0
+            phases = _nodes(path, [b] + [pending[-i][0] for i in range(1, ahead + 1)],
+                            _stored(ja), seed)
+            # popped, so that each phase is held by its entry alone
+            for i in range(len(phases) - 1, 0, -1):
+                pending[-i] = (pending[-i][0], 0, phases.pop())
+            jb = phases.pop()
+        if isinstance(jb, Exception):
+            raise jb
         if _phase_distance(ja, jb) > PHASE_BOUND:
             # phases not 0.9-close: the pair kernel may be nonempty
             try:

@@ -64,6 +64,13 @@ def test_check_subcommand(tmp_path, capsys):
     parsed = json.loads(out)
     assert parsed["ok"] is False and parsed["violations"]
 
+    # a module of dimension 0 holds its relations vacuously; the commands
+    # that solve reject it (MALFORMED)
+    zero_file = tmp_path / "zero.json"
+    zero_file.write_text(json.dumps(M0))
+    code, out, _ = run_cli(capsys, "check", "--module", str(zero_file))
+    assert code == 0 and json.loads(out)["ok"] is True
+
 
 def test_pair_index_subcommand(tmp_path, capsys):
     ctx = cl.CliffordRep(0, 0, 4)
@@ -266,6 +273,9 @@ def _near_singular_path(a0, a1):
             "T": [np.kron(np.diag([a, 1.0]), cl.L1).reshape(-1).tolist() for a in (a0, a1)]}
 
 NAN = float("nan")  # json.dumps writes it as the NaN literal json.load accepts
+# a module of dimension 0: its relations hold vacuously, but it has no flow
+M0 = {"r": 0, "s": 1, "n": 0, "E": [], "F": [[]]}
+CTX0 = {"r": 0, "s": 0, "n": 0, "E": [], "F": []}
 MALFORMED = {
     "check-generator-of-length-3": (
         ["check", "--module", "rep.json"],
@@ -344,6 +354,16 @@ MALFORMED = {
         ["sf", "--path", "p.json"],
         {"p.json": {"context": CTX2, "t": [0.0, 0.5, 1.0],
                     "T": [L1_FLAT, [0.0, NAN, 1.0, 0.0], MINUS_L1_FLAT]}}),
+    # dimension 0 is rejected where the module or the path is read
+    "flux-module-n0": (["flux", "--module", "rep.json", "--N", "3"], {"rep.json": M0}),
+    "sf-flux-model-n0": (["sf", "--model", "flux", "--module", "rep.json"], {"rep.json": M0}),
+    "path-n0": (["sf", "--path", "p.json"], {"p.json": {"n": 0, "t": [0.0, 1.0], "T": [[], []]}}),
+    "path-context-n0": (["sf", "--path", "p.json"],
+                        {"p.json": {"context": CTX0, "t": [0.0, 1.0], "T": [[], []]}}),
+    "pair-index-context-n0": (
+        ["pair-index", "--j0", "j.json", "--j1", "j.json", "--module", "ctx.json"],
+        {"j.json": [], "ctx.json": CTX0}),
+    "rs-check-module-n0": (["rs-check", "--module", "rep.json"], {"rep.json": M0}),
 }
 
 
@@ -560,7 +580,7 @@ GOLDEN = {
                               {"--module": _golden_rotated(0, 8, 8)},
                               '{"class": {"degree": 1, "group": "Z2", "value": 1}, '
                               '"module_class": {"degree": 1, "group": "Z2", "value": 1}}\n'),
-    # the benchmark's two graded workloads, at their sizes
+    # the benchmark's kitaev workload at its size, on the bordered route
     "kitaev-N256": (["kitaev", "--N", "256", "--seed", "0"], {},
                     '{"degree": 2, "group": "Z2", "value": 1}\n'),
     # lattice scale on the bordered route: an odd ring, dense, and an even
@@ -569,10 +589,17 @@ GOLDEN = {
                     '{"degree": 2, "group": "Z2", "value": 1}\n'),
     "kitaev-N1024": (["kitaev", "--N", "1024"], {},
                      '{"degree": 2, "group": "Z2", "value": 1}\n'),
+    # the benchmark's flux workload at its size: 48 x 48 coefficients,
+    # stacked 9 + 6
     "flux-rotated-cl07-N48": (["flux", "--N", "48", "--seed", "0"],
                               {"--module": _golden_rotated(0, 7, 7)},
                               '{"class": {"degree": 0, "group": "Z", "value": 1}, '
                               '"module_class": {"degree": 0, "group": "Z", "value": 1}}\n'),
+    # the dense graded walk at lattice scale, n = 192: every node is a
+    # stack of one
+    "flux-cl03-N48": (["flux", "--N", "48"], {"--module": _golden_module_file},
+                      '{"class": {"degree": 4, "group": "Z", "value": 1}, '
+                      '"module_class": {"degree": 4, "group": "Z", "value": 1}}\n'),
     "sf-path": (["sf"], {"--path": _golden_path_file},
                 '{"class": {"degree": 2, "group": "Z2", "value": 1}, '
                 '"label": "sampled path"}\n'),

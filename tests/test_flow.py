@@ -877,7 +877,7 @@ def _stack_routes():
 def test_stacked_nodes_match_single_nodes_bit_for_bit(route):
     # the 15 interior nodes of the initial partition completed as one
     # stack, each hinted by its left neighbour, are the nodes completed one
-    # at a time by complete_phase, to the bit
+    # at a time, as stacks of one, to the bit
     path = _stack_routes()[route]
     m = flow.INITIAL_SEGMENTS
     ts = [i / m for i in range(1, m)]
@@ -887,11 +887,48 @@ def test_stacked_nodes_match_single_nodes_bit_for_bit(route):
     stacked = flow._nodes(path, ts, left, 0)
     assert len(stacked) == len(ts)
     for t, phase in zip(ts, stacked):
-        single = flow._node(path, t, align_hint=left, seed=0)
+        (single,) = flow._nodes(path, [t], left, 0)
         assert type(phase) is type(single)
         np.testing.assert_array_equal(flow._stored(phase), flow._stored(single))
         left = flow._stored(single)
     assert spectral_flow(path) == endpoint_flow(path)
+
+
+@pytest.mark.parametrize("route", ["dense", "dense graded", "real", "split kitaev",
+                                   "split cl11", "bisecting"])
+def test_walk_does_not_depend_on_the_stack_size(monkeypatch, route):
+    # stacks of 1, 2, 4, 7 and 15 nodes, partial last stacks among them
+    # (15 = 4 + 4 + 4 + 3 = 7 + 7 + 1), sample the same times once each and
+    # complete the same phases, to the bit, with the same class
+    path = _bisecting_path() if route == "bisecting" else _stack_routes()[route]
+    size = path.context.n if path.reduction is None else path.context.copies
+    complete = flow.complete_phases
+    runs = []
+    for nodes in (1, 2, 4, 7, 15):
+        monkeypatch.setattr(flow, "STACK_BYTES", 8 * flow.STACK_NODE_ARRAYS * nodes * size ** 2)
+        assert flow.stacked_nodes(size) == nodes
+        times, phases = [], []
+
+        def sampled(t):
+            times.append(t)
+            return path.fn(t)
+
+        def recorded(*args, **kwargs):
+            out = complete(*args, **kwargs)
+            phases.extend(flow._stored(j) for j in out)
+            return out
+
+        monkeypatch.setattr(flow, "complete_phases", recorded)
+        value = spectral_flow(SkewPath(path.context, sampled, grading=path.grading,
+                                       reduction=path.reduction))
+        assert len(times) == len(set(times)) == len(phases)
+        runs.append((value, dict(zip(times, phases))))
+    value, reference = runs[0]
+    assert route != "bisecting" or max(map(_node_depth, reference)) > 0
+    for other, other_phases in runs[1:]:
+        assert other == value and other_phases.keys() == reference.keys()
+        for t, phase in reference.items():
+            np.testing.assert_array_equal(other_phases[t], phase)
 
 
 def _skew_frame(*svals):

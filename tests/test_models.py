@@ -191,7 +191,7 @@ def test_kitaev_flow_is_one(n_ring):
     same samples with no reduction declared, graded and not, the endpoint
     flow and the Pfaffian signs must agree with it."""
     path = kitaev_path(n_ring)
-    phase = flow._node(path, 0.5)
+    (phase,) = flow._nodes(path, [0.5], None, 0)
     if n_ring % 2 == 0:
         assert type(phase) is ReducedStructure and path.reduction.kind == "split"
         assert phase.S.shape == (n_ring, n_ring)
@@ -366,8 +366,8 @@ def test_kitaev_nodes_decompose_half_blocks(monkeypatch):
 
 
 def _recorded_phases(monkeypatch):
-    """Record every phase that flow.complete_phases returns (the walk's
-    stacks of initial nodes, and complete_phase as the stack of one)."""
+    """Record every phase that flow.complete_phases returns (every stack
+    of the walk, and complete_phase as the stack of one)."""
     phases = []
     complete = flow.complete_phases
 
