@@ -76,7 +76,10 @@ of the kind that `reduced_route` reads off the cell's type:
 Moving blocks: a path that moves only on a fixed k x k block W and
 declares it (`MovingBlock`) has the flow of a k x k path, its bordered
 Schur complement M(t) = C(t)^-1 + U^T R^-1 U (`bordered_flow`, which
-derives it); `spectral_flow` itself always walks the path as it stands.
+derives it); the fixed complement R is checked and inverted by one LU
+inverse under a kappa_F certificate, the SVD rule only when the
+certificate cannot decide.  `spectral_flow` itself always walks the path
+as it stands.
 """
 from __future__ import annotations
 
@@ -173,7 +176,9 @@ STACK_BYTES = 2 ** 20
 # lambda of `bordered_flow`, in units of the moving block's declared
 # bound: any factor above 1 keeps C(t) = T_WW(t) - lambda J invertible;
 # at 3 its smallest singular value is at least twice the bound, and the
-# Kitaev complements R read sigma_min = (sqrt(13) - 3)/2 = 0.303 at every N.
+# Kitaev complements R read sigma_min = (sqrt(13) - 3)/2 = 0.303 at every N,
+# well inside the kappa_F certificate under which `bordered_flow` takes R's
+# one LU inverse; the SVD rule only when the certificate cannot decide.
 BORDER_SHIFT = 3.0
 
 
@@ -886,8 +891,17 @@ def bordered_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     sigma_min(C(t)) >= lambda - ||T_WW(t)|| >= lambda - bound > 0 for
     every t: a certificate read off the declaration, whose bound every
     sample is checked against, not off a sample's spectrum.  R is checked
-    once, by the endpoint rule on its one SVD, which also gives R^-1 U.
-    The bordered matrix
+    once, by one LU inverse under a kappa_F certificate, which also gives
+    U^T R^-1 U; the SVD rule only when the certificate cannot decide.
+    With kappa_F = ||R||_F ||R^-1||_F >= sigma_max / sigma_min and
+    ||R||_F / sqrt(n) <= sigma_max, the endpoint rule read on the pair
+    (||R||_F / (sqrt(n) kappa_F), ||R||_F / sqrt(n)) finds an empty
+    cluster only when it finds one on R's singular values: kappa_F below
+    1 / (10 ZERO_CLUSTER_REL_TOL), and the lower bound on sigma_max above
+    the rule's absolute floor.  When it does not (or the LU fails, or its
+    inverse is not finite), the endpoint rule runs on R's own singular
+    values, with their verdict and message; an R that passes it but whose
+    LU failed is inverted by `np.linalg.pinv`.  The bordered matrix
 
         B(t) = [[R, U], [-U^T, C(t)^-1]]
 
@@ -942,15 +956,22 @@ def bordered_flow(path: SkewPath, *, seed: int = 0) -> KOClass:
     fixed = np.array(path.at(0.0) if red is None else path.coefficient(0.0))
     fixed[where] = shift
     fixed.setflags(write=False)
-    u, svals, vt = np.linalg.svd(fixed)
+    # the kappa_F certificate; a non-finite inverse never passes it
+    inverse = None
     try:
-        _invertible(svals[::-1])
-    except _Singular as exc:
-        raise ValidationError(f"the bordered complement R of {path.label or 'the path'} "
-                              f"is not invertible {exc}") from exc.__cause__
-    # (R^-1)_WW = V[W] diag(1/s) U[W]^T, from R = U diag(s) V^T
-    inverse = (vt[:, w].T / svals) @ u[w].T
-    del u, vt
+        inverse = np.linalg.inv(fixed)
+        norm = np.linalg.norm(fixed)
+        top = norm / np.sqrt(len(fixed))
+        _invertible(np.array([top / (norm * np.linalg.norm(inverse)), top]))
+    except (np.linalg.LinAlgError, _Singular):
+        try:
+            _invertible(np.linalg.svd(fixed, compute_uv=False)[::-1])
+        except _Singular as exc:
+            raise ValidationError(f"the bordered complement R of {path.label or 'the path'} "
+                                  f"is not invertible {exc}") from exc.__cause__
+        if inverse is None or not np.isfinite(inverse).all():
+            inverse = np.linalg.pinv(fixed)
+    inverse = inverse[where]
 
     def sample(t: float) -> np.ndarray:
         mat = np.asarray(path.fn(t), dtype=float)
